@@ -54,14 +54,20 @@ def _rational_sqrt(q: Fraction):
 
 
 def _int_cbrt(n: int):
+    """The integer cube root of n, or None when n is not a cube."""
     if n < 0:
         r = _int_cbrt(-n)
         return None if r is None else -r
-    r = round(n ** (1.0 / 3)) if n else 0
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c * c * c == n:
-            return c
-    return None
+    if n < 2:
+        return n
+    # Newton's step from above decreases to floor(n ** (1/3)) exactly
+    r = 1 << -(-n.bit_length() // 3)
+    while True:
+        s = (2 * r + n // (r * r)) // 3
+        if s >= r:
+            break
+        r = s
+    return r if r * r * r == n else None
 
 
 def _rational_cbrt(q: Fraction):

@@ -37,6 +37,9 @@ class PotentialExpr:
     def parse(cls, text: str, cap=None) -> "PotentialExpr":
         exact = parse_poly(text, QQ)
         if cap is not None:
+            if exact.is_zero():
+                raise ValueError("%r is zero: there is nothing to compute"
+                                 % text)
             if exact.max_degree() > cap:
                 raise ValueError(
                     "cap %d is below the potential degree %d"

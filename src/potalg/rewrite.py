@@ -16,6 +16,7 @@ it always runs under a cap as well.
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass
 
 from .fields import QQ, FieldError, ResourceCapError
@@ -87,17 +88,20 @@ class RewriteSystem:
         }
 
 
-def _find_reduction(word, leads):
-    """Leftmost position where some lead occurs; elements in basis order.
+def _lead_finder(leads):
+    """Function mapping a word to (position, element index) of its leftmost
+    lead occurrence, or None. At one position the lowest basis index wins:
+    the alternatives of a regular expression are tried in the order they
+    are listed, and the leads are listed in basis order."""
+    index = {}
+    for gi, lw in enumerate(leads):
+        index.setdefault(lw, gi)
+    search = re.compile("|".join(leads)).search
 
-    Returns (position, element index) or None.
-    """
-    n = len(word)
-    for i in range(n):
-        for gi, lw in enumerate(leads):
-            if word.startswith(lw, i):
-                return i, gi
-    return None
+    def find(word):
+        m = search(word) if word and leads else None
+        return None if m is None else (m.start(), index[m.group()])
+    return find
 
 
 def normal_form(f: FreePoly, system) -> FreePoly:
@@ -112,6 +116,7 @@ def normal_form(f: FreePoly, system) -> FreePoly:
     else:
         elements, order, cap = system
     leads = [g.leading_word(order) for g in elements]
+    find = _lead_finder(leads)
     field = f.field
     add, mul, neg = field.add, field.mul, field.neg
     cur = dict(f.terms)
@@ -126,7 +131,7 @@ def normal_form(f: FreePoly, system) -> FreePoly:
         c = cur.get(w)
         if not c or w in normal:
             continue
-        hit = _find_reduction(w, leads)
+        hit = find(w)
         if hit is None:
             normal.add(w)
             continue
@@ -135,39 +140,45 @@ def normal_form(f: FreePoly, system) -> FreePoly:
         lw = leads[gi]
         pre, post = w[:i], w[i + len(lw):]
         del cur[w]
+        negc = neg(c)
+        # every nw comes later in the order than w, so a word already in
+        # cur is still queued and only new words need a heap entry
         for t, ct in g.terms.items():
             if t == lw:
                 continue
             nw = pre + t + post
             if cap is not None and len(nw) > cap:
                 continue
-            piece = neg(mul(c, ct))
+            piece = mul(negc, ct)
             if nw in cur:
                 s = add(cur[nw], piece)
                 if s:
                     cur[nw] = s
                 else:
                     del cur[nw]
-                    continue
             else:
                 cur[nw] = piece
-            if nw not in normal:
                 heapq.heappush(heap, (order.leading_key(nw), nw))
     return FreePoly(field, cur, f.cap if cap is None else cap)
 
 
 def _interreduce(elements, order, cap):
     """Full autoreduction: every element is monic, no lead divides another
-    lead or any tail word. Deterministic processing by leading key."""
+    lead or any tail word. Deterministic processing by leading key: the
+    first element that the others can reduce is replaced, then the pool
+    is sorted again. An element none of whose words holds another lead is
+    already normal, so it is passed over without calling normal_form."""
     pool = [g for g in elements if not g.is_zero()]
     changed = True
     while changed:
         changed = False
         pool.sort(key=lambda g: (order.leading_key(g.leading_word(order))))
+        leads = [g.leading_word(order) for g in pool]
         for i, g in enumerate(pool):
-            others = pool[:i] + pool[i + 1:]
-            if not others:
+            text = "|".join(g.terms)
+            if not any(lw in text for j, lw in enumerate(leads) if j != i):
                 continue
+            others = pool[:i] + pool[i + 1:]
             r = normal_form(g, (others, order, cap))
             if r.is_zero():
                 pool = others
@@ -245,9 +256,17 @@ def complete(relations, order=_DEFAULT_ORDER, cap=12) -> RewriteSystem:
     Requires cap >= the largest relation degree (its minimal degree in
     local mode). Ambiguities are processed in ascending witness degree,
     FIFO within a degree; the basis is interreduced after every insertion
-    and canonically sorted at the end, so the result does not depend on
-    scheduling. In finite characteristic an element whose every leading
-    candidate has zero coefficient cannot be made monic and is reported.
+    and canonically sorted at the end. In finite characteristic an element
+    whose every leading candidate has zero coefficient cannot be made
+    monic and is reported.
+
+    Resolved ambiguities are remembered in done across insertions, keyed
+    on the two element polynomials themselves plus kind, witness and
+    positions: while both elements survive unchanged the s-polynomial is
+    the same, and an element rewritten by interreduction gives new keys,
+    so its ambiguities are resolved again. Which resolved pairs are
+    skipped, and in what order the rest are met, does not show in the
+    output: the reduced complete basis of the truncated ideal is unique.
     """
     rels = []
     for r in relations:
@@ -270,17 +289,12 @@ def complete(relations, order=_DEFAULT_ORDER, cap=12) -> RewriteSystem:
 
     basis = _interreduce(rels, order, cap)
     done = set()
-
-    def signature(amb, basis):
-        li = basis[amb.left].leading_word(order)
-        lj = basis[amb.right].leading_word(order)
-        return (amb.kind, li, lj, amb.witness, amb.left_at, amb.right_at)
-
     progress = True
     while progress:
         progress = False
         for amb in ambiguities(basis, order, cap):
-            sig = signature(amb, basis)
+            sig = (amb.kind, basis[amb.left], basis[amb.right], amb.witness,
+                   amb.left_at, amb.right_at)
             if sig in done:
                 continue
             s = s_polynomial(amb, basis, order, cap)
@@ -288,7 +302,6 @@ def complete(relations, order=_DEFAULT_ORDER, cap=12) -> RewriteSystem:
             done.add(sig)
             if not r.is_zero():
                 basis = _interreduce(basis + [r.monic(order)], order, cap)
-                done.clear()
                 progress = True
                 break
 
@@ -310,7 +323,7 @@ def normal_words_by_degree(system: RewriteSystem, through=None):
     """Normal words grouped by degree, using factor closure degree by
     degree: a word is normal iff no leading word occurs in it."""
     cap = system.cap if through is None else min(through, system.cap)
-    leads = system.leads
+    leads = set(system.leads)
     prec = system.order.precedence
     lead_lens = sorted({len(l) for l in leads})
     out = [[""]]

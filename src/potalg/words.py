@@ -40,7 +40,7 @@ def words_up_to(cap: int, precedence: str = "xy") -> list:
 class MonomialOrder:
     """Variable precedence plus a local/global leading-term convention."""
 
-    __slots__ = ("precedence", "mode", "_rank")
+    __slots__ = ("precedence", "mode", "_rank", "_swap")
 
     def __init__(self, precedence: str = "xy", mode: str = "local"):
         if sorted(precedence) != ["x", "y"]:
@@ -50,6 +50,8 @@ class MonomialOrder:
         self.precedence = precedence
         self.mode = mode
         self._rank = {precedence[0]: 0, precedence[1]: 1}
+        # relabel so that plain string order is precedence order ("x" < "y")
+        self._swap = str.maketrans("xy", "yx") if precedence == "yx" else None
 
     def rank_tuple(self, w: str) -> tuple:
         r = self._rank
@@ -58,13 +60,17 @@ class MonomialOrder:
     def sort_key(self, w: str) -> tuple:
         """Presentation order: degree ascending, lex-greatest first within
         a degree. Used for rendering and normal-basis listings."""
-        return (len(w), self.rank_tuple(w))
+        if self._swap is not None:
+            w = w.translate(self._swap)
+        return (len(w), w)
 
     def leading_key(self, w: str):
         """Key whose minimum over the support picks the leading word."""
+        if self._swap is not None:
+            w = w.translate(self._swap)
         if self.mode == "local":
-            return (len(w), self.rank_tuple(w))
-        return (-len(w), self.rank_tuple(w))
+            return (len(w), w)
+        return (-len(w), w)
 
     def __eq__(self, other):
         return (isinstance(other, MonomialOrder)
@@ -95,8 +101,8 @@ def compare_words(u: str, v: str, order: MonomialOrder) -> int:
     """
     if len(u) != len(v):
         return -1 if len(u) < len(v) else 1
-    ru, rv = order.rank_tuple(u), order.rank_tuple(v)
-    if ru == rv:
+    ku, kv = order.sort_key(u), order.sort_key(v)
+    if ku == kv:
         return 0
-    # smaller rank tuple = earlier precedence letters = greater word
-    return 1 if ru < rv else -1
+    # smaller key = earlier precedence letters = greater word
+    return 1 if ku < kv else -1

@@ -70,6 +70,27 @@ def test_cubic_cube_ratio_extension_reported():
     assert cls.extension_required == {"kind": "cubic", "cube_ratio": "2"}
 
 
+def test_cubic_large_rational_cube_ratio_splits():
+    k = 10 ** 20 + 7
+    f = poly("x^3 + %d y^3" % k ** 3)
+    cls = cubic_class(f)
+    assert cls.label == "X3Y3" and cls.extension_required is None
+    work = substitute(f, cls.transform).scale(1 / cls.sigma)
+    assert work == poly("x^3 + y^3")
+
+
+def test_int_cbrt_is_exact():
+    from potalg.classify import _int_cbrt
+    k = 10 ** 20 + 7
+    assert _int_cbrt(k ** 3) == k
+    assert _int_cbrt(-k ** 3) == -k
+    assert _int_cbrt(k ** 3 + 1) is None
+    assert _int_cbrt(k ** 3 - 1) is None
+    # zero, negatives and every small cube
+    assert [n for n in range(-30, 1001) if _int_cbrt(n) is not None] == \
+        [r ** 3 for r in range(-3, 11)]
+
+
 def test_cubic_zero_abelianization_rejected():
     with pytest.raises(ValueError):
         cubic_class(poly("x y y - y x y"))

@@ -125,6 +125,17 @@ def test_dim_cap_below_degree_exits_2():
     assert code == 2 and doc["error"] == "config"
 
 
+@pytest.mark.parametrize("argv", [
+    ("dim", "--potential", "0"),
+    ("dim", "--potential", "x - x"),
+    ("gb", "--relations", "0, x", "--cap", "6"),
+])
+def test_zero_input_exits_2_with_one_document(argv):
+    code, doc, text = run_cli(*argv)
+    assert code == 2 and doc["error"] == "config"
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 # -- canon ----------------------------------------------------------------
 
 def test_canon_lands_on_9b():

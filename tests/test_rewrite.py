@@ -5,7 +5,10 @@ R2 = {xy + yx, x^2 + y^3 + y^4}. Both complete at cap 8 to the same four
 leading words, and the quotient has total dimension 9.
 """
 
+import hashlib
+import io
 import random
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -89,6 +92,32 @@ def test_normal_form_goldens():
     assert normal_form(P("y^2 x", cap=8), G) == P("y^2 x")
 
 
+def test_lead_finder_matches_a_plain_scan():
+    from potalg.rewrite import _lead_finder
+
+    def scan(word, leads):
+        for i in range(len(word)):
+            for gi, lw in enumerate(leads):
+                if word.startswith(lw, i):
+                    return i, gi
+        return None
+
+    rng = random.Random(5)
+
+    def word(lo, hi):
+        return "".join(rng.choice("xy") for _ in range(rng.randint(lo, hi)))
+
+    for _ in range(500):
+        leads = [word(0 if rng.random() < 0.05 else 1, 5)
+                 for _ in range(rng.randint(0, 8))]
+        if leads and rng.random() < 0.2:
+            leads.append(rng.choice(leads))
+        find = _lead_finder(leads)
+        for _ in range(10):
+            w = word(0, 12)
+            assert find(w) == scan(w, leads)
+
+
 def test_normal_form_accepts_tuple_or_system():
     G = complete(r1(), XY, 8)
     f = P("x^3 + x y x", cap=8)
@@ -152,16 +181,18 @@ def test_oracle_golden_and_cap_guard():
 def test_oracle_agrees_with_completion_on_random_potentials():
     from potalg.quotient import hilbert
     rng = random.Random(77)
-    for _ in range(5):
-        body = cyclic_symmetrize(random_poly(rng, degrees=(3, 4), terms=3,
-                                             cap=6))
-        if body.is_zero():
-            continue
-        rels = [g for g in relations_of(body) if not g.is_zero()]
-        if not rels:
-            continue
-        G = complete(rels, XY, 6)
-        assert hilbert(G).hilbert == oracle_dimension(rels, 6)
+    for field, order in ((QQ, XY), (QQ, MonomialOrder("yx")), (GF(7), XY)):
+        for _ in range(5):
+            body = cyclic_symmetrize(random_poly(rng, field, degrees=(3, 4),
+                                                 terms=3, cap=6))
+            if body.is_zero():
+                continue
+            rels = [g for g in relations_of(body, order) if not g.is_zero()]
+            if not rels:
+                continue
+            G = complete(rels, order, 6)
+            assert verify_complete(G)
+            assert hilbert(G).hilbert == oracle_dimension(rels, 6, order)
 
 
 def test_hilbert_is_precedence_independent():
@@ -206,3 +237,24 @@ def test_completion_over_prime_field():
                  XY, 8)
     assert G.leads == ["xx", "xy", "yyyx", "yyyyyy"]
     assert verify_complete(G)
+
+
+# sha256 of the `gb` JSON for the growing support, as computed before the
+# completion engine's fast path: any change to the engine must keep them.
+GROW = "x^3 + cyc(x^2 y^2) + y^5 + cyc(x y x y^2)"
+
+
+@pytest.mark.parametrize("flags, digest", [
+    (["--cap", "11"],
+     "346a724c45e60cce94aa167e4acd056284907ccc03960c0170c47d5cf88180ae"),
+    (["--cap", "11", "--order", "yx"],
+     "475bce036cba28af0ba3bbfc218f85fc2e26ee6c58877510f47759759bb87950"),
+    (["--cap", "9", "--mode", "global"],
+     "809b12a288ceaf51d811482904342f66f1f14fe27812415dd0289a382705d1c0"),
+])
+def test_growing_support_basis_is_pinned(flags, digest):
+    from potalg.cli import main
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(["gb", "--potential", GROW] + flags) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest

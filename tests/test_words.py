@@ -89,6 +89,18 @@ def test_leading_key_selects_by_mode():
     assert min(["yx", "xy"], key=glo.leading_key) == "xy"
 
 
+def test_string_keys_agree_with_rank_tuples():
+    pool = words_up_to(5)
+    for prec in ("xy", "yx"):
+        for mode in ("local", "global"):
+            o = MonomialOrder(prec, mode)
+            sign = 1 if mode == "local" else -1
+            assert sorted(pool, key=o.leading_key) == sorted(
+                pool, key=lambda w: (sign * len(w), o.rank_tuple(w)))
+            assert sorted(pool, key=o.sort_key) == sorted(
+                pool, key=lambda w: (len(w), o.rank_tuple(w)))
+
+
 def test_order_round_trips_through_json():
     for order in (MonomialOrder(), MonomialOrder("yx", "global")):
         doc = order.to_json()
