@@ -503,6 +503,11 @@ def distributivity_series(B, a, b, c, N):
     on a brace nilpotent along a length-m chain the sum is exact once
     N >= m because the terms sink below every level.
     """
+    if not all(0 <= t < B.order for t in (a, b, c)):
+        raise ValueError("series triple %r is outside the carrier 0..%d"
+                         % ([a, b, c], B.order - 1))
+    if N < 0:
+        raise ValueError("series length N must be >= 0, got %d" % N)
     direct = B.minus(B.times(B.plus(a, b), c),
                      B.plus(B.times(a, c), B.times(b, c)))
     d, dp = a, b

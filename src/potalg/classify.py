@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from .fields import QQ, FieldError
 from .freepoly import FreePoly, Substitution, abelianize_cubic, substitute
+from .linalg import solve
 from .potential import (Potential, cyclic_symmetrize, cyclicize,
                         is_cyclically_invariant, relations_of)
 from .quotient import hilbert
@@ -387,85 +388,6 @@ def _cyclic_classes(d):
     return classes
 
 
-def _solve_linear(columns, rows, rhs):
-    """Exact solve of sum_j c_j columns[j] = rhs over the listed rows.
-
-    Plain Gaussian elimination; rows and columns keep their listed order
-    and free variables are zero, so the solution is deterministic.
-    Returns None when the system is inconsistent.
-    """
-    nrows, ncols = len(rows), len(columns)
-    idx = {r: i for i, r in enumerate(rows)}
-    mat = [[_ZERO] * (ncols + 1) for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for r, v in col.items():
-            i = idx.get(r)
-            if i is not None:
-                mat[i][j] = v
-    for r, v in rhs.items():
-        mat[idx[r]][ncols] = v
-    pivots = []
-    rank = 0
-    for j in range(ncols):
-        piv = next((i for i in range(rank, nrows) if mat[i][j]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][j]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for i in range(nrows):
-            if i != rank and mat[i][j]:
-                c = mat[i][j]
-                mat[i] = [a - c * b for a, b in zip(mat[i], mat[rank])]
-        pivots.append(j)
-        rank += 1
-    if any(mat[i][ncols] for i in range(rank, nrows)):
-        return None
-    sol = [_ZERO] * ncols
-    for i, j in enumerate(pivots):
-        sol[j] = mat[i][ncols]
-    return sol
-
-
-def _solve_tolerant(columns, rows, rhs):
-    """Like _solve_linear but rows outside the move span are set aside.
-
-    Equations are admitted greedily in listed row order, so the stalled
-    set is deterministic: a row whose reduced coefficients vanish while
-    its reduced gap does not cannot be reached by any move combination
-    consistent with the rows admitted before it. Returns (sol, stalled).
-    """
-    ncols = len(columns)
-    reduced = []                       # (pivot col, coeff row, value)
-    stalled = []
-    for r in rows:
-        vec = [col.get(r, _ZERO) for col in columns]
-        val = rhs.get(r, _ZERO)
-        for j, prow, pval in reduced:
-            c = vec[j]
-            if c:
-                vec = [a - c * b for a, b in zip(vec, prow)]
-                val -= c * pval
-        piv = next((j for j in range(ncols) if vec[j]), None)
-        if piv is None:
-            if val:
-                stalled.append(r)
-            continue
-        inv = 1 / vec[piv]
-        vec = [v * inv for v in vec]
-        val *= inv
-        for k, (j, prow, pval) in enumerate(reduced):
-            c = prow[piv]
-            if c:
-                reduced[k] = (j, [a - c * b for a, b in zip(prow, vec)],
-                              pval - c * val)
-        reduced.append((piv, vec, val))
-    sol = [_ZERO] * ncols
-    for j, _, val in reduced:
-        sol[j] = val
-    return sol, stalled
-
-
 def _move_list(move_degrees):
     moves = []
     for r in move_degrees:
@@ -519,8 +441,8 @@ def _window_stage(body, cap, window, move_degrees, targets, trail, stage_log):
 
     moves = _move_list(move_degrees)
     columns = [_effect_column(body, letter, u, window) for letter, u in moves]
-    sol = _solve_linear(columns, rows, rhs)
-    if sol is not None:
+    sol, stalled, _ = solve(columns, rows, rhs, QQ)
+    if not stalled:
         body, s, used = _apply_moves(body, moves, sol, cap)
         for w in rows:
             if body.coeff(w) != (targets.get(w) or _ZERO):
@@ -558,7 +480,7 @@ def _window_stage(body, cap, window, move_degrees, targets, trail, stage_log):
                class_sum(body.coeff, cls))
         if gap:
             crhs[cls] = gap
-    csol, stalled = _solve_tolerant(ccols, crows, crhs)
+    csol, stalled, _ = solve(ccols, crows, crhs, QQ)
     stalled = set(stalled)
     body, s, used = _apply_moves(body, moves, csol, cap)
     body = cyclic_symmetrize(body)

@@ -260,7 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against exact row reduction")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted and ignored: the table is built in one "
+                        "thread, and the output does not depend on it")
     _add_order_flags(p)
 
     p = sub.add_parser("canon", help="canonical form and classification")

@@ -16,15 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import GF, QQ, FieldError, ResourceCapError
-from .freepoly import FreePoly
-from .quotient import QuotientAlgebra, _solve_kernel_dim, mult_table
+from .linalg import kernel, rank, solve
+from .quotient import QuotientAlgebra, _word_label, mult_table
 
 _BRUTE_BUDGET = 1 << 18
 _LIFT_BUDGET = 1 << 18
-
-
-def _word_label(w):
-    return w if w else "1"
 
 
 @dataclass
@@ -240,14 +236,12 @@ def _letter_images(A, B, vx, vy):
     return imgs
 
 
-def _rank(rows, field):
-    n = len(rows[0]) if rows else 0
-    return n - _solve_kernel_dim([list(r) for r in rows], n, field)
+def _sparse(vec):
+    return {i: c for i, c in enumerate(vec) if c}
 
 
-def _relations_vanish(A, B, vx, vy):
-    if A.relations is None:
-        return None
+def _relation_values(A, B, vx, vy):
+    """A's defining relations evaluated at the generator images in B."""
     gen = {"x": vx, "y": vy}
     f = B.field
     for r in A.relations:
@@ -259,9 +253,13 @@ def _relations_vanish(A, B, vx, vy):
             for k, v in enumerate(vec):
                 if v:
                     acc[k] = f.add(acc[k], f.mul(c, v))
-        if any(acc):
-            return False
-    return True
+        yield acc
+
+
+def _relations_vanish(A, B, vx, vy):
+    if A.relations is None:
+        return None
+    return not any(any(acc) for acc in _relation_values(A, B, vx, vy))
 
 
 def is_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra, vx, vy):
@@ -274,7 +272,7 @@ def is_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra, vx, vy):
     if A.dim != B.dim or A.field != B.field:
         return False, "shape mismatch"
     imgs = _letter_images(A, B, vx, vy)
-    if _rank(imgs, B.field) != B.dim:
+    if rank(map(_sparse, imgs), B.field) != B.dim:
         return False, "not bijective"
     f = B.field
     zero_row = A.zero_vec()
@@ -302,49 +300,44 @@ def _witness_doc(B, vx, vy):
 
 
 def algebra_profile(F: FiniteAlgebra):
-    """Same fingerprint keys as the quotient profile, from a dense table."""
+    """Field-independent fingerprint used before any isomorphism search.
+
+    Radical powers are spanned by basis words of degree >= k, so their
+    dimensions come straight from the Hilbert data. Annihilators and the
+    center are exact kernel dimensions against the table; the center
+    only needs commuting with the degree-one words, which generate.
+    """
     f = F.field
     n = F.dim
     h = F.hilbert() + (0,)
-    rad_dims = []
-    k = 1
-    while True:
-        dim = sum(h[k:])
-        rad_dims.append(dim)
-        if dim == 0:
-            break
-        k += 1
-    gens = list(range(1, n))
+    rad_dims = [sum(h[k:]) for k in range(1, len(h))]
     zero_row = F.zero_vec()
 
-    def rows(left):
-        out = []
-        for g in gens:
-            for t in range(n):
-                row = []
-                for w in range(n):
-                    pair = (w, g) if left else (g, w)
-                    row.append(F.table.get(pair, zero_row)[t])
-                out.append(row)
+    def row(w, side, gs):
+        # coordinates of w g (side 0), g w (side 1) or w g - g w (side 2)
+        # for every g in gs, as one sparse row: the n rows are the
+        # transposed matrix of a -> (those products), whose kernel has
+        # dimension n minus their rank
+        out = {}
+        for g in gs:
+            a, b = F.table.get((w, g), zero_row), F.table.get((g, w), zero_row)
+            vec = a if side == 0 else b if side == 1 else map(f.sub, a, b)
+            out.update(((side, g, t), c) for t, c in enumerate(vec) if c)
         return out
 
-    lrows, rrows = rows(True), rows(False)
-    deg1 = [i for i in gens if F.degrees[i] == 1]
-    center_rows = []
-    for g in deg1:
-        for t in range(n):
-            row = [f.sub(F.table.get((w, g), zero_row)[t],
-                         F.table.get((g, w), zero_row)[t])
-                   for w in range(n)]
-            center_rows.append(row)
+    gens = range(1, n)
+    deg1 = [g for g in gens if F.degrees[g] == 1]
+    left = [row(w, 0, gens) for w in range(n)]
+    right = [row(w, 1, gens) for w in range(n)]
+    both = [{**a, **b} for a, b in zip(left, right)]
     return {
         "hilbert": list(h),
         "dimension": n,
         "radical_power_dims": rad_dims,
-        "left_annihilator_dim": _solve_kernel_dim(lrows, n, f),
-        "right_annihilator_dim": _solve_kernel_dim(rrows, n, f),
-        "two_sided_annihilator_dim": _solve_kernel_dim(lrows + rrows, n, f),
-        "center_dim": _solve_kernel_dim(center_rows, n, f),
+        "left_annihilator_dim": n - rank(left, f),
+        "right_annihilator_dim": n - rank(right, f),
+        "two_sided_annihilator_dim": n - rank(both, f),
+        "center_dim": n - rank([row(w, 2, deg1) for w in range(n)], f),
     }
 
 
@@ -433,30 +426,21 @@ def brute_force_iso(A: FiniteAlgebra, B: FiniteAlgebra,
                                    "candidates": checked})
 
 
-def _stage_columns(A, B, vx, vy, unknown_slots, slice_degree):
+def _stage_system(A, B, vx, vy, unknown_slots, slice_degree):
     """Affine expansion of the slice-(d+1) residuals in stage-d unknowns.
 
     Residuals are the relation evaluations restricted to basis words of
     the slice degree; each unknown perturbs them linearly there because
-    its square lands strictly higher in the filtration.
+    its square lands strictly higher in the filtration. Returns the
+    sparse effect column of each unknown, the negated residuals as the
+    right-hand side, and the number of residual coordinates.
     """
     f = B.field
     slice_idx = [i for i in range(B.dim) if B.degrees[i] == slice_degree]
 
     def residual(wx, wy):
-        gen = {"x": wx, "y": wy}
-        out = []
-        for r in A.relations:
-            acc = B.zero_vec()
-            for w, c in r.terms.items():
-                vec = B.unit_vec()
-                for ch in reversed(w):
-                    vec = B.mul(gen[ch], vec)
-                for k, v in enumerate(vec):
-                    if v:
-                        acc[k] = f.add(acc[k], f.mul(c, v))
-            out.extend(acc[i] for i in slice_idx)
-        return out
+        return [acc[i] for acc in _relation_values(A, B, wx, wy)
+                for i in slice_idx]
 
     base = residual(vx, vy)
     cols = []
@@ -465,45 +449,8 @@ def _stage_columns(A, B, vx, vy, unknown_slots, slice_degree):
         (wx if letter == "x" else wy)[slot] = f.add(
             (wx if letter == "x" else wy)[slot], f.one)
         probe = residual(wx, wy)
-        cols.append([f.sub(pv, bv) for pv, bv in zip(probe, base)])
-    return base, cols
-
-
-def _affine_solutions(base, cols, field):
-    """Solution set of cols * t = -base as (particular, kernel basis)."""
-    nrows, ncols = len(base), len(cols)
-    mat = [[cols[j][i] for j in range(ncols)] + [field.neg(base[i])]
-           for i in range(nrows)]
-    pivots = []
-    rank = 0
-    for j in range(ncols):
-        piv = next((i for i in range(rank, nrows) if mat[i][j]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = field.inv(mat[rank][j])
-        mat[rank] = [field.mul(v, inv) for v in mat[rank]]
-        for i in range(nrows):
-            if i != rank and mat[i][j]:
-                c = mat[i][j]
-                mat[i] = [field.sub(a, field.mul(c, b))
-                          for a, b in zip(mat[i], mat[rank])]
-        pivots.append(j)
-        rank += 1
-    if any(mat[i][ncols] for i in range(rank, nrows)):
-        return None, None
-    part = [field.zero] * ncols
-    for i, j in enumerate(pivots):
-        part[j] = mat[i][ncols]
-    free = [j for j in range(ncols) if j not in pivots]
-    kernel = []
-    for j in free:
-        vec = [field.zero] * ncols
-        vec[j] = field.one
-        for i, pj in enumerate(pivots):
-            vec[pj] = field.neg(mat[i][j])
-        kernel.append(vec)
-    return part, kernel
+        cols.append(_sparse(map(f.sub, probe, base)))
+    return cols, _sparse(map(f.neg, base)), len(base)
 
 
 def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra, p: int,
@@ -562,16 +509,17 @@ def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra, p: int,
         slots = slots_by_stage[d]
         if not slots:
             return dfs(vx, vy, stage_i + 1)
-        base, cols = _stage_columns(A, B, vx, vy, slots, d + 1)
-        part, kernel = _affine_solutions(base, cols, f)
-        if part is None:
+        cols, rhs, nrows = _stage_system(A, B, vx, vy, slots, d + 1)
+        part, stalled, reduced = solve(cols, range(nrows), rhs, f)
+        if stalled:
             return None
-        combos = [[f.zero] * len(kernel)]
-        if kernel:
-            combos = _tuples(len(kernel), scalars)
+        basis = kernel(reduced, len(cols), f)
+        combos = [[f.zero] * len(basis)]
+        if basis:
+            combos = _tuples(len(basis), scalars)
         for combo in combos:
             t = list(part)
-            for kv, vec in zip(combo, kernel):
+            for kv, vec in zip(combo, basis):
                 if kv:
                     for idx, v in enumerate(vec):
                         t[idx] = f.add(t[idx], f.mul(kv, v))
@@ -589,8 +537,8 @@ def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra, p: int,
         vx, vy = B.zero_vec(), B.zero_vec()
         vx[deg1[0]], vx[deg1[1]] = a, b
         vy[deg1[0]], vy[deg1[1]] = c, d
-        base, cols = _stage_columns(A, B, vx, vy, [], 2)
-        if any(base):
+        _, rhs, _ = _stage_system(A, B, vx, vy, [], 2)
+        if rhs:
             continue
         hit = dfs(vx, vy, 0)
         if hit:

@@ -9,7 +9,6 @@ index of the radical.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .fields import FieldError
@@ -21,10 +20,6 @@ _ASSOC_EXHAUSTIVE_LIMIT = 12
 
 def _word_label(w: str) -> str:
     return w if w else "1"
-
-
-def _label_word(s: str) -> str:
-    return "" if s == "1" else s
 
 
 @dataclass
@@ -119,27 +114,14 @@ def mult_table(Q: QuotientAlgebra, workers: int = 1) -> QuotientAlgebra:
     """Structure constants on the normal basis. Requires finiteness.
 
     Products of basis words whose degree exceeds the cap are genuinely
-    zero: their normal forms would live in empty degrees. Worker threads
-    split the pair list but results are merged in index order, so output
-    never depends on the worker count.
+    zero: their normal forms would live in empty degrees. workers is
+    accepted and ignored; a thread pool over the products measured no
+    gain, since normal forms hold the interpreter lock.
     """
     if not Q.finite:
         raise ValueError("multiplication table of an infinite algebra")
     words = Q.basis_words
-    pairs = [(u, v) for u in words for v in words]
-
-    def run(chunk):
-        return [_product(Q.system, u, v) for u, v in chunk]
-
-    if workers <= 1 or len(pairs) < 64:
-        results = run(pairs)
-    else:
-        size = (len(pairs) + workers - 1) // workers
-        chunks = [pairs[i:i + size] for i in range(0, len(pairs), size)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            out = list(pool.map(run, chunks))
-        results = [p for part in out for p in part]
-    Q.table = {pair: res for pair, res in zip(pairs, results)}
+    Q.table = {(u, v): _product(Q.system, u, v) for u in words for v in words}
     _check_table_closure(Q)
     return Q
 
@@ -183,112 +165,17 @@ def check_associative(Q: QuotientAlgebra) -> bool:
     return True
 
 
-def _solve_kernel_dim(rows, ncols, field):
-    """Dimension of the solution space of rows * a = 0, exact elimination."""
-    mat = [list(r) for r in rows]
-    rank = 0
-    col = 0
-    nrows = len(mat)
-    while col < ncols and rank < nrows:
-        piv = None
-        for r in range(rank, nrows):
-            if mat[r][col]:
-                piv = r
-                break
-        if piv is None:
-            col += 1
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = field.inv(mat[rank][col])
-        mat[rank] = [field.mul(v, inv) for v in mat[rank]]
-        for r in range(nrows):
-            if r != rank and mat[r][col]:
-                c = mat[r][col]
-                mat[r] = [field.sub(a, field.mul(c, b))
-                          for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        col += 1
-    return ncols - rank
-
-
 def invariant_profile(Q: QuotientAlgebra, square_zero=False) -> dict:
     """Field-independent fingerprint used before any isomorphism search.
 
-    Radical powers are spanned by normal words of degree >= k, so their
-    dimensions come straight from the Hilbert data. Annihilators and the
-    center are exact kernel computations against the table. The square-zero
-    count is only meaningful over a finite field; requesting it over the
-    rationals raises FieldError.
+    The profile of the dense algebra (isotest.algebra_profile). The
+    square-zero count is only meaningful over a finite field; requesting
+    it over the rationals raises FieldError.
     """
-    if Q.table is None:
-        mult_table(Q)
-    field = Q.system.field
-    words = Q.basis_words
-    n = len(words)
-    index = {w: i for i, w in enumerate(words)}
-    h = Q.hilbert
-
-    rad_dims = []
-    k = 1
-    while True:
-        dim = sum(h[k:])
-        rad_dims.append(dim)
-        if dim == 0:
-            break
-        k += 1
-
-    gens = [w for w in words if 0 < len(w)]
-    deg1 = [w for w in words if len(w) == 1]
-    rad_gens = deg1 if len(deg1) == 2 else gens
-
-    def vec(p):
-        return [p.coeff(w) for w in words]
-
-    def left_rows():
-        # rows of the map a -> (a*g)_g over radical generators
-        rows = []
-        for g in gens:
-            for out_i in range(n):
-                row = [Q.table[(w, g)].coeff(words[out_i]) for w in words]
-                rows.append(row)
-        return rows
-
-    def right_rows():
-        rows = []
-        for g in gens:
-            for out_i in range(n):
-                row = [Q.table[(g, w)].coeff(words[out_i]) for w in words]
-                rows.append(row)
-        return rows
-
-    lrows = left_rows()
-    rrows = right_rows()
-    left_ann = _solve_kernel_dim(lrows, n, field)
-    right_ann = _solve_kernel_dim(rrows, n, field)
-    two_sided = _solve_kernel_dim(lrows + rrows, n, field)
-
-    center_rows = []
-    for g in rad_gens:
-        for out_i in range(n):
-            row = []
-            for w in words:
-                c = field.sub(Q.table[(w, g)].coeff(words[out_i]),
-                              Q.table[(g, w)].coeff(words[out_i]))
-                row.append(c)
-            center_rows.append(row)
-    center = _solve_kernel_dim(center_rows, n, field)
-
-    profile = {
-        "hilbert": list(h[:len(Q.normal_basis) + 1]),
-        "dimension": Q.dimension,
-        "radical_power_dims": rad_dims,
-        "left_annihilator_dim": left_ann,
-        "right_annihilator_dim": right_ann,
-        "two_sided_annihilator_dim": two_sided,
-        "center_dim": center,
-    }
+    from .isotest import algebra_profile, from_quotient
+    profile = algebra_profile(from_quotient(Q))
     if square_zero:
-        if field.characteristic == 0:
+        if Q.system.field.characteristic == 0:
             raise FieldError("square-zero counting needs a finite field")
         profile["square_zero_count"] = _square_zero_count(Q)
     return profile

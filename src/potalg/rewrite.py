@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .fields import QQ, FieldError, ResourceCapError
 from .freepoly import FreePoly
+from .linalg import Echelon
 from .words import MonomialOrder, all_words
 
 _DEFAULT_ORDER = MonomialOrder()
@@ -370,37 +371,7 @@ def oracle_dimension(relations, cap, order=_DEFAULT_ORDER):
                                (cap, _ORACLE_MAX_CAP))
     rels = [r.truncated(cap) for r in relations if not r.is_zero()]
     rels = [r for r in rels if not r.is_zero()]
-    field = rels[0].field if rels else QQ
-    sub, mul, div = None, None, None
-    if rels:
-        sub, mul, div = field.sub, field.mul, field.div
-
-    pivots = {}
-
-    def reduce_row(row):
-        while row:
-            lead = min(row, key=order.leading_key)
-            piv = pivots.get(lead)
-            if piv is None:
-                c = row[lead]
-                if c != field.one:
-                    inv = field.inv(c)
-                    row = {w: mul(v, inv) for w, v in row.items()}
-                pivots[lead] = row
-                return
-            c = row[lead]
-            new = dict(row)
-            for w, v in piv.items():
-                got = new.get(w)
-                if got is None:
-                    new[w] = field.neg(mul(c, v))
-                else:
-                    s = sub(got, mul(c, v))
-                    if s:
-                        new[w] = s
-                    else:
-                        del new[w]
-            row = new
+    ech = Echelon(rels[0].field if rels else QQ, order.leading_key)
 
     prec = order.precedence
     for r in rels:
@@ -417,9 +388,9 @@ def oracle_dimension(relations, cap, order=_DEFAULT_ORDER):
                             if len(nw) <= cap:
                                 row[nw] = c
                         if row:
-                            reduce_row(dict(row))
+                            ech.add(row)
 
     counts = [0] * (cap + 1)
-    for w in pivots:
+    for w in ech.pivots:
         counts[len(w)] += 1
     return tuple(2 ** d - counts[d] for d in range(cap + 1))

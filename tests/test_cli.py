@@ -239,6 +239,15 @@ def test_brace_series(tmp_path):
     assert code == 2 and doc["error"] == "config"
 
 
+def test_brace_series_rejects_out_of_range_arguments(tmp_path):
+    path = z9_brace_file(tmp_path)
+    for args in ("1,2,40,3", "1,-2,3,2", "1,2,3,-1"):
+        code, doc, text = run_cli("brace", "series", "--input", path,
+                                  "--series-args", args)
+        assert code == 2 and doc["error"] == "config", args
+        assert text.count("{") == 1 and "Traceback" not in text
+
+
 def test_brace_invalid_axioms_is_a_computed_verdict(tmp_path):
     add = [[(a + b) % 4 for b in range(4)] for a in range(4)]
     star = [[a for _ in range(4)] for a in range(4)]
