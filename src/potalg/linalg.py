@@ -95,9 +95,9 @@ class Echelon:
         return done
 
 
-def rank(rows, field, key=None):
+def rank(rows, field):
     """Dimension of the span of the given sparse rows."""
-    ech = Echelon(field, key)
+    ech = Echelon(field)
     for row in rows:
         ech.add(row)
     return len(ech.pivots)

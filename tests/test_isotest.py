@@ -1,5 +1,7 @@
 """Isomorphism searches: reductions, brute force, lifting, invariants."""
 
+import itertools
+
 import pytest
 
 from potalg.fields import GF, QQ, FieldError, ResourceCapError
@@ -182,6 +184,50 @@ def test_profile_matches_quotient_fingerprint():
     mine = algebra_profile(from_quotient(Q))
     ref = invariant_profile(Q)
     assert mine == {k: ref[k] for k in mine}
+
+
+def _count_by_enumeration(F):
+    """Sizes of the annihilators and the center of a small GF(p) algebra,
+    counted element by element from the table (the center against every
+    basis word, not only the generators)."""
+    f, n = F.field, F.dim
+
+    def times(a, g, left):
+        out = F.zero_vec()
+        for i, c in enumerate(a):
+            row = F.table.get((i, g) if left else (g, i))
+            if c and row:
+                out = [f.add(o, f.mul(c, r)) for o, r in zip(out, row)]
+        return out
+
+    counts = dict.fromkeys(("left", "right", "both", "center"), 0)
+    for a in itertools.product(range(f.characteristic), repeat=n):
+        a = [f.coerce(c) for c in a]
+        ag = [times(a, g, True) for g in range(n)]
+        ga = [times(a, g, False) for g in range(n)]
+        left = not any(map(any, ag[1:]))
+        right = not any(map(any, ga[1:]))
+        counts["left"] += left
+        counts["right"] += right
+        counts["both"] += left and right
+        counts["center"] += ag == ga
+    return counts
+
+
+@pytest.mark.parametrize("build, p", [
+    (dim8_quotient, 2),
+    # one-sided: y x times x is y x^2, but anything of positive degree
+    # times y x is zero
+    (lambda: quotient(("x y", "y^2", "x^3"), cap=5), 3),
+])
+def test_profile_matches_elementwise_counts(build, p):
+    F = reduce_mod_p(build(), p)
+    got = algebra_profile(F)
+    counts = _count_by_enumeration(F)
+    assert counts["left"] == p ** got["left_annihilator_dim"]
+    assert counts["right"] == p ** got["right_annihilator_dim"]
+    assert counts["both"] == p ** got["two_sided_annihilator_dim"]
+    assert counts["center"] == p ** got["center_dim"]
 
 
 def test_distinguish_by_rational_invariants():
