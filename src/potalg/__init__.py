@@ -16,8 +16,7 @@ from .potential import (Potential, cyclic_symmetrize, cyclicize,
                         syzygy_residual)
 from .rewrite import (Ambiguity, RewriteSystem, complete, normal_form,
                       oracle_dimension, verify_complete)
-from .quotient import QuotientAlgebra, check_associative, hilbert, \
-    invariant_profile, mult_table
+from .quotient import QuotientAlgebra, hilbert, invariant_profile
 from .words import MonomialOrder, compare_words
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from .fields import QQ, FieldError, ResourceCapError
 from .freepoly import FreePoly
 from .parsing import ParseError, parse_poly, render
 from .potential import derive_ginzburg, derive_simple, relations_of
-from .quotient import hilbert, mult_table
+from .quotient import hilbert
 from .rewrite import complete, oracle_dimension
 from .words import MonomialOrder
 
@@ -103,7 +103,6 @@ def _cmd_dim(args):
            "total": Q.dimension if Q.finite else None,
            "nilpotency_index": Q.nilpotency_index, "growth": Q.growth}
     if Q.finite:
-        mult_table(Q, workers=args.workers)
         doc["algebra"] = isotest.from_quotient(Q, name=args.potential).to_json()
     if args.oracle:
         oracle_cap = min(cap, 8)

@@ -16,8 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import GF, QQ, FieldError, ResourceCapError
+from .freepoly import FreePoly
 from .linalg import kernel, rank, solve
-from .quotient import QuotientAlgebra, _word_label, mult_table
+from .quotient import QuotientAlgebra, _word_label
+from .rewrite import normal_form
 
 _BRUTE_BUDGET = 1 << 18
 _LIFT_BUDGET = 1 << 18
@@ -49,11 +51,6 @@ class FiniteAlgebra:
     def zero_vec(self):
         return [self.field.zero] * self.dim
 
-    def unit_vec(self):
-        v = self.zero_vec()
-        v[0] = self.field.one
-        return v
-
     def basis_vec(self, i):
         v = self.zero_vec()
         v[i] = self.field.one
@@ -77,9 +74,12 @@ class FiniteAlgebra:
                         out[k] = f.add(out[k], f.mul(s, ck))
         return out
 
-    def validate(self):
-        """Unit rows, suffix closure, degree filtration, associativity."""
-        f = self.field
+    def check_shape(self):
+        """Unit word first, suffix closure, unit rows, degree filtration.
+
+        Cheap enough to run on every table read from outside, unlike the
+        associativity check of validate.
+        """
         if self.words[0] != "":
             raise ValueError("basis must start with the unit word")
         if self.degrees != sorted(self.degrees):
@@ -99,6 +99,11 @@ class FiniteAlgebra:
                 if c and self.degrees[k] < floor:
                     raise ValueError("product (%d,%d) drops below its "
                                      "filtration degree" % (i, j))
+
+    def validate(self):
+        """check_shape, then associativity on every basis triple."""
+        self.check_shape()
+        n = self.dim
         vecs = [self.basis_vec(i) for i in range(n)]
         for i in range(n):
             for j in range(n):
@@ -137,25 +142,46 @@ class FiniteAlgebra:
 
 
 def from_quotient(Q: QuotientAlgebra, name="") -> FiniteAlgebra:
-    """Dense structure constants from a finite quotient's table."""
+    """Dense structure constants of a finite quotient from 2n normal forms.
+
+    Left multiplication by a letter a has the columns NF(a w), one per
+    basis word w. The basis is suffix closed, so every other product
+    follows suffix-first: (a u) v = L_a (u v), with 1 v = v. The longest
+    word reduced is one letter longer than the longest basis word, which
+    is within the cap, so no product is cut at the cap.
+    """
     if not Q.finite:
         raise ValueError("only finite-dimensional quotients have tables")
-    if Q.table is None:
-        mult_table(Q)
-    words = Q.basis_words
+    system, f, words = Q.system, Q.system.field, Q.basis_words
+    n = len(words)
     idx = {w: i for i, w in enumerate(words)}
-    table = {}
-    for (u, v), p in Q.table.items():
-        if p.is_zero():
-            continue
-        row = [Q.system.field.zero] * len(words)
-        for w, c in p.terms.items():
-            row[idx[w]] = c
-        table[(idx[u], idx[v])] = row
-    alg = FiniteAlgebra(Q.system.field, list(words),
-                        [len(w) for w in words], table,
-                        list(Q.system.elements), name)
-    return alg
+    left = {}
+    for a in "xy":
+        cols = []
+        for w in words:
+            nf = normal_form(FreePoly.term(a + w, f.one, f, system.cap),
+                             system)
+            if any(t not in idx for t in nf.terms):
+                raise AssertionError("product %r * %r left the normal basis"
+                                     % (a, w))
+            cols.append([(idx[t], c) for t, c in nf.terms.items()])
+        left[a] = cols
+    rows = {}
+    for i, u in enumerate(words):
+        for j in range(n):
+            row = [f.zero] * n
+            if u:
+                cols = left[u[0]]
+                for k, ck in enumerate(rows.get((idx[u[1:]], j), ())):
+                    if ck:
+                        for t, c in cols[k]:
+                            row[t] = f.add(row[t], f.mul(ck, c))
+            else:
+                row[j] = f.one
+            if any(row):
+                rows[(i, j)] = row
+    return FiniteAlgebra(f, list(words), [len(w) for w in words], rows,
+                         list(system.elements), name)
 
 
 def algebra_mod_p(F: FiniteAlgebra, p: int) -> FiniteAlgebra:
@@ -184,7 +210,11 @@ def reduce_mod_p(Q: QuotientAlgebra, p: int, name="") -> FiniteAlgebra:
 
 
 def algebra_from_json(doc) -> FiniteAlgebra:
-    """Rebuild a dense algebra from its serialized table."""
+    """Rebuild a dense algebra from its serialized table.
+
+    The document comes from outside, so its shape is checked (ValueError
+    otherwise); full associativity is not, being cubic in the dimension.
+    """
     from fractions import Fraction
     from .parsing import parse_poly
     name = doc.get("field", "QQ")
@@ -196,17 +226,32 @@ def algebra_from_json(doc) -> FiniteAlgebra:
     else:
         raise ValueError("unknown field %r" % name)
     words = [w if w != "1" else "" for w in doc["basis"]]
+    degrees, n = doc["degrees"], len(words)
+    if not (n and all(isinstance(w, str) for w in words)
+            and isinstance(degrees, list) and len(degrees) == n
+            and all(type(d) is int for d in degrees)):
+        raise ValueError("basis and degrees must list one word and one "
+                         "integer per basis element")
+    if not isinstance(doc["table"], dict):
+        raise ValueError("table must be an object keyed by basis pairs")
     idx = {w: i for i, w in enumerate(words)}
     table = {}
     for key, row in doc["table"].items():
-        u, v = key.split(",")
-        pair = (idx[u if u != "1" else ""], idx[v if v != "1" else ""])
+        pair = tuple(idx.get(w if w != "1" else "") for w in key.split(","))
+        if len(pair) != 2 or None in pair:
+            raise ValueError("table key %r does not name two basis words"
+                             % key)
+        if not isinstance(row, list) or len(row) != n:
+            raise ValueError("table row %r does not have %d entries"
+                             % (key, n))
         table[pair] = [field.coerce(scalar(c)) for c in row]
     rels = None
     if "relations" in doc:
         rels = [parse_poly(text, field) for text in doc["relations"]]
-    return FiniteAlgebra(field, words, list(doc["degrees"]), table, rels,
-                         doc.get("name", ""))
+    alg = FiniteAlgebra(field, words, list(degrees), table, rels,
+                        doc.get("name", ""))
+    alg.check_shape()
+    return alg
 
 
 @dataclass
@@ -227,7 +272,7 @@ class IsoVerdict:
 def _letter_images(A, B, vx, vy):
     """Images of A's basis words from generator images, suffix-first."""
     imgs = [None] * A.dim
-    imgs[0] = B.unit_vec()
+    imgs[0] = B.basis_vec(0)
     gen = {"x": vx, "y": vy}
     for i, w in enumerate(A.words):
         if not w:
@@ -247,7 +292,7 @@ def _relation_values(A, B, vx, vy):
     for r in A.relations:
         acc = B.zero_vec()
         for w, c in r.terms.items():
-            vec = B.unit_vec()
+            vec = B.basis_vec(0)
             for ch in reversed(w):
                 vec = B.mul(gen[ch], vec)
             for k, v in enumerate(vec):

@@ -4,18 +4,16 @@ The quotient of the free algebra by a completed relation system has the
 normal words as a filtered basis. h_n counts normal words of degree n;
 factor closure of normal words makes a zero count propagate upward, so
 the first empty degree certifies finiteness and bounds the nilpotency
-index of the radical.
+index of the radical. The multiplication table of a finite quotient is
+isotest.FiniteAlgebra, built by isotest.from_quotient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import FieldError
-from .freepoly import FreePoly
-from .rewrite import RewriteSystem, normal_form, normal_words_by_degree
-
-_ASSOC_EXHAUSTIVE_LIMIT = 12
+from .fields import FieldError, ResourceCapError
+from .rewrite import RewriteSystem, normal_words_by_degree
 
 
 def _word_label(w: str) -> str:
@@ -30,7 +28,6 @@ class QuotientAlgebra:
     finite: bool
     first_empty_degree: object  # int or None
     growth: str                 # "finite" | "bounded-constant" | "growing"
-    table: object = None        # {(u, v): FreePoly} when finite and built
 
     @property
     def basis_words(self):
@@ -64,14 +61,6 @@ class QuotientAlgebra:
             doc["total_dimension"] = self.dimension
             doc["first_empty_degree"] = self.first_empty_degree
             doc["basis"] = [_word_label(w) for w in self.basis_words]
-        if self.table is not None:
-            ser = {}
-            words = self.basis_words
-            for (u, v), p in self.table.items():
-                key = "%s,%s" % (_word_label(u), _word_label(v))
-                ser[key] = [self.system.field.to_str(p.coeff(w))
-                            for w in words]
-            doc["table"] = ser
         return doc
 
 
@@ -105,115 +94,27 @@ def hilbert(system: RewriteSystem) -> QuotientAlgebra:
     return QuotientAlgebra(system, layers, h, finite, first_empty, growth)
 
 
-def _product(system, u, v):
-    f = FreePoly.term(u + v, system.field.one, system.field, system.cap)
-    return normal_form(f, system)
-
-
-def mult_table(Q: QuotientAlgebra, workers: int = 1) -> QuotientAlgebra:
-    """Structure constants on the normal basis. Requires finiteness.
-
-    Products of basis words whose degree exceeds the cap are genuinely
-    zero: their normal forms would live in empty degrees. workers is
-    accepted and ignored; a thread pool over the products measured no
-    gain, since normal forms hold the interpreter lock.
-    """
-    if not Q.finite:
-        raise ValueError("multiplication table of an infinite algebra")
-    words = Q.basis_words
-    Q.table = {(u, v): _product(Q.system, u, v) for u in words for v in words}
-    _check_table_closure(Q)
-    return Q
-
-
-def _check_table_closure(Q):
-    basis = set(Q.basis_words)
-    for (u, v), p in Q.table.items():
-        for w in p.terms:
-            if w not in basis:
-                raise AssertionError("product %r * %r left the normal basis"
-                                     % (u, v))
-
-
-def check_associative(Q: QuotientAlgebra) -> bool:
-    """Exhaustive associativity check through the table (dim <= 12)."""
-    if Q.table is None:
-        mult_table(Q)
-    words = Q.basis_words
-    if len(words) > _ASSOC_EXHAUSTIVE_LIMIT:
-        raise ValueError("exhaustive associativity limited to dim <= %d"
-                         % _ASSOC_EXHAUSTIVE_LIMIT)
-    table = Q.table
-
-    def times(p: FreePoly, v: str) -> FreePoly:
-        out = FreePoly.zero(Q.system.field, Q.system.cap)
-        for w, c in p.terms.items():
-            out = out + table[(w, v)].scale(c)
-        return out
-
-    for u in words:
-        for v in words:
-            uv = table[(u, v)]
-            for w in words:
-                left = times(uv, w)
-                right_p = table[(v, w)]
-                right = FreePoly.zero(Q.system.field, Q.system.cap)
-                for t, c in right_p.terms.items():
-                    right = right + table[(u, t)].scale(c)
-                if left != right:
-                    return False
-    return True
-
-
 def invariant_profile(Q: QuotientAlgebra, square_zero=False) -> dict:
     """Field-independent fingerprint used before any isomorphism search.
 
     The profile of the dense algebra (isotest.algebra_profile). The
-    square-zero count is only meaningful over a finite field; requesting
-    it over the rationals raises FieldError.
+    square-zero count |{a : a^2 = 0}| is only meaningful over a finite
+    field; requesting it over the rationals raises FieldError. a^2 = 0
+    forces the unit component to zero, so only the p^(dim-1) radical
+    vectors are enumerated, within the brute-force budget.
     """
-    from .isotest import algebra_profile, from_quotient
-    profile = algebra_profile(from_quotient(Q))
+    from .isotest import (_BRUTE_BUDGET, _radical_candidates,
+                          algebra_profile, from_quotient)
+    p = Q.system.field.characteristic
+    if square_zero and p == 0:
+        raise FieldError("square-zero counting needs a finite field")
+    F = from_quotient(Q)
+    profile = algebra_profile(F)
     if square_zero:
-        if Q.system.field.characteristic == 0:
-            raise FieldError("square-zero counting needs a finite field")
-        profile["square_zero_count"] = _square_zero_count(Q)
+        if p ** (F.dim - 1) > _BRUTE_BUDGET:
+            raise ResourceCapError("%d square-zero candidates exceed the "
+                                   "budget %d" % (p ** (F.dim - 1),
+                                                  _BRUTE_BUDGET))
+        profile["square_zero_count"] = sum(
+            1 for a in _radical_candidates(F) if not any(F.mul(a, a)))
     return profile
-
-
-def _square_zero_count(Q):
-    """|{a : a^2 = 0}|. Unit components are forced to zero, so only
-    radical vectors are enumerated: p^(dim-1) candidates."""
-    field = Q.system.field
-    p = field.characteristic
-    words = Q.basis_words
-    rad = [w for w in words if len(w) > 0]
-    count = 0
-
-    def square_is_zero(coeffs):
-        acc = {}
-        for (i, wi) in enumerate(rad):
-            ci = coeffs[i]
-            if not ci:
-                continue
-            for (j, wj) in enumerate(rad):
-                cj = coeffs[j]
-                if not cj:
-                    continue
-                prod = Q.table[(wi, wj)]
-                scale = field.mul(ci, cj)
-                for w, c in prod.terms.items():
-                    acc[w] = field.add(acc.get(w, field.zero),
-                                       field.mul(scale, c))
-        return all(not v for v in acc.values())
-
-    total = p ** len(rad)
-    for idx in range(total):
-        coeffs = []
-        t = idx
-        for _ in rad:
-            coeffs.append(t % p)
-            t //= p
-        if square_is_zero(coeffs):
-            count += 1
-    return count

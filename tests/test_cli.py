@@ -206,6 +206,26 @@ def test_iso_missing_file_exits_2(tmp_path):
     assert code == 2 and doc["error"] == "config"
 
 
+@pytest.mark.parametrize("damage", [
+    lambda alg: alg["table"]["x,x"].append("0"),      # row too long
+    lambda alg: alg.update(table=[]),                 # table not an object
+    lambda alg: alg["table"]["x,x"].pop(),            # row too short
+    lambda alg: alg["degrees"].pop(),                 # degrees too short
+    lambda alg: alg["table"].update({"x,q": alg["table"]["x,x"]}),
+    lambda alg: alg["table"]["1,x"].reverse(),        # unit row broken
+    lambda alg: alg["table"]["x,y"].__setitem__(1, "1"),  # filtration
+], ids=["long-row", "table-list", "short-row", "short-degrees",
+        "unknown-word", "unit-row", "filtration"])
+def test_iso_rejects_malformed_algebra_tables(tmp_path, damage):
+    a = dim_file(tmp_path, DIM8, "a.json")
+    doc = json.loads(open(a).read())
+    damage(doc["algebra"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, _ = run_cli("iso", "--a", a, "--b", str(bad))
+    assert code == 2 and out["error"] == "config"
+
+
 # -- brace ----------------------------------------------------------------
 
 def test_brace_check_graded_prelie(tmp_path):

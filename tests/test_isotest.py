@@ -5,13 +5,14 @@ import itertools
 import pytest
 
 from potalg.fields import GF, QQ, FieldError, ResourceCapError
+from potalg.freepoly import FreePoly
 from potalg.isotest import (FiniteAlgebra, brute_force_iso, distinguish,
                             from_quotient, is_isomorphism, lifted_iso_search,
                             reduce_mod_p, algebra_profile)
 from potalg.parsing import parse_poly
 from potalg.potential import relations_of
-from potalg.quotient import hilbert, invariant_profile, mult_table
-from potalg.rewrite import complete
+from potalg.quotient import hilbert, invariant_profile
+from potalg.rewrite import complete, normal_form
 from potalg.words import MonomialOrder
 
 XY = MonomialOrder()
@@ -22,12 +23,12 @@ R2 = ("x y + y x", "x^2 + y^3 + y^4")
 
 def quotient(texts, cap=8):
     rels = [parse_poly(t, cap=cap) for t in texts]
-    return mult_table(hilbert(complete(rels, XY, cap)))
+    return hilbert(complete(rels, XY, cap))
 
 
 def dim8_quotient():
     rels = relations_of(parse_poly("x^3 + y^3 + cyc(x y x y)", cap=9))
-    return mult_table(hilbert(complete(list(rels), XY, 9)))
+    return hilbert(complete(list(rels), XY, 9))
 
 
 def vec(F, word):
@@ -47,6 +48,60 @@ def test_from_quotient_r2_differs_in_the_square():
     B = from_quotient(quotient(R2))
     xx = B.table[(B.index["x"], B.index["x"])]
     assert xx[B.index["yyy"]] == -1 and xx[B.index["yyyy"]] == -1
+
+
+def pairwise_table(Q):
+    """Reference table: one normal form per pair of basis words."""
+    f, words = Q.system.field, Q.basis_words
+    table = {}
+    for i, u in enumerate(words):
+        for j, v in enumerate(words):
+            p = normal_form(FreePoly.term(u + v, f.one, f, Q.system.cap),
+                            Q.system)
+            if not p.is_zero():
+                table[(i, j)] = [p.coeff(w) for w in words]
+    return table
+
+
+GOLDENS = [("x^3 + y^3 + cyc(x y x y)", 8, 8),       # dim 8
+           ("cyc(x^2 y) + y^4", 8, 9),               # 9A
+           ("cyc(x^2 y) + y^4 + y^5", 8, 9),         # 9B
+           ("cyc(x^2 y) + y^12", 28, 33),
+           ("x^3 + cyc(x y^3) + y^5", 16, 32)]
+
+
+@pytest.mark.parametrize("order", ["xy", "yx"])
+@pytest.mark.parametrize("text, cap, dim", GOLDENS)
+def test_from_quotient_matches_pairwise_normal_forms(text, cap, dim, order):
+    mo = MonomialOrder(order)
+    rels = relations_of(parse_poly(text, cap=cap), mo)
+    Q = hilbert(complete(list(rels), mo, cap))
+    assert Q.dimension == dim
+    assert from_quotient(Q).table == pairwise_table(Q)
+
+
+def test_from_quotient_matches_pairwise_normal_forms_over_gf3():
+    rels = [parse_poly(t, GF(3), 9) for t in ("x^2 + 2 y x y", "y^2 + 2 x y x")]
+    Q = hilbert(complete(rels, XY, 9))
+    assert Q.dimension == 8
+    assert from_quotient(Q).table == pairwise_table(Q)
+
+
+def test_global_mode_table_is_not_cut_at_the_cap():
+    # yyy * yyy has degree 6 > cap 5, yet in global mode it reduces to
+    # lower-degree words; a table that cuts it to zero fails to associate
+    # at (y, yy, yyy) and five more triples
+    rels = [parse_poly(t, cap=5) for t in R2]
+    Q = hilbert(complete(rels, MonomialOrder(mode="global"), 5))
+    F = from_quotient(Q)
+    assert F.dim == 10
+    i = F.index["yyy"]
+    assert any(F.table.get((i, i), ()))
+    zero = F.zero_vec()
+    for a, b, c in itertools.product(range(F.dim), repeat=3):
+        ab, bc = F.table.get((a, b), zero), F.table.get((b, c), zero)
+        assert F.mul(ab, F.basis_vec(c)) == F.mul(F.basis_vec(a), bc), \
+            (F.words[a], F.words[b], F.words[c])
 
 
 def test_reduce_mod_5_keeps_shape():

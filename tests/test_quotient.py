@@ -1,14 +1,12 @@
 """Quotient data: Hilbert counts, tables, and structural fingerprints."""
 
-import random
-
 import pytest
 
-from potalg.fields import GF, QQ, FieldError
-from potalg.parsing import parse_poly, render
+from potalg.fields import GF, QQ, FieldError, ResourceCapError
+from potalg.isotest import from_quotient
+from potalg.parsing import parse_poly
 from potalg.potential import relations_of
-from potalg.quotient import (QuotientAlgebra, check_associative, hilbert,
-                             invariant_profile, mult_table)
+from potalg.quotient import hilbert, invariant_profile
 from potalg.rewrite import complete
 from potalg.words import MonomialOrder
 
@@ -69,39 +67,42 @@ def test_degenerate_everything_killed():
     assert Q.first_empty_degree == 1
 
 
-def test_mult_table_entries():
-    Q = mult_table(build(("x y + y x", "x^2 + y^3")))
-    assert Q.table[("x", "x")] == parse_poly("-y^3")
-    assert Q.table[("x", "y")] == -Q.table[("y", "x")]
-    assert Q.table[("y", "yyyyy")].is_zero()
-    assert Q.table[("", "yx")] == parse_poly("y x")
+def product(F, u, v):
+    """Coordinates of u v on F's basis, zero rows included."""
+    return F.table.get((F.index[u], F.index[v]), F.zero_vec())
 
-    Q2 = mult_table(build(("x y + y x", "x^2 + y^3 + y^4")))
-    assert Q2.table[("x", "x")] == parse_poly("-y^3 - y^4")
+
+def coords(F, text):
+    return [parse_poly(text).coeff(w) for w in F.words]
+
+
+def test_mult_table_entries():
+    F = from_quotient(build(("x y + y x", "x^2 + y^3")))
+    assert product(F, "x", "x") == coords(F, "-y^3")
+    assert product(F, "x", "y") == [-c for c in product(F, "y", "x")]
+    assert not any(product(F, "y", "yyyyy"))
+    assert product(F, "", "yx") == coords(F, "y x")
+
+    F2 = from_quotient(build(("x y + y x", "x^2 + y^3 + y^4")))
+    assert product(F2, "x", "x") == coords(F2, "-y^3 - y^4")
 
 
 def test_mult_table_requires_finiteness():
     with pytest.raises(ValueError):
-        mult_table(build(("x^2", "x y"), cap=6))
-
-
-def test_mult_table_worker_count_is_invisible():
-    a = mult_table(build(("x y + y x", "x^2 + y^3")), workers=1)
-    b = mult_table(build(("x y + y x", "x^2 + y^3")), workers=8)
-    assert a.table == b.table
+        from_quotient(build(("x^2", "x y"), cap=6))
 
 
 def test_associativity_of_fixtures():
     for texts in (("x y + y x", "x^2 + y^3"),
                   ("x y + y x", "x^2 + y^3 + y^4")):
-        assert check_associative(mult_table(build(texts)))
+        assert from_quotient(build(texts)).validate()
     rels = relations_of(parse_poly("x^3 + y^3 + cyc(x y x y)", cap=9))
-    Q = mult_table(hilbert(complete(list(rels), XY, 9)))
-    assert check_associative(Q)
+    Q = hilbert(complete(list(rels), XY, 9))
+    assert from_quotient(Q).validate()
 
 
 def test_profile_r1_golden():
-    prof = invariant_profile(mult_table(build(("x y + y x", "x^2 + y^3"))))
+    prof = invariant_profile(build(("x y + y x", "x^2 + y^3")))
     assert prof == {
         "hilbert": [1, 2, 2, 2, 1, 1, 0],
         "dimension": 9,
@@ -115,7 +116,7 @@ def test_profile_r1_golden():
 
 def test_profile_dim8_golden():
     rels = relations_of(parse_poly("x^3 + y^3 + cyc(x y x y)", cap=9))
-    Q = mult_table(hilbert(complete(list(rels), XY, 9)))
+    Q = hilbert(complete(list(rels), XY, 9))
     prof = invariant_profile(Q)
     assert prof["radical_power_dims"] == [7, 5, 3, 1, 0]
     assert prof["center_dim"] == 5
@@ -124,30 +125,40 @@ def test_profile_dim8_golden():
 
 def test_square_zero_counts():
     F3 = GF(3)
-    tiny = mult_table(build(("x^2", "x y", "y x", "y^2"), cap=4, field=F3))
+    tiny = build(("x^2", "x y", "y x", "y^2"), cap=4, field=F3)
     assert invariant_profile(tiny, square_zero=True)["square_zero_count"] == 9
 
-    Q = mult_table(build(("x y + y x", "x^2 + y^3"), field=F3))
+    Q = build(("x y + y x", "x^2 + y^3"), field=F3)
     assert invariant_profile(Q, square_zero=True)["square_zero_count"] == 81
 
     rels = ("x^2 + 2 y x y", "y^2 + 2 x y x")
-    Q8 = mult_table(build(rels, cap=9, field=F3))
+    Q8 = build(rels, cap=9, field=F3)
     assert invariant_profile(Q8, square_zero=True)["square_zero_count"] == 27
 
 
+def test_square_zero_count_has_a_budget():
+    # the dim-8 golden over GF(7) has 7^7 > 2^18 radical candidates
+    rels = relations_of(parse_poly("x^3 + y^3 + cyc(x y x y)", GF(7), cap=9))
+    Q = hilbert(complete(list(rels), XY, 9))
+    assert Q.dimension == 8
+    with pytest.raises(ResourceCapError, match="823543"):
+        invariant_profile(Q, square_zero=True)
+
+
 def test_square_zero_needs_finite_field():
-    Q = mult_table(build(("x y + y x", "x^2 + y^3")))
+    Q = build(("x y + y x", "x^2 + y^3"))
     with pytest.raises(FieldError):
         invariant_profile(Q, square_zero=True)
 
 
 def test_json_document():
-    Q = mult_table(build(("x y + y x", "x^2 + y^3")))
+    Q = build(("x y + y x", "x^2 + y^3"))
     doc = Q.to_json()
     assert doc["field"] == "QQ"
     assert doc["hilbert"] == [1, 2, 2, 2, 1, 1, 0, 0, 0]
     assert doc["total_dimension"] == 9
     assert doc["basis"][0] == "1"
-    assert doc["table"]["x,x"] == ["0", "0", "0", "0", "0", "0", "-1",
-                                   "0", "0"]
     assert doc["leading_words"] == ["xx", "xy", "yyyx", "yyyyyy"]
+    assert "table" not in doc
+    assert from_quotient(Q).to_json()["table"]["x,x"] == \
+        ["0", "0", "0", "0", "0", "0", "-1", "0", "0"]
