@@ -2,11 +2,13 @@
 
 import math
 import random
+from itertools import permutations, product as iproduct
 
 import pytest
 
 from potalg.brace import (FiniteBrace, FiniteTruss, Filtration,
-                          GradedProductError, associated_graded,
+                          GradedProductError, _additive_span, _klein_braces,
+                          associated_graded,
                           brace_from_nilpotent_ring, check_brace,
                           check_filtration, check_truss,
                           distributivity_series, enumerate_braces,
@@ -288,3 +290,292 @@ def test_malformed_tables_are_rejected():
         FiniteBrace([[0, 1], [1, 0]], [[0, 0]])
     with pytest.raises(ValueError):
         FiniteTruss([[0]], [[0]], [1])
+
+
+# -- certificates against the exhaustive loops --------------------------------
+#
+# The ref_* functions are the plain triple loops that check_brace,
+# check_truss and check_filtration ran before their laws were certified on
+# additive generators. They are the reference: verdict, reason and witness
+# must agree on every input, valid or corrupted.
+
+def ref_group(B):
+    n = B.order
+    for a in range(n):
+        if B.add[0][a] != a or B.add[a][0] != a:
+            return (False, "0 is not the additive identity", (a,))
+    for a in range(n):
+        for b in range(n):
+            if B.add[a][b] != B.add[b][a]:
+                return (False, "addition is not commutative", (a, b))
+            for c in range(n):
+                if B.add[B.add[a][b]][c] != B.add[a][B.add[b][c]]:
+                    return (False, "addition is not associative", (a, b, c))
+    return None
+
+
+def ref_circle(B):
+    n = B.order
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if B.circle(B.circle(a, b), c) != \
+                        B.circle(a, B.circle(b, c)):
+                    return (False, "circle is not associative", (a, b, c))
+    return None
+
+
+def ref_brace(B):
+    n = B.order
+    failure = ref_group(B)
+    if failure:
+        return failure
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if B.times(a, B.plus(b, c)) != \
+                        B.plus(B.times(a, b), B.times(a, c)):
+                    return (False, "star is not left distributive",
+                            (a, b, c))
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                lhs = B.times(B.circle(a, b), c)
+                rhs = B.plus(B.plus(B.times(a, c), B.times(b, c)),
+                             B.times(a, B.times(b, c)))
+                if lhs != rhs:
+                    return (False, "brace compatibility fails", (a, b, c))
+    failure = ref_circle(B)
+    if failure:
+        return failure
+    ident = next((e for e in range(n)
+                  if all(B.circle(e, a) == a and B.circle(a, e) == a
+                         for a in range(n))), None)
+    if ident is None:
+        return (False, "circle has no identity", None)
+    for a in range(n):
+        if not any(B.circle(a, x) == ident and B.circle(x, a) == ident
+                   for x in range(n)):
+            return (False, "circle inverse missing", (a,))
+    return (True, "brace", None)
+
+
+def ref_truss(T):
+    n = T.order
+    failure = ref_group(T) or ref_circle(T)
+    if failure:
+        return failure
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                lhs = T.times(a, T.plus(b, c))
+                rhs = T.plus(T.plus(T.times(a, b), T.times(a, c)),
+                             T.alpha[a])
+                if lhs != rhs:
+                    return (False, "truss axiom fails", (a, b, c))
+    return (True, "truss", None)
+
+
+def ref_filtration(B, filt):
+    chain, m = filt.chain, filt.length
+    if chain[0] != frozenset(range(B.order)):
+        return (False, "chain must start at the whole carrier", None)
+    if chain[-1] != frozenset((0,)):
+        return (False, "chain must end at zero", None)
+    for i in range(m - 1):
+        if not chain[i + 1] <= chain[i]:
+            return (False, "chain is not descending", (i + 1,))
+    for i, level in enumerate(chain, start=1):
+        for a in level:
+            if B.neg[a] not in level:
+                return (False, "level %d not closed under negation" % i,
+                        (a,))
+            for b in level:
+                if B.plus(a, b) not in level:
+                    return (False, "level %d not additively closed" % i,
+                            (a, b))
+    for i, level in enumerate(chain, start=1):
+        for a in range(B.order):
+            for b in range(B.order):
+                ab = B.times(a, b)
+                for u in level:
+                    if B.minus(B.times(a, B.plus(b, u)), ab) not in level:
+                        return (False, "level %d is not a right congruence "
+                                "ideal" % i, (a, b, u))
+                    if B.minus(B.times(B.plus(a, u), b), ab) not in level:
+                        return (False, "level %d is not a left congruence "
+                                "ideal" % i, (a, b, u))
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            target = chain[min(i + j, m) - 1]
+            for a in chain[i - 1]:
+                for b in chain[j - 1]:
+                    if B.times(a, b) not in target:
+                        return (False, "B_%d * B_%d escapes B_%d" %
+                                (i, j, min(i + j, m)), (a, b))
+    if isinstance(B, FiniteTruss):
+        target = chain[min(3, m) - 1]
+        for a in range(B.order):
+            if B.alpha[a] not in target:
+                return (False, "alpha escapes the third level", (a,))
+    return (True, "filtration", None)
+
+
+def as_tuple(verdict):
+    return (verdict.ok, verdict.reason, verdict.witness)
+
+
+def ring_tables(n):
+    """The nilpotent ring 2Z/2n, index i standing for 2i."""
+    return ([[(i + j) % n for j in range(n)] for i in range(n)],
+            [[(2 * i * j) % n for j in range(n)] for i in range(n)])
+
+
+def relabelled(tables, perm):
+    out = []
+    for table in tables:
+        new = [[0] * len(perm) for _ in perm]
+        for i, row in enumerate(table):
+            for j, v in enumerate(row):
+                new[perm[i]][perm[j]] = perm[v]
+        out.append(new)
+    return out
+
+
+def corrupted(rng, tables, count):
+    out = [[list(row) for row in table] for table in tables]
+    n = len(out[0])
+    for _ in range(count):
+        table = rng.choice(out)
+        i, j = rng.randrange(n), rng.randrange(n)
+        table[i][j] = rng.choice([v for v in range(n) if v != table[i][j]])
+    return out
+
+
+def shifted_truss(rng, add, star):
+    """Adds g(a) to row a of star; alpha = -g keeps the truss axiom."""
+    n = len(add)
+    shift = [rng.randrange(n) for _ in range(n)]
+    neg = [row.index(0) for row in add]
+    return FiniteTruss(add, [[add[v][shift[a]] for v in row]
+                             for a, row in enumerate(star)],
+                       [neg[g] for g in shift])
+
+
+def random_chain(rng, B):
+    levels = [frozenset(range(B.order))]
+    for _ in range(rng.randrange(4)):
+        members = sorted(levels[-1])
+        if rng.random() < 0.15:
+            level = frozenset(rng.sample(members,
+                                         rng.randrange(1, len(members) + 1)))
+            level |= {0}
+        else:
+            seed = rng.sample(members, min(len(members), rng.randrange(3)))
+            level = levels[-1] & _additive_span(B, seed)
+        levels.append(level)
+    return Filtration(levels + [frozenset((0,))])
+
+
+def differential_cases(rng):
+    """(add, star) tables: enumerated and ring braces, each also corrupted,
+    stars whose rows are random endomorphisms of a cyclic group or one
+    random map repeated (a*b = f(b) meets the left congruence law on
+    every level, rarely the right one), and the non-abelian S3 as
+    addition."""
+    cases = [(B.add, B.star) for B in enumerate_braces(8)]
+    for n in (16, 32, 64):
+        tables = ring_tables(n)
+        rest = list(range(1, n))
+        rng.shuffle(rest)
+        cases += [tables, relabelled(tables, [0] + rest)]
+    for add, star in list(cases):
+        if 1 < len(add) <= 32:
+            cases += [corrupted(rng, (add, star), k) for k in (1, 2)]
+    for n, samples in ((2, 4), (3, 8), (4, 8), (6, 3), (8, 3), (9, 3),
+                       (16, 3)):
+        add, _ = cyclic_tables(n, lambda a, b: 0)
+        for _ in range(samples):
+            k = [0] + [rng.randrange(n) for _ in range(n - 1)]
+            cases.append((add, [[k[a] * b % n for b in range(n)]
+                                for a in range(n)]))
+        f = [0] + [rng.randrange(n) for _ in range(n - 1)]
+        cases.append((add, [list(f) for _ in range(n)]))
+    perms = sorted(permutations(range(3)))
+    s3 = [[perms.index(tuple(p[v] for v in q)) for q in perms] for p in perms]
+    cases.append((s3, [[0] * 6 for _ in range(6)]))
+    return cases
+
+
+def test_certificates_match_exhaustive_loops():
+    rng = random.Random(20261018)
+    reasons, mismatches = set(), []
+    for add, star in differential_cases(rng):
+        n = len(add)
+        try:
+            structures = [FiniteBrace(add, star)]
+            if n < 64:
+                structures += [
+                    FiniteTruss(add, star, [0] * n),
+                    FiniteTruss(add, star, [rng.randrange(n)
+                                            for _ in range(n)]),
+                    shifted_truss(rng, add, star)]
+        except ValueError:
+            continue  # a corrupted add table without additive inverses
+        for S in structures:
+            check, ref = ((check_truss, ref_truss)
+                          if isinstance(S, FiniteTruss)
+                          else (check_brace, ref_brace))
+            chains = [random_chain(rng, S)
+                      for _ in range(2 if n <= 16 else n < 64)]
+            try:
+                chains.append(gamma_filtration(S))
+            except ValueError:
+                pass
+            pairs = [(as_tuple(check(S)), ref(S))]
+            pairs += [(as_tuple(check_filtration(S, f)), ref_filtration(S, f))
+                      for f in chains]
+            mismatches += [(n, got, want) for got, want in pairs
+                           if got != want]
+            reasons.update(want[1].split(" B_")[0] for _, want in pairs)
+    assert not mismatches, mismatches[:3]
+    # every certificate is seen both passing and failing
+    assert {"brace", "truss", "filtration", "addition is not associative",
+            "star is not left distributive", "brace compatibility fails",
+            "circle is not associative", "truss axiom fails",
+            "addition is not commutative",
+            "level 2 is not a right congruence ideal",
+            "level 2 is not a left congruence ideal"} <= reasons, reasons
+
+
+def test_truss_circle_certificate_needs_c_zero():
+    # c -> a∘c is affine, not additive, in c: this Z/2 truss meets the
+    # circle law at the generator c = 1 and breaks it at c = 0
+    add, _ = cyclic_tables(2, lambda a, b: 0)
+    T = FiniteTruss(add, [[1, 1], [0, 1]], [1, 0])
+    assert as_tuple(check_truss(T)) == ref_truss(T) == \
+        (False, "circle is not associative", (0, 0, 0))
+
+
+def test_pruned_lambda_search_matches_unpruned_enumeration():
+    def unpruned_stars(max_order):
+        for n in range(1, max_order + 1):
+            if n == 1:
+                yield [[0]]
+                continue
+            units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+            # a = 0 constraints read m[b] = m[b]: true for every tuple
+            pairs = [(a, b) for a in range(1, n) for b in range(n)]
+            for tail in iproduct(units, repeat=n - 1):
+                m = (1,) + tail
+                for a, b in pairs:
+                    if m[(a + m[a] * b) % n] != m[a] * m[b] % n:
+                        break
+                else:
+                    yield [[(m[a] * b - b) % n for b in range(n)]
+                           for a in range(n)]
+            if n == 4:
+                yield from (B.star for B in _klein_braces())
+
+    assert [B.star for B in enumerate_braces(10)] == \
+        list(unpruned_stars(10))

@@ -8,7 +8,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from potalg.brace import FiniteBrace
+from potalg.brace import MAX_ORDER, FiniteBrace
 from potalg.cli import main
 from potalg.fields import QQ
 from potalg.parsing import parse_poly, render
@@ -283,6 +283,61 @@ def test_brace_malformed_file_exits_2(tmp_path):
     path.write_text(json.dumps({"order": 2}))
     code, doc, _ = run_cli("brace", "check", "--input", str(path))
     assert code == 2 and doc["error"] == "config"
+
+
+Z2 = {"order": 2, "add": [[0, 1], [1, 0]], "star": [[0, 0], [0, 0]]}
+
+
+def run_brace_doc(tmp_path, doc, action="check"):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, text = run_cli("brace", action, "--input", str(path))
+    assert text.count("{") == 1 and "Traceback" not in text
+    return code, out
+
+
+def assert_config_error(tmp_path, doc, action="check"):
+    code, out = run_brace_doc(tmp_path, doc, action)
+    assert code == 2 and out["error"] == "config", out
+
+
+def test_brace_document_must_be_an_object(tmp_path):
+    assert_config_error(tmp_path, [Z2])
+
+
+def test_brace_order_must_be_an_integer(tmp_path):
+    assert_config_error(tmp_path, dict(Z2, order="2"))
+
+
+def test_brace_add_table_must_be_a_list(tmp_path):
+    assert_config_error(tmp_path, dict(Z2, add=5))
+
+
+def test_brace_filtration_must_be_a_list(tmp_path):
+    assert_config_error(tmp_path, dict(Z2, filtration=7))
+
+
+def test_brace_alpha_must_be_a_list(tmp_path):
+    assert_config_error(tmp_path, dict(Z2, alpha=3))
+
+
+def test_brace_graded_rejects_an_empty_carrier(tmp_path):
+    assert_config_error(tmp_path, {"order": 0, "add": [], "star": []},
+                        action="graded")
+
+
+def test_brace_filtration_members_must_be_integers(tmp_path):
+    # 1.5 and true were read through int() and got a verdict
+    for member in (1.5, True):
+        assert_config_error(tmp_path, dict(Z2, filtration=[[0, member]]))
+
+
+def test_brace_order_above_the_limit_is_a_resource_cap(tmp_path):
+    # rejected before the tables are read, so their shape does not matter
+    order = MAX_ORDER + 1
+    code, out = run_brace_doc(tmp_path, {"order": order, "add": 5, "star": 5})
+    assert code == 3 and out["error"] == "resource"
+    assert str(order) in out["message"] and str(MAX_ORDER) in out["message"]
 
 
 # -- reproduce -------------------------------------------------------------
