@@ -1,5 +1,6 @@
 """Command surface: one JSON document per run, meaningful exit codes."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -143,6 +144,29 @@ def test_canon_lands_on_9b():
                            "--cap", "8")
     assert code == 0 and doc["command"] == "canon"
     assert doc["dimension"] == 9 and doc["representative"] == "9B"
+
+
+DIRTY_TAIL = " + ".join("%d %s" % (i + 1, t) for i, t in enumerate(
+    ("cyc(x^2 y^2)", "cyc(x y^4)", "cyc(x y x y^3)", "cyc(x^2 y x y)")))
+
+
+@pytest.mark.parametrize("text,cap,digest", [
+    # the two cliff potentials of the benchmark's canon workload
+    ("x^3 + y^3 + 2 cyc(x y x y) + cyc(x^2 y^3)", "9",
+     "45a35a10886709c85cd91784e8f40b75a2331bc5993efb0f8509468c1bb937d6"),
+    ("cyc(x^2 y) + y^4 + y^5 + y^6 + cyc(x y^2 x y)", "9",
+     "9503ea6d04db63dab5a5504658d8b5a9f491c7987a07c6a3ea67eba3bd3d6463"),
+    # its dirty-tail support with coefficients 1..4
+    ("cyc(x^2 y) + " + DIRTY_TAIL, "8",
+     "d15d49aa8d7f5f9f8bea20de6496ed2be3d435f44ff4392cec6e2a72cf40115a"),
+    ("x^3 + y^3 + " + DIRTY_TAIL, "8",
+     "90378239da6da8661298cac12c7e855272791245ac4a7bb0328ceb9462047278"),
+])
+def test_canon_bytes_are_pinned(text, cap, digest):
+    # the trail, the moves and projected_stages are all in these bytes
+    code, _, raw = run_cli("canon", "--potential", text, "--cap", cap)
+    assert code == 0
+    assert hashlib.sha256(raw.encode()).hexdigest() == digest
 
 
 def test_canon_rejects_quadratic_input():
