@@ -32,6 +32,10 @@ from .fields import ResourceCapError
 MAX_ORDER = 256
 """Largest carrier from_json accepts: naming a witness scans O(n^3) triples."""
 
+MAX_SERIES_TERMS = 4096
+"""Longest correction series: it is exact once N reaches the chain length,
+which is at most the order."""
+
 
 @dataclass
 class Verdict:
@@ -680,8 +684,9 @@ def distributivity_series(B, a, b, c, N):
     if not all(0 <= t < B.order for t in (a, b, c)):
         raise ValueError("series triple %r is outside the carrier 0..%d"
                          % ([a, b, c], B.order - 1))
-    if N < 0:
-        raise ValueError("series length N must be >= 0, got %d" % N)
+    if not 0 <= N <= MAX_SERIES_TERMS:
+        raise ValueError("series length N must be in 0..%d, got %d"
+                         % (MAX_SERIES_TERMS, N))
     direct = B.minus(B.times(B.plus(a, b), c),
                      B.plus(B.times(a, c), B.times(b, c)))
     d, dp = a, b
@@ -778,31 +783,6 @@ def _klein_braces():
         if not check_brace(B):
             raise RuntimeError("Klein lambda map produced a non-brace")
         yield B
-
-
-def first_non_right_distributive(max_order=8):
-    """First enumerated nilpotent brace where (a+b)*c != a*c + b*c.
-
-    Returns the brace, the first failing triple, and its star-series
-    filtration; braces whose star series stalls above zero are skipped
-    since the correction series needs a finite chain.
-    """
-    for B in enumerate_braces(max_order):
-        witness = next(((a, b, c)
-                        for a in range(B.order)
-                        for b in range(B.order)
-                        for c in range(B.order)
-                        if B.times(B.plus(a, b), c) !=
-                        B.plus(B.times(a, c), B.times(b, c))), None)
-        if witness is None:
-            continue
-        try:
-            filt = gamma_filtration(B)
-        except ValueError:
-            continue
-        return B, witness, filt
-    raise ValueError("no non-right-distributive nilpotent brace of "
-                     "order <= %d" % max_order)
 
 
 def brace_from_nilpotent_ring(add, mul) -> FiniteBrace:

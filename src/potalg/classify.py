@@ -1,10 +1,14 @@
 """Cubic normal forms and degree-by-degree potential cleanup.
 
-The pipeline: classify the cubic part of a potential by the root pattern
-of its abelianization, move it to a normal form by an exact linear change
-of variables, then strip unwanted higher-degree terms with substitutions
-x -> x + u, y -> y + v whose coefficients are solved, degree by degree,
-from exact linear systems.
+The pipeline: classify the cubic part of a potential by the Hessian
+covariant of its abelianization (a vanishing Hessian is a triple line, a
+square one a double line, otherwise the cubic has three distinct lines),
+move it to a normal form by an exact linear change of variables, then
+strip unwanted higher-degree terms with substitutions x -> x + u,
+y -> y + v whose coefficients are solved, degree by degree, from exact
+linear systems. Since x -> x + u sends a word a x b to a u b to first
+order, a stage splits every body word at every letter once and reads
+each move's column from the splits that land in its degree window.
 
 Every cleanup stage first tries the system on full word coordinates; a
 solution there keeps the trail a literal change of variables, so composing
@@ -79,51 +83,6 @@ def _rational_cbrt(q: Fraction):
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over QQ, coefficient lists ordered by degree
-
-def _pdeg(p):
-    d = len(p) - 1
-    while d >= 0 and p[d] == 0:
-        d -= 1
-    return d
-
-
-def _ptrim(p):
-    return list(p[:_pdeg(p) + 1])
-
-
-def _pderive(p):
-    return _ptrim([i * c for i, c in enumerate(p)][1:])
-
-
-def _pmonic(p):
-    p = _ptrim(p)
-    return [c / p[-1] for c in p] if p else p
-
-
-def _pdivmod(a, b):
-    a, b = _ptrim(a), _ptrim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [_ZERO] * max(0, len(a) - len(b) + 1)
-    r = a
-    while r and len(r) >= len(b):
-        shift = len(r) - len(b)
-        c = r[-1] / b[-1]
-        q[shift] = c
-        r = _ptrim([rc - c * b[i - shift] if 0 <= i - shift < len(b) else rc
-                    for i, rc in enumerate(r)])
-    return _ptrim(q), r
-
-
-def _pgcd(a, b):
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    return _pmonic(a)
-
-
-# ---------------------------------------------------------------------------
 # binary cubics (a, b, c, d) meaning a x^3 + b x^2 y + c x y^2 + d y^3
 
 def _cube_coeffs(l):
@@ -148,49 +107,6 @@ def _primitive(p, q):
     if (ip if ip else iq) < 0:
         ip, iq = -ip, -iq
     return (Fraction(ip), Fraction(iq))
-
-
-def _root_pattern(cubic):
-    """Sorted multiplicities of the projective roots of a nonzero cubic.
-
-    The multiplicity of the root at infinity (the line y) is the degree
-    drop of the dehomogenization; affine multiplicities come from gcd
-    degrees, so no irrational arithmetic happens here.
-    """
-    a, b, c, d = cubic
-    h = _ptrim([d, c, b, a])
-    n = _pdeg(h)
-    if n <= 0:
-        mults = []
-    else:
-        r = _pdeg(_pgcd(h, _pderive(h)))
-        if n == 3 and r == 2:
-            mults = [3]
-        elif r == 1:
-            mults = [2] + [1] * (n - 2)
-        else:
-            mults = [1] * n
-    if 3 - n:
-        mults.append(3 - n)
-    return sorted(mults, reverse=True)
-
-
-def _repeated_linear_factor(cubic):
-    """The unique line dividing the cubic at least twice, primitive."""
-    a, b, c, d = cubic
-    h = _ptrim([d, c, b, a])
-    n = _pdeg(h)
-    if n <= 0:
-        return _primitive(0, 1)
-    g1 = _pgcd(h, _pderive(h))
-    r = _pdeg(g1)
-    if n == 3 and r == 2:
-        return _primitive(1, g1[1] / 2)    # g1 = (t - root)^2
-    if r == 1:
-        return _primitive(1, g1[0])        # g1 = t - root
-    if 3 - n >= 2:
-        return _primitive(0, 1)
-    raise ValueError("cubic has no repeated line")
 
 
 def _divide_by_linear(cubic, l):
@@ -269,7 +185,7 @@ _CANONICAL_CUBICS = {
 
 @dataclass
 class CubicClass:
-    """Root-pattern label of a cubic part with its normalizing transform.
+    """Line-pattern label of a cubic part with its normalizing transform.
 
     transform is a linear substitution T with (cubic part) o T equal to
     sigma times the labeled normal form, exactly. When the splitting
@@ -294,12 +210,16 @@ class CubicClass:
 
 
 def cubic_class(F, cap=None) -> CubicClass:
-    """Classify the degree-3 part by the factorization of its abelianization.
+    """Classify the degree-3 part by the lines of its abelianization f.
 
-    A triple line gives X3, a double plus a simple line gives X2Y, three
-    distinct lines give X3Y3. The scale is folded into the transform for
-    X2Y (sigma 1); for X3 and X3Y3 sigma carries the leftover factor. An
-    already-normal cubic part gets the identity transform.
+    The hessian covariant H of f tells them apart: H vanishes exactly
+    when f is a cube of a line (X3); otherwise the discriminant of H is
+    zero exactly when f is l1^2 l2 with l1 the double line of H (X2Y);
+    otherwise f has three distinct lines (X3Y3) and the two lines of H
+    split it into a sum of two cubes. The scale is folded into the
+    transform for X2Y (sigma 1); for X3 and X3Y3 sigma carries the
+    leftover factor. An already-normal cubic part gets the identity
+    transform.
     """
     body = F.body if isinstance(F, Potential) else F
     if body.field != QQ:
@@ -313,10 +233,13 @@ def cubic_class(F, cap=None) -> CubicClass:
     if not any(cubic):
         raise ValueError("cubic part abelianizes to zero; symmetrize the "
                          "potential first")
-    pattern = _root_pattern(cubic)
+    A, B, C = _hessian(cubic)
+    disc = B * B - 4 * A * C
 
-    if pattern == [3]:
-        l = _repeated_linear_factor(cubic)
+    if not (A or B or C):
+        # only a cube l^3 has a vanishing hessian; (a, b) is p^2 (p, 3q)
+        a, b = cubic[:2]
+        l = _primitive(a, b / 3) if a else _primitive(0, 1)
         l3 = _cube_coeffs(l)
         idx = next(i for i in range(4) if l3[i])
         sigma = cubic[idx] / l3[idx]
@@ -326,18 +249,15 @@ def cubic_class(F, cap=None) -> CubicClass:
         T = _linear_sub(_invert_2x2((l, comp)), cap)
         return CubicClass("X3", T, sigma)
 
-    if pattern == [2, 1]:
-        l1 = _repeated_linear_factor(cubic)
+    if disc == 0:
+        # the hessian of l1^2 l2 is a multiple of l1^2
+        l1 = _primitive(2 * A, B) if A else _primitive(0, 1)
         quad = _divide_by_linear(cubic, l1)
         l2 = _divide_quadratic_by_linear(quad, l1)
         M = (l1, (l2[0] / 3, l2[1] / 3))
         T = _linear_sub(_invert_2x2(M), cap)
         return CubicClass("X2Y", T, _ONE)
 
-    A, B, C = _hessian(cubic)
-    disc = B * B - 4 * A * C
-    if disc == 0:
-        raise AssertionError("distinct-line cubic with degenerate hessian")
     root = _rational_sqrt(disc)
     if root is None:
         return CubicClass("X3Y3", extension_required={
@@ -361,31 +281,39 @@ def cubic_class(F, cap=None) -> CubicClass:
 # ---------------------------------------------------------------------------
 # kill-substitution stages
 
-def _effect_column(body, letter, u, degrees):
-    """First-order effect of letter -> letter + u, kept on given degrees."""
-    col = {}
-    degset = set(degrees)
-    for w, a in body.terms.items():
+def _effect_columns(body, moves, window, label):
+    """First-order effect of each move on the window, one column per move.
+
+    To first order, letter -> letter + u sends a body word w = a letter b
+    to a u b with w's coefficient, once per occurrence of the letter (the
+    cyclic-derivative identity of Derksen, Weyman and Zelevinsky). Each
+    split (a, b) of a body word is listed once, keyed by (letter, length
+    of w); a move of degree r reads only the splits of words of length
+    d - r + 1 for d in the window. label maps each window word to its row.
+    """
+    splits = {}
+    for w, c in body.terms.items():
         for i, ch in enumerate(w):
-            if ch != letter:
-                continue
-            new = w[:i] + u + w[i + 1:]
-            if len(new) in degset:
-                col[new] = col.get(new, _ZERO) + a
-    return {w: c for w, c in col.items() if c}
+            splits.setdefault((ch, len(w)), []).append((w[:i], w[i + 1:], c))
+    columns = []
+    for letter, u in moves:
+        col = {}
+        for d in window:
+            for a, b, c in splits.get((letter, d - len(u) + 1), ()):
+                row = label[a + u + b]
+                col[row] = col.get(row, _ZERO) + c
+        columns.append({row: v for row, v in col.items() if v})
+    return columns
 
 
-def _cyclic_classes(d):
-    """Rotation classes of degree-d words, each a sorted word tuple."""
-    seen = set()
-    classes = []
-    for w in all_words(d):
-        if w in seen:
-            continue
-        cls = tuple(sorted({w[i:] + w[:i] for i in range(d)}))
-        seen.update(cls)
-        classes.append(cls)
-    return classes
+def _gaps(body, words, targets, label):
+    """Nonzero target-minus-coefficient sums of the words, per row."""
+    gaps = {}
+    for w in words:
+        row = label[w]
+        gaps[row] = (gaps.get(row, _ZERO) + (targets.get(w) or _ZERO)
+                     - body.coeff(w))
+    return {row: g for row, g in gaps.items() if g}
 
 
 def _move_list(move_degrees):
@@ -429,68 +357,51 @@ def _window_stage(body, cap, window, move_degrees, targets, trail, stage_log):
     word coordinates are infeasible.
     """
     free_words = {w for w, v in targets.items() if v is None}
-    rows = [w for d in window for w in all_words(d) if w not in free_words]
-    rhs = {}
-    for w in rows:
-        gap = (targets.get(w) or _ZERO) - body.coeff(w)
-        if gap:
-            rhs[w] = gap
+    words = [w for d in window for w in all_words(d)]
+    rows = [w for w in words if w not in free_words]
+    word_of = {w: w for w in words}
+    rhs = _gaps(body, rows, targets, word_of)
     if not rhs:
         stage_log.append({"window": list(window), "skipped": True})
         return body, {w: body.coeff(w) for w in free_words}
 
     moves = _move_list(move_degrees)
-    columns = [_effect_column(body, letter, u, window) for letter, u in moves]
+    columns = _effect_columns(body, moves, window, word_of)
     sol, stalled, _ = solve(columns, rows, rhs, QQ)
     if not stalled:
         body, s, used = _apply_moves(body, moves, sol, cap)
-        for w in rows:
-            if body.coeff(w) != (targets.get(w) or _ZERO):
-                raise AssertionError("stage left %r at %s"
-                                     % (w, body.coeff(w)))
+        left = _gaps(body, rows, targets, word_of)
+        if left:
+            raise AssertionError("stage left %s off target" % sorted(left))
         if s is not None:
             trail.append(s)
         stage_log.append({"window": list(window), "projected": False,
                           "moves": used})
         return body, {w: body.coeff(w) for w in free_words}
 
-    # word coordinates are infeasible: re-solve on rotation classes
+    # word coordinates are infeasible: re-solve on rotation classes, each
+    # a sorted word tuple, listed in the order their first word is seen
+    class_of, crows = {}, []
+    for w in words:
+        if w not in class_of:
+            cls = tuple(sorted({w[i:] + w[:i] for i in range(len(w))}))
+            class_of.update(dict.fromkeys(cls, cls))
+            if not free_words.intersection(cls):
+                crows.append(cls)
+    members = [w for cls in crows for w in cls]
     body = cyclic_symmetrize(body)
-    classes = [c for d in window for c in _cyclic_classes(d)]
-    crows = [c for c in classes if not set(c) & free_words]
-
-    def class_sum(get, cls):
-        total = _ZERO
-        for w in cls:
-            total += get(w)
-        return total
-
-    ccols = []
-    for letter, u in moves:
-        col = _effect_column(body, letter, u, window)
-        pcol = {}
-        for cls in crows:
-            v = class_sum(lambda w: col.get(w, _ZERO), cls)
-            if v:
-                pcol[cls] = v
-        ccols.append(pcol)
-    crhs = {}
-    for cls in crows:
-        gap = (class_sum(lambda w: targets.get(w) or _ZERO, cls) -
-               class_sum(body.coeff, cls))
-        if gap:
-            crhs[cls] = gap
+    ccols = _effect_columns(body, moves, window, class_of)
+    crhs = _gaps(body, members, targets, class_of)
     csol, stalled, _ = solve(ccols, crows, crhs, QQ)
     stalled = set(stalled)
     body, s, used = _apply_moves(body, moves, csol, cap)
     body = cyclic_symmetrize(body)
+    off = _gaps(body, members, targets, class_of)
     leftover = {}
     for cls in crows:
-        want = class_sum(lambda w: targets.get(w) or _ZERO, cls)
-        got = class_sum(body.coeff, cls)
         if cls in stalled:
-            leftover[cls[0]] = str(got - want)
-        elif got != want:
+            leftover[cls[0]] = str(-off.get(cls, _ZERO))
+        elif cls in off:
             raise AssertionError("stage left class %s off target" % (cls,))
     if s is not None:
         trail.append(s)

@@ -3,12 +3,15 @@
 Every invocation writes exactly one JSON document to standard output,
 with keys sorted so identical inputs produce byte-identical output.
 Exit codes: 0 for a completed computation (including negative verdicts),
-2 for parse or configuration errors, 3 when a resource cap is hit.
+2 for parse or configuration errors, 3 when a resource cap is hit, 4 when
+an internal check fails (a bug: one document on stdout, the traceback on
+stderr).
 """
 
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import dataclass
 
 from . import brace as braces
@@ -308,5 +311,10 @@ def main(argv=None) -> int:
     except (FieldError, ValueError, KeyError, OSError) as exc:
         _emit({"error": "config", "message": str(exc)})
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        _emit({"error": "internal",
+               "message": "%s: %s" % (type(exc).__name__, exc)})
+        return 4
     _emit(doc)
     return 0

@@ -146,19 +146,3 @@ QQ = Rationals()
 
 def GF(p: int) -> PrimeField:
     return PrimeField(p)
-
-
-def parse_field(spec) -> object:
-    """Accept "QQ", "GF(p)", or a bare prime and return the field object."""
-    if spec is None or spec == "QQ":
-        return QQ
-    if isinstance(spec, int):
-        return PrimeField(spec)
-    s = str(spec).strip()
-    if s == "QQ":
-        return QQ
-    if s.startswith("GF(") and s.endswith(")"):
-        return PrimeField(int(s[3:-1]))
-    if s.isdigit():
-        return PrimeField(int(s))
-    raise FieldError("unrecognized field spec %r" % (spec,))

@@ -368,19 +368,6 @@ def abelianize_cubic(f3: FreePoly):
     return tuple(buckets)
 
 
-def basis_coeff_vector(f: FreePoly, words) -> list:
-    """Coefficients of f on an explicit word list (zeros included)."""
-    return [f.coeff(w) for w in words]
-
-
-def poly_from_vector(vec, words, field=QQ, cap=None) -> FreePoly:
-    terms = {}
-    for c, w in zip(vec, words):
-        if c:
-            terms[w] = c
-    return FreePoly(field, terms, cap)
-
-
 def random_poly(rng, field=QQ, degrees=(1, 2, 3), terms=3, cap=None,
                 coeff_pool=(-2, -1, 1, 2, 3)) -> FreePoly:
     """Small random polynomial for property tests; deterministic in rng."""

@@ -203,12 +203,6 @@ def algebra_mod_p(F: FiniteAlgebra, p: int) -> FiniteAlgebra:
                          F.name)
 
 
-def reduce_mod_p(Q: QuotientAlgebra, p: int, name="") -> FiniteAlgebra:
-    if Q.system.field != QQ:
-        raise FieldError("reduction starts from a rational table")
-    return algebra_mod_p(from_quotient(Q, name), p)
-
-
 def algebra_from_json(doc) -> FiniteAlgebra:
     """Rebuild a dense algebra from its serialized table.
 

@@ -10,7 +10,9 @@ Grammar (whitespace insignificant):
 cyc(...) expands to the sum of all rotations of every word, duplicates
 included. Exponent 0 is allowed outside cyc (an empty word contributes a
 constant) but rejected inside, where degree-0 cyclic words make no sense.
-Syntax errors carry the 0-based offset of the offending character.
+Parentheses and cyc(...) nest at most MAX_NESTING deep, which keeps the
+recursive descent far from Python's recursion limit. Syntax errors carry
+the 0-based offset of the offending character.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .freepoly import FreePoly
 from .words import MonomialOrder
 
 _DEFAULT_ORDER = MonomialOrder()
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -36,6 +39,7 @@ class _Parser:
         self.cap = cap
         self.pos = 0
         self.in_cyc = 0
+        self.depth = 0
 
     def error(self, message, position=None):
         raise ParseError(message, self.pos if position is None else position)
@@ -122,6 +126,18 @@ class _Parser:
             self.error("expected digits")
         return int(self.text[start:self.pos])
 
+    def parse_group(self) -> FreePoly:
+        """The expression up to the matching ')', after its '('."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error("parentheses nest deeper than %d" % MAX_NESTING)
+        inner = self.parse_expr()
+        if self.peek() != ")":
+            self.error("expected ')'")
+        self.take()
+        self.depth -= 1
+        return inner
+
     def parse_factor(self) -> FreePoly:
         self.skip_ws()
         if self.text.startswith("cyc", self.pos):
@@ -133,11 +149,8 @@ class _Parser:
                 cyc_at = self.pos
                 self.pos = probe + 1
                 self.in_cyc += 1
-                inner = self.parse_expr()
+                inner = self.parse_group()
                 self.in_cyc -= 1
-                if self.peek() != ")":
-                    self.error("expected ')'")
-                self.take()
                 if inner.constant_term():
                     self.error("cyc of a polynomial with a constant term",
                                cyc_at)
@@ -146,11 +159,7 @@ class _Parser:
         ch = self.peek()
         if ch == "(":
             self.take()
-            inner = self.parse_expr()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.take()
-            return inner
+            return self.parse_group()
         if ch in ("x", "y"):
             self.take()
             exp = 1

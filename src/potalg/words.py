@@ -30,17 +30,10 @@ def all_words(degree: int, precedence: str = "xy") -> list:
     return ["".join(t) for t in itertools.product(precedence, repeat=degree)]
 
 
-def words_up_to(cap: int, precedence: str = "xy") -> list:
-    out = []
-    for d in range(cap + 1):
-        out.extend(all_words(d, precedence))
-    return out
-
-
 class MonomialOrder:
     """Variable precedence plus a local/global leading-term convention."""
 
-    __slots__ = ("precedence", "mode", "_rank", "_swap")
+    __slots__ = ("precedence", "mode", "_swap")
 
     def __init__(self, precedence: str = "xy", mode: str = "local"):
         if sorted(precedence) != ["x", "y"]:
@@ -49,13 +42,8 @@ class MonomialOrder:
             raise ValueError("mode must be 'local' or 'global'")
         self.precedence = precedence
         self.mode = mode
-        self._rank = {precedence[0]: 0, precedence[1]: 1}
         # relabel so that plain string order is precedence order ("x" < "y")
         self._swap = str.maketrans("xy", "yx") if precedence == "yx" else None
-
-    def rank_tuple(self, w: str) -> tuple:
-        r = self._rank
-        return tuple(r[c] for c in w)
 
     def sort_key(self, w: str) -> tuple:
         """Presentation order: degree ascending, lex-greatest first within

@@ -12,8 +12,8 @@ from potalg.brace import (FiniteBrace, FiniteTruss, Filtration,
                           brace_from_nilpotent_ring, check_brace,
                           check_filtration, check_truss,
                           distributivity_series, enumerate_braces,
-                          filtration_from_json, first_non_right_distributive,
-                          from_json, gamma_filtration, pre_lie_defect)
+                          filtration_from_json, from_json, gamma_filtration,
+                          pre_lie_defect)
 
 
 def cyclic_tables(n, star_fn):
@@ -28,6 +28,31 @@ def brace_z9():
 
 def chain_z9():
     return Filtration([set(range(9)), {0, 3, 6}, {0}])
+
+
+def first_non_right_distributive(max_order=8):
+    """First enumerated nilpotent brace where (a+b)*c != a*c + b*c.
+
+    Returns the brace, the first failing triple, and its star-series
+    filtration; braces whose star series stalls above zero are skipped
+    since the correction series needs a finite chain.
+    """
+    for B in enumerate_braces(max_order):
+        witness = next(((a, b, c)
+                        for a in range(B.order)
+                        for b in range(B.order)
+                        for c in range(B.order)
+                        if B.times(B.plus(a, b), c) !=
+                        B.plus(B.times(a, c), B.times(b, c))), None)
+        if witness is None:
+            continue
+        try:
+            filt = gamma_filtration(B)
+        except ValueError:
+            continue
+        return B, witness, filt
+    raise ValueError("no non-right-distributive nilpotent brace of "
+                     "order <= %d" % max_order)
 
 
 def ring_brace_2z8():

@@ -105,6 +105,101 @@ def test_cubic_rejects_prime_field():
         cubic_class(parse_poly("x^3", GF(5), CAP))
 
 
+# -- cubic_class on cubics built from their lines -------------------------
+#
+# A binary form is its coefficient list on x^n, x^(n-1) y, ..., y^n, and
+# the line p x + q y is [p, q]. Expected labels and obstructions below
+# follow from how each cubic is built, not from the code under test.
+
+def _form_product(*forms):
+    out = [Fraction(1)]
+    for f in forms:
+        prod = [Fraction(0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def _cubic_poly(coeffs):
+    """The rotation-invariant noncommutative cubic abelianizing to coeffs."""
+    words = (("xxx",), ("xxy", "xyx", "yxx"), ("xyy", "yxy", "yyx"), ("yyy",))
+    terms = {w: c / len(ws) for c, ws in zip(coeffs, words) for w in ws if c}
+    return FreePoly.from_terms(terms, QQ, 3)
+
+
+def _det(l1, l2):
+    return l1[0] * l2[1] - l1[1] * l2[0]
+
+
+def _lines(rng, k):
+    """k pairwise independent rational lines."""
+    out = []
+    while len(out) < k:
+        l = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in "pq"]
+        if any(l) and all(_det(l, m) for m in out):
+            out.append(l)
+    return out
+
+
+def _is_cube(q):
+    def int_cube(n):
+        r = round(abs(n) ** (1 / 3))
+        return any((r + e) ** 3 == abs(n) for e in (-1, 0, 1))
+    return int_cube(q.numerator) and int_cube(q.denominator)
+
+
+def _assert_normalizes(f, cls, label):
+    normal = {"X3": "x^3", "X2Y": "cyc(x^2 y)", "X3Y3": "x^3 + y^3"}[label]
+    work = substitute(f, cls.transform).scale(1 / cls.sigma)
+    assert work == parse_poly(normal, QQ, 3)
+
+
+def test_cubic_class_matches_construction():
+    rng = random.Random(20261018)
+    for _ in range(40):
+        sigma = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+        l1, l2, l3 = _lines(rng, 3)
+        # a triple line and a double line times another line
+        for label, lines in (("X3", (l1, l1, l1)), ("X2Y", (l1, l1, l2))):
+            f = _cubic_poly([sigma * c for c in _form_product(*lines)])
+            cls = cubic_class(f)
+            assert cls.label == label and cls.extension_required is None
+            _assert_normalizes(f, cls, label)
+        # l1^3 + r^3 l2^3 splits over QQ
+        r = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+        cubes = zip(_form_product(l1, l1, l1), _form_product(l2, l2, l2))
+        f = _cubic_poly([sigma * (a + r ** 3 * b) for a, b in cubes])
+        cls = cubic_class(f)
+        assert cls.label == "X3Y3" and cls.extension_required is None
+        _assert_normalizes(f, cls, "X3Y3")
+        # three rational lines: a sum of two rational cubes has only one
+        # rational line, so the split needs sqrt(-3); the discriminant is
+        # -48 times that of the cubic, sigma^4 prod det(li, lj)^2
+        f = _cubic_poly([sigma * c for c in _form_product(l1, l2, l3)])
+        cls = cubic_class(f)
+        delta = sigma ** 4 * (_det(l1, l2) * _det(l1, l3) * _det(l2, l3)) ** 2
+        assert cls.label == "X3Y3" and cls.transform is None
+        assert cls.extension_required == {"kind": "quadratic",
+                                          "discriminant": str(-48 * delta)}
+
+
+def test_cubic_class_reports_a_cube_ratio_from_construction():
+    # l1^3 + 2 l2^3: the ratio of the two cubes is 2 or 1/2 up to the cube
+    # of the scale that makes each line primitive, so never a cube
+    rng = random.Random(7)
+    for _ in range(20):
+        l1, l2 = _lines(rng, 2)
+        cubes = zip(_form_product(l1, l1, l1), _form_product(l2, l2, l2))
+        cls = cubic_class(_cubic_poly([a + 2 * b for a, b in cubes]))
+        assert cls.label == "X3Y3" and cls.transform is None
+        assert cls.extension_required["kind"] == "cubic"
+        ratio = Fraction(cls.extension_required["cube_ratio"])
+        assert not _is_cube(ratio)
+        assert _is_cube(ratio / 2) or _is_cube(ratio * 2)
+
+
 # -- cleanup_x2y ---------------------------------------------------------
 
 def test_cleanup_pure_quartic_tail():

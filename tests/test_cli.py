@@ -9,10 +9,11 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from potalg.brace import MAX_ORDER, FiniteBrace
+from potalg import cli
+from potalg.brace import MAX_ORDER, MAX_SERIES_TERMS, FiniteBrace
 from potalg.cli import main
 from potalg.fields import QQ
-from potalg.parsing import parse_poly, render
+from potalg.parsing import MAX_NESTING, parse_poly, render
 
 DIM8 = "x^3 + y^3 + cyc(x y x y)"
 DIM9A = "cyc(x^2 y) + y^4"
@@ -65,6 +66,22 @@ def test_derive_simple_mode():
 def test_derive_syntax_error_exits_2():
     code, doc, _ = run_cli("derive", "--potential", "x^^2")
     assert code == 2 and doc["error"] == "parse"
+
+
+def test_deep_parenthesis_nesting_is_a_parse_error():
+    # 400 levels used to exhaust the recursion limit and exit 3
+    code, doc, text = run_cli("derive", "--potential",
+                              "(" * 400 + "x^3" + ")" * 400)
+    assert code == 2 and doc["error"] == "parse"
+    assert str(MAX_NESTING) in doc["message"]
+    assert text.count("{") == 1 and "Traceback" not in text
+    code, doc, _ = run_cli("derive", "--potential",
+                           "(" * MAX_NESTING + "x^3" + ")" * MAX_NESTING)
+    assert code == 0 and doc["relations"]["x"] == "3 x^2"
+    deep = MAX_NESTING + 1
+    code, doc, _ = run_cli("derive", "--potential",
+                           "cyc(" * deep + "x" + ")" * deep)
+    assert code == 2 and str(MAX_NESTING) in doc["message"]
 
 
 # -- gb ----------------------------------------------------------------
@@ -292,6 +309,18 @@ def test_brace_series_rejects_out_of_range_arguments(tmp_path):
         assert text.count("{") == 1 and "Traceback" not in text
 
 
+def test_brace_series_length_is_bounded(tmp_path):
+    path = z9_brace_file(tmp_path)
+    code, doc, text = run_cli("brace", "series", "--input", path,
+                              "--series-args", "1,2,4,1000000")
+    assert code == 2 and doc["error"] == "config"
+    assert str(MAX_SERIES_TERMS) in doc["message"]
+    assert text.count("{") == 1 and len(text) < 1000
+    code, doc, _ = run_cli("brace", "series", "--input", path,
+                           "--series-args", "1,2,4,%d" % MAX_SERIES_TERMS)
+    assert code == 0 and len(doc["partial_sums"]) == MAX_SERIES_TERMS
+
+
 def test_brace_invalid_axioms_is_a_computed_verdict(tmp_path):
     add = [[(a + b) % 4 for b in range(4)] for a in range(4)]
     star = [[a for _ in range(4)] for a in range(4)]
@@ -398,6 +427,20 @@ def test_worker_count_does_not_change_bytes():
     outs = [run_cli("dim", "--potential", DIM8, "--cap", "8",
                     "--workers", w)[2] for w in ("1", "8")]
     assert outs[0] == outs[1]
+
+
+def test_internal_check_failure_exits_4(monkeypatch, capsys):
+    # an AssertionError from a consistency check used to escape main as
+    # a traceback with exit code 1
+    def broken(*args):
+        raise AssertionError("stage left 'xyxy' at 1")
+
+    monkeypatch.setattr(cli, "classify_potential", broken)
+    code, doc, text = run_cli("canon", "--potential", DIM8, "--cap", "8")
+    assert code == 4 and doc["error"] == "internal"
+    assert doc["message"] == "AssertionError: stage left 'xyxy' at 1"
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert "AssertionError" in capsys.readouterr().err
 
 
 def test_help_exits_zero():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from potalg.fields import GF, QQ, FieldError, PrimeField, parse_field
+from potalg.fields import GF, QQ, FieldError, PrimeField
 
 
 def test_qq_basics():
@@ -53,15 +53,3 @@ def test_field_equality_and_hash():
     assert GF(3) != GF(5)
     assert GF(3) != QQ
     assert hash(GF(3)) == hash(PrimeField(3))
-
-
-def test_parse_field():
-    assert parse_field(None) is QQ
-    assert parse_field("QQ") is QQ
-    assert parse_field("GF(11)").p == 11
-    assert parse_field(13).p == 13
-    assert parse_field("7").p == 7
-    with pytest.raises(FieldError):
-        parse_field("R")
-    with pytest.raises(FieldError):
-        parse_field("GF(8)")

@@ -7,8 +7,7 @@ import pytest
 
 from potalg.fields import GF, QQ, FieldError
 from potalg.freepoly import (FreePoly, Substitution, abelianize_cubic,
-                             basis_coeff_vector, invert_substitution,
-                             poly_from_vector, random_poly, substitute)
+                             invert_substitution, random_poly, substitute)
 from potalg.parsing import parse_poly
 from potalg.words import MonomialOrder
 
@@ -183,10 +182,3 @@ def test_abelianize_cubic():
     with pytest.raises(ValueError):
         abelianize_cubic(P("x^2"))
 
-
-def test_vector_round_trip():
-    words = ["x", "y", "xy", "yx"]
-    f = P("2 x - y + 3 x y")
-    vec = basis_coeff_vector(f, words)
-    assert vec == [2, -1, 3, 0]
-    assert poly_from_vector(vec, words) == f

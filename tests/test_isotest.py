@@ -6,9 +6,9 @@ import pytest
 
 from potalg.fields import GF, QQ, FieldError, ResourceCapError
 from potalg.freepoly import FreePoly
-from potalg.isotest import (FiniteAlgebra, brute_force_iso, distinguish,
-                            from_quotient, is_isomorphism, lifted_iso_search,
-                            reduce_mod_p, algebra_profile)
+from potalg.isotest import (FiniteAlgebra, algebra_mod_p, algebra_profile,
+                            brute_force_iso, distinguish, from_quotient,
+                            is_isomorphism, lifted_iso_search)
 from potalg.parsing import parse_poly
 from potalg.potential import relations_of
 from potalg.quotient import hilbert, invariant_profile
@@ -19,6 +19,10 @@ XY = MonomialOrder()
 
 R1 = ("x y + y x", "x^2 + y^3")
 R2 = ("x y + y x", "x^2 + y^3 + y^4")
+
+
+def reduce_mod_p(Q, p):
+    return algebra_mod_p(from_quotient(Q), p)
 
 
 def quotient(texts, cap=8):

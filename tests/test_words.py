@@ -10,8 +10,16 @@ import random
 
 import pytest
 
-from potalg.words import (MonomialOrder, all_words, compare_words, rotations,
-                          words_up_to)
+from potalg.words import MonomialOrder, all_words, compare_words, rotations
+
+
+def words_up_to(cap):
+    return [w for d in range(cap + 1) for w in all_words(d)]
+
+
+def rank_tuple(order, w):
+    """Letter ranks of w, 0 for the preferred letter."""
+    return tuple(order.precedence.index(c) for c in w)
 
 
 def test_rotations_keep_duplicates():
@@ -23,8 +31,6 @@ def test_rotations_keep_duplicates():
 def test_all_words_in_precedence_order():
     assert all_words(2) == ["xx", "xy", "yx", "yy"]
     assert all_words(2, "yx") == ["yy", "yx", "xy", "xx"]
-    assert words_up_to(1) == ["", "x", "y"]
-    assert len(words_up_to(8)) == 511
 
 
 def test_order_validation():
@@ -45,7 +51,7 @@ def test_compare_degree_first_then_lex():
 
 
 def _magnitude_key(w, order):
-    return (len(w), tuple(-r for r in order.rank_tuple(w)))
+    return (len(w), tuple(-r for r in rank_tuple(order, w)))
 
 
 def test_compare_is_a_total_order():
@@ -96,9 +102,9 @@ def test_string_keys_agree_with_rank_tuples():
             o = MonomialOrder(prec, mode)
             sign = 1 if mode == "local" else -1
             assert sorted(pool, key=o.leading_key) == sorted(
-                pool, key=lambda w: (sign * len(w), o.rank_tuple(w)))
+                pool, key=lambda w: (sign * len(w), rank_tuple(o, w)))
             assert sorted(pool, key=o.sort_key) == sorted(
-                pool, key=lambda w: (len(w), o.rank_tuple(w)))
+                pool, key=lambda w: (len(w), rank_tuple(o, w)))
 
 
 def test_order_round_trips_through_json():
