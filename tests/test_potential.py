@@ -132,3 +132,118 @@ def test_syzygy_residuals():
         g = cyclic_symmetrize(f)
         assert syzygy_residual(Potential(g))[1].is_zero()
     assert seen_noninvariant
+
+
+# -- differential test: the library against plain word-by-word versions --
+
+def ref_accumulate(field, pairs, cap):
+    acc = {}
+    for w, c in pairs:
+        acc[w] = field.add(acc.get(w, field.zero), c)
+    return FreePoly(field, acc, cap)
+
+
+def ref_cyclicize(f):
+    return ref_accumulate(f.field, [(w[i:] + w[:i], c)
+                                    for w, c in f.terms.items()
+                                    for i in range(len(w))], f.cap)
+
+
+def ref_cyclic_symmetrize(f):
+    F = f.field
+    pairs = []
+    for w, c in f.terms.items():
+        if not w:
+            continue
+        share = F.div(c, F.coerce(len(w)))
+        pairs += [(w[i:] + w[:i], share) for i in range(len(w))]
+    return ref_accumulate(F, pairs, f.cap)
+
+
+def ref_derive_simple(f, letter):
+    return ref_accumulate(f.field, [(w[1:], c) for w, c in f.terms.items()
+                                    if w[:1] == letter], f.cap)
+
+
+def ref_derive_ginzburg(f, letter):
+    return ref_accumulate(f.field, [(w[i + 1:] + w[:i], c)
+                                    for w, c in f.terms.items()
+                                    for i, ch in enumerate(w)
+                                    if ch == letter], f.cap)
+
+
+def ref_substitute(f, image_x, image_y, cap):
+    F = f.field
+    images = {"x": image_x, "y": image_y}
+    pairs = []
+    for w, c in f.terms.items():
+        partial = [("", c)]
+        for ch in w:
+            partial = [(u + v, F.mul(a, b)) for u, a in partial
+                       for v, b in images[ch].terms.items()
+                       if cap is None or len(u) + len(v) <= cap]
+        pairs += partial
+    return ref_accumulate(F, pairs, cap)
+
+
+def _same(got, want):
+    assert got.field == want.field
+    assert got.cap == want.cap
+    assert got.terms == want.terms
+    assert all(got.terms.values())
+
+
+def _rotate_each_word(f, k):
+    return FreePoly(f.field, {w[k % len(w):] + w[:k % len(w)] if w else w: c
+                              for w, c in f.terms.items()}, f.cap)
+
+
+def test_calculus_matches_word_by_word_reference():
+    from potalg.freepoly import Substitution, substitute
+    rng = random.Random(71)
+    seen_cancel = 0
+    # no word of length 7: averaging over GF(7) would divide by zero
+    for field, degrees in ((QQ, (0, 1, 2, 3, 4, 5, 6, 9)),
+                           (GF(7), (0, 1, 2, 3, 4, 5, 6, 8))):
+        for cap in (None, 8):
+            for _ in range(20):
+                f = random_poly(rng, field, degrees=degrees, terms=6,
+                                cap=cap)
+                # same words, rotated and negated: cyclic sums cancel
+                g = f - _rotate_each_word(f, rng.randrange(1, 4))
+                for h in (f, g, f + g.scale(field.coerce(2))):
+                    _same(cyclicize(h), ref_cyclicize(h))
+                    _same(cyclic_symmetrize(h), ref_cyclic_symmetrize(h))
+                    for letter in "xy":
+                        _same(derive_simple(h, letter),
+                              ref_derive_simple(h, letter))
+                        _same(derive_ginzburg(h, letter),
+                              ref_derive_ginzburg(h, letter))
+                seen_cancel += cyclicize(g).is_zero() and not g.is_zero()
+                ix = random_poly(rng, field, degrees=(1, 2, 3), terms=2,
+                                 cap=cap)
+                iy = random_poly(rng, field, degrees=(1, 2), terms=2,
+                                 cap=cap)
+                s = Substitution(ix, iy, cap)
+                for h in (f, g):
+                    h = FreePoly(field, {w: c for w, c in h.terms.items()
+                                         if len(w) <= 4}, cap)
+                    _same(substitute(h, s), ref_substitute(h, ix, iy, cap))
+                # the images of x y and y x agree when x and y map alike
+                t = Substitution(ix, ix, cap)
+                h = P("x y - y x", cap, field)
+                _same(substitute(h, t), ref_substitute(h, ix, ix, cap))
+                assert substitute(h, t).terms == {}
+    assert seen_cancel > 20
+
+
+def test_calculus_drops_cancelled_sums():
+    assert derive_ginzburg(P("x y x - y x x"), "x") == FreePoly.zero()
+    assert derive_ginzburg(P("x y x - y x x"), "x").terms == {}
+    assert cyclicize(P("x y - y x")).terms == {}
+    assert cyclic_symmetrize(P("x y - y x")).terms == {}
+    # the constant term is dropped, not averaged over zero rotations
+    assert cyclic_symmetrize(P("3 + x y", None, GF(7))) == \
+        P("4 x y + 4 y x", None, GF(7))
+    with pytest.raises(FieldError):
+        cyclic_symmetrize(P("x^4 y^3", None, GF(7)))
