@@ -202,6 +202,9 @@ def from_json(doc):
     if not isinstance(doc, dict):
         raise ValueError("a brace file holds a JSON object, not %s"
                          % type(doc).__name__)
+    for key in ("order", "add", "star"):
+        if key not in doc:
+            raise ValueError("a brace file needs the key %r" % key)
     order = doc["order"]
     if not isinstance(order, int) or isinstance(order, bool):
         raise ValueError("order must be an integer, got %r" % (order,))

@@ -30,7 +30,7 @@ from fractions import Fraction
 from .fields import QQ, FieldError
 from .freepoly import FreePoly, Substitution, abelianize_cubic, substitute
 from .linalg import solve
-from .potential import (Potential, cyclic_symmetrize, cyclicize,
+from .potential import (cyclic_symmetrize, cyclicize,
                         is_cyclically_invariant, relations_of)
 from .quotient import hilbert
 from .rewrite import complete
@@ -209,7 +209,7 @@ class CubicClass:
         return doc
 
 
-def cubic_class(F, cap=None) -> CubicClass:
+def cubic_class(body, cap=None) -> CubicClass:
     """Classify the degree-3 part by the lines of its abelianization f.
 
     The hessian covariant H of f tells them apart: H vanishes exactly
@@ -221,7 +221,6 @@ def cubic_class(F, cap=None) -> CubicClass:
     leftover factor. An already-normal cubic part gets the identity
     transform.
     """
-    body = F.body if isinstance(F, Potential) else F
     if body.field != QQ:
         raise FieldError("cubic classification is implemented over QQ")
     if cap is None:
@@ -326,21 +325,18 @@ def _move_list(move_degrees):
 
 
 def _apply_moves(body, moves, coeffs, cap):
-    dx, dy = FreePoly.zero(QQ, cap), FreePoly.zero(QQ, cap)
+    images = {"x": {"x": _ONE}, "y": {"y": _ONE}}
     used = {}
     for (letter, u), c in zip(moves, coeffs):
         if not c:
             continue
         used["%s+%s" % (letter, u)] = str(c)
-        t = FreePoly.term(u, c, QQ, cap)
-        if letter == "x":
-            dx = dx + t
-        else:
-            dy = dy + t
+        image = images[letter]
+        image[u] = image[u] + c if u in image else c
     if not used:
         return body, None, used
-    s = Substitution(FreePoly.var("x", QQ, cap) + dx,
-                     FreePoly.var("y", QQ, cap) + dy, cap)
+    s = Substitution(FreePoly(QQ, images["x"], cap),
+                     FreePoly(QQ, images["y"], cap), cap)
     return substitute(body, s), s, used
 
 
@@ -458,7 +454,7 @@ def cleanup_x2y(F, cap=12) -> CanonicalX2Y:
     by solved substitutions, leaving cyc(x^2 y) + y^4 p(y) through the
     cap. The trail collects the applied substitutions in order.
     """
-    body = (F.body if isinstance(F, Potential) else F).with_cap(cap)
+    body = F.with_cap(cap)
     _require_cubic(body, "X2Y")
     trail, stage_log = [], []
     for d in range(4, cap + 1):
@@ -494,7 +490,7 @@ def cleanup_x3y3(F, cap=12):
     sit outside every move image and stay behind, recorded per stage as
     stalled. Returns (body, trail, beta, gscale, stage_log).
     """
-    body = (F.body if isinstance(F, Potential) else F).with_cap(cap)
+    body = F.with_cap(cap)
     _require_cubic(body, "X3Y3")
     trail, stage_log = [], []
     gscale = _ONE
@@ -683,7 +679,7 @@ def classify_potential(F, cap=12) -> ClassificationReport:
     completed rewrite system of the cleaned body, cross-checked against
     the closed formula for pure tails.
     """
-    body = (F.body if isinstance(F, Potential) else F).with_cap(cap)
+    body = F.with_cap(cap)
     if body.field != QQ:
         raise FieldError("classification is implemented over QQ")
     if body.is_zero():

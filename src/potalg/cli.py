@@ -123,10 +123,17 @@ def _cmd_canon(args):
     return doc
 
 
-def _load_algebra(path):
+def _read_json(path):
     with open(path) as fh:
-        doc = json.load(fh)
-    inner = doc.get("algebra", doc)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("%s nests too deeply to read" % path) from None
+
+
+def _load_algebra(path):
+    doc = _read_json(path)
+    inner = doc.get("algebra", doc) if isinstance(doc, dict) else doc
     if not isinstance(inner, dict) or "table" not in inner:
         raise ValueError("%s does not contain an algebra document" % path)
     return isotest.algebra_from_json(inner)
@@ -174,8 +181,7 @@ def _cmd_iso(args):
 
 
 def _cmd_brace(args):
-    with open(args.input) as fh:
-        doc = json.load(fh)
+    doc = _read_json(args.input)
     structure = braces.from_json(doc)
     filt = None
     if doc.get("filtration") is not None:
@@ -305,10 +311,10 @@ def main(argv=None) -> int:
     except ParseError as exc:
         _emit({"error": "parse", "message": str(exc)})
         return 2
-    except (ResourceCapError, CleanupError, RuntimeError) as exc:
+    except (ResourceCapError, CleanupError) as exc:
         _emit({"error": "resource", "message": str(exc)})
         return 3
-    except (FieldError, ValueError, KeyError, OSError) as exc:
+    except (FieldError, ValueError, OSError) as exc:
         _emit({"error": "config", "message": str(exc)})
         return 2
     except Exception as exc:

@@ -10,7 +10,7 @@ immutable; all operations return fresh objects.
 from __future__ import annotations
 
 from .fields import QQ, FieldError
-from .words import EMPTY, MonomialOrder, all_words
+from .words import EMPTY, MonomialOrder
 
 _DEFAULT_ORDER = MonomialOrder()
 
@@ -90,9 +90,6 @@ class FreePoly:
                         {w: c for w, c in self.terms.items() if len(w) == d},
                         self.cap)
 
-    def degrees(self):
-        return sorted({len(w) for w in self.terms})
-
     def constant_term(self):
         return self.terms.get(EMPTY, self.field.zero)
 
@@ -118,14 +115,7 @@ class FreePoly:
         terms = dict(self.terms)
         add = self.field.add
         for w, c in other.terms.items():
-            if w in terms:
-                s = add(terms[w], c)
-                if s:
-                    terms[w] = s
-                else:
-                    del terms[w]
-            else:
-                terms[w] = c
+            terms[w] = add(terms[w], c) if w in terms else c
         return FreePoly(self.field, terms, cap)
 
     def __sub__(self, other):
@@ -164,13 +154,8 @@ class FreePoly:
         return self.scale(self.field.inv(lc))
 
     def map_coeffs(self, fn, field=None):
-        field = field or self.field
-        out = {}
-        for w, c in self.terms.items():
-            v = fn(c)
-            if v:
-                out[w] = v
-        return FreePoly(field, out, self.cap)
+        return FreePoly(field or self.field,
+                        {w: fn(c) for w, c in self.terms.items()}, self.cap)
 
     # -- comparison / display -------------------------------------------
 
@@ -187,6 +172,19 @@ class FreePoly:
     def __repr__(self):
         from .parsing import render
         return render(self)
+
+
+def sum_terms(field, pairs, cap=None) -> FreePoly:
+    """Sum of (word, coefficient) pairs, truncated at the cap.
+
+    Words that sum to zero are dropped by the constructor, like words of
+    degree above the cap.
+    """
+    terms = {}
+    add = field.add
+    for w, c in pairs:
+        terms[w] = add(terms[w], c) if w in terms else c
+    return FreePoly(field, terms, cap)
 
 
 def poly_mul(f: FreePoly, g: FreePoly, cap=None) -> FreePoly:
@@ -207,14 +205,7 @@ def poly_mul(f: FreePoly, g: FreePoly, cap=None) -> FreePoly:
                 break
             w = u + v
             c = mul(cu, cv)
-            if w in terms:
-                s = add(terms[w], c)
-                if s:
-                    terms[w] = s
-                else:
-                    del terms[w]
-            else:
-                terms[w] = c
+            terms[w] = add(terms[w], c) if w in terms else c
     return FreePoly(field, terms, cap)
 
 
@@ -253,14 +244,6 @@ class Substitution:
         return ((self.image_x.coeff("x"), self.image_x.coeff("y")),
                 (self.image_y.coeff("x"), self.image_y.coeff("y")))
 
-    def det(self):
-        (a, b), (c, d) = self.linear_part()
-        F = self.field
-        return F.sub(F.mul(a, d), F.mul(b, c))
-
-    def is_invertible(self):
-        return bool(self.det())
-
     def apply_word(self, w: str) -> FreePoly:
         cache = self._cache
         got = cache.get(w)
@@ -274,17 +257,11 @@ class Substitution:
         cache[w] = out
         return out
 
-    def __call__(self, f: FreePoly) -> FreePoly:
-        return substitute(f, self)
-
     def then(self, t: "Substitution") -> "Substitution":
         """Composite: apply self first, then t."""
         return Substitution(substitute(self.image_x, t),
                             substitute(self.image_y, t),
                             _min_cap(self.cap, t.cap))
-
-    def inverse(self, cap=None) -> "Substitution":
-        return invert_substitution(self, _min_cap(cap, self.cap))
 
     def __eq__(self, other):
         return (isinstance(other, Substitution)
@@ -309,11 +286,11 @@ def substitute(f: FreePoly, s: Substitution) -> FreePoly:
     """
     if f.field != s.field:
         raise FieldError("substitution field does not match polynomial field")
-    cap = _min_cap(f.cap, s.cap)
-    out = FreePoly.zero(f.field, cap)
-    for w, c in sorted(f.terms.items()):
-        out = out + s.apply_word(w).scale(c)
-    return out.truncated(cap)
+    mul = f.field.mul
+    return sum_terms(f.field, ((v, mul(d, c))
+                               for w, c in sorted(f.terms.items())
+                               for v, d in s.apply_word(w).terms.items()),
+                     _min_cap(f.cap, s.cap))
 
 
 def invert_substitution(s: Substitution, cap=None) -> Substitution:

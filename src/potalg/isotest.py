@@ -18,11 +18,15 @@ from dataclasses import dataclass
 from .fields import GF, QQ, FieldError, ResourceCapError
 from .freepoly import FreePoly
 from .linalg import kernel, rank, solve
-from .quotient import QuotientAlgebra, _word_label
+from .quotient import QuotientAlgebra
 from .rewrite import normal_form
 
 _BRUTE_BUDGET = 1 << 18
 _LIFT_BUDGET = 1 << 18
+
+
+def _word_label(w: str) -> str:
+    return w if w else "1"
 
 
 @dataclass
@@ -211,10 +215,14 @@ def algebra_from_json(doc) -> FiniteAlgebra:
     """
     from fractions import Fraction
     from .parsing import parse_poly
+    for key in ("basis", "degrees", "table"):
+        if key not in doc:
+            raise ValueError("an algebra document needs the key %r" % key)
     name = doc.get("field", "QQ")
     if name == "QQ":
         field, scalar = QQ, Fraction
-    elif name.startswith("GF(") and name.endswith(")"):
+    elif (isinstance(name, str) and name.startswith("GF(")
+          and name.endswith(")")):
         field = GF(int(name[3:-1]))
         scalar = int
     else:
@@ -609,7 +617,8 @@ def distinguish_algebras(A: FiniteAlgebra, B: FiniteAlgebra,
     """
     if A.field != B.field:
         raise ValueError("distinguish needs a common base field")
-    if A.words == B.words and A.table == B.table and "x" in A.index:
+    if (A.words == B.words and A.table == B.table
+            and "x" in A.index and "y" in A.index):
         vx = A.basis_vec(A.index["x"])
         vy = A.basis_vec(A.index["y"])
         ok, _ = is_isomorphism(A, B, vx, vy)

@@ -11,8 +11,10 @@ cyc(...) expands to the sum of all rotations of every word, duplicates
 included. Exponent 0 is allowed outside cyc (an empty word contributes a
 constant) but rejected inside, where degree-0 cyclic words make no sense.
 Parentheses and cyc(...) nest at most MAX_NESTING deep, which keeps the
-recursive descent far from Python's recursion limit. Syntax errors carry
-the 0-based offset of the offending character.
+recursive descent far from Python's recursion limit. Without a cap no
+word may be longer than MAX_DEGREE letters, whether from one power or a
+product: the cyclic derivative of a word costs the square of its length.
+Syntax errors carry the 0-based offset of the offending character.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .words import MonomialOrder
 
 _DEFAULT_ORDER = MonomialOrder()
 MAX_NESTING = 100
+MAX_DEGREE = 1000
 
 
 class ParseError(ValueError):
@@ -43,6 +46,11 @@ class _Parser:
 
     def error(self, message, position=None):
         raise ParseError(message, self.pos if position is None else position)
+
+    def check_degree(self, degree, position):
+        if self.cap is None and degree > MAX_DEGREE:
+            self.error("words are limited to %d letters when there is "
+                       "no cap" % MAX_DEGREE, position)
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -92,7 +100,11 @@ class _Parser:
         while True:
             ch = self.peek()
             if ch in ("x", "y") or ch == "(" or self.text.startswith("cyc", self.pos):
+                at = self.pos
                 factor = self.parse_factor()
+                if poly is not None and poly.terms and factor.terms:
+                    self.check_degree(poly.max_degree() + factor.max_degree(),
+                                      at)
                 poly = factor if poly is None else poly * factor
             else:
                 break
@@ -161,10 +173,10 @@ class _Parser:
             self.take()
             return self.parse_group()
         if ch in ("x", "y"):
+            at = self.pos
             self.take()
             exp = 1
             if self.peek() == "^":
-                caret = self.pos
                 self.take()
                 if not self.peek().isdigit():
                     self.error("expected exponent digits")
@@ -174,6 +186,7 @@ class _Parser:
                     self.error("exponent 0 on a variable inside cyc", exp_at)
             if self.cap is not None and exp > self.cap:
                 return FreePoly.zero(self.field, self.cap)
+            self.check_degree(exp, at)
             return FreePoly.term(ch * exp, self.field.one, self.field,
                                  self.cap)
         self.error("expected 'x', 'y', '(' or 'cyc('")

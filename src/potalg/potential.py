@@ -1,25 +1,24 @@
 """Potentials and their cyclic calculus.
 
-A potential is a polynomial with zero constant term considered as the
-superpotential of a two-generator algebra. Two derivative conventions are
-supported:
+A potential is a FreePoly with zero constant term, considered as the
+superpotential of a two-generator algebra. The two derivative conventions
+are two functions:
 
-* simple: drop the leading letter of each word that starts with it.
-* ginzburg: for each occurrence of the letter, take the rotation that
-  starts right after that occurrence (the cyclic derivative).
+* derive_simple: drop the leading letter of each word that starts with it.
+* derive_ginzburg: for each occurrence of the letter, take the rotation
+  that starts right after that occurrence (the cyclic derivative).
 
 For any word w, ginzburg(w) = simple(cyclicize(w)); the two conventions
 give the same relations on cyclically invariant inputs up to per-degree
-scaling.
+scaling. relations_of takes the simple derivatives.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
 
-from .fields import QQ, FieldError
-from .freepoly import FreePoly
+from .fields import FieldError
+from .freepoly import FreePoly, sum_terms
 from .words import MonomialOrder, rotations
 
 _DEFAULT_ORDER = MonomialOrder()
@@ -31,20 +30,8 @@ def cyclicize(f: FreePoly) -> FreePoly:
     cyclicize(x^3) = 3 x^3 and cyclicize(xyxy) = 2 xyxy + 2 yxyx.
     Constant terms vanish (a degree-0 word has no rotations).
     """
-    F = f.field
-    out = {}
-    add = F.add
-    for w, c in f.terms.items():
-        for r in rotations(w):
-            if r in out:
-                s = add(out[r], c)
-                if s:
-                    out[r] = s
-                else:
-                    del out[r]
-            else:
-                out[r] = c
-    return FreePoly(F, out, f.cap)
+    return sum_terms(f.field, ((r, c) for w, c in f.terms.items()
+                               for r in rotations(w)), f.cap)
 
 
 def cyclic_symmetrize(f: FreePoly) -> FreePoly:
@@ -53,26 +40,24 @@ def cyclic_symmetrize(f: FreePoly) -> FreePoly:
 
     In characteristic p the division by word lengths can fail; a warning
     is emitted for p < 7 and FieldError raised when a length vanishes.
+    Constant terms vanish, as under cyclicize.
     """
     F = f.field
     p = F.characteristic
     if 0 < p < 7:
         warnings.warn("characteristic %d < 7: cyclic averaging may divide "
                       "by vanishing word lengths" % p)
-    out = FreePoly.zero(F, f.cap)
-    for w, c in f.terms.items():
+
+    def shares(w, c):
         n = len(w)
-        if n == 0:
-            continue
         if p and n % p == 0:
             raise FieldError("cannot average a degree-%d word in "
                              "characteristic %d" % (n, p))
         share = F.div(c, F.coerce(n))
-        part = {}
-        for r in rotations(w):
-            part[r] = F.add(part.get(r, F.zero), share)
-        out = out + FreePoly(F, part, f.cap)
-    return out
+        return ((r, share) for r in rotations(w))
+
+    return sum_terms(F, (rc for w, c in f.terms.items() if w
+                         for rc in shares(w, c)), f.cap)
 
 
 def is_cyclically_invariant(f: FreePoly) -> bool:
@@ -88,115 +73,51 @@ def is_cyclically_invariant(f: FreePoly) -> bool:
 
 def derive_simple(f: FreePoly, letter: str) -> FreePoly:
     """Left derivative: keep words starting with the letter, drop it."""
-    F = f.field
-    out = {}
-    add = F.add
-    for w, c in f.terms.items():
-        if w.startswith(letter):
-            t = w[1:]
-            if t in out:
-                s = add(out[t], c)
-                if s:
-                    out[t] = s
-                else:
-                    del out[t]
-            else:
-                out[t] = c
-    return FreePoly(F, out, f.cap)
+    return sum_terms(f.field, ((w[1:], c) for w, c in f.terms.items()
+                               if w.startswith(letter)), f.cap)
 
 
 def derive_ginzburg(f: FreePoly, letter: str) -> FreePoly:
     """Cyclic derivative: sum over occurrences of the rotation starting
     just after the occurrence."""
-    F = f.field
-    out = {}
-    add = F.add
-    for w, c in f.terms.items():
-        for i, ch in enumerate(w):
-            if ch != letter:
-                continue
-            t = w[i + 1:] + w[:i]
-            if t in out:
-                s = add(out[t], c)
-                if s:
-                    out[t] = s
-                else:
-                    del out[t]
-            else:
-                out[t] = c
-    return FreePoly(F, out, f.cap)
+    return sum_terms(f.field, ((w[i + 1:] + w[:i], c)
+                               for w, c in f.terms.items()
+                               for i, ch in enumerate(w) if ch == letter),
+                     f.cap)
 
 
-@dataclass(frozen=True)
-class Potential:
-    """A superpotential: polynomial body plus a derivative convention."""
-
-    body: FreePoly
-    derivative_mode: str = "simple"
-
-    def __post_init__(self):
-        if self.body.constant_term():
-            raise ValueError("potential body must have zero constant term")
-        if self.derivative_mode not in ("simple", "ginzburg"):
-            raise ValueError("derivative_mode must be 'simple' or 'ginzburg'")
-
-    @property
-    def field(self):
-        return self.body.field
-
-    @property
-    def cap(self):
-        return self.body.cap
-
-    def derive(self, letter: str) -> FreePoly:
-        if self.derivative_mode == "simple":
-            return derive_simple(self.body, letter)
-        return derive_ginzburg(self.body, letter)
+def _require_potential(f: FreePoly) -> None:
+    if f.constant_term():
+        raise ValueError("potential body must have zero constant term")
 
 
-def relations_of(pot, order: MonomialOrder = _DEFAULT_ORDER, normalize=True):
-    """The pair of derivative relations (d/dx, d/dy) of a potential.
+def relations_of(f: FreePoly, order: MonomialOrder = _DEFAULT_ORDER):
+    """The pair of simple derivatives (d/dx f, d/dy f) of a potential.
 
-    Accepts a Potential or a bare FreePoly (simple mode). Over a field
-    where the leading coefficient is invertible each relation is scaled so
-    the leading coefficient of its lowest-degree part is 1. A zero
-    potential yields the zero pair with a warning.
+    Each nonzero relation is scaled so that its leading coefficient under
+    the order is 1. A zero potential yields the zero pair with a warning;
+    a nonzero constant term raises ValueError.
     """
-    if isinstance(pot, FreePoly):
-        pot = Potential(pot)
-    rx = pot.derive("x")
-    ry = pot.derive("y")
+    _require_potential(f)
+    rx = derive_simple(f, "x")
+    ry = derive_simple(f, "y")
     if rx.is_zero() and ry.is_zero():
         warnings.warn("zero potential: relations are trivially zero")
-        return rx, ry
-    if normalize:
-        out = []
-        for r in (rx, ry):
-            if r.is_zero():
-                out.append(r)
-                continue
-            try:
-                out.append(r.monic(order))
-            except FieldError:
-                out.append(r)
-        rx, ry = out
-    return rx, ry
+    return rx.monic(order), ry.monic(order)
 
 
-def syzygy_residual(pot):
+def syzygy_residual(f: FreePoly):
     """The two universal syzygy candidates of a potential, simple mode.
 
     r1 = F - x dF/dx - y dF/dy vanishes identically.
-    r2 = [x, dF/dx] + [y, dF/dy] vanishes exactly when the body is
-    cyclically invariant.
+    r2 = [x, dF/dx] + [y, dF/dy] vanishes exactly when F is cyclically
+    invariant.
     """
-    if isinstance(pot, FreePoly):
-        pot = Potential(pot)
-    F = pot.body
-    dx = derive_simple(F, "x")
-    dy = derive_simple(F, "y")
-    vx = FreePoly.var("x", F.field, F.cap)
-    vy = FreePoly.var("y", F.field, F.cap)
-    r1 = F - vx * dx - vy * dy
+    _require_potential(f)
+    dx = derive_simple(f, "x")
+    dy = derive_simple(f, "y")
+    vx = FreePoly.var("x", f.field, f.cap)
+    vy = FreePoly.var("y", f.field, f.cap)
+    r1 = f - vx * dx - vy * dy
     r2 = (vx * dx - dx * vx) + (vy * dy - dy * vy)
     return r1, r2

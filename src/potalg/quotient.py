@@ -16,10 +16,6 @@ from .fields import FieldError, ResourceCapError
 from .rewrite import RewriteSystem, normal_words_by_degree
 
 
-def _word_label(w: str) -> str:
-    return w if w else "1"
-
-
 @dataclass
 class QuotientAlgebra:
     system: RewriteSystem
@@ -42,26 +38,6 @@ class QuotientAlgebra:
     @property
     def nilpotency_index(self):
         return self.first_empty_degree
-
-    def to_json(self) -> dict:
-        from .parsing import render
-        doc = {
-            "field": self.system.field.name,
-            "order": self.system.order.to_json(),
-            "cap": self.system.cap,
-            "complete_through": self.system.complete_through,
-            "hilbert": list(self.hilbert),
-            "finite": self.finite,
-            "growth": self.growth,
-            "relations": [render(g, self.system.order)
-                          for g in self.system.elements],
-            "leading_words": self.system.leads,
-        }
-        if self.finite:
-            doc["total_dimension"] = self.dimension
-            doc["first_empty_degree"] = self.first_empty_degree
-            doc["basis"] = [_word_label(w) for w in self.basis_words]
-        return doc
 
 
 def hilbert(system: RewriteSystem) -> QuotientAlgebra:

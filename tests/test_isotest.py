@@ -6,9 +6,9 @@ import pytest
 
 from potalg.fields import GF, QQ, FieldError, ResourceCapError
 from potalg.freepoly import FreePoly
-from potalg.isotest import (FiniteAlgebra, algebra_mod_p, algebra_profile,
-                            brute_force_iso, distinguish, from_quotient,
-                            is_isomorphism, lifted_iso_search)
+from potalg.isotest import (FiniteAlgebra, algebra_from_json, algebra_mod_p,
+                            algebra_profile, brute_force_iso, distinguish,
+                            from_quotient, is_isomorphism, lifted_iso_search)
 from potalg.parsing import parse_poly
 from potalg.potential import relations_of
 from potalg.quotient import hilbert, invariant_profile
@@ -324,3 +324,13 @@ def test_serialization_round_trip_fields():
     assert doc["basis"][0] == "1"
     assert len(doc["table"]) == len(A.table)
     assert "relations" in doc
+
+
+@pytest.mark.parametrize("key", ["basis", "degrees", "table"])
+def test_algebra_from_json_names_a_missing_key(key):
+    doc = from_quotient(hilbert(complete(list(
+        relations_of(parse_poly("x^3 + y^3 + cyc(x y x y)", cap=9))),
+        cap=9))).to_json()
+    del doc[key]
+    with pytest.raises(ValueError, match=repr(key)):
+        algebra_from_json(doc)

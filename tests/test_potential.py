@@ -7,11 +7,11 @@ import pytest
 from potalg.fields import GF, QQ, FieldError
 from potalg.freepoly import FreePoly, random_poly
 from potalg.parsing import parse_poly
-from potalg.potential import (Potential, cyclic_symmetrize, cyclicize,
+from potalg.potential import (cyclic_symmetrize, cyclicize,
                               derive_ginzburg, derive_simple,
                               is_cyclically_invariant, relations_of,
                               syzygy_residual)
-from potalg.words import all_words
+from potalg.words import MonomialOrder, all_words
 
 
 def P(s, cap=None, field=QQ):
@@ -91,11 +91,9 @@ def test_ginzburg_is_simple_after_cyclicizing():
 
 def test_potential_validation():
     with pytest.raises(ValueError):
-        Potential(P("1 + x y"))
+        relations_of(P("1 + x y"))
     with pytest.raises(ValueError):
-        Potential(P("x y + y x"), derivative_mode="other")
-    pot = Potential(P("x^2 y"), derivative_mode="ginzburg")
-    assert pot.derive("x") == P("x y + y x")
+        syzygy_residual(P("1 + x y"))
 
 
 def test_relations_of_golden():
@@ -107,11 +105,14 @@ def test_relations_of_golden():
     assert rb == P("y^2 + 2 x y x")
 
 
-def test_relations_of_normalization_flag():
-    raw = relations_of(P("2 cyc(x^2 y)", cap=6), normalize=False)
-    assert raw[0] == P("2 x y + 2 y x")
-    monic = relations_of(P("2 cyc(x^2 y)", cap=6))
-    assert monic[0] == P("x y + y x")
+def test_relations_of_are_monic():
+    assert derive_simple(P("2 cyc(x^2 y)", cap=6), "x") == P("2 x y + 2 y x")
+    assert relations_of(P("2 cyc(x^2 y)", cap=6)) == \
+        (P("x y + y x"), P("x^2"))
+    # the leading word depends on the order: y^2 leads under yx
+    rx, _ = relations_of(P("2 cyc(x^2 y) + 4 x y^2", cap=6),
+                         MonomialOrder("yx"))
+    assert rx == P("1/2 x y + 1/2 y x + y^2")
 
 
 def test_relations_of_zero_potential_warns():
@@ -125,12 +126,12 @@ def test_syzygy_residuals():
     seen_noninvariant = False
     for _ in range(30):
         f = random_poly(rng, degrees=(2, 3, 4), terms=4, cap=8)
-        r1, r2 = syzygy_residual(Potential(f))
+        r1, r2 = syzygy_residual(f)
         assert r1.is_zero()
         assert r2.is_zero() == is_cyclically_invariant(f)
         seen_noninvariant = seen_noninvariant or not r2.is_zero()
         g = cyclic_symmetrize(f)
-        assert syzygy_residual(Potential(g))[1].is_zero()
+        assert syzygy_residual(g)[1].is_zero()
     assert seen_noninvariant
 
 
