@@ -227,6 +227,28 @@ def test_iso_self_is_identity(tmp_path):
     assert code == 0 and doc["status"] == "isomorphic"
 
 
+@pytest.mark.parametrize("a,b,flags,digest", [
+    (DIM9A, DIM9B, [],
+     "4857eb79402ef64253a071bc1960f944c6537658513ca970cb9520592c6b803d"),
+    (DIM9A, DIM9B, ["--field", "7", "--strategy", "lift"],
+     "9808ca3abd9039261ffa860cfc4b73a7219f3966e61c2ac6ef8f50b2079be975"),
+    (DIM8, DIM9A, ["--strategy", "invariants"],
+     "796d5e1dc0a32526322a003593db615d8fdb97c1aaa99b91c8ed0be9850e8d6e"),
+    (DIM9A, DIM9A, [],
+     "1b8d9956455a0e3f0720b1b901ce975cea1c7100ea72da35011d7be877decb78"),
+    (DIM8, DIM8, ["--field", "2", "--strategy", "lift"],
+     "a0f5793d488aed899a83b10ab77ac2045e3b2d4d10c9ae81daf850409dce481d"),
+], ids=["9A-9B-auto", "9A-9B-lift-gf7", "8-9A-invariants", "9A-self-auto",
+        "8-self-lift-gf2"])
+def test_iso_bytes_are_pinned(tmp_path, a, b, flags, digest):
+    # the verdict, the witness and the certificate are all in these bytes
+    fa = dim_file(tmp_path, a, "a.json")
+    fb = dim_file(tmp_path, b, "b.json")
+    code, _, raw = run_cli("iso", "--a", fa, "--b", fb, *flags)
+    assert code == 0
+    assert hashlib.sha256(raw.encode()).hexdigest() == digest
+
+
 def test_iso_brute_mod_2_self(tmp_path):
     a = dim_file(tmp_path, DIM8, "a.json")
     code, doc, _ = run_cli("iso", "--a", a, "--b", a, "--field", "2",
