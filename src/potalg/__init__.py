@@ -15,7 +15,7 @@ from .potential import (cyclic_symmetrize, cyclicize, derive_ginzburg,
                         relations_of, syzygy_residual)
 from .rewrite import (Ambiguity, RewriteSystem, complete, normal_form,
                       oracle_dimension, verify_complete)
-from .quotient import QuotientAlgebra, hilbert, invariant_profile
+from .quotient import QuotientAlgebra, hilbert
 from .words import MonomialOrder, compare_words
 
 __version__ = "0.1.0"

@@ -36,6 +36,11 @@ MAX_SERIES_TERMS = 4096
 """Longest correction series: it is exact once N reaches the chain length,
 which is at most the order."""
 
+MAX_LEVELS = 32
+"""Most levels a filtration block may list: checking a chain of m levels
+costs O(m^2 n^2), and a strictly descending chain of subgroups on at most
+MAX_ORDER elements has at most 9 distinct levels."""
+
 
 @dataclass
 class Verdict:
@@ -223,12 +228,16 @@ def filtration_from_json(doc, structure):
     """Chain from the optional per-file filtration block.
 
     Levels list the proper members starting at the second one; the full
-    carrier is prepended and a terminal {0} appended when missing.
+    carrier is prepended and a terminal {0} appended when missing. More
+    than MAX_LEVELS listed levels raise ResourceCapError.
     """
     entries = doc.get("filtration", ())
     if not isinstance(entries, (list, tuple)) or \
             any(not isinstance(entry, (list, tuple)) for entry in entries):
         raise ValueError("filtration must be a list of index lists")
+    if len(entries) > MAX_LEVELS:
+        raise ResourceCapError("filtration lists %d levels, above the limit "
+                               "%d" % (len(entries), MAX_LEVELS))
     levels = [frozenset(range(structure.order))]
     for entry in entries:
         if not all(_is_index(v, structure.order) for v in entry):

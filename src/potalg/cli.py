@@ -12,13 +12,11 @@ import argparse
 import json
 import sys
 import traceback
-from dataclasses import dataclass
 
 from . import brace as braces
 from . import isotest, reproduce
 from .classify import CleanupError, classify_potential
 from .fields import QQ, FieldError, ResourceCapError
-from .freepoly import FreePoly
 from .parsing import ParseError, parse_poly, render
 from .potential import derive_ginzburg, derive_simple, relations_of
 from .quotient import hilbert
@@ -29,26 +27,20 @@ DEFAULT_CAP = 12
 EXTENDED_CAP = 16
 
 
-@dataclass
-class PotentialExpr:
-    """Source text together with its parsed polynomial."""
+def _parse_potential(text: str, cap=None):
+    """The polynomial of an expression over QQ, cut at the cap if given.
 
-    source: str
-    poly: FreePoly
-
-    @classmethod
-    def parse(cls, text: str, cap=None) -> "PotentialExpr":
-        exact = parse_poly(text, QQ)
-        if cap is not None:
-            if exact.is_zero():
-                raise ValueError("%r is zero: there is nothing to compute"
-                                 % text)
-            if exact.max_degree() > cap:
-                raise ValueError(
-                    "cap %d is below the potential degree %d"
-                    % (cap, exact.max_degree()))
-            return cls(text, exact.with_cap(cap))
-        return cls(text, exact)
+    With a cap, a zero input and an input above the cap are ValueErrors.
+    """
+    exact = parse_poly(text, QQ)
+    if cap is None:
+        return exact
+    if exact.is_zero():
+        raise ValueError("%r is zero: there is nothing to compute" % text)
+    if exact.max_degree() > cap:
+        raise ValueError("cap %d is below the potential degree %d"
+                         % (cap, exact.max_degree()))
+    return exact.with_cap(cap)
 
 
 def _emit(doc) -> None:
@@ -60,7 +52,7 @@ def _monomial_order(args) -> MonomialOrder:
 
 
 def _cmd_derive(args):
-    F = PotentialExpr.parse(args.potential).poly
+    F = _parse_potential(args.potential)
     dfn = derive_simple if args.mode == "simple" else derive_ginzburg
     return {"command": "derive", "mode": args.mode, "potential": render(F),
             "relations": {"x": render(dfn(F, "x")),
@@ -70,10 +62,10 @@ def _cmd_derive(args):
 def _cmd_gb(args):
     order = _monomial_order(args)
     if args.potential is not None:
-        F = PotentialExpr.parse(args.potential, args.cap).poly
+        F = _parse_potential(args.potential, args.cap)
         rels = list(relations_of(F, order))
     else:
-        rels = [PotentialExpr.parse(t.strip(), args.cap).poly
+        rels = [_parse_potential(t.strip(), args.cap)
                 for t in args.relations.split(",") if t.strip()]
         if not rels:
             raise ValueError("no relations given")
@@ -86,7 +78,7 @@ def _cmd_dim(args):
     order = _monomial_order(args)
 
     def build(cap):
-        F = PotentialExpr.parse(args.potential, cap).poly
+        F = _parse_potential(args.potential, cap)
         rels = list(relations_of(F, order))
         return F, rels, hilbert(complete(rels, order, cap))
 
@@ -117,7 +109,7 @@ def _cmd_dim(args):
 
 
 def _cmd_canon(args):
-    F = PotentialExpr.parse(args.potential, args.cap).poly
+    F = _parse_potential(args.potential, args.cap)
     doc = classify_potential(F, args.cap).to_json()
     doc["command"] = "canon"
     return doc
@@ -163,14 +155,8 @@ def _cmd_iso(args):
                 "not_isomorphic",
                 certificate={"invariant": key, "field": A.field.name,
                              "a": pa[key], "b": pb[key]})
-    elif args.strategy == "brute":
-        verdict = isotest.brute_force_iso(A, B)
     elif args.strategy == "lift":
-        p = A.field.characteristic
-        if not p:
-            raise ValueError("lifted search needs a finite field; "
-                             "pass --field P")
-        verdict = isotest.lifted_iso_search(A, B, p)
+        verdict = isotest.lifted_iso_search(A, B)
     else:
         verdict = isotest.distinguish_algebras(A, B)
 
@@ -283,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", type=int,
                    help="reduce both algebras modulo this prime first")
     p.add_argument("--strategy",
-                   choices=("auto", "brute", "lift", "invariants"),
+                   choices=("auto", "lift", "invariants"),
                    default="auto")
 
     p = sub.add_parser("brace", help="brace and truss verdicts")

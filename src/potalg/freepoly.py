@@ -343,14 +343,3 @@ def abelianize_cubic(f3: FreePoly):
             raise ValueError("abelianize_cubic needs a homogeneous cubic")
         buckets[w.count("y")] = F.add(buckets[w.count("y")], c)
     return tuple(buckets)
-
-
-def random_poly(rng, field=QQ, degrees=(1, 2, 3), terms=3, cap=None,
-                coeff_pool=(-2, -1, 1, 2, 3)) -> FreePoly:
-    """Small random polynomial for property tests; deterministic in rng."""
-    out = {}
-    for _ in range(terms):
-        d = rng.choice(degrees)
-        w = "".join(rng.choice("xy") for _ in range(d))
-        out[w] = field.coerce(rng.choice(coeff_pool))
-    return FreePoly(field, out, cap)

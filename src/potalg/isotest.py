@@ -2,10 +2,11 @@
 
 These algebras are local: the radical is the span of the positive-degree
 basis words and any homomorphism is pinned by where it sends the two
-degree-one generators, so searches enumerate generator images only. A
-candidate pair is a homomorphism exactly when the defining relations
-evaluate to zero through the structure constants; bijectivity then makes
-it an isomorphism. Verdicts over a prime field are explicit proxies for
+degree-one generators, so the search over a prime field (the lift
+search) chooses generator images only. A candidate pair is a
+homomorphism exactly when the defining relations evaluate to zero
+through the structure constants; bijectivity then makes it an
+isomorphism. Verdicts over a prime field are explicit proxies for
 the rational question: only a rational invariant mismatch certifies
 non-isomorphism over the rationals, and every positive witness is
 re-verified (unital, bijective, multiplicative on all basis pairs).
@@ -21,8 +22,10 @@ from .linalg import kernel, rank, solve
 from .quotient import QuotientAlgebra
 from .rewrite import normal_form
 
-_BRUTE_BUDGET = 1 << 18
 _LIFT_BUDGET = 1 << 18
+"""Most invertible linear parts, and most search nodes, a lift search tries."""
+
+_PROXY_PRIMES = (3, 5, 7)
 
 
 def _word_label(w: str) -> str:
@@ -81,8 +84,8 @@ class FiniteAlgebra:
     def check_shape(self):
         """Unit word first, suffix closure, unit rows, degree filtration.
 
-        Cheap enough to run on every table read from outside, unlike the
-        associativity check of validate.
+        Cheap enough to run on every table read from outside, unlike an
+        associativity check over all basis triples.
         """
         if self.words[0] != "":
             raise ValueError("basis must start with the unit word")
@@ -103,23 +106,6 @@ class FiniteAlgebra:
                 if c and self.degrees[k] < floor:
                     raise ValueError("product (%d,%d) drops below its "
                                      "filtration degree" % (i, j))
-
-    def validate(self):
-        """check_shape, then associativity on every basis triple."""
-        self.check_shape()
-        n = self.dim
-        vecs = [self.basis_vec(i) for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                ij = self.table.get((i, j), self.zero_vec())
-                for k in range(n):
-                    left = self.mul(ij, vecs[k])
-                    right = self.mul(vecs[i], self.table.get(
-                        (j, k), self.zero_vec()))
-                    if left != right:
-                        raise ValueError("associativity fails at "
-                                         "(%d, %d, %d)" % (i, j, k))
-        return True
 
     def hilbert(self):
         top = max(self.degrees)
@@ -303,12 +289,6 @@ def _relation_values(A, B, vx, vy):
         yield acc
 
 
-def _relations_vanish(A, B, vx, vy):
-    if A.relations is None:
-        return None
-    return not any(any(acc) for acc in _relation_values(A, B, vx, vy))
-
-
 def is_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra, vx, vy):
     """Full verification of a candidate pair of generator images.
 
@@ -395,84 +375,6 @@ def _assert_profiles_agree(A, B):
                              "different profiles: %r vs %r" % (pa, pb))
 
 
-def _radical_candidates(F: FiniteAlgebra):
-    """All radical vectors in deterministic lexicographic order."""
-    f = F.field
-    p = f.characteristic
-    scalars = list(range(p))
-    rad = list(range(1, F.dim))
-    total = p ** len(rad)
-    for code in range(total):
-        vec = F.zero_vec()
-        t = code
-        for i in rad:
-            vec[i] = scalars[t % p]
-            t //= p
-        yield vec
-
-
-def brute_force_iso(A: FiniteAlgebra, B: FiniteAlgebra,
-                    budget=_BRUTE_BUDGET) -> IsoVerdict:
-    """Enumerate every pair of radical generator images over the field.
-
-    The identity-shaped pair is tried first so self-comparisons report
-    the identity witness. Candidates whose degree-one parts are linearly
-    dependent cannot generate and are skipped; survivors are kept only
-    if the defining relations map to zero, and the first verified
-    witness in enumeration order is returned. Exhaustion is a
-    certificate over this finite field only.
-    """
-    if A.field != B.field:
-        raise ValueError("brute force needs a common field")
-    if A.field.characteristic == 0:
-        raise ValueError("brute force enumerates a finite field")
-    if A.dim != B.dim:
-        return IsoVerdict("not_isomorphic",
-                          certificate={"invariant": "dimension",
-                                       "a": A.dim, "b": B.dim})
-    p = A.field.characteristic
-    total = p ** (2 * (A.dim - 1))
-    if total > budget:
-        raise ResourceCapError("%d candidate pairs exceed the budget %d"
-                               % (total, budget))
-    f = B.field
-    deg1 = [i for i in range(B.dim) if B.degrees[i] == 1]
-    if len(deg1) != 2:
-        raise ValueError("expected exactly two degree-one generators")
-
-    def attempt(vx, vy):
-        det = f.sub(f.mul(vx[deg1[0]], vy[deg1[1]]),
-                    f.mul(vx[deg1[1]], vy[deg1[0]]))
-        if not det:
-            return None
-        ok = _relations_vanish(A, B, vx, vy)
-        if ok is False:
-            return None
-        good, detail = is_isomorphism(A, B, vx, vy)
-        return (vx, vy) if good else None
-
-    ident = None
-    if all(w in B.index for w in ("x", "y")):
-        ident = attempt(B.basis_vec(B.index["x"]), B.basis_vec(B.index["y"]))
-    if ident:
-        _assert_profiles_agree(A, B)
-        return IsoVerdict("isomorphic",
-                          witness=_witness_doc(B, ident[0], ident[1]))
-    checked = 0
-    for vx in _radical_candidates(B):
-        for vy in _radical_candidates(B):
-            checked += 1
-            hit = attempt(vx, vy)
-            if hit:
-                _assert_profiles_agree(A, B)
-                return IsoVerdict("isomorphic",
-                                  witness=_witness_doc(B, hit[0], hit[1]))
-    return IsoVerdict("not_isomorphic",
-                      certificate={"method": "exhaustion",
-                                   "field": A.field.name,
-                                   "candidates": checked})
-
-
 def _stage_system(A, B, vx, vy, unknown_slots, slice_degree):
     """Affine expansion of the slice-(d+1) residuals in stage-d unknowns.
 
@@ -500,22 +402,25 @@ def _stage_system(A, B, vx, vy, unknown_slots, slice_degree):
     return cols, _sparse(map(f.neg, base)), len(base)
 
 
-def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra, p: int,
-                      budget=_LIFT_BUDGET) -> IsoVerdict:
+def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
     """Linear part first, then degree-by-degree coefficient lifting.
 
-    Every invertible 2x2 linear part over the p-element field is tried
-    in lexicographic order. Given choices through degree d, the degree
-    d+1 unknowns of the generator images satisfy an affine system read
-    off the relation residuals; its solutions are explored zeros-first
-    (particular solution, then kernel combinations). A verdict of
-    not_isomorphic certifies that no linear part admits any lift over
-    this field.
+    Both algebras live over one p-element field. Every invertible 2x2
+    linear part over it is tried in lexicographic order; there are
+    (p^2 - 1)(p^2 - p) of them, and more than _LIFT_BUDGET raise
+    ResourceCapError before any is tried. Given choices through degree
+    d, the degree d+1 unknowns of the generator images satisfy an affine
+    system read off the relation residuals; its solutions are explored
+    zeros-first (particular solution, then kernel combinations). A
+    verdict of not_isomorphic certifies that no linear part admits any
+    lift over this field.
     """
+    p = A.field.characteristic
+    if not p:
+        raise ValueError("lifted search needs a finite field; "
+                         "pass --field P")
     if A.field != B.field:
         raise ValueError("lift needs a common field")
-    if A.field.characteristic != p:
-        raise ValueError("algebras must already live over GF(%d)" % p)
     if A.dim != B.dim or sorted(A.degrees) != sorted(B.degrees):
         return IsoVerdict("not_isomorphic",
                           certificate={"invariant": "graded dimensions",
@@ -526,6 +431,11 @@ def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra, p: int,
     deg1 = [i for i in range(B.dim) if B.degrees[i] == 1]
     if len(deg1) != 2:
         raise ValueError("expected exactly two degree-one generators")
+    parts = (p * p - 1) * (p * p - p)
+    if parts > _LIFT_BUDGET:
+        raise ResourceCapError("%d invertible linear parts over %s exceed "
+                               "the lift budget %d"
+                               % (parts, f.name, _LIFT_BUDGET))
     top = max(B.degrees)
     stages = [d for d in range(2, top + 1)]
     slots_by_stage = {d: [(letter, i) for letter in "xy"
@@ -546,9 +456,9 @@ def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra, p: int,
     def dfs(vx, vy, stage_i):
         nonlocal visited
         visited += 1
-        if visited > budget:
+        if visited > _LIFT_BUDGET:
             raise ResourceCapError("lift exploration exceeded %d nodes"
-                                   % budget)
+                                   % _LIFT_BUDGET)
         if stage_i == len(stages):
             ok, _ = is_isomorphism(A, B, vx, vy)
             return (vx, vy) if ok else None
@@ -606,9 +516,8 @@ def _tuples(n, scalars):
     return out
 
 
-def distinguish_algebras(A: FiniteAlgebra, B: FiniteAlgebra,
-                         primes=(3, 5, 7)) -> IsoVerdict:
-    """Invariants first, then proxy lift searches over small primes.
+def distinguish_algebras(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
+    """Invariants first, then proxy lift searches over GF(3), GF(5), GF(7).
 
     A profile mismatch settles non-isomorphism over the algebras' own
     field. Otherwise, for rational tables, non-isomorphism over some
@@ -633,16 +542,16 @@ def distinguish_algebras(A: FiniteAlgebra, B: FiniteAlgebra,
                                            "field": A.field.name,
                                            "a": pa[key], "b": pb[key]})
     if A.field.characteristic != 0:
-        return lifted_iso_search(A, B, A.field.characteristic)
+        return lifted_iso_search(A, B)
     report = {}
-    for p in primes:
+    for p in _PROXY_PRIMES:
         try:
             Ap = algebra_mod_p(A, p)
             Bp = algebra_mod_p(B, p)
         except FieldError as exc:
             report["GF(%d)" % p] = "skipped: %s" % exc
             continue
-        verdict = lifted_iso_search(Ap, Bp, p)
+        verdict = lifted_iso_search(Ap, Bp)
         report["GF(%d)" % p] = verdict.status
         if verdict.status == "not_isomorphic":
             verdict.certificate["note"] = ("finite-field proxy; rational "
@@ -651,11 +560,3 @@ def distinguish_algebras(A: FiniteAlgebra, B: FiniteAlgebra,
     return IsoVerdict("inconclusive",
                       certificate={"rational_profiles": "agree",
                                    "proxies": report})
-
-
-def distinguish(QA: QuotientAlgebra, QB: QuotientAlgebra,
-                primes=(3, 5, 7)) -> IsoVerdict:
-    """Rational invariant comparison of two finite quotients, then proxies."""
-    if not (QA.finite and QB.finite):
-        raise ValueError("distinguish needs finite-dimensional algebras")
-    return distinguish_algebras(from_quotient(QA), from_quotient(QB), primes)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import FieldError, ResourceCapError
 from .rewrite import RewriteSystem, normal_words_by_degree
 
 
@@ -68,29 +67,3 @@ def hilbert(system: RewriteSystem) -> QuotientAlgebra:
         tail = h[-3:]
         growth = "bounded-constant" if len(set(tail)) == 1 else "growing"
     return QuotientAlgebra(system, layers, h, finite, first_empty, growth)
-
-
-def invariant_profile(Q: QuotientAlgebra, square_zero=False) -> dict:
-    """Field-independent fingerprint used before any isomorphism search.
-
-    The profile of the dense algebra (isotest.algebra_profile). The
-    square-zero count |{a : a^2 = 0}| is only meaningful over a finite
-    field; requesting it over the rationals raises FieldError. a^2 = 0
-    forces the unit component to zero, so only the p^(dim-1) radical
-    vectors are enumerated, within the brute-force budget.
-    """
-    from .isotest import (_BRUTE_BUDGET, _radical_candidates,
-                          algebra_profile, from_quotient)
-    p = Q.system.field.characteristic
-    if square_zero and p == 0:
-        raise FieldError("square-zero counting needs a finite field")
-    F = from_quotient(Q)
-    profile = algebra_profile(F)
-    if square_zero:
-        if p ** (F.dim - 1) > _BRUTE_BUDGET:
-            raise ResourceCapError("%d square-zero candidates exceed the "
-                                   "budget %d" % (p ** (F.dim - 1),
-                                                  _BRUTE_BUDGET))
-        profile["square_zero_count"] = sum(
-            1 for a in _radical_candidates(F) if not any(F.mul(a, a)))
-    return profile

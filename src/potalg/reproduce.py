@@ -19,7 +19,7 @@ from .brace import (FiniteBrace, Filtration, associated_graded,
 from .classify import classify_potential, dim_formula
 from .fields import QQ
 from .freepoly import FreePoly
-from .isotest import distinguish
+from .isotest import distinguish_algebras, from_quotient
 from .parsing import parse_poly
 from .potential import cyclic_symmetrize, relations_of
 from .quotient import hilbert
@@ -93,7 +93,8 @@ def dim9():
         representative=rep.representative,
         cubic_stage_coefficients=[str(c) for c in kills]))
 
-    verdict = distinguish(quotients[0], quotients[1])
+    verdict = distinguish_algebras(from_quotient(quotients[0]),
+                                   from_quotient(quotients[1]))
     checks.append(_check(
         "the two nine-dimensional algebras are not isomorphic",
         verdict.status == "not_isomorphic",

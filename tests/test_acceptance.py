@@ -18,8 +18,8 @@ from potalg.classify import classify_potential
 from potalg.cli import main
 from potalg.fields import QQ
 from potalg.freepoly import FreePoly, Substitution, poly_mul, substitute
-from potalg.isotest import (algebra_profile, distinguish, from_quotient,
-                            is_isomorphism)
+from potalg.isotest import (algebra_profile, distinguish_algebras,
+                            from_quotient, is_isomorphism)
 from potalg.parsing import parse_poly
 from potalg.potential import (cyclic_symmetrize, cyclicize, derive_ginzburg,
                               derive_simple, is_cyclically_invariant,
@@ -132,7 +132,7 @@ def test_criterion_07_nine_dimensional_pair_split():
     QB = relation_quotient(("x y + y x", "x^2 + y^3 + y^4"))
     profiles_differ = (algebra_profile(from_quotient(QA))
                        != algebra_profile(from_quotient(QB)))
-    verdict = distinguish(QA, QB)
+    verdict = distinguish_algebras(from_quotient(QA), from_quotient(QB))
     ok = verdict.status == "not_isomorphic" and (
         profiles_differ
         or verdict.certificate.get("method") == "lift-exhaustion")

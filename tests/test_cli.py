@@ -11,7 +11,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from potalg import cli
-from potalg.brace import MAX_ORDER, MAX_SERIES_TERMS, FiniteBrace
+from potalg.brace import MAX_LEVELS, MAX_ORDER, MAX_SERIES_TERMS, FiniteBrace
 from potalg.cli import main
 from potalg.fields import QQ
 from potalg.parsing import MAX_DEGREE, MAX_NESTING, parse_poly, render
@@ -249,19 +249,33 @@ def test_iso_bytes_are_pinned(tmp_path, a, b, flags, digest):
     assert hashlib.sha256(raw.encode()).hexdigest() == digest
 
 
-def test_iso_brute_mod_2_self(tmp_path):
+def test_iso_lift_mod_2_self(tmp_path):
     a = dim_file(tmp_path, DIM8, "a.json")
     code, doc, _ = run_cli("iso", "--a", a, "--b", a, "--field", "2",
-                           "--strategy", "brute")
+                           "--strategy", "lift")
     assert code == 0 and doc["status"] == "isomorphic"
     assert doc["witness"] is not None
 
 
-def test_iso_brute_over_budget_exits_3(tmp_path):
+def test_iso_lift_over_budget_exits_3(tmp_path):
+    # GF(101) has 103020000 invertible linear parts; the search used to
+    # try them all, for hours, under a budget that counted only nodes
     a = dim_file(tmp_path, DIM9A, "a.json")
-    code, doc, _ = run_cli("iso", "--a", a, "--b", a, "--field", "3",
-                           "--strategy", "brute")
-    assert code == 3 and doc["error"] == "resource"
+    b = dim_file(tmp_path, DIM9B, "b.json")
+    for strategy in ("lift", "auto"):
+        start = time.perf_counter()
+        code, doc, _ = run_cli("iso", "--a", a, "--b", b, "--field", "101",
+                               "--strategy", strategy)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and doc["error"] == "resource"
+        assert "103020000" in doc["message"] and "262144" in doc["message"]
+
+
+def test_iso_brute_strategy_is_gone(tmp_path):
+    a = dim_file(tmp_path, DIM8, "a.json")
+    code, doc, text = run_cli("iso", "--a", a, "--b", a, "--field", "2",
+                              "--strategy", "brute")
+    assert code == 2 and doc is None
 
 
 def test_iso_invariants_strategy(tmp_path):
@@ -504,6 +518,27 @@ def test_brace_filtration_members_must_be_integers(tmp_path):
     # 1.5 and true were read through int() and got a verdict
     for member in (1.5, True):
         assert_config_error(tmp_path, dict(Z2, filtration=[[0, member]]))
+
+
+def test_brace_filtration_above_the_level_limit_is_a_resource_cap(tmp_path):
+    # 400 copies of the carrier used to take 4.7 s in `brace check`: the
+    # filtration check is quadratic in the number of levels
+    zero16 = {"order": 16, "add": [[(a + b) % 16 for b in range(16)]
+                                   for a in range(16)],
+              "star": [[0] * 16 for _ in range(16)]}
+    carrier = list(range(16))
+    for action in ("check", "graded", "prelie"):
+        start = time.perf_counter()
+        code, out = run_brace_doc(tmp_path, dict(
+            zero16, filtration=[carrier] * 400), action)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out["error"] == "resource"
+        assert "400" in out["message"] and str(MAX_LEVELS) in out["message"]
+    path = tmp_path / "levels.json"
+    path.write_text(json.dumps(dict(zero16,
+                                    filtration=[carrier] * MAX_LEVELS)))
+    code, out, _ = run_cli("brace", "check", "--input", str(path))
+    assert code == 0 and out["filtration"]["ok"]
 
 
 def test_brace_order_above_the_limit_is_a_resource_cap(tmp_path):

@@ -7,9 +7,11 @@ import pytest
 
 from potalg.fields import GF, QQ, FieldError
 from potalg.freepoly import (FreePoly, Substitution, abelianize_cubic,
-                             invert_substitution, random_poly, substitute)
+                             invert_substitution, substitute)
 from potalg.parsing import parse_poly
 from potalg.words import MonomialOrder
+
+from helpers import random_poly
 
 
 def P(s, cap=None, field=QQ):

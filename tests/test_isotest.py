@@ -1,19 +1,23 @@
-"""Isomorphism searches: reductions, brute force, lifting, invariants."""
+"""Isomorphism search: reductions, lifting against a brute-force
+reference, invariants."""
 
 import itertools
+import random
 
 import pytest
 
 from potalg.fields import GF, QQ, FieldError, ResourceCapError
 from potalg.freepoly import FreePoly
 from potalg.isotest import (FiniteAlgebra, algebra_from_json, algebra_mod_p,
-                            algebra_profile, brute_force_iso, distinguish,
+                            algebra_profile, distinguish_algebras,
                             from_quotient, is_isomorphism, lifted_iso_search)
 from potalg.parsing import parse_poly
 from potalg.potential import relations_of
-from potalg.quotient import hilbert, invariant_profile
+from potalg.quotient import hilbert
 from potalg.rewrite import complete, normal_form
 from potalg.words import MonomialOrder
+
+from helpers import validate
 
 XY = MonomialOrder()
 
@@ -45,7 +49,7 @@ def test_from_quotient_structure():
     assert A.words[0] == "" and A.degrees == [0, 1, 1, 2, 2, 3, 3, 4, 5]
     xx = A.table[(A.index["x"], A.index["x"])]
     assert xx[A.index["yyy"]] == -1 and sum(1 for c in xx if c) == 1
-    assert A.validate()
+    assert validate(A)
 
 
 def test_from_quotient_r2_differs_in_the_square():
@@ -113,7 +117,7 @@ def test_reduce_mod_5_keeps_shape():
     assert A5.field == GF(5) and A5.dim == 9
     xx = A5.table[(A5.index["x"], A5.index["x"])]
     assert xx[A5.index["yyy"]] == 4
-    assert A5.validate()
+    assert validate(A5)
 
 
 def test_reduce_mod_2_collapses_signs():
@@ -139,13 +143,13 @@ def test_validate_catches_filtration_breaks():
     row = list(bad.table[(bad.index["x"], bad.index["y"])])
     row[bad.index["x"]] = 1
     bad.table[(bad.index["x"], bad.index["y"])] = row
-    with pytest.raises(ValueError):
-        bad.validate()
+    with pytest.raises(ValueError, match="filtration"):
+        bad.check_shape()
 
 
 def test_identity_is_found_first_on_self():
     A = reduce_mod_p(dim8_quotient(), 2)
-    verdict = brute_force_iso(A, A)
+    verdict = distinguish_algebras(A, A)
     assert verdict.status == "isomorphic"
     assert verdict.witness["x"] == {"x": "1"}
     assert verdict.witness["y"] == {"y": "1"}
@@ -163,33 +167,34 @@ def test_verifier_rejects_non_generators():
     assert not ok
 
 
-def test_brute_budget_guard():
-    A = reduce_mod_p(quotient(R1), 3)
-    with pytest.raises(ResourceCapError):
-        brute_force_iso(A, A)
+def test_lift_budget_guard():
+    # (p^2 - 1)(p^2 - p) invertible linear parts: 123120 at p = 19 run,
+    # 267168 at p = 23 exceed the budget of 2^18 before any is tried
+    A = reduce_mod_p(quotient(R1), 23)
+    with pytest.raises(ResourceCapError, match="267168 .* 262144"):
+        lifted_iso_search(A, A)
+    A = reduce_mod_p(quotient(R1), 19)
+    assert lifted_iso_search(A, A).status == "isomorphic"
 
 
 def test_brute_r1_r2_mod_2_with_escalation():
+    # the two-element field is too coarse to separate R1 from R2, by
+    # exhaustion and by lifting; GF(3) does
     A = reduce_mod_p(quotient(R1), 2)
     B = reduce_mod_p(quotient(R2), 2)
-    verdict = brute_force_iso(A, B)
-    if verdict.status == "not_isomorphic":
-        assert verdict.certificate["method"] == "exhaustion"
-        assert verdict.certificate["field"] == "GF(2)"
-        assert verdict.certificate["candidates"] == 4 ** 8 * 4 ** 8
-    else:
-        # the two-element field is too coarse here; escalate
-        assert verdict.status == "isomorphic"
-        hits = [lifted_iso_search(reduce_mod_p(quotient(R1), p),
-                                  reduce_mod_p(quotient(R2), p), p).status
-                for p in (3, 5)]
-        assert "not_isomorphic" in hits
+    assert brute_reference(A, B) == "isomorphic"
+    assert lifted_iso_search(A, B).status == "isomorphic"
+    A = reduce_mod_p(quotient(R1), 3)
+    B = reduce_mod_p(quotient(R2), 3)
+    verdict = lifted_iso_search(A, B)
+    assert verdict.status == "not_isomorphic"
+    assert verdict.certificate["linear_parts"] == 48
 
 
 def test_lifted_r1_r2_mod_5():
     A = reduce_mod_p(quotient(R1), 5)
     B = reduce_mod_p(quotient(R2), 5)
-    verdict = lifted_iso_search(A, B, 5)
+    verdict = lifted_iso_search(A, B)
     assert verdict.status == "not_isomorphic"
     assert verdict.certificate["linear_parts"] == 480
     assert verdict.certificate["field"] == "GF(5)"
@@ -197,7 +202,7 @@ def test_lifted_r1_r2_mod_5():
 
 def test_lifted_self_mod_3_identity():
     A = reduce_mod_p(quotient(R1), 3)
-    verdict = lifted_iso_search(A, A, 3)
+    verdict = lifted_iso_search(A, A)
     assert verdict.status == "isomorphic"
     assert verdict.witness["x"] == {"x": "1"}
     assert verdict.witness["y"] == {"y": "1"}
@@ -220,29 +225,110 @@ def permuted_within_degree(F, w1, w2):
 def test_lifted_finds_map_onto_permuted_copy():
     A = reduce_mod_p(quotient(R1), 5)
     B = permuted_within_degree(A, "yx", "yy")
-    verdict = lifted_iso_search(A, B, 5)
+    verdict = lifted_iso_search(A, B)
     assert verdict.status == "isomorphic"
-    wx = B.zero_vec()
-    wy = B.zero_vec()
-    for label, c in verdict.witness["x"].items():
-        wx[B.index[label if label != "1" else ""]] = int(c)
-    for label, c in verdict.witness["y"].items():
-        wy[B.index[label if label != "1" else ""]] = int(c)
-    ok, detail = is_isomorphism(A, B, wx, wy)
+    ok, detail = is_isomorphism(A, B, *witness_vectors(B, verdict.witness))
     assert ok, detail
+
+
+def witness_vectors(B, witness):
+    """The generator images of a witness document as vectors of B."""
+    out = []
+    for letter in "xy":
+        v = B.zero_vec()
+        for label, c in witness[letter].items():
+            v[B.index[label if label != "1" else ""]] = B.field.coerce(int(c))
+        out.append(v)
+    return out
+
+
+def brute_reference(A, B):
+    """Status of the plain exhaustive search over all radical generator
+    images, in lexicographic order: the reference the lift search is
+    compared with. A pair is kept when its degree-one parts are
+    independent, A's relations vanish on it in B, and is_isomorphism
+    confirms it."""
+    f = B.field
+    rad = [[0, *c] for c in itertools.product(range(f.characteristic),
+                                               repeat=B.dim - 1)]
+    i, j = [k for k in range(B.dim) if B.degrees[k] == 1]
+
+    def relations_vanish(vx, vy):
+        images = {"": B.basis_vec(0)}
+
+        def image(w):
+            if w not in images:
+                images[w] = B.mul(vx if w[0] == "x" else vy, image(w[1:]))
+            return images[w]
+
+        for r in A.relations:
+            acc = B.zero_vec()
+            for w, c in r.terms.items():
+                acc = [f.add(a, f.mul(c, v)) for a, v in zip(acc, image(w))]
+            if any(acc):
+                return False
+        return True
+
+    for vx in rad:
+        for vy in rad:
+            if (f.sub(f.mul(vx[i], vy[j]), f.mul(vx[j], vy[i]))
+                    and relations_vanish(vx, vy)
+                    and is_isomorphism(A, B, vx, vy)[0]):
+                return "isomorphic"
+    return "not_isomorphic"
+
+
+def differential_pairs():
+    """Seeded small pairs, with copies that swap two same-degree basis
+    positions."""
+    rng = random.Random(20240815)
+
+    def swapped(F):
+        by_degree = {}
+        for w, d in zip(F.words, F.degrees):
+            by_degree.setdefault(d, []).append(w)
+        w1, w2 = rng.sample(rng.choice(
+            [ws for ws in by_degree.values() if len(ws) > 1]), 2)
+        return permuted_within_degree(F, w1, w2)
+
+    d8, r1, r2 = (reduce_mod_p(Q, 2) for Q in (dim8_quotient(), quotient(R1),
+                                               quotient(R2)))
+    # y x, y^2, x^3 is the opposite algebra: same Hilbert series, but the
+    # annihilators swap sides
+    t3, t3op = (reduce_mod_p(quotient(texts, cap=5), 3)
+                for texts in (("x y", "y^2", "x^3"), ("y x", "y^2", "x^3")))
+    return [(d8, d8), (d8, swapped(d8)), (r1, r2), (r1, swapped(r2)),
+            (r2, swapped(r1)), (t3, swapped(t3)), (t3, t3op),
+            (t3op, swapped(t3))]
+
+
+def test_lift_matches_brute_force_reference():
+    statuses = []
+    for A, B in differential_pairs():
+        verdict = lifted_iso_search(A, B)
+        assert verdict.status == brute_reference(A, B)
+        if verdict.status == "isomorphic":
+            ok, detail = is_isomorphism(A, B,
+                                        *witness_vectors(B, verdict.witness))
+            assert ok, detail
+        statuses.append(verdict.status)
+    assert "not_isomorphic" in statuses and "isomorphic" in statuses
+
+
+def test_profile_matches_quotient_fingerprint():
+    # the profile's graded part is the quotient's own Hilbert data
+    Q = quotient(R1)
+    prof = algebra_profile(from_quotient(Q))
+    h = list(Q.hilbert[:Q.first_empty_degree + 1])
+    assert prof["hilbert"] == h and prof["dimension"] == Q.dimension
+    assert prof["radical_power_dims"] == [sum(h[k:])
+                                          for k in range(1, len(h))]
 
 
 def test_brute_and_lifted_agree_on_self():
     A = reduce_mod_p(dim8_quotient(), 2)
-    assert brute_force_iso(A, A).status == "isomorphic"
-    assert lifted_iso_search(A, A, 2).status == "isomorphic"
-
-
-def test_profile_matches_quotient_fingerprint():
-    Q = quotient(R1)
-    mine = algebra_profile(from_quotient(Q))
-    ref = invariant_profile(Q)
-    assert mine == {k: ref[k] for k in mine}
+    assert brute_reference(A, A) == "isomorphic"
+    assert lifted_iso_search(A, A).status == "isomorphic"
 
 
 def _count_by_enumeration(F):
@@ -290,13 +376,15 @@ def test_profile_matches_elementwise_counts(build, p):
 
 
 def test_distinguish_by_rational_invariants():
-    verdict = distinguish(dim8_quotient(), quotient(R1))
+    verdict = distinguish_algebras(from_quotient(dim8_quotient()),
+                                   from_quotient(quotient(R1)))
     assert verdict.status == "not_isomorphic"
     assert verdict.certificate["field"] == "QQ"
 
 
 def test_distinguish_r1_r2():
-    verdict = distinguish(quotient(R1), quotient(R2))
+    verdict = distinguish_algebras(from_quotient(quotient(R1)),
+                                   from_quotient(quotient(R2)))
     assert verdict.status == "not_isomorphic"
     cert = verdict.certificate
     # either a rational invariant separates them or a proxy prime does;
@@ -305,7 +393,8 @@ def test_distinguish_r1_r2():
 
 
 def test_distinguish_self():
-    verdict = distinguish(quotient(R1), quotient(R1))
+    verdict = distinguish_algebras(from_quotient(quotient(R1)),
+                                   from_quotient(quotient(R1)))
     assert verdict.status == "isomorphic"
     assert verdict.witness["x"] == {"x": "1"}
 
@@ -314,7 +403,7 @@ def test_lifted_needs_relations():
     A = reduce_mod_p(quotient(R1), 3)
     bare = FiniteAlgebra(A.field, A.words, A.degrees, A.table, None)
     with pytest.raises(ValueError):
-        lifted_iso_search(bare, bare, 3)
+        lifted_iso_search(bare, bare)
 
 
 def test_serialization_round_trip_fields():

@@ -11,8 +11,9 @@ from fractions import Fraction
 import pytest
 
 from potalg.fields import GF, QQ
-from potalg.freepoly import random_poly
 from potalg.parsing import ParseError, parse_poly, render
+
+from helpers import random_poly
 
 
 def test_parse_golden():

@@ -5,13 +5,15 @@ import random
 import pytest
 
 from potalg.fields import GF, QQ, FieldError
-from potalg.freepoly import FreePoly, random_poly
+from potalg.freepoly import FreePoly
 from potalg.parsing import parse_poly
 from potalg.potential import (cyclic_symmetrize, cyclicize,
                               derive_ginzburg, derive_simple,
                               is_cyclically_invariant, relations_of,
                               syzygy_residual)
 from potalg.words import MonomialOrder, all_words
+
+from helpers import random_poly
 
 
 def P(s, cap=None, field=QQ):

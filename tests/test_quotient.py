@@ -1,14 +1,18 @@
 """Quotient data: Hilbert counts, tables, and structural fingerprints."""
 
+import itertools
+
 import pytest
 
-from potalg.fields import GF, QQ, FieldError, ResourceCapError
-from potalg.isotest import from_quotient
+from potalg.fields import GF, QQ
+from potalg.isotest import algebra_profile, from_quotient
 from potalg.parsing import parse_poly
 from potalg.potential import relations_of
-from potalg.quotient import hilbert, invariant_profile
+from potalg.quotient import hilbert
 from potalg.rewrite import complete
 from potalg.words import MonomialOrder
+
+from helpers import validate
 
 XY = MonomialOrder()
 
@@ -95,14 +99,14 @@ def test_mult_table_requires_finiteness():
 def test_associativity_of_fixtures():
     for texts in (("x y + y x", "x^2 + y^3"),
                   ("x y + y x", "x^2 + y^3 + y^4")):
-        assert from_quotient(build(texts)).validate()
+        assert validate(from_quotient(build(texts)))
     rels = relations_of(parse_poly("x^3 + y^3 + cyc(x y x y)", cap=9))
     Q = hilbert(complete(list(rels), XY, 9))
-    assert from_quotient(Q).validate()
+    assert validate(from_quotient(Q))
 
 
 def test_profile_r1_golden():
-    prof = invariant_profile(build(("x y + y x", "x^2 + y^3")))
+    prof = algebra_profile(from_quotient(build(("x y + y x", "x^2 + y^3"))))
     assert prof == {
         "hilbert": [1, 2, 2, 2, 1, 1, 0],
         "dimension": 9,
@@ -117,38 +121,32 @@ def test_profile_r1_golden():
 def test_profile_dim8_golden():
     rels = relations_of(parse_poly("x^3 + y^3 + cyc(x y x y)", cap=9))
     Q = hilbert(complete(list(rels), XY, 9))
-    prof = invariant_profile(Q)
+    prof = algebra_profile(from_quotient(Q))
     assert prof["radical_power_dims"] == [7, 5, 3, 1, 0]
     assert prof["center_dim"] == 5
     assert prof["two_sided_annihilator_dim"] == 1
 
 
+def square_zero_count(Q):
+    """|{a : a^2 = 0}| over a finite field. a^2 = 0 forces the unit
+    component to zero, so only the radical vectors are enumerated."""
+    F = from_quotient(Q)
+    p = F.field.characteristic
+    return sum(1 for rad in itertools.product(range(p), repeat=F.dim - 1)
+               if not any(F.mul([0, *rad], [0, *rad])))
+
+
 def test_square_zero_counts():
     F3 = GF(3)
     tiny = build(("x^2", "x y", "y x", "y^2"), cap=4, field=F3)
-    assert invariant_profile(tiny, square_zero=True)["square_zero_count"] == 9
+    assert square_zero_count(tiny) == 9
 
     Q = build(("x y + y x", "x^2 + y^3"), field=F3)
-    assert invariant_profile(Q, square_zero=True)["square_zero_count"] == 81
+    assert square_zero_count(Q) == 81
 
     rels = ("x^2 + 2 y x y", "y^2 + 2 x y x")
     Q8 = build(rels, cap=9, field=F3)
-    assert invariant_profile(Q8, square_zero=True)["square_zero_count"] == 27
-
-
-def test_square_zero_count_has_a_budget():
-    # the dim-8 golden over GF(7) has 7^7 > 2^18 radical candidates
-    rels = relations_of(parse_poly("x^3 + y^3 + cyc(x y x y)", GF(7), cap=9))
-    Q = hilbert(complete(list(rels), XY, 9))
-    assert Q.dimension == 8
-    with pytest.raises(ResourceCapError, match="823543"):
-        invariant_profile(Q, square_zero=True)
-
-
-def test_square_zero_needs_finite_field():
-    Q = build(("x y + y x", "x^2 + y^3"))
-    with pytest.raises(FieldError):
-        invariant_profile(Q, square_zero=True)
+    assert square_zero_count(Q8) == 27
 
 
 def test_json_document():

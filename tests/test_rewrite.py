@@ -13,13 +13,15 @@ from contextlib import redirect_stdout
 import pytest
 
 from potalg.fields import GF, QQ, FieldError, ResourceCapError
-from potalg.freepoly import FreePoly, random_poly
+from potalg.freepoly import FreePoly
 from potalg.parsing import parse_poly, render
 from potalg.potential import cyclic_symmetrize, relations_of
 from potalg.rewrite import (ambiguities, complete, normal_form,
                             normal_words_by_degree, oracle_dimension,
                             s_polynomial, verify_complete)
 from potalg.words import MonomialOrder
+
+from helpers import random_poly
 
 XY = MonomialOrder()
 
