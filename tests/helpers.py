@@ -1,9 +1,11 @@
 """Fixtures shared by several test modules; the library does not use them."""
 
+import heapq
 import itertools
 
 from potalg.fields import QQ
 from potalg.freepoly import FreePoly
+from potalg.rewrite import RewriteSystem, _lead_finder
 
 
 def random_poly(rng, field=QQ, degrees=(1, 2, 3), terms=3, cap=None,
@@ -28,3 +30,60 @@ def validate(F):
             raise ValueError("associativity fails at (%d, %d, %d)"
                              % (i, j, k))
     return True
+
+
+def reference_normal_form(f, system):
+    """normal_form as a plain field-arithmetic loop: the reference the
+    library's integer loop is compared against.
+
+    At each step the earliest word in the order with a reducible
+    occurrence is rewritten at its leftmost occurrence, trying elements
+    in basis order; every coefficient is a field element throughout.
+    """
+    if isinstance(system, RewriteSystem):
+        elements, order, cap = system.elements, system.order, system.cap
+    else:
+        elements, order, cap = system
+    leads = [g.leading_word(order) for g in elements]
+    find = _lead_finder(leads)
+    field = f.field
+    add, mul, neg = field.add, field.mul, field.neg
+    cur = dict(f.terms)
+    if cap is not None:
+        for w in [w for w in cur if len(w) > cap]:
+            del cur[w]
+    heap = [(order.leading_key(w), w) for w in cur]
+    heapq.heapify(heap)
+    normal = set()
+    while heap:
+        _, w = heapq.heappop(heap)
+        c = cur.get(w)
+        if not c or w in normal:
+            continue
+        hit = find(w)
+        if hit is None:
+            normal.add(w)
+            continue
+        i, gi = hit
+        g = elements[gi]
+        lw = leads[gi]
+        pre, post = w[:i], w[i + len(lw):]
+        del cur[w]
+        negc = neg(c)
+        for t, ct in g.terms.items():
+            if t == lw:
+                continue
+            nw = pre + t + post
+            if cap is not None and len(nw) > cap:
+                continue
+            piece = mul(negc, ct)
+            if nw in cur:
+                s = add(cur[nw], piece)
+                if s:
+                    cur[nw] = s
+                else:
+                    del cur[nw]
+            else:
+                cur[nw] = piece
+                heapq.heappush(heap, (order.leading_key(nw), nw))
+    return FreePoly(field, cur, f.cap if cap is None else cap)

@@ -9,6 +9,7 @@ import hashlib
 import io
 import random
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
@@ -21,7 +22,7 @@ from potalg.rewrite import (ambiguities, complete, normal_form,
                             s_polynomial, verify_complete)
 from potalg.words import MonomialOrder
 
-from helpers import random_poly
+from helpers import random_poly, reference_normal_form
 
 XY = MonomialOrder()
 
@@ -135,6 +136,64 @@ def test_normal_form_is_linear_and_idempotent():
         nf, ng = normal_form(f, G), normal_form(g, G)
         assert normal_form(f + g, G) == nf + ng
         assert normal_form(nf, G) == nf
+
+
+# coefficients with real denominators, so the integer loop over QQ has to
+# scale the pending terms; a pool value whose denominator is divisible by
+# p is left out over GF(p)
+NF_POOL = (Fraction(1, 2), Fraction(-3, 7), Fraction(5, 3), Fraction(-1),
+           Fraction(2))
+
+
+def _assert_field_coefficients(f):
+    p = f.field.characteristic
+    for c in f.terms.values():
+        if p:
+            assert type(c) is int and 0 < c < p
+        else:
+            assert isinstance(c, Fraction) and c != 0
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=str)
+def test_normal_form_matches_fraction_reference(field):
+    """The integer loop and the plain field loop give the same terms, on
+    bases from complete() and on monic systems that are not interreduced,
+    under both precedences and modes at caps 6-10."""
+    rng = random.Random("normal-form-%s" % field.name)
+    p = field.characteristic
+    pool = tuple(c for c in NF_POOL if not p or c.denominator % p)
+    modes = set()
+    for trial in range(48):
+        order = MonomialOrder(("xy", "yx")[trial % 2],
+                              ("local", "global")[trial // 2 % 2])
+        cap = 6 + trial % 5
+        rels = [random_poly(rng, field, degrees=(1, 2, 3), terms=3, cap=cap,
+                            coeff_pool=pool) for _ in range(rng.randint(1, 3))]
+        rels = [r.monic(order) for r in rels if not r.is_zero()]
+        if not rels:
+            continue
+        if trial // 4 % 2:
+            system = complete(rels, order, cap)
+            elements = list(system.elements)
+        else:
+            elements = rels
+            system = (elements, order, cap)
+        modes.add(trial // 4 % 2)
+        for _ in range(6):
+            f = random_poly(rng, field, degrees=tuple(range(cap + 2)),
+                            terms=rng.randint(1, 8), coeff_pool=pool)
+            if elements and rng.random() < 0.5:
+                # an ideal member plus noise, so that sums cancel
+                g = rng.choice(elements)
+                u = random_poly(rng, field, degrees=(0, 1, 2), terms=2,
+                                coeff_pool=pool)
+                f = f + u * g
+            got = normal_form(f, system)
+            want = reference_normal_form(f, system)
+            assert got.terms == want.terms
+            assert got.cap == want.cap
+            _assert_field_coefficients(got)
+    assert modes == {0, 1}
 
 
 def test_ideal_members_reduce_to_zero():
@@ -260,3 +319,18 @@ def test_growing_support_basis_is_pinned(flags, digest):
     with redirect_stdout(buf):
         assert main(["gb", "--potential", GROW] + flags) == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+def test_global_mode_denominators_are_pinned():
+    """sha256 of a global-mode `gb` over QQ whose basis carries
+    52-bit denominators, pinned before normal_form moved to integer
+    numerators over a common denominator."""
+    from potalg.cli import main
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(["gb", "--potential",
+                     "x^3 + 9 cyc(x^2 y^2) + 4 y^5 + 4 cyc(x y x y^2)",
+                     "--cap", "9", "--order", "yx", "--mode", "global"]) == 0
+    assert "/3249918613389312" in buf.getvalue()
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == \
+        "1578f1e1ba3f3e91034791ed7046b38d169fd990e16d7cf355e595e24cec2743"
