@@ -222,6 +222,20 @@ HANDLERS = {"derive": _cmd_derive, "gb": _cmd_gb, "dim": _cmd_dim,
             "reproduce": _cmd_reproduce}
 
 
+class UsageError(Exception):
+    """A command line that argparse rejects."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse that raises UsageError instead of exiting, so that main
+    can report a bad command line as one JSON document. Subcommand
+    parsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError("%s: %s" % (self.prog, message))
+
+
 def _add_order_flags(sub):
     sub.add_argument("--order", choices=("xy", "yx"), default="xy",
                      help="variable precedence (default xy)")
@@ -230,7 +244,7 @@ def _add_order_flags(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="potalg",
         description="Two-generator potential algebras: derivatives, "
                     "rewriting, dimensions, classification, isomorphism, "
@@ -290,7 +304,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+    except UsageError as exc:
+        _emit({"error": "usage", "message": str(exc)})
+        return 2
     except SystemExit as exc:
+        # --help prints its text and exits 0
         return int(exc.code or 0)
     try:
         doc = HANDLERS[args.command](args)

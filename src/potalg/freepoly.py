@@ -24,11 +24,15 @@ def _min_cap(a, b):
 
 
 class FreePoly:
-    __slots__ = ("field", "terms", "cap")
+    # _rule caches the rewrite rule that rewrite._rule reads off this
+    # polynomial under the order it was last asked for; values are
+    # immutable, so the cache cannot go stale
+    __slots__ = ("field", "terms", "cap", "_rule")
 
     def __init__(self, field, terms=None, cap=None):
         self.field = field
         self.cap = cap
+        self._rule = None
         clean = {}
         if terms:
             for w, c in terms.items():

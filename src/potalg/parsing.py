@@ -14,6 +14,8 @@ Parentheses and cyc(...) nest at most MAX_NESTING deep, which keeps the
 recursive descent far from Python's recursion limit. Without a cap no
 word may be longer than MAX_DEGREE letters, whether from one power or a
 product: the cyclic derivative of a word costs the square of its length.
+No product may multiply out more than MAX_TERMS pairs of terms, since a
+product of k binomials expands to 2^k words.
 Syntax errors carry the 0-based offset of the offending character.
 """
 
@@ -26,6 +28,7 @@ from .words import MonomialOrder
 _DEFAULT_ORDER = MonomialOrder()
 MAX_NESTING = 100
 MAX_DEGREE = 1000
+MAX_TERMS = 10_000
 
 
 class ParseError(ValueError):
@@ -105,6 +108,9 @@ class _Parser:
                 if poly is not None and poly.terms and factor.terms:
                     self.check_degree(poly.max_degree() + factor.max_degree(),
                                       at)
+                    if len(poly.terms) * len(factor.terms) > MAX_TERMS:
+                        self.error("a product may multiply out at most %d "
+                                   "pairs of terms" % MAX_TERMS, at)
                 poly = factor if poly is None else poly * factor
             else:
                 break

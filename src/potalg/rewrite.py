@@ -1,6 +1,14 @@
 """Truncated completion of two-sided ideals in the free algebra on x, y.
 
-Elements are kept monic with leading words selected by a MonomialOrder.
+Elements are kept monic FreePolys with leading words selected by a
+MonomialOrder. To reduce by them, each element is read once per order as
+an integer rule: its leading word, and its tail times the lcm of the
+tail's denominators. normal_form keeps the pending terms as integer
+numerators over one common denominator, so a rewriting step multiplies
+and subtracts integers and never normalises a fraction; each finished
+coefficient becomes a field element once. Over GF(p) the same loop runs
+on residues with denominator 1.
+
 All computations happen below a degree cap. Resolving every overlap and
 inclusion ambiguity whose witness degree is at most the cap makes the
 normal-word counts exact in each degree up to the cap; the recorded
@@ -18,6 +26,8 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 
 from .fields import QQ, FieldError, ResourceCapError
 from .freepoly import FreePoly, sum_terms
@@ -105,62 +115,98 @@ def _lead_finder(leads):
     return find
 
 
+def _rule(g: FreePoly, order):
+    """g as the rewrite rule lead -> -tail / scale, with an integer tail.
+
+    Returns (lead, scale, tail): the leading word, the lcm of the tail's
+    denominators (1 over GF(p)) and the (word, length, integer) triples
+    of scale * (g - lead), shortest words first. The rule treats the lead
+    coefficient as 1, so g is expected monic. Built once per element and
+    order and kept on g.
+    """
+    memo = g._rule
+    if memo is not None and memo[0] == order:
+        return memo[1]
+    lead = min(g.terms, key=order.leading_key)
+    pairs = [(t, c) for t, c in g.terms.items() if t != lead]
+    scale = 1
+    if not g.field.characteristic:
+        scale = lcm(*(c.denominator for _, c in pairs))
+        pairs = [(t, c.numerator * (scale // c.denominator))
+                 for t, c in pairs]
+    tail = tuple(sorted(((t, len(t), c) for t, c in pairs),
+                        key=lambda e: e[1]))
+    rule = (lead, scale, tail)
+    g._rule = (order, rule)
+    return rule
+
+
 def normal_form(f: FreePoly, system) -> FreePoly:
     """Reduce f modulo the system, most significant words first.
 
     Deterministic: at each step the earliest word in the order with a
     reducible occurrence is rewritten at its leftmost occurrence, trying
     elements in basis order.
+
+    The pending terms are integers over one common denominator D (over
+    GF(p): residues, with D = 1). Rewriting c w by a rule with integer
+    tail h and scale L multiplies the pending terms and D by L / gcd(c, L)
+    and subtracts c / gcd(c, L) times pre h post, so no step divides. A
+    popped word that no lead divides is final, since every rewrite only
+    produces later words, and leaves as the field element c / D.
     """
     if isinstance(system, RewriteSystem):
         elements, order, cap = system.elements, system.order, system.cap
     else:
         elements, order, cap = system
-    leads = [g.leading_word(order) for g in elements]
-    find = _lead_finder(leads)
+    rules = [_rule(g, order) for g in elements]
+    find = _lead_finder([lead for lead, _, _ in rules])
     field = f.field
-    add, mul, neg = field.add, field.mul, field.neg
-    cur = dict(f.terms)
-    if cap is not None:
-        for w in [w for w in cur if len(w) > cap]:
-            del cur[w]
+    p = field.characteristic
+    cur = {w: c for w, c in f.terms.items() if cap is None or len(w) <= cap}
+    D = 1
+    if not p:
+        D = lcm(*(c.denominator for c in cur.values()))
+        cur = {w: c.numerator * (D // c.denominator) for w, c in cur.items()}
     heap = [(order.leading_key(w), w) for w in cur]
     heapq.heapify(heap)
-    normal = set()
+    out = {}
     while heap:
         _, w = heapq.heappop(heap)
-        c = cur.get(w)
-        if not c or w in normal:
+        c = cur.pop(w, 0)
+        if not c:
             continue
         hit = find(w)
         if hit is None:
-            normal.add(w)
+            out[w] = c if p else Fraction(c, D)
             continue
         i, gi = hit
-        g = elements[gi]
-        lw = leads[gi]
-        pre, post = w[:i], w[i + len(lw):]
-        del cur[w]
-        negc = neg(c)
+        lead, scale, tail = rules[gi]
+        if scale != 1:
+            g0 = gcd(c, scale)
+            m = scale // g0
+            c //= g0
+            if m != 1:
+                D *= m
+                cur = {v: a * m for v, a in cur.items()}
+        pre, post = w[:i], w[i + len(lead):]
+        room = None if cap is None else cap - len(pre) - len(post)
         # every nw comes later in the order than w, so a word already in
         # cur is still queued and only new words need a heap entry
-        for t, ct in g.terms.items():
-            if t == lw:
-                continue
+        for t, lt, ct in tail:
+            if room is not None and lt > room:
+                break
             nw = pre + t + post
-            if cap is not None and len(nw) > cap:
-                continue
-            piece = mul(negc, ct)
-            if nw in cur:
-                s = add(cur[nw], piece)
-                if s:
-                    cur[nw] = s
-                else:
-                    del cur[nw]
+            s = cur.get(nw, 0) - c * ct
+            if p:
+                s %= p
+            if s:
+                if nw not in cur:
+                    heapq.heappush(heap, (order.leading_key(nw), nw))
+                cur[nw] = s
             else:
-                cur[nw] = piece
-                heapq.heappush(heap, (order.leading_key(nw), nw))
-    return FreePoly(field, cur, f.cap if cap is None else cap)
+                del cur[nw]
+    return FreePoly(field, out, f.cap if cap is None else cap)
 
 
 def _interreduce(elements, order, cap):
@@ -169,12 +215,15 @@ def _interreduce(elements, order, cap):
     first element that the others can reduce is replaced, then the pool
     is sorted again. An element none of whose words holds another lead is
     already normal, so it is passed over without calling normal_form."""
+    def lead_key(g):
+        return order.leading_key(_rule(g, order)[0])
+
     pool = [g for g in elements if not g.is_zero()]
     changed = True
     while changed:
         changed = False
-        pool.sort(key=lambda g: (order.leading_key(g.leading_word(order))))
-        leads = [g.leading_word(order) for g in pool]
+        pool.sort(key=lead_key)
+        leads = [_rule(g, order)[0] for g in pool]
         for i, g in enumerate(pool):
             text = "|".join(g.terms)
             if not any(lw in text for j, lw in enumerate(leads) if j != i):
@@ -192,8 +241,8 @@ def _interreduce(elements, order, cap):
                 break
     # tail-reduce each element by the full system, own lead included
     out = []
-    for g in sorted(pool, key=lambda g: order.leading_key(g.leading_word(order))):
-        lw = g.leading_word(order)
+    for g in sorted(pool, key=lead_key):
+        lw = _rule(g, order)[0]
         tail = FreePoly(g.field,
                         {w: c for w, c in g.terms.items() if w != lw}, cap)
         tail = normal_form(tail, (pool, order, cap))
@@ -204,7 +253,7 @@ def _interreduce(elements, order, cap):
 def ambiguities(elements, order, cap):
     """All overlap/inclusion ambiguities with witness degree <= cap,
     sorted by (witness degree, discovery order)."""
-    leads = [g.leading_word(order) for g in elements]
+    leads = [_rule(g, order)[0] for g in elements]
     found = []
     for i, li in enumerate(leads):
         for j, lj in enumerate(leads):
@@ -233,7 +282,7 @@ def s_polynomial(amb: Ambiguity, elements, order, cap) -> FreePoly:
 
     def tail(g, at):
         """The non-leading terms of g, put in place of its lead in w."""
-        lw = g.leading_word(order)
+        lw = _rule(g, order)[0]
         pre, post = w[:at], w[at + len(lw):]
         return [(pre + t + post, c) for t, c in g.terms.items() if t != lw]
 

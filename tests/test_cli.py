@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +15,8 @@ from potalg import cli
 from potalg.brace import MAX_LEVELS, MAX_ORDER, MAX_SERIES_TERMS, FiniteBrace
 from potalg.cli import main
 from potalg.fields import QQ
-from potalg.parsing import MAX_DEGREE, MAX_NESTING, parse_poly, render
+from potalg.parsing import (MAX_DEGREE, MAX_NESTING, MAX_TERMS, parse_poly,
+                             render)
 
 DIM8 = "x^3 + y^3 + cyc(x y x y)"
 DIM9A = "cyc(x^2 y) + y^4"
@@ -103,6 +105,20 @@ def test_long_words_without_a_cap_are_parse_errors():
     assert parse_poly("x^3 + y^1000000", QQ, 8) == parse_poly("x^3", QQ, 8)
 
 
+def test_long_products_are_parse_errors():
+    # (x + y) written k times expands to 2^k words: 17 factors took 10.7 s
+    # and 66 MB in derive, and about 25 exhausted memory
+    for cmd in (["derive"], ["gb", "--cap", "30"]):
+        start = time.perf_counter()
+        code, doc, text = run_cli(*cmd, "--potential", "(x + y)" * 25)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and doc["error"] == "parse"
+        assert str(MAX_TERMS) in doc["message"]
+        assert text.count("{") == 1
+    # the last product of 13 binomials multiplies out 2^12 * 2 pairs
+    assert len(parse_poly("(x + y)" * 13, QQ).terms) == 2 ** 13
+
+
 # -- gb ----------------------------------------------------------------
 
 def test_gb_from_relations():
@@ -122,8 +138,33 @@ def test_gb_mode_changes_leading_words():
 
 
 def test_gb_needs_a_source():
-    code, doc, _ = run_cli("gb", "--cap", "8")
-    assert code == 2 and doc is None  # argparse reports on stderr
+    code, doc, text = run_cli("gb", "--cap", "8")
+    assert code == 2 and doc["error"] == "usage"
+    assert "--potential --relations is required" in doc["message"]
+    assert text.count("{") == 1
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["dim", "--bogus"], "--potential"),
+    (["dim", "--potential", "x", "--bogus"], "unrecognized arguments"),
+    (["dim", "--potential", "x", "--cap", "abc"], "invalid int value"),
+    (["iso", "--a", "a", "--b", "b", "--strategy", "nope"], "invalid choice"),
+    (["frobnicate"], "invalid choice"),
+    ([], "required"),
+])
+def test_usage_errors_write_one_document(argv, needle, capsys):
+    code, doc, text = run_cli(*argv)
+    assert code == 2 and doc["error"] == "usage"
+    assert needle in doc["message"]
+    assert text.count("\n{") == 0 and text.startswith("{")
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_is_the_one_invocation_without_json():
+    code, doc, text = run_cli("--help")
+    assert code == 0 and doc is None and text.startswith("usage: potalg")
+    code, doc, text = run_cli("gb", "--help")
+    assert code == 0 and doc is None and "--relations" in text
 
 
 # -- dim ----------------------------------------------------------------
@@ -275,7 +316,8 @@ def test_iso_brute_strategy_is_gone(tmp_path):
     a = dim_file(tmp_path, DIM8, "a.json")
     code, doc, text = run_cli("iso", "--a", a, "--b", a, "--field", "2",
                               "--strategy", "brute")
-    assert code == 2 and doc is None
+    assert code == 2 and doc["error"] == "usage"
+    assert "invalid choice: 'brute'" in doc["message"]
 
 
 def test_iso_invariants_strategy(tmp_path):
@@ -315,7 +357,7 @@ def test_iso_missing_file_exits_2(tmp_path):
         "unknown-word", "unit-row", "filtration", "field-number"])
 def test_iso_rejects_malformed_algebra_tables(tmp_path, damage):
     a = dim_file(tmp_path, DIM8, "a.json")
-    doc = json.loads(open(a).read())
+    doc = json.loads(Path(a).read_text())
     damage(doc["algebra"])
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -339,7 +381,7 @@ def test_iso_file_that_is_not_an_object_exits_2(tmp_path, content):
 @pytest.mark.parametrize("key", ["basis", "degrees"])
 def test_iso_missing_algebra_key_is_named(tmp_path, key):
     a = dim_file(tmp_path, DIM8, "a.json")
-    doc = json.loads(open(a).read())
+    doc = json.loads(Path(a).read_text())
     del doc["algebra"][key]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -567,7 +609,8 @@ def test_reproduce_seed_only_changes_data():
 
 def test_reproduce_unknown_theorem_exits_2():
     code, doc, _ = run_cli("reproduce", "--theorem", "nope")
-    assert code == 2 and doc is None
+    assert code == 2 and doc["error"] == "usage"
+    assert "invalid choice: 'nope'" in doc["message"]
 
 
 # -- output discipline -------------------------------------------------
