@@ -127,7 +127,7 @@ def _rule(g: FreePoly, order):
     memo = g._rule
     if memo is not None and memo[0] == order:
         return memo[1]
-    lead = min(g.terms, key=order.leading_key)
+    lead = g.leading_word(order)
     pairs = [(t, c) for t, c in g.terms.items() if t != lead]
     scale = 1
     if not g.field.characteristic:
