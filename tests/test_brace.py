@@ -506,8 +506,8 @@ def differential_cases(rng):
     """(add, star) tables: enumerated and ring braces, each also corrupted,
     stars whose rows are random endomorphisms of a cyclic group or one
     random map repeated (a*b = f(b) meets the left congruence law on
-    every level, rarely the right one), and the non-abelian S3 as
-    addition."""
+    every level, rarely the right one), the non-abelian S3 as addition,
+    and two braces whose circle is not a group."""
     cases = [(B.add, B.star) for B in enumerate_braces(8)]
     for n in (16, 32, 64):
         tables = ring_tables(n)
@@ -529,6 +529,10 @@ def differential_cases(rng):
     perms = sorted(permutations(range(3)))
     s3 = [[perms.index(tuple(p[v] for v in q)) for q in perms] for p in perms]
     cases.append((s3, [[0] * 6 for _ in range(6)]))
+    # lambda = 0 (a*b = -b): the circle a∘b = a has no identity; and
+    # lambda_a = 1 + k[a] with lambda_2 = lambda_3 = 0 on Z/4: no inverse
+    cases.append(cyclic_tables(5, lambda a, b: -b))
+    cases.append(cyclic_tables(4, lambda a, b: (0, 2, 3, 3)[a] * b))
     return cases
 
 
@@ -568,6 +572,7 @@ def test_certificates_match_exhaustive_loops():
     assert {"brace", "truss", "filtration", "addition is not associative",
             "star is not left distributive", "brace compatibility fails",
             "circle is not associative", "truss axiom fails",
+            "circle has no identity", "circle inverse missing",
             "addition is not commutative",
             "level 2 is not a right congruence ideal",
             "level 2 is not a left congruence ideal"} <= reasons, reasons

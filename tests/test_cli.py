@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 import time
@@ -487,6 +488,102 @@ def test_brace_series_length_is_bounded(tmp_path):
     code, doc, _ = run_cli("brace", "series", "--input", path,
                            "--series-args", "1,2,4,%d" % MAX_SERIES_TERMS)
     assert code == 0 and len(doc["partial_sums"]) == MAX_SERIES_TERMS
+
+
+def ring_brace_doc(n, seed=None):
+    """Adjoint brace of the ring 2Z/2n (index i standing for 2i) with its
+    power filtration; a seed relabels every nonzero element."""
+    perm = list(range(n))
+    if seed is not None:
+        rest = perm[1:]
+        random.Random(seed).shuffle(rest)
+        perm = [0] + rest
+    add, star = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            add[perm[i]][perm[j]] = perm[(i + j) % n]
+            star[perm[i]][perm[j]] = perm[2 * i * j % n]
+    levels = [sorted(perm[i] for i in range(0, n, 2 ** k))
+              for k in range(1, n.bit_length() - 1)]
+    return {"order": n, "add": add, "star": star, "filtration": levels}
+
+
+def cyclic_doc(n, star_fn, alpha=None):
+    doc = {"order": n,
+           "add": [[(a + b) % n for b in range(n)] for a in range(n)],
+           "star": [[star_fn(a, b) % n for b in range(n)] for a in range(n)]}
+    if alpha is not None:
+        doc["alpha"] = alpha
+    return doc
+
+
+PINNED_BRACES = {
+    "ring32": ring_brace_doc(32), "ring32-relabelled": ring_brace_doc(32, 1),
+    "ring64": ring_brace_doc(64), "ring64-relabelled": ring_brace_doc(64, 9),
+    # one failing brace per reason of check_brace after the group axioms
+    "not-left-distributive": cyclic_doc(4, lambda a, b: a * b * b),
+    "compatibility": cyclic_doc(3, lambda a, b: (0, 1, 0)[a] * b),
+    "no-identity": cyclic_doc(5, lambda a, b: -b),
+    "inverse-missing": cyclic_doc(4, lambda a, b: (0, 2, 3, 3)[a] * b),
+    # a truss breaking the circle law at c = 0, and a brace whose alpha
+    # breaks the truss axiom at a = 0
+    "truss-circle": {"order": 2, "add": [[0, 1], [1, 0]],
+                     "star": [[1, 1], [0, 1]], "alpha": [1, 0]},
+    "truss-axiom": cyclic_doc(9, lambda a, b: 3 * a * b, [1] + [0] * 8),
+}
+
+
+# sha256 of stdout, as computed before check_brace dropped the circle
+# re-check. A relabelled ring brace prints the same bytes as the plain one.
+RING_ACTIONS = (["check"], ["graded"], ["prelie"], ["series", "--series-args"])
+RING_DIGESTS = {
+    ("ring32", "3,5,7,6"): (
+        "878937be2c37eafbb266064c3f5cc9d785d62fa8c33396aef4cdfff2902f367a",
+        "cb497a290941e9cfa6d507c027506832384dd28d92c75a58107c7be43cf2c14b",
+        "599aaca9cb0fe0b2325da158fb73a0eefb7aad9526f0c0e4b5c4c3a5ef3d4e37",
+        "fe4df0d733a02d7cbc90d99bbec0328c3adbd15e14b7650dd16852bdfdbe3795"),
+    ("ring64", "9,17,33,7"): (
+        "58605f15e2c5c61a1fe84687d12e42cd222300a748d5dafd84c24d7ea54c9701",
+        "dd51ea61cb8f1ebb386bbb73025b7903e0db3cd1f0be8fea3f2e6badd4b045d0",
+        "599aaca9cb0fe0b2325da158fb73a0eefb7aad9526f0c0e4b5c4c3a5ef3d4e37",
+        "d6ba6b99c66aeed8d2cc4ae8c1904bb45066be4af7ddba6c997426f5af769c9b"),
+}
+FAILING_DIGESTS = {
+    "not-left-distributive":
+        "aa0368e2755ef09341bd4afd3bbef2f1a28577a608f7efd75cb9ea274cf34b75",
+    "compatibility":
+        "5297e7710265d15807693f01a7398611e1cc5c064d5f68ea26120768ca9f9fd2",
+    "no-identity":
+        "6552921bdbea98d1da1a7d763cf659f6c35cfc7a5752b3fa07eb0f90a72de11f",
+    "inverse-missing":
+        "056a63309597658d1724c4ed0b11d01c7772c9d3f0e66a8de9f9ee94063518a5",
+    "truss-circle":
+        "4288df09ef9921f1de18edf089f5672ef9da372427e9a528ee67d01564de134b",
+    "truss-axiom":
+        "5cdde3e8d28fdc6851042bc4fc918be6174210b7d6fcad0fec39d24486f4bf97",
+}
+BRACE_PINS = [
+    (ring + tag, action + ([series] if action[0] == "series" else []), digest)
+    for (ring, series), digests in RING_DIGESTS.items()
+    for tag in ("", "-relabelled")
+    for action, digest in zip(RING_ACTIONS, digests)
+] + [(name, ["check"], digest) for name, digest in FAILING_DIGESTS.items()]
+BRACE_PINS.append((
+    None, ["reproduce", "--theorem", "prelie"],
+    "47d381a16e4a9f241751c0fbb8add398f71ead57637e58699b5b37a05422bbbe"))
+
+
+@pytest.mark.parametrize("name,argv,digest", BRACE_PINS)
+def test_brace_bytes_are_pinned(tmp_path, name, argv, digest):
+    # verdicts, reasons, witnesses, graded products and series are all in
+    # these bytes
+    if name is not None:
+        path = tmp_path / "brace.json"
+        path.write_text(json.dumps(PINNED_BRACES[name]))
+        argv = ["brace", argv[0], "--input", str(path)] + argv[1:]
+    code, _, raw = run_cli(*argv)
+    assert code == 0
+    assert hashlib.sha256(raw.encode()).hexdigest() == digest
 
 
 def test_brace_invalid_axioms_is_a_computed_verdict(tmp_path):
