@@ -16,6 +16,6 @@ from .potential import (cyclic_symmetrize, cyclicize, derive_ginzburg,
 from .rewrite import (Ambiguity, RewriteSystem, complete, normal_form,
                       oracle_dimension, verify_complete)
 from .quotient import QuotientAlgebra, hilbert
-from .words import MonomialOrder, compare_words
+from .words import MonomialOrder
 
 __version__ = "0.1.0"

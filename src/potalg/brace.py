@@ -12,14 +12,21 @@ checked on a greedy additive generating set S (|S| <= log2 n once
 (B, +) is a group) instead of on every triple. Light's test certifies
 associativity of + from (x+s)+y = x+(s+y) for s in S. A map that is
 additive, or affine, in c is fixed by its values at c in S, or at
-c in {0} ∪ S: this covers left distributivity, the truss axiom,
-compatibility and circle associativity in turn. The congruence laws of a
-filtration level telescope from a generating set of that level. When a
-certificate fails, the plain triple scan runs to name the first failing
-triple, so verdicts and witnesses are those of the exhaustive check. The
-distributivity correction series follows the recursion d0 = a, d0' = b,
-d_{i+1} = d_i + d_i', d_{i+1}' = d_i * d_i'; unrolling the brace axiom
-gives the signs (-1)^(i+1) with the sum starting at i = 0.
+c in {0} ∪ S: this covers the truss axiom (left distributivity is its
+case alpha = 0), compatibility and the circle law of a truss. A brace's
+circle needs no check of its own. Left distributivity makes
+lambda_a(b) = b + a*b additive, compatibility then gives lambda_{a∘b} =
+lambda_a lambda_b (Rump 2007; Guarnieri-Vendramin 2017), and so
+(a∘b)∘c = a + lambda_a(b + lambda_b(c)) = a∘(b∘c). As a*0 = 0, an
+identity e = e∘0 can only be 0; a is invertible exactly when its circle
+row is a permutation, a right inverse in a finite monoid being two-sided.
+The congruence laws of a filtration level telescope from a generating
+set of that level. When a certificate fails, the plain triple scan runs
+to name the first failing triple, so verdicts and witnesses are those of
+the exhaustive check. The distributivity correction series follows the
+recursion d0 = a, d0' = b, d_{i+1} = d_i + d_i', d_{i+1}' = d_i * d_i';
+unrolling the brace axiom gives the signs (-1)^(i+1) with the sum
+starting at i = 0.
 """
 
 from __future__ import annotations
@@ -301,8 +308,6 @@ def gamma_filtration(B) -> Filtration:
         seed = set()
         for i in range(1, k + 1):
             j = max(1, k + 1 - i)
-            if j > k:
-                continue
             for a in levels[i - 1]:
                 for b in levels[j - 1]:
                     seed.add(B.times(a, b))
@@ -325,9 +330,9 @@ def _circle_table(B):
 def _circle_certified(B, circ):
     """(a∘b)∘c = a∘(b∘c) at c in {0} ∪ S for all a, b.
 
-    Complete once c -> a*c is additive up to a constant (left
-    distributivity or the truss axiom): both sides are then affine in c,
-    so agreeing at 0 and on the generators makes them agree everywhere.
+    Complete once c -> a*c is additive up to a constant (the truss
+    axiom): both sides are then affine in c, so agreeing at 0 and on the
+    generators makes them agree everywhere.
     """
     for c in [0] + B.gens:
         col = [row[c] for row in circ]
@@ -337,23 +342,60 @@ def _circle_certified(B, circ):
     return True
 
 
+def _affine_certified(B, alpha):
+    """a*(b+s) = a*b + a*s + alpha(a) for all a, b and every generator s.
+
+    This says c -> a*c + alpha(a) is additive, so the law holds at every
+    c. alpha identically zero is left distributivity.
+    """
+    add, star = B.add, B.star
+    return all([row[t] for t in add[s]] == [add[add[row[s]][corr]][v]
+                                            for v in row]
+               for s in B.gens for row, corr in zip(star, alpha))
+
+
+def _first_failure(n, fails):
+    """First triple (a, b, c) in lexicographic order where fails holds."""
+    return next(((a, b, c) for a in range(n) for b in range(n)
+                 for c in range(n) if fails(a, b, c)), None)
+
+
+def _affine_failure(B, alpha):
+    return _first_failure(B.order, lambda a, b, c: B.times(a, B.plus(b, c))
+                          != B.plus(B.plus(B.times(a, b), B.times(a, c)),
+                                    alpha[a]))
+
+
+def _compatibility_failure(B):
+    times, plus = B.times, B.plus
+    return _first_failure(B.order, lambda a, b, c: times(B.circle(a, b), c)
+                          != plus(plus(times(a, c), times(b, c)),
+                                  times(a, times(b, c))))
+
+
+def _circle_failure(B):
+    circle = B.circle
+    return _first_failure(B.order, lambda a, b, c: circle(circle(a, b), c)
+                          != circle(a, circle(b, c)))
+
+
 def check_brace(B: FiniteBrace) -> Verdict:
     """Brace axioms; the witness is the first failing triple.
 
     Left distributivity and compatibility are checked at c in S only:
     the law at the generators makes a*c additive in c, and then both
     sides of compatibility are additive in c. A failed certificate
-    reruns that axiom's triple scan to name the witness.
+    reruns that axiom's triple scan to name the witness. The two laws
+    leave only the identity and inverses to read off (module docstring).
     """
     n = B.order
     base = B._additive_group_verdict()
     if not base:
         return base
-    add, star = B.add, B.star
-    if not all([row[t] for t in add[s]] == [add[row[s]][v] for v in row]
-               for s in B.gens for row in star):
+    add, star, zero = B.add, B.star, [0] * n
+    if not _affine_certified(B, zero):
         return Verdict(False, "star is not left distributive",
-                       _left_distributivity_failure(B))
+                       _affine_failure(B, zero))
     circ = _circle_table(B)
     for c in B.gens:
         col = [row[c] for row in star]
@@ -363,64 +405,12 @@ def check_brace(B: FiniteBrace) -> Verdict:
                     [add[add_ac[w]][star_a[w]] for w in col]:
                 return Verdict(False, "brace compatibility fails",
                                _compatibility_failure(B))
-    if not _circle_certified(B, circ):
-        return Verdict(False, "circle is not associative",
-                       _circle_failure(B))
-    ident = next((e for e in range(n)
-                  if all(B.circle(e, a) == a and B.circle(a, e) == a
-                         for a in range(n))), None)
-    if ident is None:
+    if any(star[0]):
         return Verdict(False, "circle has no identity")
-    for a in range(n):
-        if not any(B.circle(a, x) == ident and B.circle(x, a) == ident
-                   for x in range(n)):
+    for a, row in enumerate(circ):
+        if len(set(row)) < n:
             return Verdict(False, "circle inverse missing", (a,))
     return Verdict(True, "brace")
-
-
-def _left_distributivity_failure(B):
-    n = B.order
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if B.times(a, B.plus(b, c)) != \
-                        B.plus(B.times(a, b), B.times(a, c)):
-                    return (a, b, c)
-
-
-def _compatibility_failure(B):
-    n = B.order
-    for a in range(n):
-        for b in range(n):
-            lhs_root = B.circle(a, b)
-            for c in range(n):
-                lhs = B.times(lhs_root, c)
-                rhs = B.plus(B.plus(B.times(a, c), B.times(b, c)),
-                             B.times(a, B.times(b, c)))
-                if lhs != rhs:
-                    return (a, b, c)
-
-
-def _circle_failure(B):
-    n = B.order
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if B.circle(B.circle(a, b), c) != \
-                        B.circle(a, B.circle(b, c)):
-                    return (a, b, c)
-
-
-def _truss_failure(T):
-    n = T.order
-    for a in range(n):
-        corr = T.alpha[a]
-        for b in range(n):
-            for c in range(n):
-                lhs = T.times(a, T.plus(b, c))
-                rhs = T.plus(T.plus(T.times(a, b), T.times(a, c)), corr)
-                if lhs != rhs:
-                    return (a, b, c)
 
 
 def check_truss(T: FiniteTruss) -> Verdict:
@@ -433,16 +423,13 @@ def check_truss(T: FiniteTruss) -> Verdict:
     base = T._additive_group_verdict()
     if not base:
         return base
-    add, star = T.add, T.star
-    if all([row[t] for t in add[s]] == [add[add[row[s]][corr]][v]
-                                        for v in row]
-           for s in T.gens for row, corr in zip(star, T.alpha)) and \
+    if _affine_certified(T, T.alpha) and \
             _circle_certified(T, _circle_table(T)):
         return Verdict(True, "truss")
     witness = _circle_failure(T)
     if witness is not None:
         return Verdict(False, "circle is not associative", witness)
-    return Verdict(False, "truss axiom fails", _truss_failure(T))
+    return Verdict(False, "truss axiom fails", _affine_failure(T, T.alpha))
 
 
 def _congruence_certified(B, level):
@@ -594,6 +581,7 @@ def associated_graded(B, filt: Filtration) -> GradedStructure:
     top = filt.length - 1
     components, class_of, reps = [], [], []
     for i in range(top):
+        # 0 comes first: class 0 is the subgroup, reps are least members
         level, nxt = sorted(chain[i]), chain[i + 1]
         cosets, labels = [], {}
         for a in level:
@@ -605,13 +593,9 @@ def associated_graded(B, filt: Filtration) -> GradedStructure:
             else:
                 cosets[hit].append(a)
             labels[a] = hit
-        # relabel so that the coset of 0, the subgroup itself, is class 0
-        order = [labels[0]] + [ci for ci in range(len(cosets))
-                               if ci != labels[0]]
-        relabel = {old: new for new, old in enumerate(order)}
-        components.append([frozenset(cosets[old]) for old in order])
-        class_of.append({a: relabel[ci] for a, ci in labels.items()})
-        reps.append([min(cosets[old]) for old in order])
+        components.append([frozenset(coset) for coset in cosets])
+        class_of.append(labels)
+        reps.append([coset[0] for coset in cosets])
     G = GradedStructure(B, filt, components, class_of, reps)
     witnesses = []
     for i in range(1, top + 1):
@@ -660,9 +644,7 @@ def pre_lie_defect(G: GradedStructure):
     i+j+k; it is compared through representatives, which the
     well-definedness of the product makes legitimate.
     """
-    B, filt = G.brace, G.filtration
-    top = G.top
-    chain = filt.chain
+    B, chain, top = G.brace, G.filtration.chain, G.top
     for i in range(1, top + 1):
         for j in range(1, top + 1):
             for k in range(1, top + 1):
@@ -779,16 +761,9 @@ def _klein_braces():
     ident = (0, 1, 2, 3)
     for lam in iproduct(perms, repeat=3):
         lam = (ident,) + lam
-        ok = True
-        for a in range(4):
-            for b in range(4):
-                composed = tuple(lam[a][lam[b][v]] for v in range(4))
-                if lam[a ^ lam[a][b]] != composed:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        if any(lam[a ^ lam[a][b]] != tuple(lam[a][lam[b][v]]
+                                           for v in range(4))
+               for a in range(4) for b in range(4)):
             continue
         star = [[lam[a][b] ^ b for b in range(4)] for a in range(4)]
         B = FiniteBrace(xor_add, star)

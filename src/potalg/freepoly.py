@@ -25,14 +25,14 @@ def _min_cap(a, b):
 
 class FreePoly:
     # _rule caches the rewrite rule that rewrite._rule reads off this
-    # polynomial under the order it was last asked for; values are
-    # immutable, so the cache cannot go stale
-    __slots__ = ("field", "terms", "cap", "_rule")
+    # polynomial under the order it was last asked for, and _hash its
+    # hash; values are immutable, so neither cache can go stale
+    __slots__ = ("field", "terms", "cap", "_rule", "_hash")
 
     def __init__(self, field, terms=None, cap=None):
         self.field = field
         self.cap = cap
-        self._rule = None
+        self._rule = self._hash = None
         clean = {}
         if terms:
             for w, c in terms.items():
@@ -168,7 +168,9 @@ class FreePoly:
                 and other.terms == self.terms)
 
     def __hash__(self):
-        return hash((self.field, frozenset(self.terms.items())))
+        if self._hash is None:
+            self._hash = hash((self.field, frozenset(self.terms.items())))
+        return self._hash
 
     def sorted_terms(self, order=_DEFAULT_ORDER):
         return sorted(self.terms.items(), key=lambda kv: order.sort_key(kv[0]))

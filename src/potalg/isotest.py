@@ -257,33 +257,42 @@ class IsoVerdict:
         return doc
 
 
-def _letter_images(A, B, vx, vy):
-    """Images of A's basis words from generator images, suffix-first."""
-    imgs = [None] * A.dim
-    imgs[0] = B.basis_vec(0)
+def _word_images(B, vx, vy):
+    """Image in B of any word at the generator images, suffix-first.
+
+    w = c w' maps to image(c) * image(w'), and every image is memoized,
+    so words that share a suffix share its evaluation.
+    """
+    memo = {"": B.basis_vec(0)}
     gen = {"x": vx, "y": vy}
-    for i, w in enumerate(A.words):
-        if not w:
-            continue
-        imgs[i] = B.mul(gen[w[0]], imgs[A.index[w[1:]]])
-    return imgs
+
+    def image(w):
+        if w not in memo:
+            memo[w] = B.mul(gen[w[0]], image(w[1:]))
+        return memo[w]
+    return image
 
 
 def _sparse(vec):
     return {i: c for i, c in enumerate(vec) if c}
 
 
-def _relation_values(A, B, vx, vy):
-    """A's defining relations evaluated at the generator images in B."""
-    gen = {"x": vx, "y": vy}
+def _relation_values(A, B, vx, vy, degree):
+    """A's defining relations at the generator images in B, correct in
+    the coordinates of degree at most degree.
+
+    The images have no unit part and products never fall below their
+    filtration degree (check_shape), so a word longer than degree maps
+    above it and is skipped.
+    """
+    image = _word_images(B, vx, vy)
     f = B.field
     for r in A.relations:
         acc = B.zero_vec()
         for w, c in r.terms.items():
-            vec = B.basis_vec(0)
-            for ch in reversed(w):
-                vec = B.mul(gen[ch], vec)
-            for k, v in enumerate(vec):
+            if len(w) > degree:
+                continue
+            for k, v in enumerate(image(w)):
                 if v:
                     acc[k] = f.add(acc[k], f.mul(c, v))
         yield acc
@@ -298,7 +307,8 @@ def is_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra, vx, vy):
     """
     if A.dim != B.dim or A.field != B.field:
         return False, "shape mismatch"
-    imgs = _letter_images(A, B, vx, vy)
+    image = _word_images(B, vx, vy)
+    imgs = [image(w) for w in A.words]
     if rank(map(_sparse, imgs), B.field) != B.dim:
         return False, "not bijective"
     f = B.field
@@ -388,7 +398,8 @@ def _stage_system(A, B, vx, vy, unknown_slots, slice_degree):
     slice_idx = [i for i in range(B.dim) if B.degrees[i] == slice_degree]
 
     def residual(wx, wy):
-        return [acc[i] for acc in _relation_values(A, B, wx, wy)
+        return [acc[i]
+                for acc in _relation_values(A, B, wx, wy, slice_degree)
                 for i in slice_idx]
 
     base = residual(vx, vy)

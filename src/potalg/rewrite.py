@@ -64,7 +64,7 @@ class RewriteSystem:
 
     __slots__ = ("elements", "order", "cap", "complete_through", "field")
 
-    def __init__(self, elements, order, cap, complete_through=None, field=None):
+    def __init__(self, elements, order, cap, field=None):
         self.elements = tuple(elements)
         self.order = order
         self.cap = cap
@@ -74,14 +74,8 @@ class RewriteSystem:
             self.field = field
         else:
             raise ValueError("an empty rewrite system needs an explicit field")
-        if complete_through is None:
-            if self.elements:
-                maxlead = max(len(g.leading_word(order))
-                              for g in self.elements)
-                complete_through = cap - maxlead
-            else:
-                complete_through = cap
-        self.complete_through = complete_through
+        self.complete_through = cap - max(
+            (len(g.leading_word(order)) for g in self.elements), default=0)
 
     @property
     def leads(self):
@@ -296,10 +290,10 @@ def complete(relations, order=_DEFAULT_ORDER, cap=12) -> RewriteSystem:
 
     Requires cap >= the largest relation degree (its minimal degree in
     local mode). Ambiguities are processed in ascending witness degree,
-    FIFO within a degree; the basis is interreduced after every insertion
-    and canonically sorted at the end. In finite characteristic an element
-    whose every leading candidate has zero coefficient cannot be made
-    monic and is reported.
+    FIFO within a degree; the basis is interreduced, which also sorts it
+    canonically, at the start and after every insertion. In finite
+    characteristic an element whose every leading candidate has zero
+    coefficient cannot be made monic and is reported.
 
     Resolved ambiguities are remembered in done across insertions, keyed
     on the two element polynomials themselves plus kind, witness and
@@ -345,10 +339,8 @@ def complete(relations, order=_DEFAULT_ORDER, cap=12) -> RewriteSystem:
                 basis = _interreduce(basis + [r.monic(order)], order, cap)
                 progress = True
                 break
-
-    basis = _interreduce(basis, order, cap)
-    system = RewriteSystem(basis, order, cap)
-    return system
+    # basis is _interreduce output, which _interreduce leaves unchanged
+    return RewriteSystem(basis, order, cap)
 
 
 def verify_complete(system: RewriteSystem) -> bool:

@@ -73,24 +73,3 @@ class MonomialOrder:
 
     def to_json(self) -> dict:
         return {"precedence": self.precedence, "mode": self.mode}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "MonomialOrder":
-        return cls(doc.get("precedence", "xy"), doc.get("mode", "local"))
-
-
-def compare_words(u: str, v: str, order: MonomialOrder) -> int:
-    """Total order on words: degree first, then left-to-right lex by
-    precedence. Returns -1, 0, or 1 for u < v, u = v, u > v.
-
-    Higher degree compares greater; within a degree the lex-greater word
-    (earlier letters higher in precedence) compares greater. The order is
-    multiplicative within a fixed degree.
-    """
-    if len(u) != len(v):
-        return -1 if len(u) < len(v) else 1
-    ku, kv = order.sort_key(u), order.sort_key(v)
-    if ku == kv:
-        return 0
-    # smaller key = earlier precedence letters = greater word
-    return 1 if ku < kv else -1
