@@ -10,11 +10,16 @@ isomorphism. Verdicts over a prime field are explicit proxies for
 the rational question: only a rational invariant mismatch certifies
 non-isomorphism over the rationals, and every positive witness is
 re-verified (unital, bijective, multiplicative on all basis pairs).
+
+Every vector is a sparse row {basis index: nonzero coefficient}, the
+row format of linalg.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import product
 
 from .fields import GF, QQ, FieldError, ResourceCapError
 from .freepoly import FreePoly
@@ -27,59 +32,68 @@ _LIFT_BUDGET = 1 << 18
 
 _PROXY_PRIMES = (3, 5, 7)
 
+_SCALAR = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+"""A table entry as to_str writes it: n or n/d with d nonzero."""
+
+_WORD = re.compile("1|[xy]*")
+"""A basis word as to_json writes it: 1 for the unit, else x and y."""
+
 
 def _word_label(w: str) -> str:
     return w if w else "1"
 
 
+def _combine(field, terms):
+    """The sparse row sum of c * row over (c, row) pairs."""
+    add, mul = field.add, field.mul
+    out = {}
+    for c, row in terms:
+        for k, v in row.items():
+            out[k] = add(out[k], mul(c, v)) if k in out else mul(c, v)
+    return {k: v for k, v in out.items() if v}
+
+
 @dataclass
 class FiniteAlgebra:
-    """Structure constants on a degree-graded basis with unit at index 0.
+    """Structure constants on a basis of words with unit at index 0.
 
-    table maps an index pair to the dense coefficient vector of the
-    product; missing pairs multiply to zero. relations, when carried,
-    are the defining relations rewritten over the same field and are
-    what candidate homomorphisms are tested against.
+    A word's degree is its length. table maps an index pair to the
+    sparse row of the product; pairs whose product is zero are absent.
+    relations, when carried, are the defining relations rewritten over
+    the same field and are what candidate homomorphisms are tested
+    against.
     """
     field: object
     words: list
-    degrees: list
     table: dict
     relations: list = None
     name: str = ""
 
     def __post_init__(self):
         self.index = {w: i for i, w in enumerate(self.words)}
+        self.degrees = [len(w) for w in self.words]
 
     @property
     def dim(self):
         return len(self.words)
 
-    def zero_vec(self):
-        return [self.field.zero] * self.dim
-
     def basis_vec(self, i):
-        v = self.zero_vec()
-        v[i] = self.field.one
-        return v
+        return {i: self.field.one}
 
     def mul(self, u, v):
-        f = self.field
-        out = self.zero_vec()
-        for i, ci in enumerate(u):
-            if not ci:
-                continue
-            for j, cj in enumerate(v):
-                if not cj:
-                    continue
-                row = self.table.get((i, j))
+        f, table = self.field, self.table
+        add, fmul = f.add, f.mul
+        out = {}
+        for i, ci in u.items():
+            for j, cj in v.items():
+                row = table.get((i, j))
                 if row is None:
                     continue
-                s = f.mul(ci, cj)
-                for k, ck in enumerate(row):
-                    if ck:
-                        out[k] = f.add(out[k], f.mul(s, ck))
-        return out
+                s = fmul(ci, cj)
+                for k, ck in row.items():
+                    out[k] = add(out[k], fmul(s, ck)) if k in out \
+                        else fmul(s, ck)
+        return {k: c for k, c in out.items() if c}
 
     def check_shape(self):
         """Unit word first, suffix closure, unit rows, degree filtration.
@@ -89,23 +103,21 @@ class FiniteAlgebra:
         """
         if self.words[0] != "":
             raise ValueError("basis must start with the unit word")
-        if self.degrees != sorted(self.degrees):
+        deg = self.degrees
+        if deg != sorted(deg):
             raise ValueError("basis must be grouped by ascending degree")
         for w in self.words[1:]:
             if w[1:] not in self.index:
                 raise ValueError("basis is not suffix closed at %r" % w)
-        n = self.dim
-        for i in range(n):
+        for i in range(self.dim):
             if self.table.get((0, i)) != self.basis_vec(i):
                 raise ValueError("unit fails on the left of index %d" % i)
             if self.table.get((i, 0)) != self.basis_vec(i):
                 raise ValueError("unit fails on the right of index %d" % i)
         for (i, j), row in self.table.items():
-            floor = self.degrees[i] + self.degrees[j]
-            for k, c in enumerate(row):
-                if c and self.degrees[k] < floor:
-                    raise ValueError("product (%d,%d) drops below its "
-                                     "filtration degree" % (i, j))
+            if any(deg[k] < deg[i] + deg[j] for k in row):
+                raise ValueError("product (%d,%d) drops below its "
+                                 "filtration degree" % (i, j))
 
     def hilbert(self):
         top = max(self.degrees)
@@ -121,7 +133,8 @@ class FiniteAlgebra:
                "degrees": list(self.degrees),
                "table": {"%s,%s" % (_word_label(self.words[i]),
                                     _word_label(self.words[j])):
-                         [f.to_str(c) for c in row]
+                         [f.to_str(row.get(k, f.zero))
+                          for k in range(self.dim)]
                          for (i, j), row in sorted(self.table.items())}}
         if self.relations is not None:
             from .parsing import render
@@ -132,7 +145,7 @@ class FiniteAlgebra:
 
 
 def from_quotient(Q: QuotientAlgebra, name="") -> FiniteAlgebra:
-    """Dense structure constants of a finite quotient from 2n normal forms.
+    """Structure constants of a finite quotient from 2n normal forms.
 
     Left multiplication by a letter a has the columns NF(a w), one per
     basis word w. The basis is suffix closed, so every other product
@@ -154,72 +167,80 @@ def from_quotient(Q: QuotientAlgebra, name="") -> FiniteAlgebra:
             if any(t not in idx for t in nf.terms):
                 raise AssertionError("product %r * %r left the normal basis"
                                      % (a, w))
-            cols.append([(idx[t], c) for t, c in nf.terms.items()])
+            cols.append({idx[t]: c for t, c in nf.terms.items()})
         left[a] = cols
     rows = {}
     for i, u in enumerate(words):
         for j in range(n):
-            row = [f.zero] * n
             if u:
                 cols = left[u[0]]
-                for k, ck in enumerate(rows.get((idx[u[1:]], j), ())):
-                    if ck:
-                        for t, c in cols[k]:
-                            row[t] = f.add(row[t], f.mul(ck, c))
+                row = _combine(f, ((c, cols[k]) for k, c in
+                                   rows.get((idx[u[1:]], j), {}).items()))
             else:
-                row[j] = f.one
-            if any(row):
+                row = {j: f.one}
+            if row:
                 rows[(i, j)] = row
-    return FiniteAlgebra(f, list(words), [len(w) for w in words], rows,
-                         list(system.elements), name)
+    return FiniteAlgebra(f, list(words), rows, list(system.elements), name)
 
 
 def algebra_mod_p(F: FiniteAlgebra, p: int) -> FiniteAlgebra:
     """Entry-wise reduction of a rational table to the p-element field.
 
-    Fails when any structure constant or relation coefficient has a
-    denominator divisible by p.
+    Entries and rows that vanish mod p are dropped. Fails when any
+    structure constant or relation coefficient has a denominator
+    divisible by p.
     """
     if F.field.characteristic == p:
         return F
     if F.field.characteristic != 0:
         raise FieldError("cannot move between prime fields")
     gf = GF(p)
-    table = {pair: [gf.coerce(c) for c in row]
-             for pair, row in F.table.items()}
+    table = {}
+    for pair, row in F.table.items():
+        row = {k: r for k, c in row.items() if (r := gf.coerce(c))}
+        if row:
+            table[pair] = row
     rels = None if F.relations is None else \
         [r.map_coeffs(gf.coerce, gf) for r in F.relations]
-    return FiniteAlgebra(gf, list(F.words), list(F.degrees), table, rels,
-                         F.name)
+    return FiniteAlgebra(gf, list(F.words), table, rels, F.name)
+
+
+def _scalar(field, c):
+    if type(c) is int or (isinstance(c, str) and _SCALAR.fullmatch(c)):
+        return field.coerce(c)
+    raise ValueError("table entry %r is not an integer or a string n or "
+                     "n/d with d nonzero" % (c,))
 
 
 def algebra_from_json(doc) -> FiniteAlgebra:
-    """Rebuild a dense algebra from its serialized table.
+    """Rebuild an algebra from its serialized table.
 
     The document comes from outside, so its shape is checked (ValueError
     otherwise); full associativity is not, being cubic in the dimension.
+    Rows are dense there and sparse here: only nonzero entries are kept.
     """
-    from fractions import Fraction
     from .parsing import parse_poly
     for key in ("basis", "degrees", "table"):
         if key not in doc:
             raise ValueError("an algebra document needs the key %r" % key)
     name = doc.get("field", "QQ")
     if name == "QQ":
-        field, scalar = QQ, Fraction
-    elif (isinstance(name, str) and name.startswith("GF(")
-          and name.endswith(")")):
+        field = QQ
+    elif isinstance(name, str) and re.fullmatch(r"GF\([0-9]+\)", name):
         field = GF(int(name[3:-1]))
-        scalar = int
     else:
         raise ValueError("unknown field %r" % name)
-    words = [w if w != "1" else "" for w in doc["basis"]]
-    degrees, n = doc["degrees"], len(words)
-    if not (n and all(isinstance(w, str) for w in words)
-            and isinstance(degrees, list) and len(degrees) == n
-            and all(type(d) is int for d in degrees)):
-        raise ValueError("basis and degrees must list one word and one "
-                         "integer per basis element")
+    basis = doc["basis"]
+    if not (isinstance(basis, list) and basis
+            and all(isinstance(w, str) and _WORD.fullmatch(w) for w in basis)):
+        raise ValueError("basis must be a nonempty list of words in x "
+                         "and y, with 1 for the unit word")
+    words = [w if w != "1" else "" for w in basis]
+    n = len(words)
+    degrees = doc["degrees"]
+    if (degrees != [len(w) for w in words]
+            or any(type(d) is not int for d in degrees)):
+        raise ValueError("degrees must list the length of each basis word")
     if not isinstance(doc["table"], dict):
         raise ValueError("table must be an object keyed by basis pairs")
     idx = {w: i for i, w in enumerate(words)}
@@ -232,12 +253,18 @@ def algebra_from_json(doc) -> FiniteAlgebra:
         if not isinstance(row, list) or len(row) != n:
             raise ValueError("table row %r does not have %d entries"
                              % (key, n))
-        table[pair] = [field.coerce(scalar(c)) for c in row]
+        table[pair] = {k: v for k, c in enumerate(row)
+                       if c != "0" and (v := _scalar(field, c))}
     rels = None
     if "relations" in doc:
-        rels = [parse_poly(text, field) for text in doc["relations"]]
-    alg = FiniteAlgebra(field, words, list(degrees), table, rels,
-                        doc.get("name", ""))
+        texts = doc["relations"]
+        if not (isinstance(texts, list)
+                and all(isinstance(t, str) for t in texts)):
+            raise ValueError("relations must be a list of strings")
+        rels = [parse_poly(t, field) for t in texts]
+    alg = FiniteAlgebra(field, words,
+                        {pair: row for pair, row in table.items() if row},
+                        rels, doc.get("name", ""))
     alg.check_shape()
     return alg
 
@@ -273,10 +300,6 @@ def _word_images(B, vx, vy):
     return image
 
 
-def _sparse(vec):
-    return {i: c for i, c in enumerate(vec) if c}
-
-
 def _relation_values(A, B, vx, vy, degree):
     """A's defining relations at the generator images in B, correct in
     the coordinates of degree at most degree.
@@ -286,16 +309,9 @@ def _relation_values(A, B, vx, vy, degree):
     above it and is skipped.
     """
     image = _word_images(B, vx, vy)
-    f = B.field
     for r in A.relations:
-        acc = B.zero_vec()
-        for w, c in r.terms.items():
-            if len(w) > degree:
-                continue
-            for k, v in enumerate(image(w)):
-                if v:
-                    acc[k] = f.add(acc[k], f.mul(c, v))
-        yield acc
+        yield _combine(B.field, ((c, image(w)) for w, c in r.terms.items()
+                                 if len(w) <= degree))
 
 
 def is_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra, vx, vy):
@@ -309,20 +325,13 @@ def is_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra, vx, vy):
         return False, "shape mismatch"
     image = _word_images(B, vx, vy)
     imgs = [image(w) for w in A.words]
-    if rank(map(_sparse, imgs), B.field) != B.dim:
+    if rank(imgs, B.field) != B.dim:
         return False, "not bijective"
-    f = B.field
-    zero_row = A.zero_vec()
     for i in range(A.dim):
         for j in range(A.dim):
-            lhs = B.mul(imgs[i], imgs[j])
-            rhs = B.zero_vec()
-            for k, c in enumerate(A.table.get((i, j), zero_row)):
-                if c:
-                    for t, v in enumerate(imgs[k]):
-                        if v:
-                            rhs[t] = f.add(rhs[t], f.mul(c, v))
-            if lhs != rhs:
+            rhs = _combine(B.field, ((c, imgs[k]) for k, c in
+                                     A.table.get((i, j), {}).items()))
+            if B.mul(imgs[i], imgs[j]) != rhs:
                 return False, "not multiplicative at (%d, %d)" % (i, j)
     return True, "verified"
 
@@ -331,9 +340,9 @@ def _witness_doc(B, vx, vy):
     f = B.field
     return {"field": f.name,
             "x": {_word_label(B.words[i]): f.to_str(c)
-                  for i, c in enumerate(vx) if c},
+                  for i, c in vx.items()},
             "y": {_word_label(B.words[i]): f.to_str(c)
-                  for i, c in enumerate(vy) if c}}
+                  for i, c in vy.items()}}
 
 
 def algebra_profile(F: FiniteAlgebra):
@@ -348,7 +357,7 @@ def algebra_profile(F: FiniteAlgebra):
     n = F.dim
     h = F.hilbert() + (0,)
     rad_dims = [sum(h[k:]) for k in range(1, len(h))]
-    zero_row = F.zero_vec()
+    minus_one = f.neg(f.one)
 
     def row(w, side, gs):
         # coordinates of w g (side 0), g w (side 1) or w g - g w (side 2)
@@ -357,9 +366,10 @@ def algebra_profile(F: FiniteAlgebra):
         # dimension n minus their rank
         out = {}
         for g in gs:
-            a, b = F.table.get((w, g), zero_row), F.table.get((g, w), zero_row)
-            vec = a if side == 0 else b if side == 1 else map(f.sub, a, b)
-            out.update(((side, g, t), c) for t, c in enumerate(vec) if c)
+            a, b = F.table.get((w, g), {}), F.table.get((g, w), {})
+            vec = a if side == 0 else b if side == 1 else \
+                _combine(f, ((f.one, a), (minus_one, b)))
+            out.update(((side, g, t), c) for t, c in vec.items())
         return out
 
     gens = range(1, n)
@@ -389,28 +399,28 @@ def _stage_system(A, B, vx, vy, unknown_slots, slice_degree):
     """Affine expansion of the slice-(d+1) residuals in stage-d unknowns.
 
     Residuals are the relation evaluations restricted to basis words of
-    the slice degree; each unknown perturbs them linearly there because
-    its square lands strictly higher in the filtration. Returns the
-    sparse effect column of each unknown, the negated residuals as the
-    right-hand side, and the number of residual coordinates.
+    the slice degree, labelled (relation, basis index); each unknown
+    perturbs them linearly there because its square lands strictly
+    higher in the filtration. The unknowns are still zero in vx and vy.
+    Returns the sparse effect column of each unknown and the negated
+    residuals as the right-hand side.
     """
     f = B.field
-    slice_idx = [i for i in range(B.dim) if B.degrees[i] == slice_degree]
+    minus_one = f.neg(f.one)
 
     def residual(wx, wy):
-        return [acc[i]
-                for acc in _relation_values(A, B, wx, wy, slice_degree)
-                for i in slice_idx]
+        return {(r, k): c for r, value in
+                enumerate(_relation_values(A, B, wx, wy, slice_degree))
+                for k, c in value.items() if B.degrees[k] == slice_degree}
 
     base = residual(vx, vy)
     cols = []
     for letter, slot in unknown_slots:
-        wx, wy = list(vx), list(vy)
-        (wx if letter == "x" else wy)[slot] = f.add(
-            (wx if letter == "x" else wy)[slot], f.one)
-        probe = residual(wx, wy)
-        cols.append(_sparse(map(f.sub, probe, base)))
-    return cols, _sparse(map(f.neg, base)), len(base)
+        wx, wy = dict(vx), dict(vy)
+        (wx if letter == "x" else wy)[slot] = f.one
+        cols.append(_combine(f, ((f.one, residual(wx, wy)),
+                                 (minus_one, base))))
+    return cols, _combine(f, ((minus_one, base),))
 
 
 def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
@@ -447,22 +457,15 @@ def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
         raise ResourceCapError("%d invertible linear parts over %s exceed "
                                "the lift budget %d"
                                % (parts, f.name, _LIFT_BUDGET))
-    top = max(B.degrees)
-    stages = [d for d in range(2, top + 1)]
+    stages = range(2, max(B.degrees) + 1)
     slots_by_stage = {d: [(letter, i) for letter in "xy"
                           for i in range(B.dim) if B.degrees[i] == d]
                       for d in stages}
-    scalars = list(range(p))
+    labels_by_stage = {d: [(r, k) for r in range(len(A.relations))
+                           for k in range(B.dim) if B.degrees[k] == d + 1]
+                       for d in stages}
+    scalars = range(p)
     visited = 0
-
-    def linear_parts():
-        for a in scalars:
-            for b in scalars:
-                for c in scalars:
-                    for d in scalars:
-                        det = f.sub(f.mul(a, d), f.mul(b, c))
-                        if det:
-                            yield a, b, c, d
 
     def dfs(vx, vy, stage_i):
         nonlocal visited
@@ -477,22 +480,18 @@ def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
         slots = slots_by_stage[d]
         if not slots:
             return dfs(vx, vy, stage_i + 1)
-        cols, rhs, nrows = _stage_system(A, B, vx, vy, slots, d + 1)
-        part, stalled, reduced = solve(cols, range(nrows), rhs, f)
+        cols, rhs = _stage_system(A, B, vx, vy, slots, d + 1)
+        part, stalled, reduced = solve(cols, labels_by_stage[d], rhs, f)
         if stalled:
             return None
-        basis = kernel(reduced, len(cols), f)
-        combos = [[f.zero] * len(basis)]
-        if basis:
-            combos = _tuples(len(basis), scalars)
-        for combo in combos:
-            t = list(part)
-            for kv, vec in zip(combo, basis):
-                if kv:
-                    for idx, v in enumerate(vec):
-                        t[idx] = f.add(t[idx], f.mul(kv, v))
-            wx, wy = list(vx), list(vy)
-            for (letter, slot), val in zip(slots, t):
+        part = dict(zip(slots, part))
+        basis = [dict(zip(slots, vec))
+                 for vec in kernel(reduced, len(cols), f)]
+        # kernel combinations zeros first, in lexicographic order
+        for combo in product(scalars, repeat=len(basis)):
+            t = _combine(f, [(f.one, part)] + list(zip(combo, basis)))
+            wx, wy = dict(vx), dict(vy)
+            for (letter, slot), val in t.items():
                 (wx if letter == "x" else wy)[slot] = val
             hit = dfs(wx, wy, stage_i + 1)
             if hit:
@@ -500,12 +499,13 @@ def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
         return None
 
     tried = 0
-    for a, b, c, d in linear_parts():
+    for a, b, c, d in product(scalars, repeat=4):
+        if not f.sub(f.mul(a, d), f.mul(b, c)):
+            continue
         tried += 1
-        vx, vy = B.zero_vec(), B.zero_vec()
-        vx[deg1[0]], vx[deg1[1]] = a, b
-        vy[deg1[0]], vy[deg1[1]] = c, d
-        _, rhs, _ = _stage_system(A, B, vx, vy, [], 2)
+        vx = {k: v for k, v in zip(deg1, (a, b)) if v}
+        vy = {k: v for k, v in zip(deg1, (c, d)) if v}
+        _, rhs = _stage_system(A, B, vx, vy, [], 2)
         if rhs:
             continue
         hit = dfs(vx, vy, 0)
@@ -517,14 +517,6 @@ def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
                       certificate={"method": "lift-exhaustion",
                                    "field": f.name,
                                    "linear_parts": tried})
-
-
-def _tuples(n, scalars):
-    """All length-n tuples, zeros first (lexicographic from zero)."""
-    out = [[]]
-    for _ in range(n):
-        out = [t + [s] for t in out for s in scalars]
-    return out
 
 
 def distinguish_algebras(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:

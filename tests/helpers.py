@@ -19,13 +19,39 @@ def random_poly(rng, field=QQ, degrees=(1, 2, 3), terms=3, cap=None,
     return FreePoly(field, out, cap)
 
 
+def dense(F, row):
+    """A sparse row of F as its list of n coordinates."""
+    return [row.get(k, F.field.zero) for k in range(F.dim)]
+
+
+def dense_mul(F, u, v):
+    """u v for coordinate lists, read entry by entry off F's table: a
+    reference product that does not go through FiniteAlgebra.mul."""
+    f = F.field
+    out = [f.zero] * F.dim
+    for i, ci in enumerate(u):
+        for j, cj in enumerate(v) if ci else ():
+            for k, c in F.table.get((i, j), {}).items() if cj else ():
+                out[k] = f.add(out[k], f.mul(f.mul(ci, cj), c))
+    return out
+
+
 def validate(F):
-    """check_shape, then associativity on every basis triple of F."""
+    """The sparse row format of every table row, check_shape, then
+    associativity on every basis triple of F."""
+    for pair, row in F.table.items():
+        if not row:
+            raise ValueError("empty row stored at %r" % (pair,))
+        if not all(0 <= i < F.dim for i in pair + tuple(row)):
+            raise ValueError("index out of range at %r" % (pair,))
+        if not all(row.values()):
+            raise ValueError("zero entry stored at %r" % (pair,))
     F.check_shape()
-    zero = F.zero_vec()
     for i, j, k in itertools.product(range(F.dim), repeat=3):
-        left = F.mul(F.table.get((i, j), zero), F.basis_vec(k))
-        right = F.mul(F.basis_vec(i), F.table.get((j, k), zero))
+        left = dense_mul(F, dense(F, F.table.get((i, j), {})),
+                         dense(F, F.basis_vec(k)))
+        right = dense_mul(F, dense(F, F.basis_vec(i)),
+                          dense(F, F.table.get((j, k), {})))
         if left != right:
             raise ValueError("associativity fails at (%d, %d, %d)"
                              % (i, j, k))

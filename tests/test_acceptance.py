@@ -161,10 +161,7 @@ def test_criterion_08_isomorphism_control():
 
     def to_vec(f, system, F):
         nf = normal_form(f, system)
-        vec = F.zero_vec()
-        for w, c in nf.terms.items():
-            vec[F.index[w]] = c
-        return vec
+        return {F.index[w]: c for w, c in nf.terms.items()}
 
     witnessed = 0
     for trial in range(10):

@@ -353,15 +353,44 @@ def test_iso_missing_file_exits_2(tmp_path):
     lambda alg: alg["table"]["1,x"].reverse(),        # unit row broken
     lambda alg: alg["table"]["x,y"].__setitem__(1, "1"),  # filtration
     lambda alg: alg.update(field=7),                  # field not a name
+    lambda alg: alg.update(field="GF(0_7)"),          # int() reads 7
+    # table entries outside the grammar that to_str writes, each placed
+    # at the top-degree coordinate of x x, which the filtration allows
+    lambda alg: alg["table"]["x,x"].__setitem__(-1, None),
+    lambda alg: alg["table"]["x,x"].__setitem__(-1, [1]),
+    lambda alg: alg["table"]["x,x"].__setitem__(-1, "1/0"),
+    lambda alg: alg["table"]["x,x"].__setitem__(-1, "1e999999999"),
+    lambda alg: alg["table"]["x,x"].__setitem__(-1, 0.1),
+    lambda alg: alg["table"]["x,x"].__setitem__(-1, True),
+    lambda alg: (alg.update(field="GF(7)"),
+                 alg["table"]["x,x"].__setitem__(-1, 2.7)),
+    lambda alg: alg.update(basis=5),                  # basis not a list
+    # a consistent basis and table over x and z: used to exit 4 from a
+    # KeyError in the lift search
+    lambda alg: alg.update(json.loads(json.dumps(
+        {"basis": alg["basis"], "table": alg["table"]}).replace("y", "z"))),
+    lambda alg: alg.update(relations="x^2"),          # relations a string
+    lambda alg: alg.update(relations=[1]),            # relation not a string
+    lambda alg: alg["degrees"].__setitem__(0, -1),    # not the word length
 ], ids=["long-row", "table-list", "short-row", "short-degrees",
-        "unknown-word", "unit-row", "filtration", "field-number"])
+        "unknown-word", "unit-row", "filtration", "field-number",
+        "field-underscore",
+        "entry-null", "entry-list", "entry-zero-denominator",
+        "entry-exponent", "entry-float", "entry-bool", "entry-float-gf7",
+        "basis-number", "basis-letter", "relations-string", "relations-number",
+        "degree-negative"])
 def test_iso_rejects_malformed_algebra_tables(tmp_path, damage):
     a = dim_file(tmp_path, DIM8, "a.json")
     doc = json.loads(Path(a).read_text())
     damage(doc["algebra"])
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    code, out, _ = run_cli("iso", "--a", a, "--b", str(bad))
+    # --field 7 puts both sides over one field, so only reading bad.json
+    # can refuse the run
+    start = time.perf_counter()
+    code, out, _ = run_cli("iso", "--a", a, "--b", str(bad), "--field", "7")
+    assert time.perf_counter() - start < 1
+    # run_cli parses the whole of stdout, so out is its one JSON document
     assert code == 2 and out["error"] == "config"
 
 

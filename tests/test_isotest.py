@@ -11,13 +11,14 @@ from potalg.freepoly import FreePoly
 from potalg.isotest import (FiniteAlgebra, algebra_from_json, algebra_mod_p,
                             algebra_profile, distinguish_algebras,
                             from_quotient, is_isomorphism, lifted_iso_search)
+from potalg.linalg import rank
 from potalg.parsing import parse_poly
 from potalg.potential import relations_of
 from potalg.quotient import hilbert
 from potalg.rewrite import complete, normal_form
 from potalg.words import MonomialOrder
 
-from helpers import validate
+from helpers import dense, dense_mul, validate
 
 XY = MonomialOrder()
 
@@ -47,14 +48,14 @@ def test_from_quotient_structure():
     A = from_quotient(quotient(R1))
     assert A.dim == 9
     assert A.words[0] == "" and A.degrees == [0, 1, 1, 2, 2, 3, 3, 4, 5]
-    xx = A.table[(A.index["x"], A.index["x"])]
+    xx = dense(A, A.table[(A.index["x"], A.index["x"])])
     assert xx[A.index["yyy"]] == -1 and sum(1 for c in xx if c) == 1
     assert validate(A)
 
 
 def test_from_quotient_r2_differs_in_the_square():
     B = from_quotient(quotient(R2))
-    xx = B.table[(B.index["x"], B.index["x"])]
+    xx = dense(B, B.table[(B.index["x"], B.index["x"])])
     assert xx[B.index["yyy"]] == -1 and xx[B.index["yyyy"]] == -1
 
 
@@ -71,6 +72,10 @@ def pairwise_table(Q):
     return table
 
 
+def dense_table(F):
+    return {pair: dense(F, row) for pair, row in F.table.items()}
+
+
 GOLDENS = [("x^3 + y^3 + cyc(x y x y)", 8, 8),       # dim 8
            ("cyc(x^2 y) + y^4", 8, 9),               # 9A
            ("cyc(x^2 y) + y^4 + y^5", 8, 9),         # 9B
@@ -85,14 +90,14 @@ def test_from_quotient_matches_pairwise_normal_forms(text, cap, dim, order):
     rels = relations_of(parse_poly(text, cap=cap), mo)
     Q = hilbert(complete(list(rels), mo, cap))
     assert Q.dimension == dim
-    assert from_quotient(Q).table == pairwise_table(Q)
+    assert dense_table(from_quotient(Q)) == pairwise_table(Q)
 
 
 def test_from_quotient_matches_pairwise_normal_forms_over_gf3():
     rels = [parse_poly(t, GF(3), 9) for t in ("x^2 + 2 y x y", "y^2 + 2 x y x")]
     Q = hilbert(complete(rels, XY, 9))
     assert Q.dimension == 8
-    assert from_quotient(Q).table == pairwise_table(Q)
+    assert dense_table(from_quotient(Q)) == pairwise_table(Q)
 
 
 def test_global_mode_table_is_not_cut_at_the_cap():
@@ -104,10 +109,9 @@ def test_global_mode_table_is_not_cut_at_the_cap():
     F = from_quotient(Q)
     assert F.dim == 10
     i = F.index["yyy"]
-    assert any(F.table.get((i, i), ()))
-    zero = F.zero_vec()
+    assert any(dense(F, F.table.get((i, i), {})))
     for a, b, c in itertools.product(range(F.dim), repeat=3):
-        ab, bc = F.table.get((a, b), zero), F.table.get((b, c), zero)
+        ab, bc = F.table.get((a, b), {}), F.table.get((b, c), {})
         assert F.mul(ab, F.basis_vec(c)) == F.mul(F.basis_vec(a), bc), \
             (F.words[a], F.words[b], F.words[c])
 
@@ -115,7 +119,7 @@ def test_global_mode_table_is_not_cut_at_the_cap():
 def test_reduce_mod_5_keeps_shape():
     A5 = reduce_mod_p(quotient(R1), 5)
     assert A5.field == GF(5) and A5.dim == 9
-    xx = A5.table[(A5.index["x"], A5.index["x"])]
+    xx = dense(A5, A5.table[(A5.index["x"], A5.index["x"])])
     assert xx[A5.index["yyy"]] == 4
     assert validate(A5)
 
@@ -129,6 +133,24 @@ def test_reduce_mod_2_collapses_signs():
     assert B2.table[(ix, iy)] == B2.table[(iy, ix)]
 
 
+def test_reduce_mod_3_stores_no_vanishing_entry():
+    # 9B under y -> 3y, where x x = -27 yyy - 81 yyyy: the 9 table
+    # entries that are multiples of 27 vanish mod 3, and 6 rows with them
+    rels = relations_of(parse_poly(
+        "3 x x y + 3 x y x + 3 y x x + 81 y^4 + 243 y^5", cap=8))
+    F = from_quotient(hilbert(complete(list(rels), XY, 8)))
+    F3 = algebra_mod_p(F, 3)
+    vanishing = [(pair, k) for pair, row in F.table.items()
+                 for k, c in row.items() if not F3.field.coerce(c)]
+    dead = [pair for pair, row in F.table.items()
+            if all((pair, k) in vanishing for k in row)]
+    assert len(vanishing) == 9 and len(dead) == 6
+    assert not any(k in F3.table.get(pair, {}) for pair, k in vanishing)
+    assert not any(pair in F3.table for pair in dead)
+    assert validate(F3)
+    assert algebra_from_json(F3.to_json()).table == F3.table
+
+
 def test_reduce_rejects_bad_denominators():
     Q = quotient(("x y + y x", "x^2 + 1/2 y^3"))
     assert reduce_mod_p(Q, 3).dim == Q.dimension
@@ -138,9 +160,8 @@ def test_reduce_rejects_bad_denominators():
 
 def test_validate_catches_filtration_breaks():
     A = from_quotient(quotient(R1))
-    bad = FiniteAlgebra(A.field, A.words, A.degrees, dict(A.table),
-                        A.relations)
-    row = list(bad.table[(bad.index["x"], bad.index["y"])])
+    bad = FiniteAlgebra(A.field, A.words, dict(A.table), A.relations)
+    row = dict(bad.table[(bad.index["x"], bad.index["y"])])
     row[bad.index["x"]] = 1
     bad.table[(bad.index["x"], bad.index["y"])] = row
     with pytest.raises(ValueError, match="filtration"):
@@ -209,7 +230,7 @@ def test_lifted_self_mod_3_identity():
 
 
 def permuted_within_degree(F, w1, w2):
-    """Relabel two same-degree basis positions of a dense table."""
+    """Relabel two same-degree basis positions of a table."""
     i, j = F.index[w1], F.index[w2]
     assert F.degrees[i] == F.degrees[j]
     pi = list(range(F.dim))
@@ -217,9 +238,9 @@ def permuted_within_degree(F, w1, w2):
     words = [F.words[pi[k]] for k in range(F.dim)]
     table = {}
     for (a, b), row in F.table.items():
-        table[(pi.index(a), pi.index(b))] = [row[pi[k]]
-                                             for k in range(F.dim)]
-    return FiniteAlgebra(F.field, words, list(F.degrees), table, F.relations)
+        table[(pi.index(a), pi.index(b))] = {pi.index(k): c
+                                             for k, c in row.items()}
+    return FiniteAlgebra(F.field, words, table, F.relations)
 
 
 def test_lifted_finds_map_onto_permuted_copy():
@@ -232,48 +253,54 @@ def test_lifted_finds_map_onto_permuted_copy():
 
 
 def witness_vectors(B, witness):
-    """The generator images of a witness document as vectors of B."""
-    out = []
-    for letter in "xy":
-        v = B.zero_vec()
-        for label, c in witness[letter].items():
-            v[B.index[label if label != "1" else ""]] = B.field.coerce(int(c))
-        out.append(v)
-    return out
+    """The generator images of a witness document as sparse rows of B."""
+    return [{B.index[label if label != "1" else ""]: B.field.coerce(int(c))
+             for label, c in witness[letter].items()} for letter in "xy"]
 
 
 def brute_reference(A, B):
     """Status of the plain exhaustive search over all radical generator
     images, in lexicographic order: the reference the lift search is
     compared with. A pair is kept when its degree-one parts are
-    independent, A's relations vanish on it in B, and is_isomorphism
-    confirms it."""
+    independent, A's relations vanish on it in B, and the induced map
+    is bijective and multiplicative on every basis pair. Vectors are
+    coordinate lists and products go through dense_mul, so nothing here
+    shares the library's sparse product."""
     f = B.field
     rad = [[0, *c] for c in itertools.product(range(f.characteristic),
                                                repeat=B.dim - 1)]
     i, j = [k for k in range(B.dim) if B.degrees[k] == 1]
 
-    def relations_vanish(vx, vy):
-        images = {"": B.basis_vec(0)}
+    def combination(coords, vecs):
+        acc = [f.zero] * B.dim
+        for c, vec in zip(coords, vecs):
+            acc = [f.add(a, f.mul(c, v)) for a, v in zip(acc, vec)]
+        return acc
+
+    def found(vx, vy):
+        images = {"": [f.one] + [f.zero] * (B.dim - 1)}
 
         def image(w):
             if w not in images:
-                images[w] = B.mul(vx if w[0] == "x" else vy, image(w[1:]))
+                images[w] = dense_mul(B, vx if w[0] == "x" else vy,
+                                      image(w[1:]))
             return images[w]
 
         for r in A.relations:
-            acc = B.zero_vec()
-            for w, c in r.terms.items():
-                acc = [f.add(a, f.mul(c, v)) for a, v in zip(acc, image(w))]
-            if any(acc):
+            if any(combination(r.terms.values(), map(image, r.terms))):
                 return False
-        return True
+        imgs = [image(w) for w in A.words]
+        rows = [{k: c for k, c in enumerate(v) if c} for v in imgs]
+        if rank(rows, f) != B.dim:
+            return False
+        return all(dense_mul(B, imgs[a], imgs[b]) == combination(
+            dense(A, A.table.get((a, b), {})), imgs)
+            for a, b in itertools.product(range(A.dim), repeat=2))
 
     for vx in rad:
         for vy in rad:
             if (f.sub(f.mul(vx[i], vy[j]), f.mul(vx[j], vy[i]))
-                    and relations_vanish(vx, vy)
-                    and is_isomorphism(A, B, vx, vy)[0]):
+                    and found(vx, vy)):
                 return "isomorphic"
     return "not_isomorphic"
 
@@ -338,11 +365,12 @@ def _count_by_enumeration(F):
     f, n = F.field, F.dim
 
     def times(a, g, left):
-        out = F.zero_vec()
+        out = [f.zero] * n
         for i, c in enumerate(a):
             row = F.table.get((i, g) if left else (g, i))
             if c and row:
-                out = [f.add(o, f.mul(c, r)) for o, r in zip(out, row)]
+                for k, r in row.items():
+                    out[k] = f.add(out[k], f.mul(c, r))
         return out
 
     counts = dict.fromkeys(("left", "right", "both", "center"), 0)
@@ -401,7 +429,7 @@ def test_distinguish_self():
 
 def test_lifted_needs_relations():
     A = reduce_mod_p(quotient(R1), 3)
-    bare = FiniteAlgebra(A.field, A.words, A.degrees, A.table, None)
+    bare = FiniteAlgebra(A.field, A.words, A.table, None)
     with pytest.raises(ValueError):
         lifted_iso_search(bare, bare)
 

@@ -12,7 +12,7 @@ from potalg.quotient import hilbert
 from potalg.rewrite import complete
 from potalg.words import MonomialOrder
 
-from helpers import validate
+from helpers import dense, validate
 
 XY = MonomialOrder()
 
@@ -73,7 +73,7 @@ def test_degenerate_everything_killed():
 
 def product(F, u, v):
     """Coordinates of u v on F's basis, zero rows included."""
-    return F.table.get((F.index[u], F.index[v]), F.zero_vec())
+    return dense(F, F.table.get((F.index[u], F.index[v]), {}))
 
 
 def coords(F, text):
@@ -132,8 +132,9 @@ def square_zero_count(Q):
     component to zero, so only the radical vectors are enumerated."""
     F = from_quotient(Q)
     p = F.field.characteristic
-    return sum(1 for rad in itertools.product(range(p), repeat=F.dim - 1)
-               if not any(F.mul([0, *rad], [0, *rad])))
+    radical = ({k: c for k, c in enumerate(rad, 1) if c}
+               for rad in itertools.product(range(p), repeat=F.dim - 1))
+    return sum(1 for a in radical if not F.mul(a, a))
 
 
 def test_square_zero_counts():
