@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
 from .fields import GF, QQ, FieldError, ResourceCapError
 from .freepoly import FreePoly
@@ -120,11 +121,7 @@ class FiniteAlgebra:
                                  "filtration degree" % (i, j))
 
     def hilbert(self):
-        top = max(self.degrees)
-        h = [0] * (top + 1)
-        for d in self.degrees:
-            h[d] += 1
-        return tuple(h)
+        return tuple(map(self.degrees.count, range(max(self.degrees) + 1)))
 
     def to_json(self):
         f = self.field
@@ -300,18 +297,18 @@ def _word_images(B, vx, vy):
     return image
 
 
-def _relation_values(A, B, vx, vy, degree):
-    """A's defining relations at the generator images in B, correct in
-    the coordinates of degree at most degree.
+def _residuals(A, B, vx, vy, degree):
+    """A's relations at the generator images in B, in the coordinates of
+    the given degree, labelled (relation, basis index).
 
     The images have no unit part and products never fall below their
-    filtration degree (check_shape), so a word longer than degree maps
-    above it and is skipped.
+    filtration degree (check_shape), so longer words are skipped.
     """
     image = _word_images(B, vx, vy)
-    for r in A.relations:
-        yield _combine(B.field, ((c, image(w)) for w, c in r.terms.items()
-                                 if len(w) <= degree))
+    values = (_combine(B.field, ((c, image(w)) for w, c in rel.terms.items()
+                                 if len(w) <= degree)) for rel in A.relations)
+    return {(r, k): c for r, value in enumerate(values)
+            for k, c in value.items() if B.degrees[k] == degree}
 
 
 def is_isomorphism(A: FiniteAlgebra, B: FiniteAlgebra, vx, vy):
@@ -388,50 +385,49 @@ def algebra_profile(F: FiniteAlgebra):
     }
 
 
-def _assert_profiles_agree(A, B):
-    pa, pb = algebra_profile(A), algebra_profile(B)
-    if pa != pb:
-        raise AssertionError("witness found between algebras with "
-                             "different profiles: %r vs %r" % (pa, pb))
+def _linearized(A, B, deg1):
+    """The degree-2 filter and the stage columns, from words of length 2.
 
-
-def _stage_system(A, B, vx, vy, unknown_slots, slice_degree):
-    """Affine expansion of the slice-(d+1) residuals in stage-d unknowns.
-
-    Residuals are the relation evaluations restricted to basis words of
-    the slice degree, labelled (relation, basis index); each unknown
-    perturbs them linearly there because its square lands strictly
-    higher in the filtration. The unknowns are still zero in vx and vy.
-    Returns the sparse effect column of each unknown and the negated
-    residuals as the right-hand side.
+    With u = (a, b, c, d) for x -> a e1 + b e2, y -> c e1 + d e2, let
+    q(l, m) be the residuals of A's words st with l put for s and m for
+    t. Products never fall below their filtration degree (check_shape),
+    so the degree-2 residuals are sum_lm u_l u_m q(l, m): forms kept by
+    their coefficients on u_l u_m, l <= m. And an unknown e of degree d
+    moves the degree d+1 residuals by sum_m u_m (q(e, m) + q(m, e)) at
+    every node; effects[e] holds those four rows.
     """
     f = B.field
-    minus_one = f.neg(f.one)
+    two = [{(w[0], w[1]): c for w, c in r.terms.items() if len(w) == 2}
+           for r in A.relations]
+    lin = [(s, i) for s in "xy" for i in deg1]
 
-    def residual(wx, wy):
-        return {(r, k): c for r, value in
-                enumerate(_relation_values(A, B, wx, wy, slice_degree))
-                for k, c in value.items() if B.degrees[k] == slice_degree}
+    def q(degree, *pairs):
+        return _combine(f, ((c[s, t], {(r, k): v for k, v in
+                                       B.table.get((i, j), {}).items()
+                                       if B.degrees[k] == degree})
+                            for (s, i), (t, j) in pairs
+                            for r, c in enumerate(two) if (s, t) in c))
 
-    base = residual(vx, vy)
-    cols = []
-    for letter, slot in unknown_slots:
-        wx, wy = dict(vx), dict(vy)
-        (wx if letter == "x" else wy)[slot] = f.one
-        cols.append(_combine(f, ((f.one, residual(wx, wy)),
-                                 (minus_one, base))))
-    return cols, _combine(f, ((minus_one, base),))
+    monomials = [q(2, (l, m), (m, l)) if l != m else q(2, (l, l))
+                 for n, l in enumerate(lin) for m in lin[n:]]
+    forms = [[row.get(label, f.zero) for row in monomials]
+             for label in sorted({label for row in monomials
+                                  for label in row})]
+    effects = {e: [q(B.degrees[e[1]] + 1, (e, m), (m, e)) for m in lin]
+               for e in product("xy", range(B.dim)) if B.degrees[e[1]] > 1}
+    return forms, effects
 
 
 def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
     """Linear part first, then degree-by-degree coefficient lifting.
 
-    Both algebras live over one p-element field. Every invertible 2x2
-    linear part over it is tried in lexicographic order; there are
-    (p^2 - 1)(p^2 - p) of them, and more than _LIFT_BUDGET raise
-    ResourceCapError before any is tried. Given choices through degree
-    d, the degree d+1 unknowns of the generator images satisfy an affine
-    system read off the relation residuals; its solutions are explored
+    Both algebras live over one p-element field and pass check_shape,
+    which _linearized rests on. The (p^2 - 1)(p^2 - p) invertible linear
+    parts are tried in lexicographic order, unless there are more than
+    _LIFT_BUDGET (ResourceCapError); one goes on where the degree-2
+    forms vanish. The degree d unknowns then solve an affine system on
+    the degree d+1 residuals, with columns built once per linear part
+    and stage and the node's residual as right-hand side, explored
     zeros-first (particular solution, then kernel combinations). A
     verdict of not_isomorphic certifies that no linear part admits any
     lift over this field.
@@ -442,6 +438,8 @@ def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
                          "pass --field P")
     if A.field != B.field:
         raise ValueError("lift needs a common field")
+    A.check_shape()
+    B.check_shape()
     if A.dim != B.dim or sorted(A.degrees) != sorted(B.degrees):
         return IsoVerdict("not_isomorphic",
                           certificate={"invariant": "graded dimensions",
@@ -464,8 +462,10 @@ def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
     labels_by_stage = {d: [(r, k) for r in range(len(A.relations))
                            for k in range(B.dim) if B.degrees[k] == d + 1]
                        for d in stages}
+    forms, effects = _linearized(A, B, deg1)
     scalars = range(p)
     visited = 0
+    cols_at = {}                     # stage columns of the linear part u
 
     def dfs(vx, vy, stage_i):
         nonlocal visited
@@ -478,15 +478,17 @@ def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
             return (vx, vy) if ok else None
         d = stages[stage_i]
         slots = slots_by_stage[d]
-        if not slots:
-            return dfs(vx, vy, stage_i + 1)
-        cols, rhs = _stage_system(A, B, vx, vy, slots, d + 1)
-        part, stalled, reduced = solve(cols, labels_by_stage[d], rhs, f)
+        if d not in cols_at:
+            cols_at[d] = [_combine(f, zip(u, effects[s])) for s in slots]
+        rhs = {label: f.neg(c) for label, c in
+               _residuals(A, B, vx, vy, d + 1).items()}
+        part, stalled, reduced = solve(cols_at[d], labels_by_stage[d],
+                                       rhs, f)
         if stalled:
             return None
         part = dict(zip(slots, part))
         basis = [dict(zip(slots, vec))
-                 for vec in kernel(reduced, len(cols), f)]
+                 for vec in kernel(reduced, len(slots), f)]
         # kernel combinations zeros first, in lexicographic order
         for combo in product(scalars, repeat=len(basis)):
             t = _combine(f, [(f.one, part)] + list(zip(combo, basis)))
@@ -499,18 +501,22 @@ def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
         return None
 
     tried = 0
-    for a, b, c, d in product(scalars, repeat=4):
-        if not f.sub(f.mul(a, d), f.mul(b, c)):
+    for u in product(scalars, repeat=4):
+        if not (u[0] * u[3] - u[1] * u[2]) % p:
             continue
         tried += 1
-        vx = {k: v for k, v in zip(deg1, (a, b)) if v}
-        vy = {k: v for k, v in zip(deg1, (c, d)) if v}
-        _, rhs = _stage_system(A, B, vx, vy, [], 2)
-        if rhs:
+        monomials = [u[m] * u[n] for m in range(4) for n in range(m, 4)]
+        if any(sum(map(mul, q, monomials)) % p for q in forms):
             continue
-        hit = dfs(vx, vy, 0)
+        cols_at.clear()
+        hit = dfs({k: v for k, v in zip(deg1, u[:2]) if v},
+                  {k: v for k, v in zip(deg1, u[2:]) if v}, 0)
         if hit:
-            _assert_profiles_agree(A, B)
+            pa, pb = algebra_profile(A), algebra_profile(B)
+            if pa != pb:
+                raise AssertionError("witness found between algebras with "
+                                     "different profiles: %r vs %r"
+                                     % (pa, pb))
             return IsoVerdict("isomorphic",
                               witness=_witness_doc(B, hit[0], hit[1]))
     return IsoVerdict("not_isomorphic",

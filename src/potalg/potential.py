@@ -79,9 +79,21 @@ def derive_simple(f: FreePoly, letter: str) -> FreePoly:
 
 def derive_ginzburg(f: FreePoly, letter: str) -> FreePoly:
     """Cyclic derivative: sum over occurrences of the rotation starting
-    just after the occurrence."""
+    just after the occurrence.
+
+    A word and its rotations have the same cyclic derivative, so the
+    coefficients of each rotation class are summed first and the first
+    word of the class met is derived once: O(|w|^2) letters per class,
+    where deriving every word of cyc(w) takes O(|w|^3).
+    """
+    first = {}
+    for w in f.terms:
+        if w not in first:
+            first.update(dict.fromkeys(rotations(w), w))
+    classes = sum_terms(f.field, ((first[w], c) for w, c in f.terms.items()
+                                  if w))
     return sum_terms(f.field, ((w[i + 1:] + w[:i], c)
-                               for w, c in f.terms.items()
+                               for w, c in classes.terms.items()
                                for i, ch in enumerate(w) if ch == letter),
                      f.cap)
 

@@ -5,6 +5,8 @@ import itertools
 
 from potalg.fields import QQ
 from potalg.freepoly import FreePoly
+from potalg.isotest import is_isomorphism
+from potalg.linalg import kernel, solve
 from potalg.rewrite import RewriteSystem, _lead_finder
 
 
@@ -56,6 +58,102 @@ def validate(F):
             raise ValueError("associativity fails at (%d, %d, %d)"
                              % (i, j, k))
     return True
+
+
+def residuals(A, B, vx, vy, degree):
+    """A's relations evaluated in full at the generator images vx, vy in
+    B, every word at every length, in the coordinates of the given
+    degree and labelled (relation, basis index)."""
+    f = B.field
+    memo = {"": B.basis_vec(0)}
+
+    def image(w):
+        if w not in memo:
+            memo[w] = B.mul(vx if w[0] == "x" else vy, image(w[1:]))
+        return memo[w]
+
+    out = {}
+    for r, rel in enumerate(A.relations):
+        value = {}
+        for w, c in rel.terms.items():
+            for k, v in image(w).items():
+                value[k] = f.add(value.get(k, f.zero), f.mul(c, v))
+        out.update(((r, k), v) for k, v in value.items()
+                   if v and B.degrees[k] == degree)
+    return out
+
+
+def linear_images(B, a, b, c, d):
+    """x -> a e1 + b e2 and y -> c e1 + d e2 on B's degree-one words."""
+    e1, e2 = [i for i in range(B.dim) if B.degrees[i] == 1]
+    return ({k: v for k, v in ((e1, a), (e2, b)) if v},
+            {k: v for k, v in ((e1, c), (e2, d)) if v})
+
+
+def stage_system(A, B, vx, vy, slots, degree):
+    """The stage system by finite differences: the column of an unknown
+    is the residual with that unknown set to one, less the residual at
+    the node, and the right-hand side is the negated residual. The
+    unknowns are zero in vx and vy."""
+    f = B.field
+    base = residuals(A, B, vx, vy, degree)
+    cols = []
+    for letter, slot in slots:
+        wx, wy = dict(vx), dict(vy)
+        (wx if letter == "x" else wy)[slot] = f.one
+        moved = residuals(A, B, wx, wy, degree)
+        col = {k: f.sub(moved.get(k, f.zero), base.get(k, f.zero))
+               for k in moved.keys() | base.keys()}
+        cols.append({k: v for k, v in col.items() if v})
+    return cols, {k: f.neg(v) for k, v in base.items()}
+
+
+def reference_lift(A, B):
+    """The lift search with the degree-2 filter evaluated directly and
+    every stage system built by stage_system, without budgets: the
+    reference lifted_iso_search is compared with. Returns
+    ("isomorphic", (vx, vy)) or ("not_isomorphic", linear parts tried).
+    """
+    f, p = B.field, B.field.characteristic
+    stages = range(2, max(B.degrees) + 1)
+
+    def dfs(vx, vy, d):
+        if d not in stages:
+            return (vx, vy) if is_isomorphism(A, B, vx, vy)[0] else None
+        slots = [(letter, i) for letter in "xy"
+                 for i in range(B.dim) if B.degrees[i] == d]
+        labels = [(r, k) for r in range(len(A.relations))
+                  for k in range(B.dim) if B.degrees[k] == d + 1]
+        cols, rhs = stage_system(A, B, vx, vy, slots, d + 1)
+        part, stalled, reduced = solve(cols, labels, rhs, f)
+        if stalled:
+            return None
+        basis = kernel(reduced, len(cols), f)
+        for combo in itertools.product(range(p), repeat=len(basis)):
+            wx, wy = dict(vx), dict(vy)
+            for n, (letter, slot) in enumerate(slots):
+                t = part[n]
+                for c, vec in zip(combo, basis):
+                    t = f.add(t, f.mul(c, vec[n]))
+                if t:
+                    (wx if letter == "x" else wy)[slot] = t
+            hit = dfs(wx, wy, d + 1)
+            if hit:
+                return hit
+        return None
+
+    tried = 0
+    for a, b, c, d in itertools.product(range(p), repeat=4):
+        if not f.sub(f.mul(a, d), f.mul(b, c)):
+            continue
+        tried += 1
+        vx, vy = linear_images(B, a, b, c, d)
+        if residuals(A, B, vx, vy, 2):
+            continue
+        hit = dfs(vx, vy, 2)
+        if hit:
+            return "isomorphic", hit
+    return "not_isomorphic", tried
 
 
 def reference_normal_form(f, system):

@@ -273,13 +273,18 @@ def test_iso_self_is_identity(tmp_path):
      "4857eb79402ef64253a071bc1960f944c6537658513ca970cb9520592c6b803d"),
     (DIM9A, DIM9B, ["--field", "7", "--strategy", "lift"],
      "9808ca3abd9039261ffa860cfc4b73a7219f3966e61c2ac6ef8f50b2079be975"),
+    (DIM9A, DIM9B, ["--field", "13", "--strategy", "lift"],
+     "319d090b011a801b4d2e5df6637017852e8ec403fb5d8146735f586cf259f328"),
+    (DIM9A, DIM9B, ["--field", "19", "--strategy", "lift"],
+     "a1868e4fc8f89fd649edc3244d30fc23402be8b8edfa80e29272c99d4ddf4b97"),
     (DIM8, DIM9A, ["--strategy", "invariants"],
      "796d5e1dc0a32526322a003593db615d8fdb97c1aaa99b91c8ed0be9850e8d6e"),
     (DIM9A, DIM9A, [],
      "1b8d9956455a0e3f0720b1b901ce975cea1c7100ea72da35011d7be877decb78"),
     (DIM8, DIM8, ["--field", "2", "--strategy", "lift"],
      "a0f5793d488aed899a83b10ab77ac2045e3b2d4d10c9ae81daf850409dce481d"),
-], ids=["9A-9B-auto", "9A-9B-lift-gf7", "8-9A-invariants", "9A-self-auto",
+], ids=["9A-9B-auto", "9A-9B-lift-gf7", "9A-9B-lift-gf13",
+        "9A-9B-lift-gf19", "8-9A-invariants", "9A-self-auto",
         "8-self-lift-gf2"])
 def test_iso_bytes_are_pinned(tmp_path, a, b, flags, digest):
     # the verdict, the witness and the certificate are all in these bytes

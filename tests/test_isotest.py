@@ -1,13 +1,15 @@
 """Isomorphism search: reductions, lifting against a brute-force
 reference, invariants."""
 
+import functools
 import itertools
 import random
 
 import pytest
 
+from potalg import isotest
 from potalg.fields import GF, QQ, FieldError, ResourceCapError
-from potalg.freepoly import FreePoly
+from potalg.freepoly import FreePoly, Substitution, substitute
 from potalg.isotest import (FiniteAlgebra, algebra_from_json, algebra_mod_p,
                             algebra_profile, distinguish_algebras,
                             from_quotient, is_isomorphism, lifted_iso_search)
@@ -18,7 +20,8 @@ from potalg.quotient import hilbert
 from potalg.rewrite import complete, normal_form
 from potalg.words import MonomialOrder
 
-from helpers import dense, dense_mul, validate
+from helpers import (dense, dense_mul, linear_images, reference_lift,
+                     residuals, stage_system, validate)
 
 XY = MonomialOrder()
 
@@ -340,6 +343,109 @@ def test_lift_matches_brute_force_reference():
             assert ok, detail
         statuses.append(verdict.status)
     assert "not_isomorphic" in statuses and "isomorphic" in statuses
+
+
+@functools.lru_cache(maxsize=None)
+def lift_algebras():
+    """Rational tables of dim 8, 9A, 9B and 32, each also under a seeded
+    shear x -> +-x + b y, y -> +-y, and of 9B under y -> 3y."""
+    rng = random.Random(1)
+
+    def table(f, cap):
+        return from_quotient(hilbert(complete(list(relations_of(f)), XY,
+                                              cap)))
+
+    out = {}
+    for name, (text, cap, _) in zip(("8", "9A", "9B", "32"),
+                                    GOLDENS[:3] + GOLDENS[4:]):
+        f = parse_poly(text, cap=cap)
+        shear = Substitution.linear(
+            rng.choice((1, -1)), rng.choice([b for b in range(-9, 10) if b]),
+            0, rng.choice((1, -1)), cap=cap)
+        out[name] = table(f, cap)
+        out[name + "-img"] = table(substitute(f, shear), cap)
+    out["9B-y3"] = table(substitute(parse_poly(GOLDENS[2][0], cap=8),
+                                    Substitution.linear(1, 0, 0, 3, cap=8)), 8)
+    return out
+
+
+LIFT_PAIRS = [(a, a) for a in ("8", "9A", "9B", "32")] + \
+    [(a, a + "-img") for a in ("8", "9A", "9B", "32")] + \
+    [("9A", "9B"), ("9A-img", "9B"), ("9B", "9B-y3")]
+
+
+def invertible_linear_parts(p):
+    return [u for u in itertools.product(range(p), repeat=4)
+            if (u[0] * u[3] - u[1] * u[2]) % p]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_lift_matches_finite_difference_reference(p, monkeypatch):
+    # the quadratic forms against a direct degree-2 evaluation on every
+    # invertible linear part, the stage columns and right-hand sides
+    # against finite differences of full relation evaluations at every
+    # node, and the verdict and witness against a search built on both
+    nodes, checked = [], []
+    real_residuals, real_solve = isotest._residuals, isotest.solve
+
+    def residuals_spy(A, B, vx, vy, degree):
+        nodes.append((vx, vy, degree))
+        return real_residuals(A, B, vx, vy, degree)
+
+    def solve_spy(cols, labels, rhs, f):
+        vx, vy, degree = nodes[-1]
+        slots = [(letter, i) for letter in "xy" for i in range(B.dim)
+                 if B.degrees[i] == degree - 1]
+        assert (cols, rhs) == stage_system(A, B, vx, vy, slots, degree)
+        checked.append(degree)
+        return real_solve(cols, labels, rhs, f)
+
+    monkeypatch.setattr(isotest, "_residuals", residuals_spy)
+    monkeypatch.setattr(isotest, "solve", solve_spy)
+    statuses = []
+    for a, b in LIFT_PAIRS:
+        try:
+            A, B = (algebra_mod_p(lift_algebras()[k], p) for k in (a, b))
+        except FieldError:
+            continue             # a denominator divisible by p, as for 32
+        deg1 = [i for i in range(B.dim) if B.degrees[i] == 1]
+        forms, _ = isotest._linearized(A, B, deg1)
+        passing = []
+        for u in invertible_linear_parts(p):
+            mono = [u[m] * u[n] for m in range(4) for n in range(m, 4)]
+            direct = residuals(A, B, *linear_images(B, *u), 2)
+            assert any(sum(q * v for q, v in zip(form, mono)) % p
+                       for form in forms) == bool(direct), (a, b, u)
+            if not direct:
+                passing.append(linear_images(B, *u))
+        nodes.clear()
+        verdict = lifted_iso_search(A, B)
+        status, found = reference_lift(A, B)
+        assert verdict.status == status, (a, b)
+        # the linear parts the search went on with, in the order tried
+        entered = [[vx, vy] for vx, vy, degree in nodes if degree == 3]
+        if status == "isomorphic":
+            assert witness_vectors(B, verdict.witness) == list(found)
+            assert entered == [list(v) for v in passing[:len(entered)]]
+        else:
+            assert verdict.certificate["linear_parts"] == found
+            assert entered == [list(v) for v in passing]
+        statuses.append(status)
+    assert "isomorphic" in statuses and "not_isomorphic" in statuses
+    assert len(set(checked)) > 2
+
+
+def test_lift_refuses_a_table_that_breaks_the_filtration():
+    # the linear shortcuts of the lift rest on check_shape; the global-
+    # mode R2 table at cap 5 fails it, and the search used to answer
+    # not_isomorphic with 480 linear parts on it against itself
+    rels = [parse_poly(t, cap=5) for t in R2]
+    F = algebra_mod_p(from_quotient(hilbert(complete(
+        rels, MonomialOrder(mode="global"), 5))), 5)
+    with pytest.raises(ValueError, match="drops below its filtration"):
+        F.check_shape()
+    with pytest.raises(ValueError, match="drops below its filtration"):
+        lifted_iso_search(F, F)
 
 
 def test_profile_matches_quotient_fingerprint():
