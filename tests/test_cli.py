@@ -178,6 +178,26 @@ def test_dim_golden_with_oracle():
     assert len(doc["algebra"]["basis"]) == 8
 
 
+@pytest.mark.parametrize("text,cap,digest", [
+    (DIM8, "8",
+     "f81b6bd34f033d79fd235ed4ad7e1a9b1dd2a6b73b980c3448639ea32197696b"),
+    (DIM9A, "8",
+     "4d265b80378646ad1fadf3b54ee72c79440defeddbe72e7bc0bd9eba6557dd13"),
+    (DIM9B, "8",
+     "9f2619444e5dd4af256fba00bab35971e602ff38f19e3d5fdeeafa91ff9aa695"),
+    ("cyc(x^2 y) + y^12", "28",
+     "ab9c1c66de299f5dadae0a58d45cd49fb2fbe9ed3386321af5af30b8e58305c7"),
+    ("x^3 + cyc(x y^3) + y^5", "16",
+     "1f8fbb7dc321934a475695a48b43bee2284f6c188834443e2bfb8587f4cefac0"),
+], ids=["8", "9A", "9B", "33", "32"])
+def test_dim_oracle_bytes_are_pinned(text, cap, digest):
+    # the table, the Hilbert data and the oracle counts are in these bytes
+    code, _, raw = run_cli("dim", "--potential", text, "--cap", cap,
+                           "--oracle")
+    assert code == 0
+    assert hashlib.sha256(raw.encode()).hexdigest() == digest
+
+
 def test_dim_order_flag_round_trips():
     code, doc, _ = run_cli("dim", "--potential", DIM8, "--cap", "8",
                            "--order", "yx")
@@ -729,6 +749,24 @@ def test_reproduce_reports_pass(theorem):
     code, doc, _ = run_cli("reproduce", "--theorem", theorem)
     assert code == 0 and doc["theorem"] == theorem
     assert doc["pass"], [c["name"] for c in doc["checks"] if not c["pass"]]
+
+
+@pytest.mark.parametrize("theorem,digest", [
+    ("dim8",
+     "a9f80cb9e4e853f270eb08aea8cb0ede02d56b1a1c15463e7aef111005c1458c"),
+    ("dim9",
+     "2a7fac1d620bb52351c1c72ef4721d0a0380697bd3b5bed9dbfed8ff16b1dba5"),
+    ("cor1-grid",
+     "3c8cb38cb265125186a7c18b824d80b79438b5e1ba3034988bc83c7512d23c68"),
+    ("x3-bound",
+     "fa061217316014b24371d34e22ade1597b58fddeb129547600fe7b5dd579b8b5"),
+    ("prelie",
+     "47d381a16e4a9f241751c0fbb8add398f71ead57637e58699b5b37a05422bbbe"),
+])
+def test_reproduce_bytes_are_pinned(theorem, digest):
+    code, _, raw = run_cli("reproduce", "--theorem", theorem)
+    assert code == 0
+    assert hashlib.sha256(raw.encode()).hexdigest() == digest
 
 
 def test_reproduce_seed_only_changes_data():
