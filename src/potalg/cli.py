@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import traceback
+from json.encoder import encode_basestring_ascii
 
 from . import brace as braces
 from . import isotest, reproduce
@@ -43,8 +44,44 @@ def _parse_potential(text: str, cap=None):
     return exact.with_cap(cap)
 
 
+def _dumps(value, pad=""):
+    """The text of json.dumps(value, indent=2, sort_keys=True).
+
+    json.dumps lays out every item in Python generators once indent is
+    set. Here a list of strings is joined in one call over the C string
+    encoder, and ints are written directly; keys are sorted and converted
+    as json does.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for k, v in sorted(value.items()):
+            if not isinstance(k, str):
+                if k is not None and not isinstance(k, (int, float)):
+                    raise TypeError("%r cannot be a JSON key" % (k,))
+                k = json.dumps(k)
+            items.append(inner + encode_basestring_ascii(k) + ": "
+                         + _dumps(v, inner))
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(v) is str for v in value):
+            parts = map(encode_basestring_ascii, value)
+        else:
+            parts = [_dumps(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
+    return json.dumps(value)
+
+
 def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_dumps(doc) + "\n")
 
 
 def _monomial_order(args) -> MonomialOrder:
@@ -63,7 +100,7 @@ def _cmd_gb(args):
     order = _monomial_order(args)
     if args.potential is not None:
         F = _parse_potential(args.potential, args.cap)
-        rels = list(relations_of(F, order))
+        rels = [g for g in relations_of(F, order) if not g.is_zero()]
     else:
         rels = [_parse_potential(t.strip(), args.cap)
                 for t in args.relations.split(",") if t.strip()]
@@ -79,7 +116,7 @@ def _cmd_dim(args):
 
     def build(cap):
         F = _parse_potential(args.potential, cap)
-        rels = list(relations_of(F, order))
+        rels = [g for g in relations_of(F, order) if not g.is_zero()]
         return F, rels, hilbert(complete(rels, order, cap))
 
     cap = args.cap

@@ -124,15 +124,15 @@ class FiniteAlgebra:
         return tuple(map(self.degrees.count, range(max(self.degrees) + 1)))
 
     def to_json(self):
-        f = self.field
-        doc = {"field": f.name,
-               "basis": [_word_label(w) for w in self.words],
-               "degrees": list(self.degrees),
-               "table": {"%s,%s" % (_word_label(self.words[i]),
-                                    _word_label(self.words[j])):
-                         [f.to_str(row.get(k, f.zero))
-                          for k in range(self.dim)]
-                         for (i, j), row in sorted(self.table.items())}}
+        f, labels = self.field, [_word_label(w) for w in self.words]
+        zeros = [f.to_str(f.zero)] * self.dim
+        table = {}
+        for (i, j), row in sorted(self.table.items()):
+            table["%s,%s" % (labels[i], labels[j])] = dense = zeros.copy()
+            for k, c in row.items():
+                dense[k] = f.to_str(c)
+        doc = {"field": f.name, "basis": labels,
+               "degrees": list(self.degrees), "table": table}
         if self.relations is not None:
             from .parsing import render
             doc["relations"] = [render(r) for r in self.relations]

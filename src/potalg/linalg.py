@@ -2,9 +2,19 @@
 
 Rows are dicts column -> nonzero field element; a row never holds a zero
 entry. Columns are ordered by an optional key (their natural order by
-default) and a row's pivot is its first column. Pivot rows are scaled to
-one at the pivot and hold no column before it, so a row is reduced by
-clearing pivot columns in ascending order, each exactly once.
+default) and a row's pivot is its first column. A stored pivot row holds
+no column before its pivot, so a row is reduced by clearing pivot
+columns in ascending order, each exactly once.
+
+The elimination runs on integers. Over QQ a row being reduced is kept
+as integer numerators over one common denominator D, and a stored pivot
+row is primitive: its content is divided out and its pivot entry is
+positive. Clearing a column whose entry is a, against a pivot row whose
+pivot entry is P, multiplies the row and D by P / gcd(a, P) and
+subtracts a / gcd(a, P) times the pivot row, so no step divides. Over
+GF(p) rows are residues, pivot rows are one at the pivot and D stays 1.
+Field elements are formed only where rows leave the kernel, in reduce
+and reduced_rows; only reduced_rows scales rows to one at the pivot.
 
 The reduced echelon form of a row space is unique for a fixed column
 order. Ranks, pivot columns, the solution with free variables at zero
@@ -14,85 +24,120 @@ are reduced against each other.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 
 class Echelon:
-    """Incremental echelon form: one scaled row per pivot column."""
+    """Incremental echelon form: one integer row per pivot column."""
 
     def __init__(self, field, key=None):
-        self.field = field
+        self.p = field.characteristic
         self.key = key
         self.pivots = {}
 
-    def _entry(self, col):
-        return col if self.key is None else (self.key(col), col)
+    def integral(self, row):
+        """A new row of integer numerators over one common denominator
+        D, and D; over GF(p) a copy of the residues, and 1."""
+        if self.p:
+            return dict(row), 1
+        D = lcm(*(v.denominator for v in row.values()))
+        return {c: v.numerator * (D // v.denominator)
+                for c, v in row.items()}, D
 
-    def reduce(self, row):
-        """A copy of row with every pivot column cleared."""
-        f, pivots = self.field, self.pivots
-        row = dict(row)
-        heap = [self._entry(c) for c in row if c in pivots]
+    def _clear(self, row, D, pivots):
+        """Clear the columns of pivots in the integer row over D, in
+        place; returns the row and its new denominator."""
+        p, key = self.p, self.key
+        heap = [c if key is None else (key(c), c) for c in row if c in pivots]
         heapify(heap)
         while heap:
             c = heappop(heap)
-            if self.key is not None:
+            if key is not None:
                 c = c[1]
-            a = row.pop(c, None)
-            if a is None:
+            a = row.pop(c, 0)
+            if not a:
                 continue
-            for col, v in pivots[c].items():
+            piv = pivots[c]
+            lead = piv[c]
+            if lead != 1:
+                g = gcd(a, lead)
+                m = lead // g
+                a //= g
+                if m != 1:
+                    D *= m
+                    for col in row:
+                        row[col] *= m
+            for col, v in piv.items():
                 if col == c:
                     continue
                 got = row.get(col)
                 if got is None:
-                    row[col] = f.neg(f.mul(a, v))
+                    row[col] = -a * v % p if p else -a * v
                     if col in pivots:
-                        heappush(heap, self._entry(col))
+                        heappush(heap, col if key is None else (key(col), col))
                 else:
-                    s = f.sub(got, f.mul(a, v))
+                    s = got - a * v
+                    if p:
+                        s %= p
                     if s:
                         row[col] = s
                     else:
                         del row[col]
-        return row
+        return row, D
 
-    def insert(self, row):
-        """Store a reduced nonzero row, scaled, under its pivot."""
-        f = self.field
-        p = min(row, key=self.key)
-        inv = f.inv(row[p])
-        self.pivots[p] = {c: f.mul(v, inv) for c, v in row.items()}
+    def _primitive(self, row, c):
+        """row scaled to one at c over GF(p); over QQ, divided by its
+        content with a positive entry at c."""
+        p = self.p
+        if p:
+            if row[c] == 1:
+                return row
+            inv = pow(row[c], -1, p)
+            return {k: v * inv % p for k, v in row.items()}
+        g = gcd(*row.values())
+        if row[c] < 0:
+            g = -g
+        return {k: v // g for k, v in row.items()}
+
+    def reduce(self, row):
+        """A copy of row with every pivot column cleared."""
+        row, D = self._clear(*self.integral(row), self.pivots)
+        if self.p:
+            return row
+        return {c: Fraction(v, D) for c, v in row.items()}
 
     def add(self, row):
         """Reduce row and store what is left, if anything."""
-        row = self.reduce(row)
+        self.add_integral(self.integral(row)[0])
+
+    def add_integral(self, row):
+        """add for a row of integer numerators over any common
+        denominator (over GF(p): residues), reduced in place."""
+        row = self._clear(row, 1, self.pivots)[0]
         if row:
-            self.insert(row)
+            c = min(row, key=self.key)
+            self.pivots[c] = self._primitive(row, c)
 
     def reduced_rows(self):
-        """The reduced echelon form as {pivot: row}.
+        """The reduced echelon form as {pivot: row}, one at each pivot.
 
         Rows are finished from the last pivot back; a finished row is
-        zero at every other pivot column, so one pass over the original
-        entries of each row clears them all.
+        zero at every other pivot column, so clearing a row against the
+        finished rows clears each of its later pivot columns once and
+        brings in no other.
         """
-        f = self.field
         done = {}
-        for p in sorted(self.pivots, key=self.key, reverse=True):
-            row = self.pivots[p]
-            new = dict(row)
-            for c, a in row.items():
-                if c == p or c not in done:
-                    continue
-                for col, v in done[c].items():
-                    s = f.sub(new.get(col, f.zero), f.mul(a, v))
-                    if s:
-                        new[col] = s
-                    else:
-                        new.pop(col, None)
-            done[p] = new
-        return done
+        for c in sorted(self.pivots, key=self.key, reverse=True):
+            row = self.pivots[c]
+            if any(k in done for k in row):
+                row = self._primitive(self._clear(dict(row), 1, done)[0], c)
+            done[c] = row
+        if self.p:
+            return {c: dict(row) for c, row in done.items()}
+        return {c: {k: Fraction(v, row[c]) for k, v in row.items()}
+                for c, row in done.items()}
 
 
 def rank(rows, field):
@@ -127,13 +172,14 @@ def solve(columns, rows, rhs, field):
         eq = eqs[r]
         if rhs.get(r):
             eq[n] = rhs[r]
-        eq = ech.reduce(eq)
+        eq = ech._clear(*ech.integral(eq), ech.pivots)[0]
         if not eq:
             continue
-        if min(eq) == n:
+        c = min(eq)
+        if c == n:
             stalled.append(r)
         else:
-            ech.insert(eq)
+            ech.pivots[c] = ech._primitive(eq, c)
     reduced = ech.reduced_rows()
     sol = [field.zero] * n
     for p, row in reduced.items():

@@ -403,26 +403,26 @@ def oracle_dimension(relations, cap, order=_DEFAULT_ORDER):
                                (cap, _ORACLE_MAX_CAP))
     rels = [r.truncated(cap) for r in relations if not r.is_zero()]
     rels = [r for r in rels if not r.is_zero()]
-    ech = Echelon(rels[0].field if rels else QQ, order.leading_key)
+    ech = Echelon(rels[0].field if rels else QQ)
+    # column i is the i-th word in the local order, so pivots are ints
+    words = sorted((w for d in range(cap + 1) for w in all_words(d)),
+                   key=order.leading_key)
+    col = {w: i for i, w in enumerate(words)}
 
     prec = order.precedence
     for r in rels:
-        d = r.min_degree()
-        budget = cap - d
-        for total in range(budget + 1):
+        terms = ech.integral(r.terms)[0].items()
+        for total in range(cap - r.min_degree() + 1):
             for la in range(total + 1):
                 lb = total - la
                 for u in all_words(la, prec):
                     for v in all_words(lb, prec):
-                        row = {}
-                        for w, c in r.terms.items():
-                            nw = u + w + v
-                            if len(nw) <= cap:
-                                row[nw] = c
+                        row = {col[u + w + v]: c for w, c in terms
+                               if len(w) + total <= cap}
                         if row:
-                            ech.add(row)
+                            ech.add_integral(row)
 
     counts = [0] * (cap + 1)
-    for w in ech.pivots:
-        counts[len(w)] += 1
+    for i in ech.pivots:
+        counts[len(words[i])] += 1
     return tuple(2 ** d - counts[d] for d in range(cap + 1))

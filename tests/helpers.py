@@ -2,12 +2,14 @@
 
 import heapq
 import itertools
+from heapq import heapify, heappop, heappush
 
 from potalg.fields import QQ
 from potalg.freepoly import FreePoly
 from potalg.isotest import is_isomorphism
 from potalg.linalg import kernel, solve
 from potalg.rewrite import RewriteSystem, _lead_finder
+from potalg.words import all_words
 
 
 def random_poly(rng, field=QQ, degrees=(1, 2, 3), terms=3, cap=None,
@@ -211,3 +213,73 @@ def reference_normal_form(f, system):
                 cur[nw] = piece
                 heapq.heappush(heap, (order.leading_key(nw), nw))
     return FreePoly(field, cur, f.cap if cap is None else cap)
+
+
+class FieldEchelon:
+    """Row reduction in field arithmetic with pivot rows scaled to one:
+    the reference the integer kernel of linalg is compared against."""
+
+    def __init__(self, field, key=None):
+        self.field = field
+        self.key = key
+        self.pivots = {}
+
+    def _entry(self, col):
+        return col if self.key is None else (self.key(col), col)
+
+    def reduce(self, row):
+        f, pivots = self.field, self.pivots
+        row = dict(row)
+        heap = [self._entry(c) for c in row if c in pivots]
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            if self.key is not None:
+                c = c[1]
+            a = row.pop(c, None)
+            if a is None:
+                continue
+            for col, v in pivots[c].items():
+                if col == c:
+                    continue
+                got = row.get(col)
+                if got is None:
+                    row[col] = f.neg(f.mul(a, v))
+                    if col in pivots:
+                        heappush(heap, self._entry(col))
+                else:
+                    s = f.sub(got, f.mul(a, v))
+                    if s:
+                        row[col] = s
+                    else:
+                        del row[col]
+        return row
+
+    def add(self, row):
+        f = self.field
+        row = self.reduce(row)
+        if row:
+            p = min(row, key=self.key)
+            inv = f.inv(row[p])
+            self.pivots[p] = {c: f.mul(v, inv) for c, v in row.items()}
+
+
+def reference_oracle_dimension(relations, cap, order):
+    """oracle_dimension on FieldEchelon, with the words themselves as
+    columns ordered by order.leading_key."""
+    rels = [r.truncated(cap) for r in relations if not r.is_zero()]
+    rels = [r for r in rels if not r.is_zero()]
+    ech = FieldEchelon(rels[0].field if rels else QQ, order.leading_key)
+    for r in rels:
+        for total in range(cap - r.min_degree() + 1):
+            for la in range(total + 1):
+                for u in all_words(la, order.precedence):
+                    for v in all_words(total - la, order.precedence):
+                        row = {u + w + v: c for w, c in r.terms.items()
+                               if len(u + w + v) <= cap}
+                        if row:
+                            ech.add(row)
+    counts = [0] * (cap + 1)
+    for w in ech.pivots:
+        counts[len(w)] += 1
+    return tuple(2 ** d - counts[d] for d in range(cap + 1))

@@ -234,6 +234,20 @@ def test_zero_input_exits_2_with_one_document(argv):
     assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("command", ["dim", "gb"])
+def test_a_zero_derivative_is_dropped_as_canon_drops_it(command):
+    # d(x^3)/dy = 0: both used to exit 2 with "zero relation given to
+    # complete()", while canon answered from the one relation 3 x^2
+    code, doc, _ = run_cli(command, "--potential", "x^3", "--cap", "6")
+    assert code == 0
+    code, canon, _ = run_cli("canon", "--potential", "x^3", "--cap", "6")
+    assert code == 0 and not canon["finite"]
+    if command == "dim":
+        assert not doc["finite"] and doc["hilbert"] == canon["hilbert"]
+    else:
+        assert doc["elements"] == ["x^2"]
+
+
 # -- canon ----------------------------------------------------------------
 
 def test_canon_lands_on_9b():
@@ -808,6 +822,46 @@ def test_internal_check_failure_exits_4(monkeypatch, capsys):
     assert doc["message"] == "AssertionError: stage left 'xyxy' at 1"
     assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert "AssertionError" in capsys.readouterr().err
+
+
+def random_document(rng, depth=0):
+    """A JSON value: containers down to depth 4, tuples among the lists,
+    and text with quotes, commas, escapes and non-ASCII letters."""
+    texts = ["", "a", 'say "hi", then', "x^2 + y", "\u00e9t\u00e9", "\u03c0",
+             "tab\tnew\nline", "back\\slash", "1,2", "{}", "[]"]
+    kind = rng.randrange(10 if depth < 4 else 6)
+    if kind == 0:
+        return rng.choice(texts)
+    if kind == 1:
+        return rng.randint(-10 ** 20, 10 ** 20)
+    if kind == 2:
+        return rng.choice([0.1, -2.5, 1e300, 3.0, -0.0, 12345.678])
+    if kind == 3:
+        return rng.choice([None, True, False])
+    if kind == 4:
+        return rng.choice([[], {}, ()])
+    if kind == 5:
+        return [rng.choice(texts + [1, None, 2.5, True])
+                for _ in range(rng.randint(1, 6))]
+    if kind in (6, 7):
+        return {rng.choice(texts) + str(rng.randrange(5)):
+                random_document(rng, depth + 1)
+                for _ in range(rng.randint(0, 5))}
+    items = [random_document(rng, depth + 1) for _ in range(rng.randint(0, 5))]
+    return tuple(items) if kind == 8 else items
+
+
+def test_emitter_writes_the_bytes_of_json_dumps():
+    rng = random.Random("emit")
+    for _ in range(500):
+        doc = random_document(rng)
+        assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    # keys that are not strings are converted as json converts them
+    for doc in ({1: "a", 10: [None, 1.5], 2: {"b": ()}}, {None: 1},
+                {True: [], False: {}}, {1.5: 0, 2: 1, -0.5: 2}):
+        assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        cli._dumps({(1, 2): 3})
 
 
 def test_help_exits_zero():

@@ -2,11 +2,14 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from potalg.fields import GF, QQ
 from potalg.linalg import Echelon, kernel, rank, solve
+
+from helpers import FieldEchelon
 
 FIELDS = [QQ, GF(5), GF(7)]
 
@@ -144,3 +147,105 @@ def test_key_orders_the_pivots():
         flipped = [row[::-1] for row in mat]
         pivots = dense_rref(flipped, ncols, field)[1]
         assert sorted(ech.pivots) == sorted(ncols - 1 - p for p in pivots)
+
+
+BIG_FIELDS = [QQ, GF(5), GF(2147483647)]
+
+
+def big_scalar(rng, field):
+    if field is QQ:
+        return Fraction(rng.randint(-10 ** 12, 10 ** 12),
+                        rng.randint(1, 10 ** 6))
+    return rng.randrange(field.characteristic)
+
+
+def big_system(rng, field):
+    """Up to 40 x 30, a third of the rows combinations of earlier ones,
+    large numerators and denominators over QQ; the right-hand side is
+    consistent half the time."""
+    nrows, ncols = rng.randint(1, 40), rng.randint(1, 30)
+    density = rng.choice((0.15, 0.4, 0.8))
+    mat = []
+    for _ in range(nrows):
+        if mat and rng.random() < 0.35:
+            row = [field.zero] * ncols
+            for src in rng.sample(mat, min(len(mat), rng.randint(1, 3))):
+                s = big_scalar(rng, field)
+                row = [field.add(a, field.mul(s, b)) for a, b in zip(row, src)]
+            mat.append(row)
+        else:
+            mat.append([big_scalar(rng, field) if rng.random() < density
+                        else field.zero for _ in range(ncols)])
+    if rng.random() < 0.5:
+        x = [big_scalar(rng, field) for _ in range(ncols)]
+        rhs = [field.zero] * nrows
+        for i, row in enumerate(mat):
+            for a, b in zip(row, x):
+                rhs[i] = field.add(rhs[i], field.mul(a, b))
+    else:
+        rhs = [big_scalar(rng, field) for _ in range(nrows)]
+    return mat, rhs, ncols
+
+
+@pytest.mark.parametrize("field", BIG_FIELDS, ids=str)
+def test_integer_kernel_matches_dense_reference_on_large_systems(field):
+    rng = random.Random("big:%s" % field)
+    seen = {"stalled": 0, "deficient": 0}
+    for _ in range(12):
+        mat, rhs, ncols = big_system(rng, field)
+        sol, stalled, basis, rows, pivots = dense_solve(mat, rhs, ncols,
+                                                        field)
+        assert rank(map(sparse, mat), field) == \
+            len(dense_rref(mat, ncols, field)[1])
+        got, got_stalled, reduced = solve(columns_of(mat, ncols),
+                                          range(len(mat)), sparse(rhs), field)
+        assert got == sol
+        assert got_stalled == stalled
+        assert kernel(reduced, ncols, field) == basis
+        assert reduced == {p: sparse(row) for row, p in zip(rows, pivots)}
+        ech = Echelon(field)
+        for row in mat:
+            ech.add(sparse(row))
+        want, want_pivots = dense_rref(mat, ncols, field)
+        assert ech.reduced_rows() == {p: sparse(row)
+                                      for row, p in zip(want, want_pivots)}
+        seen["stalled"] += bool(stalled)
+        seen["deficient"] += len(pivots) < min(len(mat), ncols)
+    assert seen["stalled"] and seen["deficient"]
+
+
+@pytest.mark.parametrize("field", BIG_FIELDS, ids=str)
+def test_reduce_matches_field_arithmetic_reference(field):
+    # the same pivots and the same reduced rows, as field elements, as
+    # row reduction with pivot rows scaled to one in the field itself
+    rng = random.Random("reduce:%s" % field)
+    for _ in range(10):
+        mat, _, ncols = big_system(rng, field)
+        key = rng.choice((None, lambda c: -c))
+        ech, ref = Echelon(field, key), FieldEchelon(field, key)
+        for row in mat:
+            ech.add(sparse(row))
+            ref.add(sparse(row))
+        assert ech.pivots.keys() == ref.pivots.keys()
+        for _ in range(5):
+            probe = sparse([big_scalar(rng, field) for _ in range(ncols)])
+            assert ech.reduce(probe) == ref.reduce(probe)
+
+
+@pytest.mark.parametrize("field", BIG_FIELDS, ids=str)
+def test_stored_pivot_rows_are_integers(field):
+    # over QQ primitive with a positive pivot entry, over GF(p) one at
+    # the pivot: no Fraction is stored
+    rng = random.Random("stored:%s" % field)
+    for _ in range(20):
+        mat, _, _ = big_system(rng, field)
+        ech = Echelon(field)
+        for row in mat:
+            ech.add(sparse(row))
+        for c, row in ech.pivots.items():
+            assert all(type(v) is int and v for v in row.values())
+            assert min(row) == c
+            if field is QQ:
+                assert row[c] > 0 and gcd(*row.values()) == 1
+            else:
+                assert row[c] == 1

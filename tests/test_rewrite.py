@@ -22,7 +22,8 @@ from potalg.rewrite import (ambiguities, complete, normal_form,
                             s_polynomial, verify_complete)
 from potalg.words import MonomialOrder
 
-from helpers import random_poly, reference_normal_form
+from helpers import (random_poly, reference_normal_form,
+                     reference_oracle_dimension)
 
 XY = MonomialOrder()
 
@@ -254,6 +255,38 @@ def test_oracle_agrees_with_completion_on_random_potentials():
             G = complete(rels, order, 6)
             assert verify_complete(G)
             assert hilbert(G).hilbert == oracle_dimension(rels, 6, order)
+
+
+GOLDENS = [("x^3 + y^3 + cyc(x y x y)", 8), ("cyc(x^2 y) + y^4", 8),
+           ("cyc(x^2 y) + y^4 + y^5", 8), ("cyc(x^2 y) + y^12", 28),
+           ("x^3 + cyc(x y^3) + y^5", 16)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_oracle_matches_field_arithmetic_reference_on_goldens(field):
+    # dim --oracle runs the oracle at cap min(cap, 8)
+    for text, cap in GOLDENS:
+        rels = [g for g in relations_of(P(text, cap, field))
+                if not g.is_zero()]
+        assert oracle_dimension(rels, min(cap, 8)) == \
+            reference_oracle_dimension(rels, min(cap, 8), XY)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_oracle_matches_field_arithmetic_reference_on_random_pairs(field):
+    rng = random.Random("oracle:%s" % field)
+    pool = (-2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-5, 3)) \
+        if field is QQ else (1, 2, 3, 4)
+    for _ in range(30):
+        cap = rng.randint(2, 8)
+        order = rng.choice((XY, MonomialOrder("yx")))
+        # a linear term fills the closure, and the reference then takes
+        # seconds at caps 7 and 8
+        degrees = (1, 2, 3, 4) if cap <= 6 else (2, 3, 4)
+        rels = [random_poly(rng, field, degrees=degrees, terms=3, cap=cap,
+                            coeff_pool=pool) for _ in range(2)]
+        assert oracle_dimension(rels, cap, order) == \
+            reference_oracle_dimension(rels, cap, order)
 
 
 def test_hilbert_is_precedence_independent():
