@@ -359,8 +359,8 @@ def normal_words_by_degree(system: RewriteSystem, through=None):
     leads = set(system.leads)
     prec = system.order.precedence
     lead_lens = sorted({len(l) for l in leads})
-    out = [[""]]
-    cur = [""]
+    cur = [] if "" in leads else [""]   # a unit lead reduces every word
+    out = [cur]
     for d in range(1, cap + 1):
         nxt = []
         for w in cur:

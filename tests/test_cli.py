@@ -248,6 +248,17 @@ def test_a_zero_derivative_is_dropped_as_canon_drops_it(command):
         assert doc["elements"] == ["x^2"]
 
 
+@pytest.mark.parametrize("text", ["x", "x + y^3"])
+def test_a_unit_relation_gives_the_zero_algebra(text):
+    # dF/dx = 1 generates everything; the free algebra's counts were
+    # reported, against the oracle, and "x" exited 2 on its zero dF/dy
+    code, doc, _ = run_cli("dim", "--potential", text, "--cap", "6",
+                           "--oracle")
+    assert code == 0 and doc["finite"] and doc["total"] == 0
+    assert doc["hilbert"] == [0] * 7 and doc["oracle"]["agrees"]
+    assert doc["algebra"]["basis"] == []
+
+
 # -- canon ----------------------------------------------------------------
 
 def test_canon_lands_on_9b():
@@ -856,6 +867,10 @@ def test_emitter_writes_the_bytes_of_json_dumps():
     for _ in range(500):
         doc = random_document(rng)
         assert cli._dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    deep = []
+    for i in range(60):
+        deep = {"level": [deep, i, (), {}], "x": None}
+    assert cli._dumps(deep) == json.dumps(deep, indent=2, sort_keys=True)
     # keys that are not strings are converted as json converts them
     for doc in ({1: "a", 10: [None, 1.5], 2: {"b": ()}}, {None: 1},
                 {True: [], False: {}}, {1.5: 0, 2: 1, -0.5: 2}):

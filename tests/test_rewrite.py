@@ -224,6 +224,14 @@ def test_empty_relations_give_the_free_algebra():
     assert oracle_dimension([], 6) == (1, 2, 4, 8, 16, 32, 64)
 
 
+def test_a_unit_relation_leaves_no_normal_word():
+    G = complete([P("1 + x", cap=6)], XY, 6)
+    assert G.leads == [""]
+    for text in ("x y", "3 x + y^6"):
+        assert normal_form(P(text, cap=6), G).is_zero()
+    assert normal_words_by_degree(G) == [[]] * 7
+
+
 def test_normal_words_layers_golden():
     G = complete(r1(), XY, 8)
     layers = normal_words_by_degree(G)
