@@ -343,22 +343,31 @@ def test_completion_over_prime_field():
 
 # sha256 of the `gb` JSON for the growing support, as computed before the
 # completion engine's fast path: any change to the engine must keep them.
+# GENERIC is the support with the coefficients the grow benchmark draws
+# at seed 1; its two digests were taken before completion kept its basis
+# as integer rules.
 GROW = "x^3 + cyc(x^2 y^2) + y^5 + cyc(x y x y^2)"
+GENERIC = "2 x^3 + 1 cyc(x^2 y^2) + 6 y^5 + 7 cyc(x y x y^2)"
 
 
+# each flags list starts with the potential
 @pytest.mark.parametrize("flags, digest", [
-    (["--cap", "11"],
+    ([GROW, "--cap", "11"],
      "346a724c45e60cce94aa167e4acd056284907ccc03960c0170c47d5cf88180ae"),
-    (["--cap", "11", "--order", "yx"],
+    ([GROW, "--cap", "11", "--order", "yx"],
      "475bce036cba28af0ba3bbfc218f85fc2e26ee6c58877510f47759759bb87950"),
-    (["--cap", "9", "--mode", "global"],
+    ([GROW, "--cap", "9", "--mode", "global"],
      "809b12a288ceaf51d811482904342f66f1f14fe27812415dd0289a382705d1c0"),
+    ([GENERIC, "--cap", "11", "--order", "xy"],
+     "8f359eea66df39a98713d78a1979e5a4425b934958b1d1df97c4d50b7b606c3b"),
+    ([GENERIC, "--cap", "11", "--order", "yx"],
+     "a59ab26bfdeefcfe49a54310ce5f2d9ee4057869c29195b824810f19c09c4953"),
 ])
 def test_growing_support_basis_is_pinned(flags, digest):
     from potalg.cli import main
     buf = io.StringIO()
     with redirect_stdout(buf):
-        assert main(["gb", "--potential", GROW] + flags) == 0
+        assert main(["gb", "--potential"] + flags) == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
