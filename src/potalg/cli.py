@@ -171,6 +171,18 @@ def _load_algebra(path):
 def _cmd_iso(args):
     A = _load_algebra(args.a)
     B = _load_algebra(args.b)
+    if A is None or B is None:
+        # a zero algebra (None) is told apart by its total dimension, a
+        # rational invariant, and the zero map is the one isomorphism
+        # between two of them
+        if A is B:
+            verdict = isotest.IsoVerdict("isomorphic",
+                                         witness={"x": {}, "y": {}})
+        else:
+            verdict = isotest.IsoVerdict("not_isomorphic", certificate={
+                "invariant": "dimension", "field": (A or B).field.name,
+                "a": A.dim if A else 0, "b": B.dim if B else 0})
+        return dict(verdict.to_json(), command="iso", strategy=args.strategy)
     if args.field is not None:
         A = isotest.algebra_mod_p(A, args.field)
         B = isotest.algebra_mod_p(B, args.field)

@@ -214,6 +214,8 @@ def algebra_from_json(doc) -> FiniteAlgebra:
 
     The document comes from outside, so its shape is checked (ValueError
     otherwise); full associativity is not, being cubic in the dimension.
+    The zero algebra, basis [] with table {}, has no unit word to put at
+    index 0, so it reads as None.
     Rows are dense there and sparse here: only nonzero entries are kept.
     """
     from .parsing import parse_poly
@@ -228,10 +230,10 @@ def algebra_from_json(doc) -> FiniteAlgebra:
     else:
         raise ValueError("unknown field %r" % name)
     basis = doc["basis"]
-    if not (isinstance(basis, list) and basis
+    if not (isinstance(basis, list) and (basis or doc["table"] == {})
             and all(isinstance(w, str) and _WORD.fullmatch(w) for w in basis)):
-        raise ValueError("basis must be a nonempty list of words in x "
-                         "and y, with 1 for the unit word")
+        raise ValueError("basis must be a list of words in x and y, with 1 "
+                         "for the unit word, and empty only with table {}")
     words = [w if w != "1" else "" for w in basis]
     n = len(words)
     degrees = doc["degrees"]
@@ -259,6 +261,8 @@ def algebra_from_json(doc) -> FiniteAlgebra:
                 and all(isinstance(t, str) for t in texts)):
             raise ValueError("relations must be a list of strings")
         rels = [parse_poly(t, field) for t in texts]
+    if not words:
+        return None
     alg = FiniteAlgebra(field, words,
                         {pair: row for pair, row in table.items() if row},
                         rels, doc.get("name", ""))

@@ -1,13 +1,15 @@
 """Truncated completion of two-sided ideals in the free algebra on x, y.
 
-Elements are kept monic FreePolys with leading words selected by a
-MonomialOrder. To reduce by them, each element is read once per order as
-an integer rule: its leading word, and its tail times the lcm of the
-tail's denominators. normal_form keeps the pending terms as integer
-numerators over one common denominator, so a rewriting step multiplies
-and subtracts integers and never normalises a fraction; each finished
-coefficient becomes a field element once. Over GF(p) the same loop runs
-on residues with denominator 1.
+The basis under completion is a list of primitive integer rules (lead,
+scale, tail), each the polynomial scale * lead + tail: integer
+coefficients with the content divided out and scale > 0 (over GF(p):
+residues and scale 1), leading words selected by a MonomialOrder, tail
+terms in rank order. A FreePoly is read once per order as the same kind
+of rule. normal_form keeps the pending terms as integer numerators over
+one common denominator, on a heap keyed by int word ranks, so a rewriting
+step multiplies and subtracts integers and never normalises a fraction.
+A new element is made primitive straight from those integers, and the
+rules become monic FreePolys once, in the RewriteSystem returned.
 
 All computations happen below a degree cap. Resolving every overlap and
 inclusion ambiguity whose witness degree is at most the cap makes the
@@ -30,7 +32,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .fields import QQ, FieldError, ResourceCapError
-from .freepoly import FreePoly, sum_terms
+from .freepoly import FreePoly
 from .linalg import Echelon
 from .words import MonomialOrder, all_words
 
@@ -109,77 +111,73 @@ def _lead_finder(leads):
     return find
 
 
-def _rule(g: FreePoly, order):
-    """g as the rewrite rule lead -> -tail / scale, with an integer tail.
-
-    Returns (lead, scale, tail): the leading word, the lcm of the tail's
-    denominators (1 over GF(p)) and the (word, length, integer) triples
-    of scale * (g - lead), shortest words first. The rule treats the lead
-    coefficient as 1, so g is expected monic. Built once per element and
-    order and kept on g.
-    """
-    memo = g._rule
-    if memo is not None and memo[0] == order:
-        return memo[1]
-    lead = g.leading_word(order)
-    pairs = [(t, c) for t, c in g.terms.items() if t != lead]
-    scale = 1
-    if not g.field.characteristic:
-        scale = lcm(*(c.denominator for _, c in pairs))
-        pairs = [(t, c.numerator * (scale // c.denominator))
-                 for t, c in pairs]
-    tail = tuple(sorted(((t, len(t), c) for t, c in pairs),
-                        key=lambda e: e[1]))
-    rule = (lead, scale, tail)
-    g._rule = (order, rule)
-    return rule
+def _primitive(terms, p):
+    """The rule (lead, scale, tail) of the polynomial whose integer terms
+    are listed in rank order; tail holds (word, length, coefficient)
+    triples. Over QQ the content is divided out and the lead coefficient
+    scale is positive. Over GF(p) the terms are residues and scale is 1."""
+    (lead, a), *rest = terms.items()
+    if p:
+        inv = pow(a, -1, p)
+        return lead, 1, tuple((w, len(w), c * inv % p) for w, c in rest)
+    g = gcd(a, *(c for _, c in rest)) * (1 if a > 0 else -1)
+    return lead, a // g, tuple((w, len(w), c // g) for w, c in rest)
 
 
-def normal_form(f: FreePoly, system) -> FreePoly:
-    """Reduce f modulo the system, most significant words first.
+def _rule(g, order):
+    """g as the primitive rule lead -> -tail / scale, its tail in rank
+    order: shortest words first in local mode, and none longer than the
+    lead in global mode. A rule passes through; a FreePoly keeps its rule
+    for the order last asked for."""
+    if type(g) is tuple:
+        return g
+    if g._rule is None or g._rule[0] != order:
+        p = g.field.characteristic
+        terms = dict(sorted(g.terms.items(), key=lambda t: order.rank(t[0])))
+        if not p:
+            D = lcm(*(c.denominator for c in terms.values()))
+            terms = {t: c.numerator * (D // c.denominator)
+                     for t, c in terms.items()}
+        g._rule = (order, _primitive(terms, p))
+    return g._rule[1]
 
-    Deterministic: at each step the earliest word in the order with a
-    reducible occurrence is rewritten at its leftmost occurrence, trying
-    elements in basis order.
 
-    The pending terms are integers over one common denominator D (over
-    GF(p): residues, with D = 1). Rewriting c w by a rule with integer
-    tail h and scale L multiplies the pending terms and D by L / gcd(c, L)
-    and subtracts c / gcd(c, L) times pre h post, so no step divides. A
-    popped word that no lead divides is final, since every rewrite only
-    produces later words, and leaves as the field element c / D.
-    """
-    if isinstance(system, RewriteSystem):
-        elements, order, cap = system.elements, system.order, system.cap
-    else:
-        elements, order, cap = system
-    rules = [_rule(g, order) for g in elements]
-    find = _lead_finder([lead for lead, _, _ in rules])
-    field = f.field
+def _monic(rule, field, order, cap):
+    """The monic FreePoly of a rule, with the rule kept on it."""
+    lead, scale, tail = rule
     p = field.characteristic
-    cur = {w: c for w, c in f.terms.items() if cap is None or len(w) <= cap}
-    D = 1
-    if not p:
-        D = lcm(*(c.denominator for c in cur.values()))
-        cur = {w: c.numerator * (D // c.denominator) for w, c in cur.items()}
-    heap = [(order.leading_key(w), w) for w in cur]
+    g = FreePoly(field, dict([(lead, field.one)] + [
+        (t, c if p else Fraction(c, scale)) for t, _, c in tail]), cap)
+    g._rule = (order, rule)
+    return g
+
+
+def _reduce(cur, D, rules, order, cap, p):
+    """The integer core of normal_form on the terms cur, integers over
+    the common denominator D; cur is consumed. Returns the normal terms
+    in rank order, over the final D, and that D. A finished term keeps
+    the D it was popped at and is brought to the final one at the end."""
+    find = _lead_finder([lead for lead, _, _ in rules])
+    # the finder passes over the empty word, which a unit lead reduces
+    unit = next(((0, gi) for gi, r in enumerate(rules) if not r[0]), None)
+    rank = order.rank
+    heap = [(rank(w), w) for w in cur]
     heapq.heapify(heap)
-    out = {}
+    done = []
     while heap:
         _, w = heapq.heappop(heap)
         c = cur.pop(w, 0)
         if not c:
             continue
-        hit = find(w)
+        hit = find(w) if w else unit
         if hit is None:
-            out[w] = c if p else Fraction(c, D)
+            done.append((w, c, D))
             continue
         i, gi = hit
         lead, scale, tail = rules[gi]
         if scale != 1:
             g0 = gcd(c, scale)
-            m = scale // g0
-            c //= g0
+            c, m = c // g0, scale // g0
             if m != 1:
                 D *= m
                 cur = {v: a * m for v, a in cur.items()}
@@ -196,51 +194,81 @@ def normal_form(f: FreePoly, system) -> FreePoly:
                 s %= p
             if s:
                 if nw not in cur:
-                    heapq.heappush(heap, (order.leading_key(nw), nw))
+                    heapq.heappush(heap, (rank(nw), nw))
                 cur[nw] = s
             else:
                 del cur[nw]
-    return FreePoly(field, out, f.cap if cap is None else cap)
+    return {w: c * (D // d) for w, c, d in done}, D
 
 
-def _interreduce(elements, order, cap):
-    """Full autoreduction: every element is monic, no lead divides another
-    lead or any tail word. Deterministic processing by leading key: the
+def normal_form(f, system):
+    """Reduce f modulo the system, most significant words first.
+
+    Deterministic: at each step the earliest word in the order with a
+    reducible occurrence is rewritten at its leftmost occurrence, trying
+    elements in basis order. system is a RewriteSystem or a tuple
+    (elements, order, cap) of FreePolys or rules. A FreePoly f gives a
+    FreePoly; a dict f of integers, as s_polynomial gives on rules, is
+    reduced against (rules, order, cap, p) and gives, in rank order, the
+    integer terms of a nonzero multiple of its normal form.
+
+    The pending terms are integers over one common denominator D (over
+    GF(p): residues, with D = 1). Rewriting c w by a rule with integer
+    tail h and scale L multiplies the pending terms and D by L / gcd(c, L)
+    and subtracts c / gcd(c, L) times pre h post, so no step divides. A
+    popped word that no lead divides is final, since every rewrite only
+    produces later words.
+    """
+    if isinstance(system, RewriteSystem):
+        system = (system.elements, system.order, system.cap)
+    elements, order, cap = system[:3]
+    rules = [_rule(g, order) for g in elements]
+    if not isinstance(f, FreePoly):
+        p = system[3]
+        return _reduce({w: c % p for w, c in f.items()} if p else dict(f),
+                       1, rules, order, cap, p)[0]
+    field, p = f.field, f.field.characteristic
+    cur = {w: c for w, c in f.terms.items() if cap is None or len(w) <= cap}
+    D = 1 if p else lcm(*(c.denominator for c in cur.values()))
+    if not p:
+        cur = {w: c.numerator * (D // c.denominator) for w, c in cur.items()}
+    out, D = _reduce(cur, D, rules, order, cap, p)
+    return FreePoly(field, {w: c if p else Fraction(c, D)
+                            for w, c in out.items()},
+                    f.cap if cap is None else cap)
+
+
+def _interreduce(rules, order, cap, p):
+    """Full autoreduction of primitive rules: no lead divides another
+    lead or any tail word. Deterministic processing by lead rank: the
     first element that the others can reduce is replaced, then the pool
     is sorted again. An element none of whose words holds another lead is
-    already normal, so it is passed over without calling normal_form."""
-    def lead_key(g):
-        return order.leading_key(_rule(g, order)[0])
-
-    pool = [g for g in elements if not g.is_zero()]
+    already normal, so it is passed over without reducing it."""
+    pool = list(rules)
     changed = True
     while changed:
         changed = False
-        pool.sort(key=lead_key)
-        leads = [_rule(g, order)[0] for g in pool]
-        for i, g in enumerate(pool):
-            text = "|".join(g.terms)
+        pool.sort(key=lambda r: order.rank(r[0]))
+        leads = [r[0] for r in pool]
+        for i, (lead, scale, tail) in enumerate(pool):
+            terms = dict([(lead, scale)] + [(t, c) for t, _, c in tail])
+            text = "|".join(terms)
             if not any(lw in text for j, lw in enumerate(leads) if j != i):
                 continue
             others = pool[:i] + pool[i + 1:]
-            r = normal_form(g, (others, order, cap))
-            if r.is_zero():
-                pool = others
+            r, _ = _reduce(terms, 1, others, order, cap, p)
+            r = _primitive(r, p) if r else None
+            if r != pool[i]:
+                pool[i:i + 1] = [r] if r else []
                 changed = True
                 break
-            r = r.monic(order)
-            if r != g:
-                pool[i] = r
-                changed = True
-                break
-    # tail-reduce each element by the full system, own lead included
-    out = []
-    for g in sorted(pool, key=lead_key):
-        lw = _rule(g, order)[0]
-        tail = FreePoly(g.field,
-                        {w: c for w, c in g.terms.items() if w != lw}, cap)
-        tail = normal_form(tail, (pool, order, cap))
-        out.append(FreePoly.term(lw, g.field.one, g.field, cap) + tail)
+    # no other lead occurs in any element now, so only a tail that holds
+    # its own lead is reduced, by the full system
+    out = list(pool)
+    for i, (lead, scale, tail) in enumerate(pool):
+        if lead in "|".join([t for t, _, _ in tail]):
+            r, D = _reduce({t: c for t, _, c in tail}, 1, pool, order, cap, p)
+            out[i] = _primitive({lead: scale * D, **r}, p)
     return out
 
 
@@ -268,21 +296,29 @@ def ambiguities(elements, order, cap):
     return found
 
 
-def s_polynomial(amb: Ambiguity, elements, order, cap) -> FreePoly:
-    """Difference of the two one-step reductions of the witness."""
-    gi = elements[amb.left]
-    gj = elements[amb.right]
+def s_polynomial(amb: Ambiguity, elements, order, cap):
+    """Difference of the two one-step reductions of the witness: a
+    FreePoly over FreePolys, and over rules a dict of integers, the
+    difference times the lcm of the two scales."""
+    gi, gj = (_rule(elements[k], order) for k in (amb.left, amb.right))
     w = amb.witness
-
-    def tail(g, at):
-        """The non-leading terms of g, put in place of its lead in w."""
-        lw = _rule(g, order)[0]
-        pre, post = w[:at], w[at + len(lw):]
-        return [(pre + t + post, c) for t, c in g.terms.items() if t != lw]
-
-    neg = gi.field.neg
-    return sum_terms(gi.field, [(v, neg(c)) for v, c in tail(gi, amb.left_at)]
-                     + tail(gj, amb.right_at), cap)
+    scale = lcm(gi[1], gj[1])
+    out = {}
+    for (lead, s, tail), at, m in ((gi, amb.left_at, -1),
+                                   (gj, amb.right_at, 1)):
+        pre, post = w[:at], w[at + len(lead):]
+        m *= scale // s
+        for t, lt, c in tail:
+            if len(pre) + lt + len(post) > cap:
+                break
+            v = pre + t + post
+            out[v] = out.get(v, 0) + m * c
+    if type(elements[amb.left]) is tuple:
+        return out
+    field = elements[amb.left].field
+    p = field.characteristic
+    return FreePoly(field, {v: c % p if p else Fraction(c, scale)
+                            for v, c in out.items()}, cap)
 
 
 def complete(relations, order=_DEFAULT_ORDER, cap=12) -> RewriteSystem:
@@ -293,15 +329,17 @@ def complete(relations, order=_DEFAULT_ORDER, cap=12) -> RewriteSystem:
     FIFO within a degree; the basis is interreduced, which also sorts it
     canonically, at the start and after every insertion. In finite
     characteristic an element whose every leading candidate has zero
-    coefficient cannot be made monic and is reported.
+    coefficient cannot be made monic and is reported. The basis is kept
+    as primitive integer rules, which become monic FreePolys once, in the
+    returned system.
 
     Resolved ambiguities are remembered in done across insertions, keyed
-    on the two element polynomials themselves plus kind, witness and
-    positions: while both elements survive unchanged the s-polynomial is
-    the same, and an element rewritten by interreduction gives new keys,
-    so its ambiguities are resolved again. Which resolved pairs are
-    skipped, and in what order the rest are met, does not show in the
-    output: the reduced complete basis of the truncated ideal is unique.
+    on the two rules themselves plus kind, witness and positions: while
+    both elements survive unchanged the s-polynomial is the same, and an
+    element rewritten by interreduction gives new keys, so its
+    ambiguities are resolved again. Which resolved pairs are skipped, and
+    in what order the rest are met, does not show in the output: the
+    reduced complete basis of the truncated ideal is unique.
     """
     rels = []
     for r in relations:
@@ -310,19 +348,20 @@ def complete(relations, order=_DEFAULT_ORDER, cap=12) -> RewriteSystem:
         r = r.truncated(cap)
         if r.is_zero():
             raise ValueError("cap %d drops a relation entirely" % cap)
-        lc = r.leading_coeff(order)
-        if not lc:
+        if not r.leading_coeff(order):
             raise FieldError("relation with vanishing leading coefficient "
                              "cannot be made monic")
-        rels.append(r.monic(order))
+        rels.append(_rule(r, order))
     if not rels:
         # free algebra: nothing to resolve, counts are exact through cap
         return RewriteSystem([], order, cap, field=QQ)
-    need = max(len(r.leading_word(order)) for r in rels)
+    need = max(len(lead) for lead, _, _ in rels)
     if cap < need:
         raise ValueError("cap %d below max relation degree %d" % (cap, need))
 
-    basis = _interreduce(rels, order, cap)
+    field = relations[0].field
+    p = field.characteristic
+    basis = _interreduce(rels, order, cap, p)
     done = set()
     progress = True
     while progress:
@@ -333,14 +372,15 @@ def complete(relations, order=_DEFAULT_ORDER, cap=12) -> RewriteSystem:
             if sig in done:
                 continue
             s = s_polynomial(amb, basis, order, cap)
-            r = normal_form(s, (basis, order, cap))
+            r = normal_form(s, (basis, order, cap, p))
             done.add(sig)
-            if not r.is_zero():
-                basis = _interreduce(basis + [r.monic(order)], order, cap)
+            if r:
+                basis = _interreduce(basis + [_primitive(r, p)], order, cap, p)
                 progress = True
                 break
     # basis is _interreduce output, which _interreduce leaves unchanged
-    return RewriteSystem(basis, order, cap)
+    return RewriteSystem([_monic(g, field, order, cap) for g in basis],
+                         order, cap)
 
 
 def verify_complete(system: RewriteSystem) -> bool:

@@ -5,10 +5,10 @@ import itertools
 from heapq import heapify, heappop, heappush
 
 from potalg.fields import QQ
-from potalg.freepoly import FreePoly
+from potalg.freepoly import FreePoly, sum_terms
 from potalg.isotest import is_isomorphism
 from potalg.linalg import kernel, solve
-from potalg.rewrite import RewriteSystem, _lead_finder
+from potalg.rewrite import RewriteSystem, _lead_finder, ambiguities
 from potalg.words import all_words
 
 
@@ -172,6 +172,7 @@ def reference_normal_form(f, system):
         elements, order, cap = system
     leads = [g.leading_word(order) for g in elements]
     find = _lead_finder(leads)
+    unit = (0, leads.index("")) if "" in leads else None
     field = f.field
     add, mul, neg = field.add, field.mul, field.neg
     cur = dict(f.terms)
@@ -186,7 +187,7 @@ def reference_normal_form(f, system):
         c = cur.get(w)
         if not c or w in normal:
             continue
-        hit = find(w)
+        hit = find(w) if w else unit
         if hit is None:
             normal.add(w)
             continue
@@ -213,6 +214,87 @@ def reference_normal_form(f, system):
                 cur[nw] = piece
                 heapq.heappush(heap, (order.leading_key(nw), nw))
     return FreePoly(field, cur, f.cap if cap is None else cap)
+
+
+def _reference_interreduce(elements, order, cap):
+    """Full autoreduction of FreePolys by reference_normal_form: the
+    first element that the others can reduce is replaced by its monic
+    normal form, or dropped if that is zero, until none can be; then
+    every tail is reduced by the whole system."""
+    def key(g):
+        return order.leading_key(g.leading_word(order))
+
+    pool = [g for g in elements if not g.is_zero()]
+    changed = True
+    while changed:
+        changed = False
+        pool.sort(key=key)
+        for i, g in enumerate(pool):
+            others = pool[:i] + pool[i + 1:]
+            r = reference_normal_form(g, (others, order, cap))
+            if r.is_zero():
+                pool = others
+                changed = True
+                break
+            r = r.monic(order)
+            if r != g:
+                pool[i] = r
+                changed = True
+                break
+    out = []
+    for g in pool:
+        lw = g.leading_word(order)
+        tail = FreePoly(g.field, {w: c for w, c in g.terms.items()
+                                  if w != lw}, cap)
+        tail = reference_normal_form(tail, (pool, order, cap))
+        out.append(FreePoly.term(lw, g.field.one, g.field, cap) + tail)
+    return out
+
+
+def _reference_s_polynomial(amb, elements, order, cap):
+    """The witness rewritten at the right lead, less the witness
+    rewritten at the left one, for monic FreePolys."""
+    w = amb.witness
+
+    def placed(g, at, sign):
+        lw = g.leading_word(order)
+        pre, post = w[:at], w[at + len(lw):]
+        return [(pre + t + post, sign * c) for t, c in g.terms.items()
+                if t != lw]
+
+    gi, gj = elements[amb.left], elements[amb.right]
+    return sum_terms(gi.field, placed(gi, amb.left_at, -1)
+                     + placed(gj, amb.right_at, 1), cap)
+
+
+def reference_complete(relations, order, cap):
+    """Truncated completion on monic FreePolys in field arithmetic, the
+    way the library ran it before its basis became integer rules: the
+    reference complete() is compared against. Every unresolved
+    ambiguity adds its monic normal form and interreduces; the basis
+    returned is the same unique reduced basis."""
+    rels = [r.truncated(cap).monic(order) for r in relations]
+    if not rels:
+        return RewriteSystem([], order, cap, field=QQ)
+    basis = _reference_interreduce(rels, order, cap)
+    done = set()
+    progress = True
+    while progress:
+        progress = False
+        for amb in ambiguities(basis, order, cap):
+            sig = (amb.kind, basis[amb.left], basis[amb.right], amb.witness,
+                   amb.left_at, amb.right_at)
+            if sig in done:
+                continue
+            s = _reference_s_polynomial(amb, basis, order, cap)
+            r = reference_normal_form(s, (basis, order, cap))
+            done.add(sig)
+            if not r.is_zero():
+                basis = _reference_interreduce(basis + [r.monic(order)],
+                                               order, cap)
+                progress = True
+                break
+    return RewriteSystem(basis, order, cap)
 
 
 class FieldEchelon:

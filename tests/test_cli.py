@@ -259,6 +259,39 @@ def test_a_unit_relation_gives_the_zero_algebra(text):
     assert doc["algebra"]["basis"] == []
 
 
+@pytest.mark.parametrize("strategy", ["auto", "invariants", "lift"])
+def test_iso_answers_the_zero_algebra_by_dimension(tmp_path, strategy):
+    # the document that dim writes for a unit relation used to exit 2
+    # ("basis must be a nonempty list"); it is answered by total dimension
+    zero = dim_file(tmp_path, "x", "zero.json", cap="6")
+    d8 = dim_file(tmp_path, DIM8, "d8.json", cap="9")
+    flags = ["--strategy", strategy] + (["--field", "7"]
+                                        if strategy == "lift" else [])
+    code, doc, _ = run_cli("iso", "--a", zero, "--b", zero, *flags)
+    assert code == 0 and doc["status"] == "isomorphic"
+    assert doc["witness"] == {"x": {}, "y": {}}
+    for a, b, dims in ((zero, d8, [0, 8]), (d8, zero, [8, 0])):
+        code, doc, _ = run_cli("iso", "--a", a, "--b", b, *flags)
+        assert code == 0 and doc["status"] == "not_isomorphic"
+        cert = doc["certificate"]
+        assert cert["invariant"] == "dimension" and cert["field"] == "QQ"
+        assert [cert["a"], cert["b"]] == dims
+
+
+@pytest.mark.parametrize("damage", [
+    lambda alg: alg.update(table={"1,1": []}),
+    lambda alg: alg.update(degrees=[0]),
+], ids=["table", "degrees"])
+def test_iso_refuses_an_empty_basis_with_a_nonempty_rest(tmp_path, damage):
+    zero = dim_file(tmp_path, "x", "zero.json", cap="6")
+    doc = json.loads(Path(zero).read_text())
+    damage(doc["algebra"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, _ = run_cli("iso", "--a", str(bad), "--b", zero)
+    assert code == 2 and out["error"] == "config"
+
+
 # -- canon ----------------------------------------------------------------
 
 def test_canon_lands_on_9b():

@@ -22,7 +22,7 @@ from potalg.rewrite import (ambiguities, complete, normal_form,
                             s_polynomial, verify_complete)
 from potalg.words import MonomialOrder
 
-from helpers import (random_poly, reference_normal_form,
+from helpers import (random_poly, reference_complete, reference_normal_form,
                      reference_oracle_dimension)
 
 XY = MonomialOrder()
@@ -197,6 +197,30 @@ def test_normal_form_matches_fraction_reference(field):
     assert modes == {0, 1}
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=str)
+def test_complete_matches_field_arithmetic_reference(field):
+    """complete() on integer rules and reference_complete() on monic
+    FreePolys give the same JSON, under both precedences and modes at
+    caps 5-8; a few relations carry a constant term."""
+    rng = random.Random("complete-%s" % field.name)
+    p = field.characteristic
+    pool = tuple(c for c in NF_POOL if not p or c.denominator % p)
+    for trial in range(40):
+        order = MonomialOrder(("xy", "yx")[trial % 2],
+                              ("local", "global")[trial // 2 % 2])
+        cap = 5 + trial // 4 % 4
+        rels = [random_poly(rng, field, terms=rng.randint(2, 4), cap=cap,
+                            degrees=(0, 1, 2, 3) if rng.random() < 0.1
+                            else (2, 3), coeff_pool=pool)
+                for _ in range(rng.randint(1, 3))]
+        rels = [r for r in rels if not r.is_zero()]
+        if not rels:
+            continue
+        G = complete(rels, order, cap)
+        assert G.to_json() == reference_complete(rels, order, cap).to_json()
+        assert verify_complete(G)
+
+
 def test_ideal_members_reduce_to_zero():
     G = complete(r1(), XY, 8)
     rng = random.Random(41)
@@ -230,6 +254,27 @@ def test_a_unit_relation_leaves_no_normal_word():
     for text in ("x y", "3 x + y^6"):
         assert normal_form(P(text, cap=6), G).is_zero()
     assert normal_words_by_degree(G) == [[]] * 7
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_a_unit_lead_reduces_the_empty_word(field):
+    # normal_form(1) used to come back as 1: the lead finder passes over
+    # the empty word, and nothing else matched it against a unit lead
+    G = complete([P("1 + x", cap=6, field=field)], XY, 6)
+    assert normal_form(P("1", cap=6, field=field), G).is_zero()
+    assert normal_form(P("2 - 3 y", cap=6, field=field), G).is_zero()
+
+
+def test_a_unit_element_is_kept_once():
+    # the same defect left copies of 1 in the basis, which interreduction
+    # could not reduce against each other: this global-mode basis came
+    # back as eight elements 1
+    F = GF(11)
+    rels = [P(t, cap=9, field=F) for t in (
+        "4 x + 7 y x + 8 x^2 y + 6 x^2 y^2",
+        "4 x + y x + 9 y^2 + 8 x^2 y^2", "9 + 2 y^2 x^2")]
+    G = complete(rels, MonomialOrder(mode="global"), 9)
+    assert [render(g) for g in G.elements] == ["1"] and G.leads == [""]
 
 
 def test_normal_words_layers_golden():

@@ -135,3 +135,17 @@ def test_order_round_trips_through_json():
         assert back == order
         assert hash(back) == hash(order)
     assert MonomialOrder() != MonomialOrder(mode="global")
+
+
+@pytest.mark.parametrize("precedence", ["xy", "yx"])
+@pytest.mark.parametrize("mode", ["local", "global"])
+def test_rank_sorts_as_leading_key(precedence, mode):
+    """The int rank that keys the reduction heap orders every word up to
+    length 10 as leading_key does, and gives distinct words distinct
+    ranks."""
+    order = MonomialOrder(precedence, mode)
+    words = words_up_to(10)
+    random.Random(precedence + mode).shuffle(words)
+    assert sorted(words, key=order.rank) == sorted(words,
+                                                   key=order.leading_key)
+    assert len({order.rank(w) for w in words}) == len(words)
