@@ -214,9 +214,9 @@ def algebra_from_json(doc) -> FiniteAlgebra:
 
     The document comes from outside, so its shape is checked (ValueError
     otherwise); full associativity is not, being cubic in the dimension.
+    Rows are dense there and sparse here: only nonzero entries are kept.
     The zero algebra, basis [] with table {}, has no unit word to put at
     index 0, so it reads as None.
-    Rows are dense there and sparse here: only nonzero entries are kept.
     """
     from .parsing import parse_poly
     for key in ("basis", "degrees", "table"):

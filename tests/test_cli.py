@@ -278,20 +278,6 @@ def test_iso_answers_the_zero_algebra_by_dimension(tmp_path, strategy):
         assert [cert["a"], cert["b"]] == dims
 
 
-@pytest.mark.parametrize("damage", [
-    lambda alg: alg.update(table={"1,1": []}),
-    lambda alg: alg.update(degrees=[0]),
-], ids=["table", "degrees"])
-def test_iso_refuses_an_empty_basis_with_a_nonempty_rest(tmp_path, damage):
-    zero = dim_file(tmp_path, "x", "zero.json", cap="6")
-    doc = json.loads(Path(zero).read_text())
-    damage(doc["algebra"])
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    code, out, _ = run_cli("iso", "--a", str(bad), "--b", zero)
-    assert code == 2 and out["error"] == "config"
-
-
 # -- canon ----------------------------------------------------------------
 
 def test_canon_lands_on_9b():
@@ -455,13 +441,17 @@ def test_iso_missing_file_exits_2(tmp_path):
     lambda alg: alg.update(relations="x^2"),          # relations a string
     lambda alg: alg.update(relations=[1]),            # relation not a string
     lambda alg: alg["degrees"].__setitem__(0, -1),    # not the word length
+    # an empty basis is the zero algebra only with an empty table
+    lambda alg: alg.update(basis=[], degrees=[]),
+    lambda alg: alg.update(basis=[], degrees=[0], table={}),
 ], ids=["long-row", "table-list", "short-row", "short-degrees",
         "unknown-word", "unit-row", "filtration", "field-number",
         "field-underscore",
         "entry-null", "entry-list", "entry-zero-denominator",
         "entry-exponent", "entry-float", "entry-bool", "entry-float-gf7",
         "basis-number", "basis-letter", "relations-string", "relations-number",
-        "degree-negative"])
+        "degree-negative", "basis-empty-table-full",
+        "basis-empty-degrees-full"])
 def test_iso_rejects_malformed_algebra_tables(tmp_path, damage):
     a = dim_file(tmp_path, DIM8, "a.json")
     doc = json.loads(Path(a).read_text())
