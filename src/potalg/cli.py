@@ -171,26 +171,26 @@ def _load_algebra(path):
 def _cmd_iso(args):
     A = _load_algebra(args.a)
     B = _load_algebra(args.b)
-    if A is None or B is None:
-        # a zero algebra (None) is told apart by its total dimension, a
-        # rational invariant, and the zero map is the one isomorphism
-        # between two of them
-        if A is B:
-            verdict = isotest.IsoVerdict("isomorphic",
-                                         witness={"x": {}, "y": {}})
-        else:
-            verdict = isotest.IsoVerdict("not_isomorphic", certificate={
-                "invariant": "dimension", "field": (A or B).field.name,
-                "a": A.dim if A else 0, "b": B.dim if B else 0})
-        return dict(verdict.to_json(), command="iso", strategy=args.strategy)
     if args.field is not None:
         A = isotest.algebra_mod_p(A, args.field)
         B = isotest.algebra_mod_p(B, args.field)
 
-    if args.strategy == "invariants":
-        if A.field != B.field:
-            raise ValueError("the algebras live over different fields; "
-                             "pass --field to align them")
+    zero = not (A.dim and B.dim)
+    if (zero or args.strategy == "invariants") and A.field != B.field:
+        raise ValueError("the algebras live over different fields; "
+                         "pass --field to align them")
+    if zero:
+        # the zero algebra has no unit word to profile or search from; its
+        # total dimension, a rational invariant, tells it apart, and the
+        # zero map is the one isomorphism between two zero algebras
+        if A.dim == B.dim:
+            verdict = isotest.IsoVerdict("isomorphic",
+                                         witness={"x": {}, "y": {}})
+        else:
+            verdict = isotest.IsoVerdict("not_isomorphic", certificate={
+                "invariant": "dimension", "field": A.field.name,
+                "a": A.dim, "b": B.dim})
+    elif args.strategy == "invariants":
         pa, pb = isotest.algebra_profile(A), isotest.algebra_profile(B)
         keys = ["dimension", "hilbert"]
         keys += sorted(k for k in pa if k not in keys)

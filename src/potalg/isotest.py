@@ -56,7 +56,8 @@ def _combine(field, terms):
 
 @dataclass
 class FiniteAlgebra:
-    """Structure constants on a basis of words with unit at index 0.
+    """Structure constants on a basis of words with unit at index 0, or
+    on no words at all: the zero algebra, which has no unit word.
 
     A word's degree is its length. table maps an index pair to the
     sparse row of the product; pairs whose product is zero are absent.
@@ -102,7 +103,7 @@ class FiniteAlgebra:
         Cheap enough to run on every table read from outside, unlike an
         associativity check over all basis triples.
         """
-        if self.words[0] != "":
+        if self.words and self.words[0] != "":
             raise ValueError("basis must start with the unit word")
         deg = self.degrees
         if deg != sorted(deg):
@@ -215,8 +216,7 @@ def algebra_from_json(doc) -> FiniteAlgebra:
     The document comes from outside, so its shape is checked (ValueError
     otherwise); full associativity is not, being cubic in the dimension.
     Rows are dense there and sparse here: only nonzero entries are kept.
-    The zero algebra, basis [] with table {}, has no unit word to put at
-    index 0, so it reads as None.
+    The basis is empty only for the zero algebra, whose table is {}.
     """
     from .parsing import parse_poly
     for key in ("basis", "degrees", "table"):
@@ -261,8 +261,6 @@ def algebra_from_json(doc) -> FiniteAlgebra:
                 and all(isinstance(t, str) for t in texts)):
             raise ValueError("relations must be a list of strings")
         rels = [parse_poly(t, field) for t in texts]
-    if not words:
-        return None
     alg = FiniteAlgebra(field, words,
                         {pair: row for pair, row in table.items() if row},
                         rels, doc.get("name", ""))

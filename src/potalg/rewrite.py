@@ -4,10 +4,11 @@ The basis under completion is a list of primitive integer rules (lead,
 scale, tail), each the polynomial scale * lead + tail: integer
 coefficients with the content divided out and scale > 0 (over GF(p):
 residues and scale 1), leading words selected by a MonomialOrder, tail
-terms in rank order. A FreePoly is read once per order as the same kind
-of rule. normal_form keeps the pending terms as integer numerators over
-one common denominator, on a heap keyed by int word ranks, so a rewriting
-step multiplies and subtracts integers and never normalises a fraction.
+terms in leading_key order. A FreePoly is read once per order as the same
+kind of rule. normal_form keeps the pending terms as integer numerators
+over one common denominator, on a heap keyed by the order's int
+leading_key, so a rewriting step multiplies and subtracts integers and
+never normalises a fraction.
 A new element is made primitive straight from those integers, and the
 rules become monic FreePolys once, in the RewriteSystem returned.
 
@@ -113,7 +114,7 @@ def _lead_finder(leads):
 
 def _primitive(terms, p):
     """The rule (lead, scale, tail) of the polynomial whose integer terms
-    are listed in rank order; tail holds (word, length, coefficient)
+    are listed in leading_key order; tail holds (word, length, coefficient)
     triples. Over QQ the content is divided out and the lead coefficient
     scale is positive. Over GF(p) the terms are residues and scale is 1."""
     (lead, a), *rest = terms.items()
@@ -125,15 +126,15 @@ def _primitive(terms, p):
 
 
 def _rule(g, order):
-    """g as the primitive rule lead -> -tail / scale, its tail in rank
-    order: shortest words first in local mode, and none longer than the
+    """g as the primitive rule lead -> -tail / scale, its tail in
+    leading_key order: shortest words first in local mode, and none longer than the
     lead in global mode. A rule passes through; a FreePoly keeps its rule
     for the order last asked for."""
     if type(g) is tuple:
         return g
     if g._rule is None or g._rule[0] != order:
         p = g.field.characteristic
-        terms = dict(sorted(g.terms.items(), key=lambda t: order.rank(t[0])))
+        terms = dict(sorted(g.terms.items(), key=lambda t: order.leading_key(t[0])))
         if not p:
             D = lcm(*(c.denominator for c in terms.values()))
             terms = {t: c.numerator * (D // c.denominator)
@@ -155,13 +156,13 @@ def _monic(rule, field, order, cap):
 def _reduce(cur, D, rules, order, cap, p):
     """The integer core of normal_form on the terms cur, integers over
     the common denominator D; cur is consumed. Returns the normal terms
-    in rank order, over the final D, and that D. A finished term keeps
+    in leading_key order, over the final D, and that D. A finished term keeps
     the D it was popped at and is brought to the final one at the end."""
     find = _lead_finder([lead for lead, _, _ in rules])
     # the finder passes over the empty word, which a unit lead reduces
     unit = next(((0, gi) for gi, r in enumerate(rules) if not r[0]), None)
-    rank = order.rank
-    heap = [(rank(w), w) for w in cur]
+    key = order.leading_key
+    heap = [(key(w), w) for w in cur]
     heapq.heapify(heap)
     done = []
     while heap:
@@ -194,7 +195,7 @@ def _reduce(cur, D, rules, order, cap, p):
                 s %= p
             if s:
                 if nw not in cur:
-                    heapq.heappush(heap, (rank(nw), nw))
+                    heapq.heappush(heap, (key(nw), nw))
                 cur[nw] = s
             else:
                 del cur[nw]
@@ -208,8 +209,8 @@ def normal_form(f, system):
     reducible occurrence is rewritten at its leftmost occurrence, trying
     elements in basis order. system is a RewriteSystem or a tuple
     (elements, order, cap) of FreePolys or rules. A FreePoly f gives a
-    FreePoly; a dict f of integers, as s_polynomial gives on rules, is
-    reduced against (rules, order, cap, p) and gives, in rank order, the
+    FreePoly; a dict f of integers, as s_polynomial gives, is reduced
+    against (elements, order, cap, p) and gives, in leading_key order, the
     integer terms of a nonzero multiple of its normal form.
 
     The pending terms are integers over one common denominator D (over
@@ -240,7 +241,7 @@ def normal_form(f, system):
 
 def _interreduce(rules, order, cap, p):
     """Full autoreduction of primitive rules: no lead divides another
-    lead or any tail word. Deterministic processing by lead rank: the
+    lead or any tail word. Deterministic processing by lead key: the
     first element that the others can reduce is replaced, then the pool
     is sorted again. An element none of whose words holds another lead is
     already normal, so it is passed over without reducing it."""
@@ -248,7 +249,7 @@ def _interreduce(rules, order, cap, p):
     changed = True
     while changed:
         changed = False
-        pool.sort(key=lambda r: order.rank(r[0]))
+        pool.sort(key=lambda r: order.leading_key(r[0]))
         leads = [r[0] for r in pool]
         for i, (lead, scale, tail) in enumerate(pool):
             terms = dict([(lead, scale)] + [(t, c) for t, _, c in tail])
@@ -297,9 +298,9 @@ def ambiguities(elements, order, cap):
 
 
 def s_polynomial(amb: Ambiguity, elements, order, cap):
-    """Difference of the two one-step reductions of the witness: a
-    FreePoly over FreePolys, and over rules a dict of integers, the
-    difference times the lcm of the two scales."""
+    """Difference of the two one-step reductions of the witness, as a dict
+    of integers: the difference times the lcm of the two scales. Over
+    GF(p) the entries are not yet reduced mod p; normal_form does that."""
     gi, gj = (_rule(elements[k], order) for k in (amb.left, amb.right))
     w = amb.witness
     scale = lcm(gi[1], gj[1])
@@ -313,12 +314,7 @@ def s_polynomial(amb: Ambiguity, elements, order, cap):
                 break
             v = pre + t + post
             out[v] = out.get(v, 0) + m * c
-    if type(elements[amb.left]) is tuple:
-        return out
-    field = elements[amb.left].field
-    p = field.characteristic
-    return FreePoly(field, {v: c % p if p else Fraction(c, scale)
-                            for v, c in out.items()}, cap)
+    return out
 
 
 def complete(relations, order=_DEFAULT_ORDER, cap=12) -> RewriteSystem:
@@ -352,6 +348,7 @@ def complete(relations, order=_DEFAULT_ORDER, cap=12) -> RewriteSystem:
             raise FieldError("relation with vanishing leading coefficient "
                              "cannot be made monic")
         rels.append(_rule(r, order))
+        field = r.field
     if not rels:
         # free algebra: nothing to resolve, counts are exact through cap
         return RewriteSystem([], order, cap, field=QQ)
@@ -359,7 +356,6 @@ def complete(relations, order=_DEFAULT_ORDER, cap=12) -> RewriteSystem:
     if cap < need:
         raise ValueError("cap %d below max relation degree %d" % (cap, need))
 
-    field = relations[0].field
     p = field.characteristic
     basis = _interreduce(rels, order, cap, p)
     done = set()
@@ -385,11 +381,13 @@ def complete(relations, order=_DEFAULT_ORDER, cap=12) -> RewriteSystem:
 
 def verify_complete(system: RewriteSystem) -> bool:
     """Every ambiguity with witness degree <= cap reduces to zero."""
-    for amb in ambiguities(system.elements, system.order, system.cap):
-        s = s_polynomial(amb, system.elements, system.order, system.cap)
-        if not normal_form(s, system).is_zero():
-            return False
-    return True
+    order, cap = system.order, system.cap
+    rules = [_rule(g, order) for g in system.elements]
+    p = system.field.characteristic
+    return not any(
+        normal_form(s_polynomial(amb, rules, order, cap),
+                    (rules, order, cap, p))
+        for amb in ambiguities(rules, order, cap))
 
 
 def normal_words_by_degree(system: RewriteSystem, through=None):

@@ -33,7 +33,7 @@ def all_words(degree: int, precedence: str = "xy") -> list:
 class MonomialOrder:
     """Variable precedence plus a local/global leading-term convention."""
 
-    __slots__ = ("precedence", "mode", "_swap", "_bits")
+    __slots__ = ("precedence", "mode", "_bits")
 
     def __init__(self, precedence: str = "xy", mode: str = "local"):
         if sorted(precedence) != ["x", "y"]:
@@ -42,30 +42,19 @@ class MonomialOrder:
             raise ValueError("mode must be 'local' or 'global'")
         self.precedence = precedence
         self.mode = mode
-        # relabel so that plain string order is precedence order ("x" < "y")
-        self._swap = str.maketrans("xy", "yx") if precedence == "yx" else None
         # the preceding letter as binary digit 0, the other as 1
         self._bits = str.maketrans(precedence, "01")
 
-    def sort_key(self, w: str) -> tuple:
+    def sort_key(self, w: str) -> int:
         """Presentation order: degree ascending, lex-greatest first within
-        a degree. Used for rendering and normal-basis listings."""
-        if self._swap is not None:
-            w = w.translate(self._swap)
-        return (len(w), w)
+        a degree. Used for rendering and normal-basis listings. The key is
+        the word's binary digits behind a leading 1, so shorter words come
+        first and words of one length are read lex."""
+        return int("1" + w.translate(self._bits), 2)
 
-    def leading_key(self, w: str):
-        """Key whose minimum over the support picks the leading word."""
-        if self._swap is not None:
-            w = w.translate(self._swap)
-        if self.mode == "local":
-            return (len(w), w)
-        return (-len(w), w)
-
-    def rank(self, w: str) -> int:
-        """An int that sorts as leading_key does: the word's binary digits
-        behind a leading 1, so shorter words come first and a word of one
-        length is read lex, less 3 * 2^|w| in global mode, which puts each
+    def leading_key(self, w: str) -> int:
+        """Key whose minimum over the support picks the leading word: the
+        presentation key, less 3 * 2^|w| in global mode, which puts each
         length below every shorter one."""
         r = int("1" + w.translate(self._bits), 2)
         return r if self.mode == "local" else r - (3 << len(w))

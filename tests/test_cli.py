@@ -270,12 +270,39 @@ def test_iso_answers_the_zero_algebra_by_dimension(tmp_path, strategy):
     code, doc, _ = run_cli("iso", "--a", zero, "--b", zero, *flags)
     assert code == 0 and doc["status"] == "isomorphic"
     assert doc["witness"] == {"x": {}, "y": {}}
+    field = "GF(7)" if strategy == "lift" else "QQ"
     for a, b, dims in ((zero, d8, [0, 8]), (d8, zero, [8, 0])):
         code, doc, _ = run_cli("iso", "--a", a, "--b", b, *flags)
         assert code == 0 and doc["status"] == "not_isomorphic"
         cert = doc["certificate"]
-        assert cert["invariant"] == "dimension" and cert["field"] == "QQ"
+        assert cert["invariant"] == "dimension" and cert["field"] == field
         assert [cert["a"], cert["b"]] == dims
+
+
+@pytest.mark.parametrize("strategy", ["auto", "invariants", "lift"])
+def test_iso_puts_the_zero_algebra_over_one_field_first(tmp_path, strategy):
+    # the zero algebra meets --field and the different-fields refusal as
+    # every other algebra does, before it is answered by dimension
+    zero = dim_file(tmp_path, "x", "zero.json", cap="6")
+    doc = json.loads(Path(zero).read_text())
+    doc["algebra"]["field"] = "GF(5)"
+    doc["algebra"]["relations"] = ["1"]
+    zero5 = tmp_path / "zero5.json"
+    zero5.write_text(json.dumps(doc))
+    code, _, _ = run_cli("iso", "--a", zero, "--b", str(zero5),
+                         "--strategy", strategy)
+    assert code == 2
+    code, doc, _ = run_cli("iso", "--a", zero, "--b", str(zero5),
+                           "--strategy", strategy, "--field", "5")
+    assert code == 0 and doc["status"] == "isomorphic"
+    # a relation with a denominator 7 cannot be read mod 7
+    doc = json.loads(Path(zero).read_text())
+    doc["algebra"]["relations"] = ["1/7 x + 1"]
+    sevenths = tmp_path / "sevenths.json"
+    sevenths.write_text(json.dumps(doc))
+    code, _, _ = run_cli("iso", "--a", str(sevenths), "--b", zero,
+                         "--strategy", strategy, "--field", "7")
+    assert code == 2
 
 
 # -- canon ----------------------------------------------------------------

@@ -139,13 +139,18 @@ def test_order_round_trips_through_json():
 
 @pytest.mark.parametrize("precedence", ["xy", "yx"])
 @pytest.mark.parametrize("mode", ["local", "global"])
-def test_rank_sorts_as_leading_key(precedence, mode):
-    """The int rank that keys the reduction heap orders every word up to
-    length 10 as leading_key does, and gives distinct words distinct
-    ranks."""
+def test_int_keys_sort_as_tuple_reference(precedence, mode):
+    """The int leading_key, which also keys the reduction heap, orders
+    every word up to length 10 as the tuple (+-|w|, w relabelled so that
+    the preceding letter is "x") does, and gives distinct words distinct
+    keys; sort_key orders them as (|w|, relabelled w)."""
     order = MonomialOrder(precedence, mode)
+    swap = str.maketrans(precedence, "xy")
+    sign = 1 if mode == "local" else -1
     words = words_up_to(10)
     random.Random(precedence + mode).shuffle(words)
-    assert sorted(words, key=order.rank) == sorted(words,
-                                                   key=order.leading_key)
-    assert len({order.rank(w) for w in words}) == len(words)
+    assert sorted(words, key=order.leading_key) == sorted(
+        words, key=lambda w: (sign * len(w), w.translate(swap)))
+    assert sorted(words, key=order.sort_key) == sorted(
+        words, key=lambda w: (len(w), w.translate(swap)))
+    assert len({order.leading_key(w) for w in words}) == len(words)
