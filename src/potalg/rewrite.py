@@ -127,14 +127,15 @@ def _primitive(terms, p):
 
 def _rule(g, order):
     """g as the primitive rule lead -> -tail / scale, its tail in
-    leading_key order: shortest words first in local mode, and none longer than the
-    lead in global mode. A rule passes through; a FreePoly keeps its rule
-    for the order last asked for."""
+    leading_key order: shortest words first in local mode, and none longer
+    than the lead in global mode. A rule passes through; a FreePoly keeps
+    its rule for the order last asked for."""
     if type(g) is tuple:
         return g
     if g._rule is None or g._rule[0] != order:
         p = g.field.characteristic
-        terms = dict(sorted(g.terms.items(), key=lambda t: order.leading_key(t[0])))
+        terms = dict(sorted(g.terms.items(),
+                            key=lambda t: order.leading_key(t[0])))
         if not p:
             D = lcm(*(c.denominator for c in terms.values()))
             terms = {t: c.numerator * (D // c.denominator)

@@ -17,9 +17,9 @@ from potalg.fields import GF, QQ, FieldError, ResourceCapError
 from potalg.freepoly import FreePoly
 from potalg.parsing import parse_poly, render
 from potalg.potential import cyclic_symmetrize, relations_of
-from potalg.rewrite import (ambiguities, complete, normal_form,
-                            normal_words_by_degree, oracle_dimension,
-                            s_polynomial, verify_complete)
+from potalg.rewrite import (RewriteSystem, ambiguities, complete,
+                            normal_form, normal_words_by_degree,
+                            oracle_dimension, s_polynomial, verify_complete)
 from potalg.words import MonomialOrder
 
 from helpers import (random_poly, reference_complete, reference_normal_form,
@@ -54,6 +54,7 @@ def test_s_polynomials_of_r1():
     # the unresolved ambiguity that forces y^3 x into the basis
     s_xxx = s_polynomial(by_witness["xxx"], rels, XY, 8)
     assert normal_form(s_xxx, (rels, XY, 8, 0)) == {"yyyx": -2}
+    assert not verify_complete(RewriteSystem(rels, XY, 8))
 
 
 def test_complete_r1_golden():
