@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .fields import QQ, FieldError
 from .freepoly import FreePoly, Substitution, abelianize_cubic, substitute
-from .linalg import solve
+from .linalg import integral, primitive, solve
 from .potential import (cyclic_symmetrize, cyclicize,
                         is_cyclically_invariant, relations_of)
 from .quotient import hilbert
@@ -97,16 +97,11 @@ def _combine_cubes(l1, a1, l2, a2):
 
 def _primitive(p, q):
     """Scale a rational linear form to coprime integers, leading sign +."""
-    p, q = Fraction(p), Fraction(q)
-    if p == 0 and q == 0:
+    row = {i: Fraction(c) for i, c in enumerate((p, q)) if c}
+    if not row:
         raise ValueError("zero linear form")
-    den = math.lcm(p.denominator, q.denominator)
-    ip, iq = int(p * den), int(q * den)
-    g = math.gcd(abs(ip), abs(iq))
-    ip, iq = ip // g, iq // g
-    if (ip if ip else iq) < 0:
-        ip, iq = -ip, -iq
-    return (Fraction(ip), Fraction(iq))
+    row = primitive(integral(row, 0)[0], min(row), 0)
+    return (Fraction(row.get(0, 0)), Fraction(row.get(1, 0)))
 
 
 def _divide_by_linear(cubic, l):
@@ -408,6 +403,17 @@ def _window_stage(body, cap, window, move_degrees, targets, trail, stage_log):
     return body, {w: body.coeff(w) for w in free_words}
 
 
+def _rescale(body, t, powers, cap, gscale, trail, stage_log):
+    """The body under x -> t^a x, y -> t^b y, divided by t^e for powers
+    (a, b, e), and gscale times t^e; the substitution joins the trail
+    and the rescale the stage log."""
+    a, b, e = powers
+    s = _linear_sub(((t ** a, _ZERO), (_ZERO, t ** b)), cap)
+    trail.append(s)
+    stage_log.append({"rescale": str(t), "global_scale": str(t ** e)})
+    return substitute(body, s).scale(1 / t ** e), gscale * t ** e
+
+
 def _require_cubic(body, label):
     if body.homogeneous_part(3) != _CANONICAL_CUBICS[label](body.cap):
         raise ValueError("cleanup needs the %s cubic normal form" % label)
@@ -439,12 +445,6 @@ class CanonicalX2Y:
     body: FreePoly = None
     projected_stages: int = 0
     stalled: list = dc_field(default_factory=list)
-
-    def to_json(self):
-        return {"p": [str(c) for c in self.p], "n": self.n, "k": self.k,
-                "trail": [s.to_json() for s in self.trail],
-                "projected_stages": self.projected_stages,
-                "stalled": list(self.stalled)}
 
 
 def cleanup_x2y(F, cap=12) -> CanonicalX2Y:
@@ -500,12 +500,8 @@ def cleanup_x3y3(F, cap=12):
     if res["yxyx"] != beta:
         raise AssertionError("the xyxy rotation class lost its symmetry")
     if beta and beta != 1:
-        t = 1 / beta
-        s = _linear_sub(((t, _ZERO), (_ZERO, t)), cap)
-        body = substitute(body, s).scale(1 / t ** 3)
-        trail.append(s)
-        gscale *= t ** 3
-        stage_log.append({"rescale": str(t), "global_scale": str(t ** 3)})
+        body, gscale = _rescale(body, 1 / beta, (1, 1, 3), cap, gscale,
+                                trail, stage_log)
         beta = _ONE
     for d in range(5, cap + 1):
         if d % 2:
@@ -546,11 +542,8 @@ def _normalize_dim9_tail(body, cap):
     if not t4:
         raise ValueError("tail normalization needs a nonzero y^4 term")
     if t4 != 1:
-        s = _linear_sub(((t4 * t4, _ZERO), (_ZERO, t4)), cap)
-        body = substitute(body, s).scale(1 / t4 ** 5)
-        trail.append(s)
-        gscale *= t4 ** 5
-        stage_log.append({"rescale": str(t4), "global_scale": str(t4 ** 5)})
+        body, gscale = _rescale(body, t4, (2, 1, 5), cap, gscale, trail,
+                                stage_log)
     body, _ = _window_stage(body, cap, (5, 6), (3,), {"yyyyy": None},
                             trail, stage_log)
     if stage_log[-1].get("stalled"):
@@ -564,12 +557,8 @@ def _normalize_dim9_tail(body, cap):
         if s_val is None:
             obstruction = {"square_class": str(t5)}
         else:
-            sc = _linear_sub(((s_val ** 3, _ZERO), (_ZERO, s_val ** 2)), cap)
-            body = substitute(body, sc).scale(1 / s_val ** 8)
-            trail.append(sc)
-            gscale *= s_val ** 8
-            stage_log.append({"rescale": str(s_val),
-                              "global_scale": str(s_val ** 8)})
+            body, gscale = _rescale(body, s_val, (3, 2, 8), cap, gscale,
+                                    trail, stage_log)
             t5 = body.coeff("yyyyy")
             if t5 != 1:
                 raise AssertionError("square scaling missed y^5")

@@ -175,21 +175,12 @@ def _cmd_iso(args):
         A = isotest.algebra_mod_p(A, args.field)
         B = isotest.algebra_mod_p(B, args.field)
 
-    zero = not (A.dim and B.dim)
+    zero = isotest.zero_algebra_verdict(A, B)
     if (zero or args.strategy == "invariants") and A.field != B.field:
         raise ValueError("the algebras live over different fields; "
                          "pass --field to align them")
     if zero:
-        # the zero algebra has no unit word to profile or search from; its
-        # total dimension, a rational invariant, tells it apart, and the
-        # zero map is the one isomorphism between two zero algebras
-        if A.dim == B.dim:
-            verdict = isotest.IsoVerdict("isomorphic",
-                                         witness={"x": {}, "y": {}})
-        else:
-            verdict = isotest.IsoVerdict("not_isomorphic", certificate={
-                "invariant": "dimension", "field": A.field.name,
-                "a": A.dim, "b": B.dim})
+        verdict = zero
     elif args.strategy == "invariants":
         pa, pb = isotest.algebra_profile(A), isotest.algebra_profile(B)
         keys = ["dimension", "hilbert"]

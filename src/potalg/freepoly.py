@@ -4,7 +4,8 @@ A FreePoly stores a sparse map word -> nonzero coefficient together with a
 truncation cap: words of degree above the cap are dropped on construction
 and in every operation. cap=None means no truncation. Mixed-cap arithmetic
 truncates at the minimum of the operand caps. Values are treated as
-immutable; all operations return fresh objects.
+immutable; all operations return fresh objects. A FreePoly carries no
+rewriting state: rewrite reads it into its own integer rule format.
 """
 
 from __future__ import annotations
@@ -24,15 +25,13 @@ def _min_cap(a, b):
 
 
 class FreePoly:
-    # _rule caches the rewrite rule that rewrite._rule reads off this
-    # polynomial under the order it was last asked for, and _hash its
-    # hash; values are immutable, so neither cache can go stale
-    __slots__ = ("field", "terms", "cap", "_rule", "_hash")
+    # _hash caches the hash; values are immutable, so it cannot go stale
+    __slots__ = ("field", "terms", "cap", "_hash")
 
     def __init__(self, field, terms=None, cap=None):
         self.field = field
         self.cap = cap
-        self._rule = self._hash = None
+        self._hash = None
         clean = {}
         if terms:
             for w, c in terms.items():

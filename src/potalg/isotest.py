@@ -527,6 +527,22 @@ def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
                                    "linear_parts": tried})
 
 
+def zero_algebra_verdict(A: FiniteAlgebra, B: FiniteAlgebra):
+    """The verdict when A or B is the zero algebra, else None.
+
+    The zero algebra has no unit word to profile or search from; its
+    total dimension, a rational invariant, tells it apart, and the zero
+    map is the one isomorphism between two zero algebras.
+    """
+    if A.dim and B.dim:
+        return None
+    if A.dim == B.dim:
+        return IsoVerdict("isomorphic", witness={"x": {}, "y": {}})
+    return IsoVerdict("not_isomorphic", certificate={
+        "invariant": "dimension", "field": A.field.name,
+        "a": A.dim, "b": B.dim})
+
+
 def distinguish_algebras(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
     """Invariants first, then proxy lift searches over GF(3), GF(5), GF(7).
 
@@ -537,6 +553,9 @@ def distinguish_algebras(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
     """
     if A.field != B.field:
         raise ValueError("distinguish needs a common base field")
+    zero = zero_algebra_verdict(A, B)
+    if zero:
+        return zero
     if (A.words == B.words and A.table == B.table
             and "x" in A.index and "y" in A.index):
         vx = A.basis_vec(A.index["x"])

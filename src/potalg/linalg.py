@@ -15,6 +15,11 @@ subtracts a / gcd(a, P) times the pivot row, so no step divides. Over
 GF(p) rows are residues, pivot rows are one at the pivot and D stays 1.
 Field elements are formed only where rows leave the kernel, in reduce
 and reduced_rows; only reduced_rows scales rows to one at the pivot.
+The two integer steps are module functions, shared with rewrite, whose
+rules are primitive rows too: integral takes a row of field elements to
+integers over one denominator, and primitive divides out the content
+and fixes the sign (over GF(p): scales to one). Both loops are
+fraction-free eliminations in the sense of Bareiss (Math. Comp. 1968).
 
 The reduced echelon form of a row space is unique for a fixed column
 order. Ranks, pivot columns, the solution with free variables at zero
@@ -29,6 +34,31 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 
+def integral(row, p):
+    """A new row of integer numerators over one common denominator D,
+    and D; over GF(p) (p > 0) a copy of the residues, and 1."""
+    if p:
+        return dict(row), 1
+    D = lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (D // v.denominator)
+            for c, v in row.items()}, D
+
+
+def primitive(row, c, p):
+    """The integer row scaled to one at c over GF(p); over QQ (p = 0),
+    divided by its content with a positive entry at c. Every nonzero
+    multiple of a row gives the same primitive row."""
+    if p:
+        if row[c] == 1:
+            return row
+        inv = pow(row[c], -1, p)
+        return {k: v * inv % p for k, v in row.items()}
+    g = gcd(*row.values())
+    if row[c] < 0:
+        g = -g
+    return {k: v // g for k, v in row.items()}
+
+
 class Echelon:
     """Incremental echelon form: one integer row per pivot column."""
 
@@ -36,15 +66,6 @@ class Echelon:
         self.p = field.characteristic
         self.key = key
         self.pivots = {}
-
-    def integral(self, row):
-        """A new row of integer numerators over one common denominator
-        D, and D; over GF(p) a copy of the residues, and 1."""
-        if self.p:
-            return dict(row), 1
-        D = lcm(*(v.denominator for v in row.values()))
-        return {c: v.numerator * (D // v.denominator)
-                for c, v in row.items()}, D
 
     def _clear(self, row, D, pivots):
         """Clear the columns of pivots in the integer row over D, in
@@ -87,30 +108,16 @@ class Echelon:
                         del row[col]
         return row, D
 
-    def _primitive(self, row, c):
-        """row scaled to one at c over GF(p); over QQ, divided by its
-        content with a positive entry at c."""
-        p = self.p
-        if p:
-            if row[c] == 1:
-                return row
-            inv = pow(row[c], -1, p)
-            return {k: v * inv % p for k, v in row.items()}
-        g = gcd(*row.values())
-        if row[c] < 0:
-            g = -g
-        return {k: v // g for k, v in row.items()}
-
     def reduce(self, row):
         """A copy of row with every pivot column cleared."""
-        row, D = self._clear(*self.integral(row), self.pivots)
+        row, D = self._clear(*integral(row, self.p), self.pivots)
         if self.p:
             return row
         return {c: Fraction(v, D) for c, v in row.items()}
 
     def add(self, row):
         """Reduce row and store what is left, if anything."""
-        self.add_integral(self.integral(row)[0])
+        self.add_integral(integral(row, self.p)[0])
 
     def add_integral(self, row):
         """add for a row of integer numerators over any common
@@ -118,7 +125,7 @@ class Echelon:
         row = self._clear(row, 1, self.pivots)[0]
         if row:
             c = min(row, key=self.key)
-            self.pivots[c] = self._primitive(row, c)
+            self.pivots[c] = primitive(row, c, self.p)
 
     def reduced_rows(self):
         """The reduced echelon form as {pivot: row}, one at each pivot.
@@ -132,7 +139,7 @@ class Echelon:
         for c in sorted(self.pivots, key=self.key, reverse=True):
             row = self.pivots[c]
             if any(k in done for k in row):
-                row = self._primitive(self._clear(dict(row), 1, done)[0], c)
+                row = primitive(self._clear(dict(row), 1, done)[0], c, self.p)
             done[c] = row
         if self.p:
             return {c: dict(row) for c, row in done.items()}
@@ -172,14 +179,14 @@ def solve(columns, rows, rhs, field):
         eq = eqs[r]
         if rhs.get(r):
             eq[n] = rhs[r]
-        eq = ech._clear(*ech.integral(eq), ech.pivots)[0]
+        eq = ech._clear(*integral(eq, ech.p), ech.pivots)[0]
         if not eq:
             continue
         c = min(eq)
         if c == n:
             stalled.append(r)
         else:
-            ech.pivots[c] = ech._primitive(eq, c)
+            ech.pivots[c] = primitive(eq, c, ech.p)
     reduced = ech.reduced_rows()
     sol = [field.zero] * n
     for p, row in reduced.items():

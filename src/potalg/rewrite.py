@@ -1,16 +1,17 @@
 """Truncated completion of two-sided ideals in the free algebra on x, y.
 
-The basis under completion is a list of primitive integer rules (lead,
-scale, tail), each the polynomial scale * lead + tail: integer
-coefficients with the content divided out and scale > 0 (over GF(p):
-residues and scale 1), leading words selected by a MonomialOrder, tail
-terms in leading_key order. A FreePoly is read once per order as the same
-kind of rule. normal_form keeps the pending terms as integer numerators
-over one common denominator, on a heap keyed by the order's int
-leading_key, so a rewriting step multiplies and subtracts integers and
-never normalises a fraction.
-A new element is made primitive straight from those integers, and the
-rules become monic FreePolys once, in the RewriteSystem returned.
+The engine reduces with primitive integer rules (lead, scale, tail),
+each the polynomial scale * lead + tail: integer coefficients with the
+content divided out and scale > 0 (over GF(p): residues and scale 1),
+leading words selected by a MonomialOrder, tail terms in leading_key
+order. The rule format is private to this module; its two integer
+steps, integral and primitive, are linalg's. A RewriteSystem holds its
+rules beside the monic FreePolys it shows: complete hands over the rules
+it completed, and a system built from FreePolys reads each once.
+Reduction keeps the pending terms as integer numerators over one common
+denominator, on a heap keyed by the order's int leading_key, so a
+rewriting step multiplies and subtracts integers and never normalises a
+fraction.
 
 All computations happen below a degree cap. Resolving every overlap and
 inclusion ambiguity whose witness degree is at most the cap makes the
@@ -34,7 +35,7 @@ from math import gcd, lcm
 
 from .fields import QQ, FieldError, ResourceCapError
 from .freepoly import FreePoly
-from .linalg import Echelon
+from .linalg import Echelon, integral, primitive
 from .words import MonomialOrder, all_words
 
 _DEFAULT_ORDER = MonomialOrder()
@@ -63,12 +64,15 @@ class Ambiguity:
 
 
 class RewriteSystem:
-    """An interreduced truncated rewriting system."""
+    """An interreduced truncated rewriting system: monic FreePolys and
+    the primitive rules of the same polynomials, read off the FreePolys
+    given, or handed over by complete() through _of_rules."""
 
-    __slots__ = ("elements", "order", "cap", "complete_through", "field")
+    __slots__ = ("elements", "rules", "order", "cap", "field")
 
     def __init__(self, elements, order, cap, field=None):
         self.elements = tuple(elements)
+        self.rules = tuple(_rule(g, order) for g in self.elements)
         self.order = order
         self.cap = cap
         if self.elements:
@@ -77,12 +81,26 @@ class RewriteSystem:
             self.field = field
         else:
             raise ValueError("an empty rewrite system needs an explicit field")
-        self.complete_through = cap - max(
-            (len(g.leading_word(order)) for g in self.elements), default=0)
+
+    @classmethod
+    def _of_rules(cls, rules, field, order, cap):
+        """The system of primitive rules, with their monic FreePolys."""
+        system = cls((), order, cap, field)
+        p = field.characteristic
+        system.elements = tuple(
+            FreePoly(field, dict([(lead, field.one)] + [
+                (t, c if p else Fraction(c, scale)) for t, _, c in tail]), cap)
+            for lead, scale, tail in rules)
+        system.rules = tuple(rules)
+        return system
 
     @property
     def leads(self):
-        return [g.leading_word(self.order) for g in self.elements]
+        return [lead for lead, _, _ in self.rules]
+
+    @property
+    def complete_through(self):
+        return self.cap - max(map(len, self.leads), default=0)
 
     def to_json(self) -> dict:
         from .parsing import render
@@ -112,50 +130,26 @@ def _lead_finder(leads):
     return find
 
 
-def _primitive(terms, p):
+def _primitive_rule(terms, p):
     """The rule (lead, scale, tail) of the polynomial whose integer terms
-    are listed in leading_key order; tail holds (word, length, coefficient)
-    triples. Over QQ the content is divided out and the lead coefficient
-    scale is positive. Over GF(p) the terms are residues and scale is 1."""
-    (lead, a), *rest = terms.items()
-    if p:
-        inv = pow(a, -1, p)
-        return lead, 1, tuple((w, len(w), c * inv % p) for w, c in rest)
-    g = gcd(a, *(c for _, c in rest)) * (1 if a > 0 else -1)
-    return lead, a // g, tuple((w, len(w), c // g) for w, c in rest)
+    (over GF(p): residues) are listed in leading_key order; tail holds
+    (word, length, coefficient) triples."""
+    (lead, scale), *rest = primitive(terms, next(iter(terms)), p).items()
+    return lead, scale, tuple((w, len(w), c) for w, c in rest)
 
 
 def _rule(g, order):
-    """g as the primitive rule lead -> -tail / scale, its tail in
-    leading_key order: shortest words first in local mode, and none longer
-    than the lead in global mode. A rule passes through; a FreePoly keeps
-    its rule for the order last asked for."""
-    if type(g) is tuple:
-        return g
-    if g._rule is None or g._rule[0] != order:
-        p = g.field.characteristic
-        terms = dict(sorted(g.terms.items(),
-                            key=lambda t: order.leading_key(t[0])))
-        if not p:
-            D = lcm(*(c.denominator for c in terms.values()))
-            terms = {t: c.numerator * (D // c.denominator)
-                     for t, c in terms.items()}
-        g._rule = (order, _primitive(terms, p))
-    return g._rule[1]
-
-
-def _monic(rule, field, order, cap):
-    """The monic FreePoly of a rule, with the rule kept on it."""
-    lead, scale, tail = rule
-    p = field.characteristic
-    g = FreePoly(field, dict([(lead, field.one)] + [
-        (t, c if p else Fraction(c, scale)) for t, _, c in tail]), cap)
-    g._rule = (order, rule)
-    return g
+    """The FreePoly g as the primitive rule lead -> -tail / scale, its
+    tail in leading_key order: shortest words first in local mode, and
+    none longer than the lead in global mode."""
+    p = g.field.characteristic
+    terms = dict(sorted(g.terms.items(),
+                        key=lambda t: order.leading_key(t[0])))
+    return _primitive_rule(integral(terms, p)[0], p)
 
 
 def _reduce(cur, D, rules, order, cap, p):
-    """The integer core of normal_form on the terms cur, integers over
+    """Reduction of the terms cur by the rules, on integers over
     the common denominator D; cur is consumed. Returns the normal terms
     in leading_key order, over the final D, and that D. A finished term keeps
     the D it was popped at and is brought to the final one at the end."""
@@ -184,11 +178,11 @@ def _reduce(cur, D, rules, order, cap, p):
                 D *= m
                 cur = {v: a * m for v, a in cur.items()}
         pre, post = w[:i], w[i + len(lead):]
-        room = None if cap is None else cap - len(pre) - len(post)
+        room = cap - len(pre) - len(post)
         # every nw comes later in the order than w, so a word already in
         # cur is still queued and only new words need a heap entry
         for t, lt, ct in tail:
-            if room is not None and lt > room:
+            if lt > room:
                 break
             nw = pre + t + post
             s = cur.get(nw, 0) - c * ct
@@ -204,15 +198,12 @@ def _reduce(cur, D, rules, order, cap, p):
 
 
 def normal_form(f, system):
-    """Reduce f modulo the system, most significant words first.
+    """The FreePoly f reduced modulo the RewriteSystem system, most
+    significant words first, as a FreePoly cut at the system's cap.
 
     Deterministic: at each step the earliest word in the order with a
     reducible occurrence is rewritten at its leftmost occurrence, trying
-    elements in basis order. system is a RewriteSystem or a tuple
-    (elements, order, cap) of FreePolys or rules. A FreePoly f gives a
-    FreePoly; a dict f of integers, as s_polynomial gives, is reduced
-    against (elements, order, cap, p) and gives, in leading_key order, the
-    integer terms of a nonzero multiple of its normal form.
+    elements in basis order.
 
     The pending terms are integers over one common denominator D (over
     GF(p): residues, with D = 1). Rewriting c w by a rule with integer
@@ -221,23 +212,11 @@ def normal_form(f, system):
     popped word that no lead divides is final, since every rewrite only
     produces later words.
     """
-    if isinstance(system, RewriteSystem):
-        system = (system.elements, system.order, system.cap)
-    elements, order, cap = system[:3]
-    rules = [_rule(g, order) for g in elements]
-    if not isinstance(f, FreePoly):
-        p = system[3]
-        return _reduce({w: c % p for w, c in f.items()} if p else dict(f),
-                       1, rules, order, cap, p)[0]
-    field, p = f.field, f.field.characteristic
-    cur = {w: c for w, c in f.terms.items() if cap is None or len(w) <= cap}
-    D = 1 if p else lcm(*(c.denominator for c in cur.values()))
-    if not p:
-        cur = {w: c.numerator * (D // c.denominator) for w, c in cur.items()}
-    out, D = _reduce(cur, D, rules, order, cap, p)
-    return FreePoly(field, {w: c if p else Fraction(c, D)
-                            for w, c in out.items()},
-                    f.cap if cap is None else cap)
+    p, cap = f.field.characteristic, system.cap
+    cur, D = integral({w: c for w, c in f.terms.items() if len(w) <= cap}, p)
+    out, D = _reduce(cur, D, system.rules, system.order, cap, p)
+    return FreePoly(f.field, {w: c if p else Fraction(c, D)
+                              for w, c in out.items()}, cap)
 
 
 def _interreduce(rules, order, cap, p):
@@ -259,7 +238,7 @@ def _interreduce(rules, order, cap, p):
                 continue
             others = pool[:i] + pool[i + 1:]
             r, _ = _reduce(terms, 1, others, order, cap, p)
-            r = _primitive(r, p) if r else None
+            r = _primitive_rule(r, p) if r else None
             if r != pool[i]:
                 pool[i:i + 1] = [r] if r else []
                 changed = True
@@ -270,14 +249,13 @@ def _interreduce(rules, order, cap, p):
     for i, (lead, scale, tail) in enumerate(pool):
         if lead in "|".join([t for t, _, _ in tail]):
             r, D = _reduce({t: c for t, _, c in tail}, 1, pool, order, cap, p)
-            out[i] = _primitive({lead: scale * D, **r}, p)
+            out[i] = _primitive_rule({lead: scale * D, **r}, p)
     return out
 
 
-def ambiguities(elements, order, cap):
-    """All overlap/inclusion ambiguities with witness degree <= cap,
-    sorted by (witness degree, discovery order)."""
-    leads = [_rule(g, order)[0] for g in elements]
+def ambiguities(leads, cap):
+    """All overlap/inclusion ambiguities between the leading words, with
+    witness degree <= cap, sorted by (witness degree, discovery order)."""
     found = []
     for i, li in enumerate(leads):
         for j, lj in enumerate(leads):
@@ -298,11 +276,11 @@ def ambiguities(elements, order, cap):
     return found
 
 
-def s_polynomial(amb: Ambiguity, elements, order, cap):
+def s_polynomial(amb: Ambiguity, rules, cap, p):
     """Difference of the two one-step reductions of the witness, as a dict
-    of integers: the difference times the lcm of the two scales. Over
-    GF(p) the entries are not yet reduced mod p; normal_form does that."""
-    gi, gj = (_rule(elements[k], order) for k in (amb.left, amb.right))
+    of integers: the difference times the lcm of the two scales; over
+    GF(p), residues."""
+    gi, gj = rules[amb.left], rules[amb.right]
     w = amb.witness
     scale = lcm(gi[1], gj[1])
     out = {}
@@ -315,7 +293,7 @@ def s_polynomial(amb: Ambiguity, elements, order, cap):
                 break
             v = pre + t + post
             out[v] = out.get(v, 0) + m * c
-    return out
+    return {v: c % p for v, c in out.items()} if p else out
 
 
 def complete(relations, order=_DEFAULT_ORDER, cap=12) -> RewriteSystem:
@@ -327,8 +305,8 @@ def complete(relations, order=_DEFAULT_ORDER, cap=12) -> RewriteSystem:
     canonically, at the start and after every insertion. In finite
     characteristic an element whose every leading candidate has zero
     coefficient cannot be made monic and is reported. The basis is kept
-    as primitive integer rules, which become monic FreePolys once, in the
-    returned system.
+    as primitive integer rules, which the returned system holds beside
+    their monic FreePolys.
 
     Resolved ambiguities are remembered in done across insertions, keyed
     on the two rules themselves plus kind, witness and positions: while
@@ -363,43 +341,48 @@ def complete(relations, order=_DEFAULT_ORDER, cap=12) -> RewriteSystem:
     progress = True
     while progress:
         progress = False
-        for amb in ambiguities(basis, order, cap):
+        for amb in ambiguities([lead for lead, _, _ in basis], cap):
             sig = (amb.kind, basis[amb.left], basis[amb.right], amb.witness,
                    amb.left_at, amb.right_at)
             if sig in done:
                 continue
-            s = s_polynomial(amb, basis, order, cap)
-            r = normal_form(s, (basis, order, cap, p))
+            s = s_polynomial(amb, basis, cap, p)
+            r, _ = _reduce(s, 1, basis, order, cap, p)
             done.add(sig)
             if r:
-                basis = _interreduce(basis + [_primitive(r, p)], order, cap, p)
+                basis = _interreduce(basis + [_primitive_rule(r, p)],
+                                     order, cap, p)
                 progress = True
                 break
-    # basis is _interreduce output, which _interreduce leaves unchanged
-    return RewriteSystem([_monic(g, field, order, cap) for g in basis],
-                         order, cap)
+    return RewriteSystem._of_rules(basis, field, order, cap)
 
 
 def verify_complete(system: RewriteSystem) -> bool:
     """Every ambiguity with witness degree <= cap reduces to zero."""
-    order, cap = system.order, system.cap
-    rules = [_rule(g, order) for g in system.elements]
+    rules, order, cap = system.rules, system.order, system.cap
     p = system.field.characteristic
     return not any(
-        normal_form(s_polynomial(amb, rules, order, cap),
-                    (rules, order, cap, p))
-        for amb in ambiguities(rules, order, cap))
+        _reduce(s_polynomial(amb, rules, cap, p), 1, rules, order, cap, p)[0]
+        for amb in ambiguities(system.leads, cap))
+
+
+# the most letters the normal words of one enumeration may hold; the
+# tests, pins, benchmark jobs and reproduce reports stay below 1,000
+_MAX_NORMAL_LETTERS = 1 << 22
 
 
 def normal_words_by_degree(system: RewriteSystem, through=None):
     """Normal words grouped by degree, using factor closure degree by
-    degree: a word is normal iff no leading word occurs in it."""
+    degree: a word is normal iff no leading word occurs in it. Raises
+    ResourceCapError once the words hold more than _MAX_NORMAL_LETTERS
+    letters."""
     cap = system.cap if through is None else min(through, system.cap)
     leads = set(system.leads)
     prec = system.order.precedence
     lead_lens = sorted({len(l) for l in leads})
     cur = [] if "" in leads else [""]   # a unit lead reduces every word
     out = [cur]
+    held = 0
     for d in range(1, cap + 1):
         nxt = []
         for w in cur:
@@ -414,6 +397,12 @@ def normal_words_by_degree(system: RewriteSystem, through=None):
                     nxt.append(nw)
         out.append(nxt)
         cur = nxt
+        held += d * len(nxt)
+        if held > _MAX_NORMAL_LETTERS:
+            raise ResourceCapError(
+                "normal words through degree %d hold %d letters in %d "
+                "words, over the limit of %d"
+                % (d, held, sum(map(len, out)), _MAX_NORMAL_LETTERS))
     return out
 
 
@@ -450,7 +439,7 @@ def oracle_dimension(relations, cap, order=_DEFAULT_ORDER):
 
     prec = order.precedence
     for r in rels:
-        terms = ech.integral(r.terms)[0].items()
+        terms = integral(r.terms, ech.p)[0].items()
         for total in range(cap - r.min_degree() + 1):
             for la in range(total + 1):
                 lb = total - la

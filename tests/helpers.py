@@ -281,7 +281,8 @@ def reference_complete(relations, order, cap):
     progress = True
     while progress:
         progress = False
-        for amb in ambiguities(basis, order, cap):
+        leads = [g.leading_word(order) for g in basis]
+        for amb in ambiguities(leads, cap):
             sig = (amb.kind, basis[amb.left], basis[amb.right], amb.witness,
                    amb.left_at, amb.right_at)
             if sig in done:

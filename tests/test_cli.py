@@ -223,6 +223,17 @@ def test_dim_cap_below_degree_exits_2():
     assert code == 2 and doc["error"] == "config"
 
 
+def test_dim_normal_words_over_the_letter_limit_exit_3():
+    # the normal words of x^3 grow as the Fibonacci numbers: at cap 30
+    # the enumeration held 498 MB, and higher caps exhausted memory
+    start = time.perf_counter()
+    code, doc, text = run_cli("dim", "--potential", "x^3", "--cap", "60")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and doc["error"] == "resource"
+    assert "through degree 23" in doc["message"]
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("dim", "--potential", "0"),
     ("dim", "--potential", "x - x"),

@@ -533,6 +533,26 @@ def test_distinguish_self():
     assert verdict.witness["x"] == {"x": "1"}
 
 
+def test_distinguish_answers_the_zero_algebra_by_dimension():
+    # FiniteAlgebra.hilbert raised "max() arg is an empty sequence" here,
+    # and only the iso command answered the zero algebra
+    Z = FiniteAlgebra(QQ, [], {})
+    verdict = distinguish_algebras(Z, Z)
+    assert verdict.status == "isomorphic"
+    assert verdict.witness == {"x": {}, "y": {}}
+    D8 = from_quotient(dim8_quotient())
+    for A, B, dims in ((Z, D8, [0, 8]), (D8, Z, [8, 0])):
+        verdict = distinguish_algebras(A, B)
+        assert verdict.status == "not_isomorphic"
+        assert verdict.certificate == {"invariant": "dimension",
+                                       "field": "QQ", "a": dims[0],
+                                       "b": dims[1]}
+    Z5 = FiniteAlgebra(GF(5), [], {})
+    assert distinguish_algebras(Z5, Z5).status == "isomorphic"
+    with pytest.raises(ValueError):
+        distinguish_algebras(Z, Z5)
+
+
 def test_lifted_needs_relations():
     A = reduce_mod_p(quotient(R1), 3)
     bare = FiniteAlgebra(A.field, A.words, A.table, None)

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from potalg.fields import GF, QQ
-from potalg.linalg import Echelon, kernel, rank, solve
+from potalg.linalg import Echelon, integral, kernel, primitive, rank, solve
 
 from helpers import FieldEchelon
 
@@ -249,3 +249,30 @@ def test_stored_pivot_rows_are_integers(field):
                 assert row[c] > 0 and gcd(*row.values()) == 1
             else:
                 assert row[c] == 1
+
+
+@pytest.mark.parametrize("field", BIG_FIELDS, ids=str)
+def test_primitive_row_does_not_depend_on_the_multiple(field):
+    # over QQ any nonzero rational multiple, over GF(p) any unit multiple,
+    # gives the same integer row: content out and a positive entry at c,
+    # or one at c
+    rng = random.Random("primitive:%s" % field)
+    p = field.characteristic
+    for _ in range(40):
+        row = {}
+        for _ in range(rng.randint(1, 8)):
+            v = big_scalar(rng, field)
+            if v:
+                row[rng.randrange(30)] = v
+        if not row:
+            continue
+        c = rng.choice(list(row))
+        want = primitive(integral(row, p)[0], c, p)
+        if p:
+            assert want[c] == 1
+        else:
+            assert want[c] > 0 and gcd(*want.values()) == 1
+        for _ in range(5):
+            m = big_scalar(rng, field) or field.one
+            multiple = {k: field.mul(m, v) for k, v in row.items()}
+            assert primitive(integral(multiple, p)[0], c, p) == want

@@ -38,23 +38,26 @@ def r1(cap=8, field=QQ):
 
 
 def test_ambiguity_enumeration():
-    ambs = ambiguities(r1(), XY, 8)
+    ambs = ambiguities(RewriteSystem(r1(), XY, 8).leads, 8)
     assert [(a.kind, a.witness) for a in ambs] == \
         [("overlap", "xxy"), ("overlap", "xxx")]
     assert all(a.degree == 3 for a in ambs)
 
 
 def test_s_polynomials_of_r1():
-    rels = r1()
-    by_witness = {a.witness: a for a in ambiguities(rels, XY, 8)}
+    R = RewriteSystem(r1(), XY, 8)
+    by_witness = {a.witness: a for a in ambiguities(R.leads, 8)}
+
+    def poly(terms):
+        return FreePoly(QQ, {w: Fraction(c) for w, c in terms.items()}, 8)
     # integer terms; both rules here are monic, so no scale enters
-    s_xxy = s_polynomial(by_witness["xxy"], rels, XY, 8)
+    s_xxy = s_polynomial(by_witness["xxy"], R.rules, 8, 0)
     assert s_xxy == {"xyx": 1, "yyyy": -1}      # x y x - y^4
-    assert normal_form(s_xxy, (rels, XY, 8, 0)) == {}
+    assert normal_form(poly(s_xxy), R).is_zero()
     # the unresolved ambiguity that forces y^3 x into the basis
-    s_xxx = s_polynomial(by_witness["xxx"], rels, XY, 8)
-    assert normal_form(s_xxx, (rels, XY, 8, 0)) == {"yyyx": -2}
-    assert not verify_complete(RewriteSystem(rels, XY, 8))
+    s_xxx = s_polynomial(by_witness["xxx"], R.rules, 8, 0)
+    assert normal_form(poly(s_xxx), R) == P("-2 y^3 x", cap=8)
+    assert not verify_complete(R)
 
 
 def test_complete_r1_golden():
@@ -130,12 +133,6 @@ def test_lead_finder_matches_a_plain_scan():
             assert find(w) == scan(w, leads)
 
 
-def test_normal_form_accepts_tuple_or_system():
-    G = complete(r1(), XY, 8)
-    f = P("x^3 + x y x", cap=8)
-    assert normal_form(f, G) == normal_form(f, (list(G.elements), XY, 8))
-
-
 def test_normal_form_is_linear_and_idempotent():
     G = complete(r1(), XY, 8)
     rng = random.Random(31)
@@ -183,10 +180,9 @@ def test_normal_form_matches_fraction_reference(field):
             continue
         if trial // 4 % 2:
             system = complete(rels, order, cap)
-            elements = list(system.elements)
         else:
-            elements = rels
-            system = (elements, order, cap)
+            system = RewriteSystem(rels, order, cap)
+        elements = list(system.elements)
         modes.add(trial // 4 % 2)
         for _ in range(6):
             f = random_poly(rng, field, degrees=tuple(range(cap + 2)),
@@ -227,6 +223,37 @@ def test_complete_matches_field_arithmetic_reference(field):
         G = complete(rels, order, cap)
         assert G.to_json() == reference_complete(rels, order, cap).to_json()
         assert verify_complete(G)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_system_rebuilt_from_rendered_elements_has_the_same_rules(field):
+    """A system built from the parsed elements of a gb document reads
+    off exactly the rules complete() handed over: the round trip the
+    benchmark's gb check rests on."""
+    rng = random.Random("round-trip-%s" % field.name)
+    p = field.characteristic
+    pool = tuple(c for c in NF_POOL if not p or c.denominator % p)
+    orders, fractions = set(), 0
+    for trial in range(24):
+        order = MonomialOrder(("xy", "yx")[trial % 2],
+                              ("local", "global")[trial // 2 % 2])
+        cap = 5 + trial // 4 % 3
+        rels = [random_poly(rng, field, terms=rng.randint(2, 4), cap=cap,
+                            degrees=(2, 3), coeff_pool=pool)
+                for _ in range(rng.randint(1, 3))]
+        rels = [r for r in rels if not r.is_zero()]
+        if not rels:
+            continue
+        G = complete(rels, order, cap)
+        doc = G.to_json()
+        R = RewriteSystem((parse_poly(e, field) for e in doc["elements"]),
+                          order, cap)
+        assert R.rules == G.rules
+        assert R.to_json() == doc
+        orders.add((order.precedence, order.mode))
+        fractions += not p and any(c.denominator > 1 for g in G.elements
+                                   for c in g.terms.values())
+    assert len(orders) == 4 and (p or fractions)
 
 
 def test_ideal_members_reduce_to_zero():
