@@ -122,7 +122,8 @@ class FiniteAlgebra:
                                  "filtration degree" % (i, j))
 
     def hilbert(self):
-        return tuple(map(self.degrees.count, range(max(self.degrees) + 1)))
+        return tuple(map(self.degrees.count,
+                         range(max(self.degrees, default=-1) + 1)))
 
     def to_json(self):
         f, labels = self.field, [_word_label(w) for w in self.words]
@@ -442,6 +443,9 @@ def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
         raise ValueError("lift needs a common field")
     A.check_shape()
     B.check_shape()
+    zero = zero_algebra_verdict(A, B)
+    if zero:
+        return zero
     if A.dim != B.dim or sorted(A.degrees) != sorted(B.degrees):
         return IsoVerdict("not_isomorphic",
                           certificate={"invariant": "graded dimensions",

@@ -13,11 +13,29 @@ denominator, on a heap keyed by the order's int leading_key, so a
 rewriting step multiplies and subtracts integers and never normalises a
 fraction.
 
-All computations happen below a degree cap. Resolving every overlap and
+All computations happen below a degree cap, that is in the free algebra
+modulo the words longer than the cap. Resolving every overlap and
 inclusion ambiguity whose witness degree is at most the cap makes the
 normal-word counts exact in each degree up to the cap; the recorded
 complete_through = cap - max(leading degree) is the conservative
 certificate carried by the system.
+
+Completion is exact by Bergman's diamond lemma (Adv. Math. 1978): once
+every ambiguity is resolvable relative to the order (its s-polynomial is
+a combination of rules applied below the witness), reduction is
+confluent. complete keeps the leads minimal, no lead a factor of
+another, so no inclusion arises; and it skips an overlap whose witness
+holds a lead touching neither end (the chain criterion of Gebauer and
+Möller, JSC 1988; Mora, TCS 1994, for the free algebra). Such a lead
+is not a factor of either lead of the pair, so it overlaps both; the
+two sub-overlaps have shorter witnesses, are met first, and their
+resolutions add up to one of the skipped overlap, by induction on the
+witness length. Inclusions are never skipped. A rule taken out because
+its lead holds a new lead lies in the ideal of the rules that remain,
+below its lead, so what was resolved stays resolved. Tails are left
+unreduced until the system is complete; then reduction gives every word
+its one normal form, so one reduction of each tail yields lead - NF(lead)
+for each minimal lead: the unique reduced basis, whatever the path.
 
 In local mode every rewrite replaces a word by words that are strictly
 later in the order (same or higher degree), so reduction terminates below
@@ -219,38 +237,26 @@ def normal_form(f, system):
                               for w, c in out.items()}, cap)
 
 
-def _interreduce(rules, order, cap, p):
-    """Full autoreduction of primitive rules: no lead divides another
-    lead or any tail word. Deterministic processing by lead key: the
-    first element that the others can reduce is replaced, then the pool
-    is sorted again. An element none of whose words holds another lead is
-    already normal, so it is passed over without reducing it."""
-    pool = list(rules)
-    changed = True
-    while changed:
-        changed = False
-        pool.sort(key=lambda r: order.leading_key(r[0]))
-        leads = [r[0] for r in pool]
-        for i, (lead, scale, tail) in enumerate(pool):
+def _insert(basis, new, order, cap, p):
+    """The rules basis with the rules new inserted, keeping the leads
+    minimal: a rule whose lead holds another lead is reduced first (and
+    dropped at zero), and then every rule whose lead holds its lead is
+    taken out and inserted again the same way. Tails are left as they
+    are. The result is sorted by lead key."""
+    basis, todo = list(basis), list(new)
+    while todo:
+        r = todo.pop()
+        if any(lead in r[0] for lead, _, _ in basis):
+            lead, scale, tail = r
             terms = dict([(lead, scale)] + [(t, c) for t, _, c in tail])
-            text = "|".join(terms)
-            if not any(lw in text for j, lw in enumerate(leads) if j != i):
+            terms, _ = _reduce(terms, 1, basis, order, cap, p)
+            if not terms:
                 continue
-            others = pool[:i] + pool[i + 1:]
-            r, _ = _reduce(terms, 1, others, order, cap, p)
-            r = _primitive_rule(r, p) if r else None
-            if r != pool[i]:
-                pool[i:i + 1] = [r] if r else []
-                changed = True
-                break
-    # no other lead occurs in any element now, so only a tail that holds
-    # its own lead is reduced, by the full system
-    out = list(pool)
-    for i, (lead, scale, tail) in enumerate(pool):
-        if lead in "|".join([t for t, _, _ in tail]):
-            r, D = _reduce({t: c for t, _, c in tail}, 1, pool, order, cap, p)
-            out[i] = _primitive_rule({lead: scale * D, **r}, p)
-    return out
+            r = _primitive_rule(terms, p)
+        todo += [g for g in basis if r[0] in g[0]]
+        basis = [g for g in basis if r[0] not in g[0]] + [r]
+    basis.sort(key=lambda g: order.leading_key(g[0]))
+    return basis
 
 
 def ambiguities(leads, cap):
@@ -300,21 +306,23 @@ def complete(relations, order=_DEFAULT_ORDER, cap=12) -> RewriteSystem:
     """Truncated completion of the two-sided ideal the relations generate.
 
     Requires cap >= the largest relation degree (its minimal degree in
-    local mode). Ambiguities are processed in ascending witness degree,
-    FIFO within a degree; the basis is interreduced, which also sorts it
-    canonically, at the start and after every insertion. In finite
-    characteristic an element whose every leading candidate has zero
-    coefficient cannot be made monic and is reported. The basis is kept
-    as primitive integer rules, which the returned system holds beside
-    their monic FreePolys.
+    local mode). In finite characteristic an element whose every leading
+    candidate has zero coefficient cannot be made monic and is reported.
+    The basis is kept as primitive integer rules, which the returned
+    system holds beside their monic FreePolys.
 
-    Resolved ambiguities are remembered in done across insertions, keyed
-    on the two rules themselves plus kind, witness and positions: while
-    both elements survive unchanged the s-polynomial is the same, and an
-    element rewritten by interreduction gives new keys, so its
-    ambiguities are resolved again. Which resolved pairs are skipped, and
-    in what order the rest are met, does not show in the output: the
-    reduced complete basis of the truncated ideal is unique.
+    The relations and every new element go in through _insert, which
+    keeps the leads minimal and leaves tails alone. Ambiguities are
+    processed in ascending witness degree, FIFO within a degree, and an
+    overlap with a lead strictly inside its witness is skipped (the chain
+    criterion; the module docstring has the argument). Resolved
+    ambiguities are remembered in done across insertions, keyed on the
+    two rules themselves plus kind, witness and positions: while both
+    rules survive the s-polynomial is the same, and a rule inserted again
+    gives new keys. Once every ambiguity resolves, each tail is reduced
+    once by the complete system, which gives the unique reduced basis:
+    which pairs were skipped, and in what order the rest were met, does
+    not show in the output.
     """
     rels = []
     for r in relations:
@@ -336,12 +344,19 @@ def complete(relations, order=_DEFAULT_ORDER, cap=12) -> RewriteSystem:
         raise ValueError("cap %d below max relation degree %d" % (cap, need))
 
     p = field.characteristic
-    basis = _interreduce(rels, order, cap, p)
+    basis = _insert([], rels, order, cap, p)
     done = set()
     progress = True
     while progress:
         progress = False
-        for amb in ambiguities([lead for lead, _, _ in basis], cap):
+        leads = [lead for lead, _, _ in basis]
+        inner = re.compile("|".join(leads)).search
+        for amb in ambiguities(leads, cap):
+            # the chain criterion: a lead inside the witness, touching
+            # neither end, splits the overlap into two shorter ones
+            if amb.kind == "overlap" and inner(amb.witness, 1,
+                                               amb.degree - 1):
+                continue
             sig = (amb.kind, basis[amb.left], basis[amb.right], amb.witness,
                    amb.left_at, amb.right_at)
             if sig in done:
@@ -350,11 +365,16 @@ def complete(relations, order=_DEFAULT_ORDER, cap=12) -> RewriteSystem:
             r, _ = _reduce(s, 1, basis, order, cap, p)
             done.add(sig)
             if r:
-                basis = _interreduce(basis + [_primitive_rule(r, p)],
-                                     order, cap, p)
+                basis = _insert(basis, [_primitive_rule(r, p)], order, cap, p)
                 progress = True
                 break
-    return RewriteSystem._of_rules(basis, field, order, cap)
+    # the system is complete: one reduction of each tail gives the
+    # reduced basis
+    out = []
+    for lead, scale, tail in basis:
+        r, D = _reduce({t: c for t, _, c in tail}, 1, basis, order, cap, p)
+        out.append(_primitive_rule({lead: scale * D, **r}, p))
+    return RewriteSystem._of_rules(out, field, order, cap)
 
 
 def verify_complete(system: RewriteSystem) -> bool:

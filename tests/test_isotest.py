@@ -553,6 +553,30 @@ def test_distinguish_answers_the_zero_algebra_by_dimension():
         distinguish_algebras(Z, Z5)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_profile_and_lift_answer_the_zero_algebra(field):
+    # algebra_profile raised from FiniteAlgebra.hilbert, and the lift
+    # search over GF(7) refused the zero algebra for want of relations
+    Z = FiniteAlgebra(field, [], {})
+    assert Z.hilbert() == ()
+    assert algebra_profile(Z) == {
+        "hilbert": [0], "dimension": 0, "radical_power_dims": [],
+        "left_annihilator_dim": 0, "right_annihilator_dim": 0,
+        "two_sided_annihilator_dim": 0, "center_dim": 0}
+    if not field.characteristic:
+        return
+    verdict = lifted_iso_search(Z, Z)
+    assert verdict.status == "isomorphic"
+    assert verdict.witness == {"x": {}, "y": {}}
+    A = reduce_mod_p(quotient(R1), 7)
+    for X, Y, dims in ((Z, A, [0, 9]), (A, Z, [9, 0])):
+        verdict = lifted_iso_search(X, Y)
+        assert verdict.status == "not_isomorphic"
+        assert verdict.certificate == {"invariant": "dimension",
+                                       "field": "GF(7)", "a": dims[0],
+                                       "b": dims[1]}
+
+
 def test_lifted_needs_relations():
     A = reduce_mod_p(quotient(R1), 3)
     bare = FiniteAlgebra(A.field, A.words, A.table, None)

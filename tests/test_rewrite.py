@@ -15,6 +15,7 @@ import pytest
 
 from potalg.fields import GF, QQ, FieldError, ResourceCapError
 from potalg.freepoly import FreePoly
+from potalg import rewrite
 from potalg.parsing import parse_poly, render
 from potalg.potential import cyclic_symmetrize, relations_of
 from potalg.rewrite import (RewriteSystem, ambiguities, complete,
@@ -73,6 +74,81 @@ def test_complete_accepts_any_iterable():
     # the relations are read once, so a generator gives the same basis
     G = complete(iter(r1()), XY, 8)
     assert G.to_json() == complete(r1(), XY, 8).to_json()
+
+
+def _chained(leads, cap):
+    """The overlaps whose witness holds a lead touching neither end."""
+    return [a for a in ambiguities(leads, cap) if a.kind == "overlap"
+            and any(lead in a.witness[1:-1] for lead in leads)]
+
+
+def _counting_s_polynomials(monkeypatch):
+    witnesses = []
+    real = rewrite.s_polynomial
+
+    def counted(amb, *args):
+        witnesses.append(amb.witness)
+        return real(amb, *args)
+    monkeypatch.setattr(rewrite, "s_polynomial", counted)
+    return witnesses
+
+
+# x y x lies inside x x y x x, the witness of the overlap of x^2 y and
+# y x^2, away from both ends
+CHAIN = ("x^2 y + y^5", "y x^2 + y^5", "x y x + x^5")
+
+
+def test_chain_criterion_skips_overlaps_with_a_lead_inside(monkeypatch):
+    rels = [P(t, cap=7) for t in CHAIN]
+    met = _counting_s_polynomials(monkeypatch)
+    G = complete(rels, XY, 7)
+    monkeypatch.undo()
+    chained = {a.witness for a in _chained(G.leads, 7)}
+    assert {"xxyxx", "xyxxy", "yxxyx"} <= chained
+    # the last pass meets every ambiguity of the final system, and the
+    # chained ones need no s-polynomial
+    assert len(met) < len(ambiguities(G.leads, 7))
+    assert not chained & set(met)
+    assert G.to_json() == reference_complete(rels, XY, 7).to_json()
+    assert verify_complete(G)
+
+
+def test_verify_complete_does_not_skip_chained_overlaps(monkeypatch):
+    # verify_complete computes the s-polynomial of every ambiguity,
+    # chained or not, where complete skipped the chained ones
+    G = complete([P(t, cap=7) for t in CHAIN], XY, 7)
+    met = _counting_s_polynomials(monkeypatch)
+    assert verify_complete(G)
+    assert met == [a.witness for a in ambiguities(G.leads, 7)]
+    assert {a.witness for a in _chained(G.leads, 7)} <= set(met)
+    monkeypatch.undo()
+    # a system whose other ambiguities all resolve is confluent (the
+    # diamond lemma), so its chained overlaps resolve as well; in this
+    # hand-built one the chained overlap at x x y x x is unresolved
+    # beside others
+    R = RewriteSystem([P(t, cap=7) for t in
+                       ("x^2 y + y^5", "y x^2 + x^5", "x y x + x^5")],
+                      XY, 7)
+    amb, = [a for a in _chained(R.leads, 7) if a.witness == "xxyxx"]
+    s = s_polynomial(amb, R.rules, 7, 0)
+    assert rewrite._reduce(s, 1, R.rules, XY, 7, 0)[0]
+    assert not verify_complete(R)
+
+
+@pytest.mark.parametrize("mode", ["local", "global"])
+@pytest.mark.parametrize("texts", [
+    ("x + y^2", "x y + y^3"),
+    ("x y + y^3", "x y x + y^4"),
+    ("y x + x^3", "x y x + y^4 + x^5", "x^2 y x + y x^4"),
+])
+def test_leads_that_contain_one_another_complete_to_the_reference(
+        texts, mode):
+    order = MonomialOrder(mode=mode)
+    rels = [P(t, cap=7) for t in texts]
+    G = complete(rels, order, 7)
+    assert G.to_json() == reference_complete(rels, order, 7).to_json()
+    assert verify_complete(G)
+    assert not any(a != b and a in b for a in G.leads for b in G.leads)
 
 
 def test_complete_r2_golden():
@@ -457,3 +533,56 @@ def test_global_mode_denominators_are_pinned():
     assert "/3249918613389312" in buf.getvalue()
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == \
         "1578f1e1ba3f3e91034791ed7046b38d169fd990e16d7cf355e595e24cec2743"
+
+
+def test_global_mode_chained_completion_is_pinned():
+    """sha256 of a global-mode `gb` over QQ whose completion meets many
+    overlaps with a third lead inside the witness, pinned before the
+    chain criterion and the lead-only interreduction."""
+    from potalg.cli import main
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(["gb", "--relations",
+                     "5/3 x - x^2 - 3/7 x^3 + 2 y^2 x y, "
+                     "2 y^4 - 3/7 x y x + 1/2 x",
+                     "--order", "yx", "--mode", "global", "--cap", "9"]) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == \
+        "07490225119cb58cd02eac7cce167f306a1cb96a04edfd9820efbca669229e98"
+
+
+# case 176 of `tools/completion_digests.py --seed 1`: a rule taken out
+# because its lead holds a new lead is reduced by rules whose tails were
+# never reduced, and the coefficients grow, though the final basis has
+# coefficients of a few bits
+GROWTH = ("2 x y + 3 y x + 1/2 x^2 y + 2 y^2 x y, "
+          "3 x - 3/7 y - 3/7 x y^3, -3/7 x^2 + 2 y x^2")
+
+
+def test_coefficient_growth_case_is_pinned():
+    """sha256 of its `gb`, pinned before the lead-only insertion."""
+    from potalg.cli import main
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(["gb", "--relations", GROWTH, "--order", "xy",
+                     "--mode", "global", "--cap", "6"]) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == \
+        "fa2b9fae0711b8a15aa887d1f5913279a88c407fb0da7b18da205965d6f1b422"
+
+
+@pytest.mark.xfail(strict=True, reason="rules inserted during completion "
+                   "carry coefficients of over 100,000 bits")
+def test_insert_keeps_coefficients_small(monkeypatch):
+    # interreducing the whole basis after every insertion kept every
+    # rule under 3,100 bits here
+    bits = []
+    real = rewrite._primitive_rule
+
+    def recorded(terms, p):
+        lead, scale, tail = real(terms, p)
+        bits.extend(abs(c).bit_length() for c in [scale] +
+                    [c for _, _, c in tail])
+        return lead, scale, tail
+    monkeypatch.setattr(rewrite, "_primitive_rule", recorded)
+    complete([P(t, cap=6) for t in GROWTH.split(", ")],
+             MonomialOrder("xy", "global"), 6)
+    assert max(bits) <= 4096
