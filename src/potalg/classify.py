@@ -15,10 +15,11 @@ solution there keeps the trail a literal change of variables, so composing
 it carries the input body to the canonical body exactly through the cap.
 When that system is infeasible the stage re-solves on cyclic-class
 coordinates and replaces the body by its cyclic symmetrization, which is
-the classical computation on potentials taken up to rotation. Reports
-record which mode each stage used; dimension claims are always re-derived
-from the completed rewrite system of the cleaned body, never from the
-trail.
+the classical computation on potentials taken up to rotation. Every
+stage appends its substitution and its mode to one Cleanup record, which
+the classification report extends; dimension claims are always
+re-derived from the completed rewrite system of the cleaned body, never
+from the trail.
 """
 
 from __future__ import annotations
@@ -104,34 +105,20 @@ def _primitive(p, q):
     return (Fraction(row.get(0, 0)), Fraction(row.get(1, 0)))
 
 
-def _divide_by_linear(cubic, l):
-    """Exact quadratic cofactor (A, B, C) of the cubic by the line l."""
-    a, b, c, d = cubic
+def _divide(form, l):
+    """Exact cofactor of a binary form (coefficients from the highest
+    power of x down) by the line l = p x + q y, by synthetic division."""
     p, q = l
-    if p != 0:
-        A = a / p
-        B = (b - A * q) / p
-        C = (c - B * q) / p
-        if C * q != d:
-            raise ValueError("linear form does not divide the cubic")
-        return (A, B, C)
-    if a != 0:
-        raise ValueError("linear form does not divide the cubic")
-    return (b / q, c / q, d / q)
-
-
-def _divide_quadratic_by_linear(quad, l):
-    A, B, C = quad
-    p, q = l
-    if p != 0:
-        u = A / p
-        v = (B - u * q) / p
-        if v * q != C:
-            raise ValueError("linear form does not divide the quadratic")
-        return (u, v)
-    if A != 0:
-        raise ValueError("linear form does not divide the quadratic")
-    return (B / q, C / q)
+    if p == 0:
+        if form[0] != 0:
+            raise ValueError("linear form does not divide the form")
+        return tuple(c / q for c in form[1:])
+    quot = [form[0] / p]
+    for c in form[1:-1]:
+        quot.append((c - quot[-1] * q) / p)
+    if quot[-1] * q != form[-1]:
+        raise ValueError("linear form does not divide the form")
+    return tuple(quot)
 
 
 def _hessian(cubic):
@@ -246,8 +233,7 @@ def cubic_class(body, cap=None) -> CubicClass:
     if disc == 0:
         # the hessian of l1^2 l2 is a multiple of l1^2
         l1 = _primitive(2 * A, B) if A else _primitive(0, 1)
-        quad = _divide_by_linear(cubic, l1)
-        l2 = _divide_quadratic_by_linear(quad, l1)
+        l2 = _divide(_divide(cubic, l1), l1)
         M = (l1, (l2[0] / 3, l2[1] / 3))
         T = _linear_sub(_invert_2x2(M), cap)
         return CubicClass("X2Y", T, _ONE)
@@ -403,15 +389,55 @@ def _window_stage(body, cap, window, move_degrees, targets, trail, stage_log):
     return body, {w: body.coeff(w) for w in free_words}
 
 
-def _rescale(body, t, powers, cap, gscale, trail, stage_log):
-    """The body under x -> t^a x, y -> t^b y, divided by t^e for powers
-    (a, b, e), and gscale times t^e; the substitution joins the trail
-    and the rescale the stage log."""
-    a, b, e = powers
-    s = _linear_sub(((t ** a, _ZERO), (_ZERO, t ** b)), cap)
-    trail.append(s)
-    stage_log.append({"rescale": str(t), "global_scale": str(t ** e)})
-    return substitute(body, s).scale(1 / t ** e), gscale * t ** e
+@dataclass
+class Cleanup:
+    """One cleanup run: the body being cleaned, the trail of substitutions
+    applied to it, the stage log and the global scale.
+
+    Every stage appends to the record: a window stage its substitution
+    and log entry, a rescale its diagonal substitution, log entry and
+    factor of the global scale. The body is canonical once the stages
+    are done.
+    """
+    canonical: FreePoly = None
+    trail: list = dc_field(default_factory=list)
+    stage_log: list = dc_field(default_factory=list)
+    global_scale: Fraction = _ONE
+
+    @property
+    def projected_stages(self):
+        return sum(1 for e in self.stage_log if e.get("projected"))
+
+    @property
+    def stalled_classes(self):
+        """Representatives of the rotation classes the stages left."""
+        return [w for e in self.stage_log for w in e.get("stalled", {})]
+
+    def window_stage(self, window, move_degrees, targets):
+        """_window_stage on the body; returns the free coordinates."""
+        self.canonical, free = _window_stage(
+            self.canonical, self.canonical.cap, window, move_degrees,
+            targets, self.trail, self.stage_log)
+        return free
+
+    def rescale(self, t, powers):
+        """x -> t^a x, y -> t^b y on the body, then division by t^e, for
+        powers (a, b, e); t^e joins the global scale."""
+        a, b, e = powers
+        s = _linear_sub(((t ** a, _ZERO), (_ZERO, t ** b)),
+                        self.canonical.cap)
+        self.trail.append(s)
+        self.stage_log.append({"rescale": str(t), "global_scale": str(t ** e)})
+        self.canonical = substitute(self.canonical, s).scale(1 / t ** e)
+        self.global_scale *= t ** e
+
+    def require(self, expect, message):
+        """Raise unless the body differs from expect on stalled classes
+        only."""
+        covered = {w[i:] + w[:i] for w in self.stalled_classes
+                   for i in range(len(w))}
+        if any(w not in covered for w in (self.canonical - expect).terms):
+            raise AssertionError(message)
 
 
 def _require_cubic(body, label):
@@ -419,66 +445,36 @@ def _require_cubic(body, label):
         raise ValueError("cleanup needs the %s cubic normal form" % label)
 
 
-def _stall_info(stage_log):
-    """Stalled class representatives and the words they cover."""
-    reps = [w for e in stage_log for w in e.get("stalled", {})]
-    allowed = set()
-    for w in reps:
-        allowed.update(w[i:] + w[:i] for i in range(len(w)))
-    return reps, allowed
-
-
-@dataclass
-class CanonicalX2Y:
-    """Pure-y tail of a cleaned double-line potential.
-
-    p[j] multiplies y^(j+4); k is the valuation of p and n half the
-    valuation of its even part, both None when the relevant part vanishes
-    through the cap (the regime with no finiteness certificate) or when
-    some class stalled outside the move span and the body is not a pure
-    tail after all.
-    """
-    p: list
-    n: object
-    k: object
-    trail: list
-    body: FreePoly = None
-    projected_stages: int = 0
-    stalled: list = dc_field(default_factory=list)
-
-
-def cleanup_x2y(F, cap=12) -> CanonicalX2Y:
+def cleanup_x2y(rec: Cleanup):
     """Reduce a potential with cubic part cyc(x^2 y) to a pure-y tail.
 
     Degree by degree every coefficient except the one on y^d is removed
     by solved substitutions, leaving cyc(x^2 y) + y^4 p(y) through the
-    cap. The trail collects the applied substitutions in order.
+    cap of the record's body; every stage appends to the record.
+    Returns (p, n, k): p[j] multiplies y^(j+4), k is the valuation of p
+    and n half the valuation of its even part, both None when the
+    relevant part vanishes through the cap (the regime with no
+    finiteness certificate) or when some class stalled outside the move
+    span and the body is not a pure tail after all.
     """
-    body = F.with_cap(cap)
-    _require_cubic(body, "X2Y")
-    trail, stage_log = [], []
+    cap = rec.canonical.cap
+    _require_cubic(rec.canonical, "X2Y")
     for d in range(4, cap + 1):
-        body, _ = _window_stage(body, cap, (d,), (d - 2,),
-                                {"y" * d: None}, trail, stage_log)
-    tail = [body.coeff("y" * d) for d in range(4, cap + 1)]
+        rec.window_stage((d,), (d - 2,), {"y" * d: None})
+    tail = [rec.canonical.coeff("y" * d) for d in range(4, cap + 1)]
     expect = _CANONICAL_CUBICS["X2Y"](cap)
     for j, c in enumerate(tail):
         if c:
             expect = expect + FreePoly.term("y" * (j + 4), c, QQ, cap)
-    reps, covered = _stall_info(stage_log)
-    diff = body - expect
-    if any(w not in covered for w in diff.terms):
-        raise AssertionError("cleanup left non-tail terms")
+    rec.require(expect, "cleanup left non-tail terms")
+    if rec.stalled_classes:
+        return tail, None, None
     k = next((j for j, c in enumerate(tail) if c), None)
     n_val = next((j for j, c in enumerate(tail) if c and j % 2 == 0), None)
-    if reps:
-        k = n_val = None
-    projected = sum(1 for e in stage_log if e.get("projected"))
-    return CanonicalX2Y(tail, n_val // 2 if n_val is not None else None,
-                        k, trail, body, projected, reps)
+    return tail, n_val // 2 if n_val is not None else None, k
 
 
-def cleanup_x3y3(F, cap=12):
+def cleanup_x3y3(rec: Cleanup):
     """Reduce a potential with cubic part x^3 + y^3 to the quartic form.
 
     Stage one empties degree 4 except the rotation class of xyxy, whose
@@ -488,40 +484,31 @@ def cleanup_x3y3(F, cap=12):
     jointly with the odd degree below, which the even-degree kills
     disturb. When beta is zero the alternating classes at even degrees
     sit outside every move image and stay behind, recorded per stage as
-    stalled. Returns (body, trail, beta, gscale, stage_log).
+    stalled. Every stage appends to the record; returns beta.
     """
-    body = F.with_cap(cap)
-    _require_cubic(body, "X3Y3")
-    trail, stage_log = [], []
-    gscale = _ONE
-    body, res = _window_stage(body, cap, (4,), (2,),
-                              {"xyxy": None, "yxyx": None}, trail, stage_log)
+    cap = rec.canonical.cap
+    _require_cubic(rec.canonical, "X3Y3")
+    res = rec.window_stage((4,), (2,), {"xyxy": None, "yxyx": None})
     beta = res["xyxy"]
     if res["yxyx"] != beta:
         raise AssertionError("the xyxy rotation class lost its symmetry")
     if beta and beta != 1:
-        body, gscale = _rescale(body, 1 / beta, (1, 1, 3), cap, gscale,
-                                trail, stage_log)
+        rec.rescale(1 / beta, (1, 1, 3))
         beta = _ONE
     for d in range(5, cap + 1):
         if d % 2:
-            body, _ = _window_stage(body, cap, (d,), (d - 2,), {},
-                                    trail, stage_log)
+            rec.window_stage((d,), (d - 2,), {})
         else:
-            body, _ = _window_stage(body, cap, (d - 1, d), (d - 3, d - 2),
-                                    {}, trail, stage_log)
+            rec.window_stage((d - 1, d), (d - 3, d - 2), {})
     expect = _CANONICAL_CUBICS["X3Y3"](cap)
     if beta:
         expect = (expect + FreePoly.term("xyxy", beta, QQ, cap) +
                   FreePoly.term("yxyx", beta, QQ, cap))
-    _, covered = _stall_info(stage_log)
-    diff = body - expect
-    if any(w not in covered for w in diff.terms):
-        raise AssertionError("cleanup left terms beyond the quartic form")
-    return body, trail, beta, gscale, stage_log
+    rec.require(expect, "cleanup left terms beyond the quartic form")
+    return beta
 
 
-def _normalize_dim9_tail(body, cap):
+def _normalize_dim9_tail(rec: Cleanup):
     """Scale the y^4 coefficient to 1 and kill y^6, leaving y^5 alone.
 
     Only potential terms of degree <= 6 matter here: a nine dimensional
@@ -532,43 +519,39 @@ def _normalize_dim9_tail(body, cap):
     y^5 coefficient is untouchable by the window moves; when nonzero and
     a rational square it is scaled to 1 as well, otherwise its square
     class is reported as an obstruction rather than leaving the field.
-    Returns (body, trail, stage_log, t5, obstruction, gscale).
+    Every stage appends to the record; returns (t5, obstruction).
     """
-    trail, stage_log = [], []
-    gscale = _ONE
-    body = body.with_cap(6).with_cap(cap)
-    stage_log.append({"truncated_above": 6})
-    t4 = body.coeff("yyyy")
+    cap = rec.canonical.cap
+    rec.canonical = rec.canonical.with_cap(6).with_cap(cap)
+    rec.stage_log.append({"truncated_above": 6})
+    t4 = rec.canonical.coeff("yyyy")
     if not t4:
         raise ValueError("tail normalization needs a nonzero y^4 term")
     if t4 != 1:
-        body, gscale = _rescale(body, t4, (2, 1, 5), cap, gscale, trail,
-                                stage_log)
-    body, _ = _window_stage(body, cap, (5, 6), (3,), {"yyyyy": None},
-                            trail, stage_log)
-    if stage_log[-1].get("stalled"):
+        rec.rescale(t4, (2, 1, 5))
+    rec.window_stage((5, 6), (3,), {"yyyyy": None})
+    if rec.stage_log[-1].get("stalled"):
         raise CleanupError("the y^6 kill window stalled on %s"
-                           % sorted(stage_log[-1]["stalled"]))
-    body = body.with_cap(6).with_cap(cap)
-    t5 = body.coeff("yyyyy")
+                           % sorted(rec.stage_log[-1]["stalled"]))
+    rec.canonical = rec.canonical.with_cap(6).with_cap(cap)
+    t5 = rec.canonical.coeff("yyyyy")
     obstruction = None
     if t5 and t5 != 1:
         s_val = _rational_sqrt(1 / t5)
         if s_val is None:
             obstruction = {"square_class": str(t5)}
         else:
-            body, gscale = _rescale(body, s_val, (3, 2, 8), cap, gscale,
-                                    trail, stage_log)
-            t5 = body.coeff("yyyyy")
+            rec.rescale(s_val, (3, 2, 8))
+            t5 = rec.canonical.coeff("yyyyy")
             if t5 != 1:
                 raise AssertionError("square scaling missed y^5")
     expect = (_CANONICAL_CUBICS["X2Y"](cap) +
               FreePoly.term("yyyy", _ONE, QQ, cap))
     if t5:
         expect = expect + FreePoly.term("yyyyy", t5, QQ, cap)
-    if body != expect:
+    if rec.canonical != expect:
         raise AssertionError("tail normalization left extra terms")
-    return body, trail, stage_log, t5, obstruction, gscale
+    return t5, obstruction
 
 
 def dim_formula(n: int, k: int) -> int:
@@ -579,10 +562,8 @@ def dim_formula(n: int, k: int) -> int:
 
 
 @dataclass
-class ClassificationReport:
-    cubic: CubicClass
-    canonical: object = None
-    trail: list = dc_field(default_factory=list)
+class ClassificationReport(Cleanup):
+    cubic: CubicClass = None
     hilbert: tuple = ()
     finite: object = None
     dimension: object = None
@@ -591,13 +572,9 @@ class ClassificationReport:
     formula: object = None             # {n, k, predicted} for pure tails
     lower_bound: object = None
     inconclusive: object = None
-    projected_stages: int = 0
     scaling_obstruction: object = None
     symmetrized_input: bool = False
     truncated_above: object = None
-    stalled_classes: list = dc_field(default_factory=list)
-    global_scale: Fraction = _ONE
-    stage_log: list = dc_field(default_factory=list)
 
     def composed_trail(self, cap) -> Substitution:
         s = Substitution.identity(QQ, cap)
@@ -683,10 +660,10 @@ def classify_potential(F, cap=12) -> ClassificationReport:
         symmetrized = True
 
     cls = cubic_class(body, cap)
-    report = ClassificationReport(cls, symmetrized_input=symmetrized)
+    report = ClassificationReport(body, cubic=cls,
+                                  symmetrized_input=symmetrized)
 
     if cls.label == "Zero" or cls.extension_required is not None:
-        report.canonical = body
         _verdict(body, cap, report)
         return report
 
@@ -695,51 +672,34 @@ def classify_potential(F, cap=12) -> ClassificationReport:
         work = work.scale(1 / cls.sigma)
     if work.homogeneous_part(3) != _CANONICAL_CUBICS[cls.label](cap):
         raise AssertionError("cubic transform failed to normalize")
+    report.canonical = work
     report.trail.append(cls.transform)
     report.global_scale = Fraction(cls.sigma)
 
     if cls.label == "X3":
-        report.canonical = work
         _verdict(work, cap, report)
         return report
 
     if cls.label == "X2Y":
-        canon = cleanup_x2y(work, cap)
-        report.trail.extend(canon.trail)
-        report.projected_stages = canon.projected_stages
-        report.stalled_classes = list(canon.stalled)
-        report.canonical = canon.body
-        report.formula = {"n": canon.n, "k": canon.k}
-        if canon.n is not None:
-            report.formula["predicted"] = dim_formula(canon.n, canon.k)
-        _verdict(canon.body, cap, report)
-        if canon.n == 0 and canon.k == 0 and report.dimension == 9:
-            (body9, trail2, log2, t5, obstruction,
-             gscale9) = _normalize_dim9_tail(canon.body, cap)
-            report.trail.extend(trail2)
-            report.stage_log.extend(log2)
-            report.global_scale *= gscale9
-            report.projected_stages += sum(
-                1 for e in log2 if e.get("projected"))
-            report.canonical = body9
-            report.scaling_obstruction = obstruction
+        _, n, k = cleanup_x2y(report)
+        report.formula = {"n": n, "k": k}
+        if n is not None:
+            report.formula["predicted"] = dim_formula(n, k)
+        _verdict(report.canonical, cap, report)
+        if n == 0 and k == 0 and report.dimension == 9:
+            t5, report.scaling_obstruction = _normalize_dim9_tail(report)
             report.truncated_above = 6
             if not t5:
                 report.representative = "9A"
             elif t5 == 1:
                 report.representative = "9B"
-            if _verdict(body9, cap, report) and report.dimension != 9:
+            if (_verdict(report.canonical, cap, report)
+                    and report.dimension != 9):
                 raise AssertionError("tail normalization changed dimension")
         return report
 
-    body8, trail8, beta, gscale8, log8 = cleanup_x3y3(work, cap)
-    report.trail.extend(trail8)
-    report.stage_log.extend(log8)
-    report.global_scale *= gscale8
-    report.projected_stages = sum(1 for e in log8 if e.get("projected"))
-    report.stalled_classes = _stall_info(log8)[0]
-    report.canonical = body8
-    _verdict(body8, cap, report)
+    beta = cleanup_x3y3(report)
+    _verdict(report.canonical, cap, report)
     if beta and report.dimension == 8 and not report.stalled_classes:
         report.representative = "dim8"
     return report

@@ -175,32 +175,7 @@ def _cmd_iso(args):
         A = isotest.algebra_mod_p(A, args.field)
         B = isotest.algebra_mod_p(B, args.field)
 
-    zero = isotest.zero_algebra_verdict(A, B)
-    if (zero or args.strategy == "invariants") and A.field != B.field:
-        raise ValueError("the algebras live over different fields; "
-                         "pass --field to align them")
-    if zero:
-        verdict = zero
-    elif args.strategy == "invariants":
-        pa, pb = isotest.algebra_profile(A), isotest.algebra_profile(B)
-        keys = ["dimension", "hilbert"]
-        keys += sorted(k for k in pa if k not in keys)
-        key = next((k for k in keys if pa[k] != pb[k]), None)
-        if key is None:
-            verdict = isotest.IsoVerdict(
-                "inconclusive", certificate={"profiles": "agree",
-                                             "field": A.field.name})
-        else:
-            verdict = isotest.IsoVerdict(
-                "not_isomorphic",
-                certificate={"invariant": key, "field": A.field.name,
-                             "a": pa[key], "b": pb[key]})
-    elif args.strategy == "lift":
-        verdict = isotest.lifted_iso_search(A, B)
-    else:
-        verdict = isotest.distinguish_algebras(A, B)
-
-    doc = verdict.to_json()
+    doc = isotest.distinguish_algebras(A, B, args.strategy).to_json()
     doc["command"] = "iso"
     doc["strategy"] = args.strategy
     return doc
@@ -308,9 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against exact row reduction")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted and ignored: the table is built in one "
-                        "thread, and the output does not depend on it")
     _add_order_flags(p)
 
     p = sub.add_parser("canon", help="canonical form and classification")
@@ -322,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, metavar="FILE")
     p.add_argument("--field", type=int,
                    help="reduce both algebras modulo this prime first")
-    p.add_argument("--strategy",
-                   choices=("auto", "lift", "invariants"),
+    p.add_argument("--strategy", choices=isotest.STRATEGIES,
                    default="auto")
 
     p = sub.add_parser("brace", help="brace and truss verdicts")

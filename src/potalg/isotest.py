@@ -547,20 +547,32 @@ def zero_algebra_verdict(A: FiniteAlgebra, B: FiniteAlgebra):
         "a": A.dim, "b": B.dim})
 
 
-def distinguish_algebras(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
-    """Invariants first, then proxy lift searches over GF(3), GF(5), GF(7).
+STRATEGIES = ("auto", "lift", "invariants")
 
-    A profile mismatch settles non-isomorphism over the algebras' own
-    field. Otherwise, for rational tables, non-isomorphism over some
-    proxy prime is reported with the field disclosed, and agreement
+
+def distinguish_algebras(A: FiniteAlgebra, B: FiniteAlgebra,
+                         strategy="auto") -> IsoVerdict:
+    """The iso verdict for two algebras over one field, by strategy.
+
+    lift is lifted_iso_search alone; invariants compares the profiles,
+    whose mismatch settles non-isomorphism over the algebras' own field.
+    auto tries the identity on equal tables, then the profiles, then a
+    lift search: over a finite field on the algebras themselves, for
+    rational tables over GF(3), GF(5), GF(7) in turn. Non-isomorphism
+    over a proxy prime is reported with the field disclosed; agreement
     over every proxy leaves the rational question open (inconclusive).
     """
+    if strategy not in STRATEGIES:
+        raise ValueError("unknown strategy %r" % (strategy,))
     if A.field != B.field:
-        raise ValueError("distinguish needs a common base field")
+        raise ValueError("the algebras live over different fields; "
+                         "pass --field to align them")
     zero = zero_algebra_verdict(A, B)
     if zero:
         return zero
-    if (A.words == B.words and A.table == B.table
+    if strategy == "lift":
+        return lifted_iso_search(A, B)
+    if (strategy == "auto" and A.words == B.words and A.table == B.table
             and "x" in A.index and "y" in A.index):
         vx = A.basis_vec(A.index["x"])
         vy = A.basis_vec(A.index["y"])
@@ -569,12 +581,18 @@ def distinguish_algebras(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
             return IsoVerdict("isomorphic", witness=_witness_doc(A, vx, vy))
     pa = algebra_profile(A)
     pb = algebra_profile(B)
-    for key in pa:
-        if pa[key] != pb[key]:
-            return IsoVerdict("not_isomorphic",
-                              certificate={"invariant": key,
-                                           "field": A.field.name,
-                                           "a": pa[key], "b": pb[key]})
+    keys = ["dimension", "hilbert"]
+    keys += sorted(k for k in pa if k not in keys)
+    key = next((k for k in keys if pa[k] != pb[k]), None)
+    if key is not None:
+        return IsoVerdict("not_isomorphic",
+                          certificate={"invariant": key,
+                                       "field": A.field.name,
+                                       "a": pa[key], "b": pb[key]})
+    if strategy == "invariants":
+        return IsoVerdict("inconclusive",
+                          certificate={"profiles": "agree",
+                                       "field": A.field.name})
     if A.field.characteristic != 0:
         return lifted_iso_search(A, B)
     report = {}

@@ -1,10 +1,9 @@
 """Sparse exact row reduction, the one elimination routine of potalg.
 
 Rows are dicts column -> nonzero field element; a row never holds a zero
-entry. Columns are ordered by an optional key (their natural order by
-default) and a row's pivot is its first column. A stored pivot row holds
-no column before its pivot, so a row is reduced by clearing pivot
-columns in ascending order, each exactly once.
+entry. Columns are in their natural order and a row's pivot is its first
+column. A stored pivot row holds no column before its pivot, so a row is
+reduced by clearing pivot columns in ascending order, each exactly once.
 
 The elimination runs on integers. Over QQ a row being reduced is kept
 as integer numerators over one common denominator D, and a stored pivot
@@ -62,21 +61,18 @@ def primitive(row, c, p):
 class Echelon:
     """Incremental echelon form: one integer row per pivot column."""
 
-    def __init__(self, field, key=None):
+    def __init__(self, field):
         self.p = field.characteristic
-        self.key = key
         self.pivots = {}
 
     def _clear(self, row, D, pivots):
         """Clear the columns of pivots in the integer row over D, in
         place; returns the row and its new denominator."""
-        p, key = self.p, self.key
-        heap = [c if key is None else (key(c), c) for c in row if c in pivots]
+        p = self.p
+        heap = [c for c in row if c in pivots]
         heapify(heap)
         while heap:
             c = heappop(heap)
-            if key is not None:
-                c = c[1]
             a = row.pop(c, 0)
             if not a:
                 continue
@@ -97,7 +93,7 @@ class Echelon:
                 if got is None:
                     row[col] = -a * v % p if p else -a * v
                     if col in pivots:
-                        heappush(heap, col if key is None else (key(col), col))
+                        heappush(heap, col)
                 else:
                     s = got - a * v
                     if p:
@@ -124,7 +120,7 @@ class Echelon:
         denominator (over GF(p): residues), reduced in place."""
         row = self._clear(row, 1, self.pivots)[0]
         if row:
-            c = min(row, key=self.key)
+            c = min(row)
             self.pivots[c] = primitive(row, c, self.p)
 
     def reduced_rows(self):
@@ -136,7 +132,7 @@ class Echelon:
         brings in no other.
         """
         done = {}
-        for c in sorted(self.pivots, key=self.key, reverse=True):
+        for c in sorted(self.pivots, reverse=True):
             row = self.pivots[c]
             if any(k in done for k in row):
                 row = primitive(self._clear(dict(row), 1, done)[0], c, self.p)

@@ -272,8 +272,8 @@ def ambiguities(leads, cap):
                     if len(w) <= cap:
                         found.append(Ambiguity("overlap", i, j, w,
                                                0, len(li) - k))
-            # inclusion: lj a proper factor of li
-            if i != j and len(lj) < len(li):
+            # inclusion: lj a proper factor of li, or a later equal lead
+            if len(lj) < len(li) or lj == li and i < j:
                 start = li.find(lj)
                 while start != -1:
                     found.append(Ambiguity("inclusion", i, j, li, 0, start))

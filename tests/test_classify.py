@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from potalg.classify import (CleanupError, classify_potential, cleanup_x2y,
-                             cleanup_x3y3, cubic_class, dim_formula)
+from potalg import classify
+from potalg.classify import (Cleanup, CleanupError, classify_potential,
+                             cleanup_x2y, cleanup_x3y3, cubic_class,
+                             dim_formula)
 from potalg.fields import GF, FieldError, QQ
 from potalg.freepoly import FreePoly, invert_substitution, substitute
 from potalg.parsing import parse_poly, render
@@ -203,37 +205,41 @@ def test_cubic_class_reports_a_cube_ratio_from_construction():
 # -- cleanup_x2y ---------------------------------------------------------
 
 def test_cleanup_pure_quartic_tail():
-    canon = cleanup_x2y(poly("cyc(x^2 y) + y^4"), CAP)
-    assert canon.p[0] == 1 and not any(canon.p[1:])
-    assert (canon.n, canon.k) == (0, 0)
-    assert canon.trail == [] and canon.projected_stages == 0
+    rec = Cleanup(poly("cyc(x^2 y) + y^4"))
+    p, n, k = cleanup_x2y(rec)
+    assert p[0] == 1 and not any(p[1:])
+    assert (n, k) == (0, 0)
+    assert rec.trail == [] and rec.projected_stages == 0
 
 
 def test_cleanup_x4_tail_goes_infinite_regime():
-    canon = cleanup_x2y(poly("cyc(x^2 y) + x^4"), CAP)
-    assert not any(canon.p)
-    assert canon.n is None and canon.k is None
-    assert canon.body == poly("cyc(x^2 y)")
+    rec = Cleanup(poly("cyc(x^2 y) + x^4"))
+    p, n, k = cleanup_x2y(rec)
+    assert not any(p)
+    assert n is None and k is None
+    assert rec.canonical == poly("cyc(x^2 y)")
 
 
 def test_cleanup_mixed_quartic_preserves_dimension():
     f = poly("cyc(x^2 y) + cyc(x^2 y^2)")
-    canon = cleanup_x2y(f, CAP)
-    assert canon.body.homogeneous_part(4) == poly("y^4").scale(canon.p[0])
+    rec = Cleanup(f)
+    p, _, _ = cleanup_x2y(rec)
+    assert rec.canonical.homogeneous_part(4) == poly("y^4").scale(p[0])
     before = oracle_dimension([r for r in relations_of(f)], CAP)
-    after = oracle_dimension([r for r in relations_of(canon.body)], CAP)
+    after = oracle_dimension([r for r in relations_of(rec.canonical)], CAP)
     assert before == after
 
 
 def test_cleanup_rejects_wrong_cubic():
     with pytest.raises(ValueError):
-        cleanup_x2y(poly("x^3 + y^3 + y^4"), CAP)
+        cleanup_x2y(Cleanup(poly("x^3 + y^3 + y^4")))
 
 
 def test_trail_substitutions_invert():
-    canon = cleanup_x2y(poly("cyc(x^2 y) + cyc(x^2 y^2)"), CAP)
+    rec = Cleanup(poly("cyc(x^2 y) + cyc(x^2 y^2)"))
+    cleanup_x2y(rec)
     x, y = FreePoly.var("x", QQ, CAP), FreePoly.var("y", QQ, CAP)
-    for s in canon.trail:
+    for s in rec.trail:
         back = s.then(invert_substitution(s, CAP))
         assert back.image_x == x and back.image_y == y
 
@@ -242,23 +248,24 @@ def test_trail_substitutions_invert():
 
 def test_dim8_potential_is_fixed_point():
     f = poly("x^3 + y^3 + x y x y + y x y x")
-    body, trail, beta, gscale, log = cleanup_x3y3(f, CAP)
-    assert body == f and trail == [] and beta == 1 and gscale == 1
-    assert all(e.get("skipped") for e in log)
+    rec = Cleanup(f)
+    assert cleanup_x3y3(rec) == 1
+    assert rec.canonical == f and rec.trail == [] and rec.global_scale == 1
+    assert all(e.get("skipped") for e in rec.stage_log)
 
 
 def test_cleanup_x4_term_removed():
-    body, trail, beta, _, _ = cleanup_x3y3(poly("x^3 + y^3 + cyc(x^4)"), CAP)
-    assert beta == 0
-    assert body == poly("x^3 + y^3")
-    assert trail
+    rec = Cleanup(poly("x^3 + y^3 + cyc(x^4)"))
+    assert cleanup_x3y3(rec) == 0
+    assert rec.canonical == poly("x^3 + y^3")
+    assert rec.trail
 
 
 def test_cleanup_y4_term_removed_keeps_xyxy():
     f = poly("x^3 + y^3 + cyc(x y x y) + cyc(y^4)")
-    body, _, beta, _, _ = cleanup_x3y3(f, CAP)
-    assert beta == 1
-    assert body == poly("x^3 + y^3 + x y x y + y x y x")
+    rec = Cleanup(f)
+    assert cleanup_x3y3(rec) == 1
+    assert rec.canonical == poly("x^3 + y^3 + x y x y + y x y x")
 
 
 # -- dim_formula ---------------------------------------------------------
@@ -397,6 +404,30 @@ def test_projected_transport_on_classes():
     carried = cyclic_symmetrize(substitute(f, rep.composed_trail(CAP)))
     carried = carried.scale(1 / rep.global_scale)
     assert carried.with_cap(6) == rep.canonical.with_cap(6)
+
+
+@pytest.mark.parametrize("text, stages, projected", [
+    ("x^3 + y^3 + 2 cyc(x y x y) + cyc(x^2 y^3)", 6, 4),
+    ("cyc(x^2 y) + y^4 + y^5 + y^6 + cyc(x y^2 x y)", 7, 4),
+], ids=["X3Y3", "X2Y-9B"])
+def test_window_stages_are_seen_by_the_tracer_hook(monkeypatch, text,
+                                                    stages, projected):
+    # wraps _window_stage as the benchmark's tracer does: called with
+    # positional arguments, the stage log seventh, its last entry the
+    # stage just run
+    counts = {"stages": 0, "projected": 0}
+    original = classify._window_stage
+
+    def counted(*args):
+        result = original(*args)
+        counts["stages"] += 1
+        counts["projected"] += bool(args[6][-1].get("projected"))
+        return result
+
+    monkeypatch.setattr(classify, "_window_stage", counted)
+    rep = classify_potential(poly(text, 9), 9)
+    assert counts == {"stages": stages, "projected": projected}
+    assert rep.projected_stages == projected
 
 
 def test_report_serializes():

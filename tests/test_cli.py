@@ -152,6 +152,8 @@ def test_gb_needs_a_source():
     (["iso", "--a", "a", "--b", "b", "--strategy", "nope"], "invalid choice"),
     (["frobnicate"], "invalid choice"),
     ([], "required"),
+    (["dim", "--potential", "x", "--workers", "2"],
+     "unrecognized arguments: --workers"),
 ])
 def test_usage_errors_write_one_document(argv, needle, capsys):
     code, doc, _ = run_cli(*argv)  # json.loads reads the whole stdout
@@ -431,6 +433,35 @@ def test_iso_invariants_strategy(tmp_path):
     code, doc, _ = run_cli("iso", "--a", a, "--b", a,
                            "--strategy", "invariants")
     assert code == 0 and doc["status"] == "inconclusive"
+
+
+def test_iso_auto_names_dimension_before_hilbert(tmp_path):
+    # auto and invariants compare the profiles in one order: dimension,
+    # hilbert, then the rest by name; auto used to name hilbert here
+    a = dim_file(tmp_path, DIM8, "a.json")
+    b = dim_file(tmp_path, DIM9A, "b.json")
+    code, doc, _ = run_cli("iso", "--a", a, "--b", b)
+    assert code == 0 and doc["status"] == "not_isomorphic"
+    cert = doc["certificate"]
+    assert cert["invariant"] == "dimension" and cert["field"] == "QQ"
+    assert [cert["a"], cert["b"]] == [8, 9]
+
+
+@pytest.mark.parametrize("strategy", ["auto", "lift", "invariants"])
+def test_iso_on_two_fields_is_refused_alike(tmp_path, strategy):
+    # auto and lift used to refuse in their own words, and lift on a
+    # rational first algebra asked for a finite field
+    a = dim_file(tmp_path, DIM8, "a.json")
+    doc = json.loads(Path(a).read_text())
+    doc["algebra"]["field"] = "GF(7)"
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps(doc))
+    for first, second in ((a, str(b)), (str(b), a)):
+        code, doc, _ = run_cli("iso", "--a", first, "--b", second,
+                               "--strategy", strategy)
+        assert code == 2 and doc["error"] == "config"
+        assert doc["message"] == ("the algebras live over different "
+                                  "fields; pass --field to align them")
 
 
 def test_iso_lift_needs_a_finite_field(tmp_path):
@@ -871,8 +902,9 @@ def test_render_parse_round_trip_on_goldens():
 
 
 def test_worker_count_does_not_change_bytes():
-    outs = [run_cli("dim", "--potential", DIM8, "--cap", "8",
-                    "--workers", w)[2] for w in ("1", "8")]
+    # dim has no --workers any more: two reruns give the same bytes
+    outs = [run_cli("dim", "--potential", DIM8, "--cap", "8")[2]
+            for _ in range(2)]
     assert outs[0] == outs[1]
 
 

@@ -135,6 +135,19 @@ def test_verify_complete_does_not_skip_chained_overlaps(monkeypatch):
     assert not verify_complete(R)
 
 
+def test_verify_complete_pairs_equal_leads():
+    # two rules with one lead form an inclusion ambiguity; it used to
+    # form none, and this system passed although y^3 - y^4 lies in the
+    # ideal and is normal
+    R = RewriteSystem([P("x y + y^3", cap=6), P("x y + y^4", cap=6)], XY, 6)
+    assert R.leads == ["xy", "xy"]
+    amb, = ambiguities(R.leads, 6)
+    assert (amb.kind, amb.witness, amb.left, amb.right) == (
+        "inclusion", "xy", 0, 1)
+    assert not verify_complete(R)
+    assert complete(list(R.elements), XY, 6).leads == ["xy", "yyy"]
+
+
 @pytest.mark.parametrize("mode", ["local", "global"])
 @pytest.mark.parametrize("texts", [
     ("x + y^2", "x y + y^3"),
