@@ -276,9 +276,6 @@ class Filtration:
                 d = i
         return d
 
-    def to_json(self):
-        return {"filtration": [sorted(level) for level in self.chain[1:-1]]}
-
 
 def _additive_span(B, seed):
     span = {0}

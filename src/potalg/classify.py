@@ -29,7 +29,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .fields import QQ, FieldError
-from .freepoly import FreePoly, Substitution, abelianize_cubic, substitute
+from .freepoly import (FreePoly, Substitution, abelianize_cubic,
+                       invert_2x2, substitute)
 from .linalg import integral, primitive, solve
 from .potential import (cyclic_symmetrize, cyclicize,
                         is_cyclically_invariant, relations_of)
@@ -91,9 +92,16 @@ def _cube_coeffs(l):
     return (p ** 3, 3 * p * p * q, 3 * p * q * q, q ** 3)
 
 
-def _combine_cubes(l1, a1, l2, a2):
-    c1, c2 = _cube_coeffs(l1), _cube_coeffs(l2)
-    return tuple(a1 * u + a2 * v for u, v in zip(c1, c2))
+def _cube_weights(cubic, lines):
+    """The weights a_i with cubic = sum a_i l_i^3, asserted exact: one
+    exact solve on the columns of the line cubes."""
+    columns = [{i: c for i, c in enumerate(_cube_coeffs(l)) if c}
+               for l in lines]
+    rhs = {i: c for i, c in enumerate(cubic) if c}
+    weights, stalled, reduced = solve(columns, range(4), rhs, QQ)
+    if stalled or len(reduced) < len(lines):
+        raise AssertionError("the line cubes do not span the cubic")
+    return weights
 
 
 def _primitive(p, q):
@@ -126,29 +134,6 @@ def _hessian(cubic):
     return (4 * (3 * a * c - b * b),
             4 * (9 * a * d - b * c),
             4 * (3 * b * d - c * c))
-
-
-def _solve_cube_pair(cubic, l1, l2):
-    """alpha, beta with cubic = alpha l1^3 + beta l2^3, asserted exact."""
-    c1, c2 = _cube_coeffs(l1), _cube_coeffs(l2)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            det = c1[i] * c2[j] - c1[j] * c2[i]
-            if det:
-                alpha = (cubic[i] * c2[j] - cubic[j] * c2[i]) / det
-                beta = (c1[i] * cubic[j] - c1[j] * cubic[i]) / det
-                if _combine_cubes(l1, alpha, l2, beta) != tuple(cubic):
-                    raise AssertionError("cube-pair solve inconsistent")
-                return alpha, beta
-    raise AssertionError("cube lines are dependent")
-
-
-def _invert_2x2(m):
-    (a, b), (c, d) = m
-    det = a * d - b * c
-    if det == 0:
-        raise FieldError("singular linear transform")
-    return ((d / det, -b / det), (-c / det, a / det))
 
 
 def _linear_sub(m, cap):
@@ -221,22 +206,16 @@ def cubic_class(body, cap=None) -> CubicClass:
         # only a cube l^3 has a vanishing hessian; (a, b) is p^2 (p, 3q)
         a, b = cubic[:2]
         l = _primitive(a, b / 3) if a else _primitive(0, 1)
-        l3 = _cube_coeffs(l)
-        idx = next(i for i in range(4) if l3[i])
-        sigma = cubic[idx] / l3[idx]
-        if _combine_cubes(l, sigma, (_ZERO, _ZERO), _ZERO) != tuple(cubic):
-            raise AssertionError("triple-line extraction lost exactness")
-        comp = (_ZERO, _ONE) if l[1] == 0 else (_ONE, _ZERO)
-        T = _linear_sub(_invert_2x2((l, comp)), cap)
-        return CubicClass("X3", T, sigma)
+        [sigma] = _cube_weights(cubic, [l])
+        M = (l, (_ZERO, _ONE) if l[1] == 0 else (_ONE, _ZERO))
+        return CubicClass("X3", _linear_sub(invert_2x2(M, QQ), cap), sigma)
 
     if disc == 0:
         # the hessian of l1^2 l2 is a multiple of l1^2
         l1 = _primitive(2 * A, B) if A else _primitive(0, 1)
         l2 = _divide(_divide(cubic, l1), l1)
         M = (l1, (l2[0] / 3, l2[1] / 3))
-        T = _linear_sub(_invert_2x2(M), cap)
-        return CubicClass("X2Y", T, _ONE)
+        return CubicClass("X2Y", _linear_sub(invert_2x2(M, QQ), cap), _ONE)
 
     root = _rational_sqrt(disc)
     if root is None:
@@ -248,14 +227,13 @@ def cubic_class(body, cap=None) -> CubicClass:
     else:
         l1, l2 = _primitive(0, 1), _primitive(B, C)
     l1, l2 = sorted((l1, l2), reverse=True)
-    alpha, beta = _solve_cube_pair(cubic, l1, l2)
+    alpha, beta = _cube_weights(cubic, [l1, l2])
     croot = _rational_cbrt(beta / alpha)
     if croot is None:
         return CubicClass("X3Y3", extension_required={
             "kind": "cubic", "cube_ratio": str(beta / alpha)})
     M = (l1, (croot * l2[0], croot * l2[1]))
-    T = _linear_sub(_invert_2x2(M), cap)
-    return CubicClass("X3Y3", T, alpha)
+    return CubicClass("X3Y3", _linear_sub(invert_2x2(M, QQ), cap), alpha)
 
 
 # ---------------------------------------------------------------------------

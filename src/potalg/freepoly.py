@@ -25,13 +25,11 @@ def _min_cap(a, b):
 
 
 class FreePoly:
-    # _hash caches the hash; values are immutable, so it cannot go stale
-    __slots__ = ("field", "terms", "cap", "_hash")
+    __slots__ = ("field", "terms", "cap")
 
     def __init__(self, field, terms=None, cap=None):
         self.field = field
         self.cap = cap
-        self._hash = None
         clean = {}
         if terms:
             for w, c in terms.items():
@@ -167,9 +165,7 @@ class FreePoly:
                 and other.terms == self.terms)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.field, frozenset(self.terms.items())))
-        return self._hash
+        return hash((self.field, frozenset(self.terms.items())))
 
     def sorted_terms(self, order=_DEFAULT_ORDER):
         return sorted(self.terms.items(), key=lambda kv: order.sort_key(kv[0]))
@@ -298,6 +294,19 @@ def substitute(f: FreePoly, s: Substitution) -> FreePoly:
                      _min_cap(f.cap, s.cap))
 
 
+def invert_2x2(m, field):
+    """The inverse (1/det) ((d, -b), (-c, a)) of m = ((a, b), (c, d));
+    raises FieldError when det = a d - b c vanishes."""
+    F = field
+    (a, b), (c, d) = m
+    det = F.sub(F.mul(a, d), F.mul(b, c))
+    if not det:
+        raise FieldError("singular linear part")
+    inv = F.inv(det)
+    return ((F.mul(d, inv), F.neg(F.mul(b, inv))),
+            (F.neg(F.mul(c, inv)), F.mul(a, inv)))
+
+
 def invert_substitution(s: Substitution, cap=None) -> Substitution:
     """Inverse substitution through the cap by fixed-point iteration.
 
@@ -309,14 +318,7 @@ def invert_substitution(s: Substitution, cap=None) -> Substitution:
     if cap is None:
         raise ValueError("an explicit cap is required to invert")
     F = s.field
-    (a, b), (c, d) = s.linear_part()
-    det = F.sub(F.mul(a, d), F.mul(b, c))
-    if not det:
-        raise FieldError("substitution has singular linear part")
-    inv_det = F.inv(det)
-    # L^{-1} = (1/det) [[d, -b], [-c, a]]
-    ia, ib = F.mul(d, inv_det), F.neg(F.mul(b, inv_det))
-    ic, id_ = F.neg(F.mul(c, inv_det)), F.mul(a, inv_det)
+    (ia, ib), (ic, id_) = invert_2x2(s.linear_part(), F)
 
     def linv(px, py):
         return (px.scale(ia) + py.scale(ib), px.scale(ic) + py.scale(id_))

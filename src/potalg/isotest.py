@@ -345,6 +345,34 @@ def _witness_doc(B, vx, vy):
                   for i, c in vy.items()}}
 
 
+def _basis_entries(F: FiniteAlgebra):
+    """The profile entries read off the basis words alone."""
+    return {"hilbert": list(F.hilbert()) + [0], "dimension": F.dim}
+
+
+def _first_difference(field, pa, pb):
+    """not_isomorphic on the first entry where the profiles pa and pb
+    differ, walking dimension, hilbert, then the rest by name; None when
+    they agree."""
+    keys = ["dimension", "hilbert"]
+    keys += sorted(k for k in pa if k not in keys)
+    key = next((k for k in keys if pa[k] != pb[k]), None)
+    if key is None:
+        return None
+    return IsoVerdict("not_isomorphic", certificate={
+        "invariant": key, "field": field.name, "a": pa[key], "b": pb[key]})
+
+
+def _basis_verdict(A: FiniteAlgebra, B: FiniteAlgebra):
+    """The verdict the bases alone give, or None: not_isomorphic on the
+    dimension or the Hilbert data, and the zero map between two zero
+    algebras, which have no unit word to search from."""
+    verdict = _first_difference(A.field, _basis_entries(A), _basis_entries(B))
+    if verdict is None and not A.dim:
+        verdict = IsoVerdict("isomorphic", witness={"x": {}, "y": {}})
+    return verdict
+
+
 def algebra_profile(F: FiniteAlgebra):
     """Field-independent fingerprint used before any isomorphism search.
 
@@ -355,7 +383,8 @@ def algebra_profile(F: FiniteAlgebra):
     """
     f = F.field
     n = F.dim
-    h = F.hilbert() + (0,)
+    basis = _basis_entries(F)
+    h = basis["hilbert"]
     rad_dims = [sum(h[k:]) for k in range(1, len(h))]
     minus_one = f.neg(f.one)
 
@@ -378,8 +407,7 @@ def algebra_profile(F: FiniteAlgebra):
     right = [row(w, 1, gens) for w in range(n)]
     both = [{**a, **b} for a, b in zip(left, right)]
     return {
-        "hilbert": list(h),
-        "dimension": n,
+        **basis,
         "radical_power_dims": rad_dims,
         "left_annihilator_dim": n - rank(left, f),
         "right_annihilator_dim": n - rank(right, f),
@@ -443,13 +471,9 @@ def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
         raise ValueError("lift needs a common field")
     A.check_shape()
     B.check_shape()
-    zero = zero_algebra_verdict(A, B)
-    if zero:
-        return zero
-    if A.dim != B.dim or sorted(A.degrees) != sorted(B.degrees):
-        return IsoVerdict("not_isomorphic",
-                          certificate={"invariant": "graded dimensions",
-                                       "a": A.hilbert(), "b": B.hilbert()})
+    verdict = _basis_verdict(A, B)
+    if verdict:
+        return verdict
     if A.relations is None:
         raise ValueError("lifted search needs the defining relations")
     f = B.field
@@ -531,22 +555,6 @@ def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
                                    "linear_parts": tried})
 
 
-def zero_algebra_verdict(A: FiniteAlgebra, B: FiniteAlgebra):
-    """The verdict when A or B is the zero algebra, else None.
-
-    The zero algebra has no unit word to profile or search from; its
-    total dimension, a rational invariant, tells it apart, and the zero
-    map is the one isomorphism between two zero algebras.
-    """
-    if A.dim and B.dim:
-        return None
-    if A.dim == B.dim:
-        return IsoVerdict("isomorphic", witness={"x": {}, "y": {}})
-    return IsoVerdict("not_isomorphic", certificate={
-        "invariant": "dimension", "field": A.field.name,
-        "a": A.dim, "b": B.dim})
-
-
 STRATEGIES = ("auto", "lift", "invariants")
 
 
@@ -561,15 +569,15 @@ def distinguish_algebras(A: FiniteAlgebra, B: FiniteAlgebra,
     rational tables over GF(3), GF(5), GF(7) in turn. Non-isomorphism
     over a proxy prime is reported with the field disclosed; agreement
     over every proxy leaves the rational question open (inconclusive).
+    Every strategy answers a zero algebra from the bases alone.
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy %r" % (strategy,))
     if A.field != B.field:
         raise ValueError("the algebras live over different fields; "
                          "pass --field to align them")
-    zero = zero_algebra_verdict(A, B)
-    if zero:
-        return zero
+    if not (A.dim and B.dim):
+        return _basis_verdict(A, B)
     if strategy == "lift":
         return lifted_iso_search(A, B)
     if (strategy == "auto" and A.words == B.words and A.table == B.table
@@ -579,16 +587,10 @@ def distinguish_algebras(A: FiniteAlgebra, B: FiniteAlgebra,
         ok, _ = is_isomorphism(A, B, vx, vy)
         if ok:
             return IsoVerdict("isomorphic", witness=_witness_doc(A, vx, vy))
-    pa = algebra_profile(A)
-    pb = algebra_profile(B)
-    keys = ["dimension", "hilbert"]
-    keys += sorted(k for k in pa if k not in keys)
-    key = next((k for k in keys if pa[k] != pb[k]), None)
-    if key is not None:
-        return IsoVerdict("not_isomorphic",
-                          certificate={"invariant": key,
-                                       "field": A.field.name,
-                                       "a": pa[key], "b": pb[key]})
+    verdict = _first_difference(A.field, algebra_profile(A),
+                                algebra_profile(B))
+    if verdict:
+        return verdict
     if strategy == "invariants":
         return IsoVerdict("inconclusive",
                           certificate={"profiles": "agree",

@@ -35,6 +35,26 @@ def test_cubic_canonical_inputs_get_identity():
         assert cls.sigma == 1
 
 
+def test_uncapped_cubic_class_needs_no_cap():
+    # the normalizing transform inverts its 2x2 linear part directly, so
+    # an uncapped body gets the identity, not "an explicit cap is required"
+    cls = cubic_class(parse_poly("x^3"))
+    assert cls.label == "X3" and cls.sigma == 1
+    assert cls.transform.cap is None
+    assert render(cls.transform.image_x) == "x"
+    assert render(cls.transform.image_y) == "y"
+
+
+def test_cube_weights_assert_exactness():
+    # x^3 + y^3 is no multiple of one cube, nor a sum of two cubes of
+    # one line; both are internal failures, not user errors
+    with pytest.raises(AssertionError):
+        classify._cube_weights((1, 0, 0, 1), [(1, 0)])
+    with pytest.raises(AssertionError):
+        classify._cube_weights((1, 0, 0, 0), [(1, 0), (2, 0)])
+    assert classify._cube_weights((9, 0, 0, 2), [(1, 0), (0, 1)]) == [9, 2]
+
+
 def test_cubic_triple_line_from_square():
     # abelianizes to (x + y)^3
     f = poly("x^3 + cyc(x^2 y) + cyc(x y^2) + y^3")

@@ -312,6 +312,22 @@ def test_iso_answers_the_zero_algebra_by_dimension(tmp_path, strategy):
     assert code == 2
 
 
+def test_iso_lift_answers_rational_zero_algebras_without_a_field(tmp_path):
+    # a zero algebra is answered from its basis before lift asks for a
+    # finite field, and the answer names the algebras' own field
+    zero = dim_file(tmp_path, "x", "zero.json", cap="6")
+    d8 = dim_file(tmp_path, DIM8, "d8.json", cap="9")
+    code, doc, _ = run_cli("iso", "--a", zero, "--b", zero,
+                           "--strategy", "lift")
+    assert code == 0 and doc["status"] == "isomorphic"
+    assert doc["witness"] == {"x": {}, "y": {}}
+    code, doc, _ = run_cli("iso", "--a", zero, "--b", d8,
+                           "--strategy", "lift")
+    assert code == 0 and doc["status"] == "not_isomorphic"
+    assert doc["certificate"] == {"invariant": "dimension", "field": "QQ",
+                                  "a": 0, "b": 8}
+
+
 # -- canon ----------------------------------------------------------------
 
 def test_canon_lands_on_9b():
@@ -342,6 +358,17 @@ def test_canon_bytes_are_pinned(text, cap, digest):
     code, _, raw = run_cli("canon", "--potential", text, "--cap", cap)
     assert code == 0
     assert hashlib.sha256(raw.encode()).hexdigest() == digest
+
+
+def test_canon_on_a_body_that_symmetrizes_away_is_inconclusive():
+    # x y y and y x y are rotations of one word, so the symmetrized
+    # potential is zero and has no relations to count
+    with pytest.warns(UserWarning, match="zero potential"):
+        code, doc, _ = run_cli("canon", "--potential", "x y y - y x y",
+                               "--cap", "6")
+    assert code == 0 and doc["inconclusive"] == "zero relations"
+    assert doc["canonical"] == "0" and doc["finite"] is None
+    assert doc["cubic"] == {"label": "Zero"}
 
 
 def test_canon_rejects_quadratic_input():
@@ -391,6 +418,43 @@ def test_iso_bytes_are_pinned(tmp_path, a, b, flags, digest):
     code, _, raw = run_cli("iso", "--a", fa, "--b", fb, *flags)
     assert code == 0
     assert hashlib.sha256(raw.encode()).hexdigest() == digest
+
+
+def test_iso_lift_names_dimension_with_the_field(tmp_path):
+    # the lift search compares the basis entries of the profile, so it
+    # names the invariant and the field as the other strategies do
+    a = dim_file(tmp_path, DIM8, "a.json")
+    b = dim_file(tmp_path, DIM9A, "b.json")
+    code, doc, _ = run_cli("iso", "--a", a, "--b", b, "--field", "7",
+                           "--strategy", "lift")
+    assert code == 0 and doc["status"] == "not_isomorphic"
+    assert doc["certificate"] == {"invariant": "dimension",
+                                  "field": "GF(7)", "a": 8, "b": 9}
+
+
+def test_iso_auto_reports_every_proxy_prime(tmp_path):
+    # x -> 3x carries dim 8 to this image; its tables have a denominator
+    # 3, so GF(3) is skipped and GF(5), GF(7) find a map: no verdict
+    a = dim_file(tmp_path, DIM8, "a.json")
+    b = dim_file(tmp_path, "27 x^3 + y^3 + 9 cyc(x y x y)", "b.json")
+    code, doc, _ = run_cli("iso", "--a", a, "--b", b)
+    assert code == 0 and doc["status"] == "inconclusive"
+    assert doc["certificate"] == {
+        "rational_profiles": "agree",
+        "proxies": {"GF(3)": "skipped: denominator of -2/3 vanishes mod 3",
+                    "GF(5)": "isomorphic", "GF(7)": "isomorphic"}}
+
+
+@pytest.mark.xfail(strict=True, reason="not_isomorphic rests on the GF(3) "
+                   "lift proxy alone; rational verdicts are open work")
+def test_iso_auto_does_not_separate_9a_from_its_rescaled_image(tmp_path):
+    # y -> 3y carries cyc(x^2 y) + y^4 to this image, so the two algebras
+    # are isomorphic over QQ; over GF(3) the image degenerates
+    a = dim_file(tmp_path, DIM9A, "a.json")
+    b = dim_file(tmp_path, "3 cyc(x^2 y) + 81 y^4", "b.json")
+    code, doc, _ = run_cli("iso", "--a", a, "--b", b)
+    assert code == 0
+    assert doc["status"] != "not_isomorphic"
 
 
 def test_iso_lift_mod_2_self(tmp_path):
@@ -621,6 +685,29 @@ def test_brace_graded_falls_back_to_star_powers(tmp_path):
     path = z9_brace_file(tmp_path, with_chain=False)
     code, doc, _ = run_cli("brace", "graded", "--input", path)
     assert code == 0 and doc["component_orders"] == [3, 3]
+
+
+def test_brace_prelie_reports_a_witness(tmp_path):
+    # a * b = k[a mod 2][b mod 2] a b on Z/16 with its 2-power filtration;
+    # the witness lists (degree, class) for the three associator entries.
+    # The table is not left distributive, and prelie does not check that
+    k = [[2, 4], [0, 10]]
+    doc = cyclic_doc(16, lambda a, b: k[a % 2][b % 2] * a * b)
+    doc["filtration"] = [list(range(0, 16, 2)), list(range(0, 16, 4)),
+                         [0, 8]]
+    code, doc = run_brace_doc(tmp_path, doc, "prelie")
+    assert code == 0 and doc["left_symmetric"] is False
+    assert doc["witness"] == [[1, 1], [2, 1], [1, 1]]
+
+
+def test_brace_graded_refuses_a_product_that_depends_on_representatives(
+        tmp_path):
+    doc = cyclic_doc(4, lambda a, b: 0)
+    doc["star"][3] = [0, 2, 0, 2]
+    doc["filtration"] = [[0, 2]]
+    code, doc = run_brace_doc(tmp_path, doc, "graded")
+    assert code == 2 and doc["error"] == "config"
+    assert doc["message"] == "graded product depends on representatives"
 
 
 def test_brace_series(tmp_path):
