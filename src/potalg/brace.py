@@ -13,17 +13,19 @@ checked on a greedy additive generating set S (|S| <= log2 n once
 associativity of + from (x+s)+y = x+(s+y) for s in S. A map that is
 additive, or affine, in c is fixed by its values at c in S, or at
 c in {0} ∪ S: this covers the truss axiom (left distributivity is its
-case alpha = 0), compatibility and the circle law of a truss. A brace's
-circle needs no check of its own. Left distributivity makes
-lambda_a(b) = b + a*b additive, compatibility then gives lambda_{a∘b} =
-lambda_a lambda_b (Rump 2007; Guarnieri-Vendramin 2017), and so
-(a∘b)∘c = a + lambda_a(b + lambda_b(c)) = a∘(b∘c). As a*0 = 0, an
-identity e = e∘0 can only be 0; a is invertible exactly when its circle
-row is a permutation, a right inverse in a finite monoid being two-sided.
-The congruence laws of a filtration level telescope from a generating
-set of that level. When a certificate fails, the plain triple scan runs
-to name the first failing triple, so verdicts and witnesses are those of
-the exhaustive check. The distributivity correction series follows the
+case alpha = 0) and the circle law. Given left distributivity,
+a∘(b∘c) = a + b + c + b*c + a*b + a*c + a*(b*c), so a brace's
+compatibility (a∘b)*c = a*c + b*c + a*(b*c) holds at a triple exactly
+when (a∘b)∘c = a∘(b∘c) does: the circle certificate decides it and its
+triple scan names the witness (Rump 2007; Guarnieri-Vendramin 2017). As
+a*0 = 0, an identity e = e∘0 can only be 0; a is invertible exactly
+when its circle row is a permutation, a right inverse in a finite monoid
+being two-sided. The congruence laws of a filtration level telescope
+from a generating set of that level. When a certificate fails, the plain
+triple scan runs to name the first failing triple, so verdicts and
+witnesses are those of the exhaustive check. The graded structure is
+built only on a structure and a filtration that pass their checks. The
+distributivity correction series follows the
 recursion d0 = a, d0' = b, d_{i+1} = d_i + d_i', d_{i+1}' = d_i * d_i';
 unrolling the brace axiom gives the signs (-1)^(i+1) with the sum
 starting at i = 0.
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations, product as iproduct
 
 from .fields import ResourceCapError
 
@@ -185,12 +188,16 @@ class _Carrier:
 
 
 class FiniteBrace(_Carrier):
+    kind = "brace"
+
     def to_json(self):
         return {"order": self.order, "add": [list(r) for r in self.add],
                 "star": [list(r) for r in self.star]}
 
 
 class FiniteTruss(_Carrier):
+    kind = "truss"
+
     def __init__(self, add, star, alpha):
         super().__init__(add, star)
         if not isinstance(alpha, (list, tuple)) or \
@@ -363,13 +370,6 @@ def _affine_failure(B, alpha):
                                     alpha[a]))
 
 
-def _compatibility_failure(B):
-    times, plus = B.times, B.plus
-    return _first_failure(B.order, lambda a, b, c: times(B.circle(a, b), c)
-                          != plus(plus(times(a, c), times(b, c)),
-                                  times(a, times(b, c))))
-
-
 def _circle_failure(B):
     circle = B.circle
     return _first_failure(B.order, lambda a, b, c: circle(circle(a, b), c)
@@ -379,30 +379,23 @@ def _circle_failure(B):
 def check_brace(B: FiniteBrace) -> Verdict:
     """Brace axioms; the witness is the first failing triple.
 
-    Left distributivity and compatibility are checked at c in S only:
-    the law at the generators makes a*c additive in c, and then both
-    sides of compatibility are additive in c. A failed certificate
-    reruns that axiom's triple scan to name the witness. The two laws
-    leave only the identity and inverses to read off (module docstring).
+    Left distributivity is certified at c in S. Given it, compatibility
+    is the circle law triple by triple (module docstring), so the circle
+    certificate decides it and the circle's triple scan names the
+    witness. The identity and inverses are then read off the tables.
     """
     n = B.order
     base = B._additive_group_verdict()
     if not base:
         return base
-    add, star, zero = B.add, B.star, [0] * n
+    zero = [0] * n
     if not _affine_certified(B, zero):
         return Verdict(False, "star is not left distributive",
                        _affine_failure(B, zero))
     circ = _circle_table(B)
-    for c in B.gens:
-        col = [row[c] for row in star]
-        for a in range(n):
-            star_a, add_ac = star[a], add[col[a]]
-            if [col[v] for v in circ[a]] != \
-                    [add[add_ac[w]][star_a[w]] for w in col]:
-                return Verdict(False, "brace compatibility fails",
-                               _compatibility_failure(B))
-    if any(star[0]):
+    if not _circle_certified(B, circ):
+        return Verdict(False, "brace compatibility fails", _circle_failure(B))
+    if any(B.star[0]):
         return Verdict(False, "circle has no identity")
     for a, row in enumerate(circ):
         if len(set(row)) < n:
@@ -429,6 +422,28 @@ def check_truss(T: FiniteTruss) -> Verdict:
     return Verdict(False, "truss axiom fails", _affine_failure(T, T.alpha))
 
 
+def check_axioms(S) -> Verdict:
+    """The axioms S claims by its kind: a truss's, or else a brace's."""
+    return check_truss(S) if isinstance(S, FiniteTruss) else check_brace(S)
+
+
+def _cosets(add, members, sub):
+    """Cosets x + sub of the members of a union of them, by least member.
+
+    Returns the class number of each carrier element (None off the
+    members) and the least member of each class; walking the members in
+    increasing order numbers the cosets by their least members, so the
+    class of 0 is 0.
+    """
+    label, reps = [None] * len(add), []
+    for x in sorted(members):
+        if label[x] is None:
+            for u in sub:
+                label[add[x][u]] = len(reps)
+            reps.append(x)
+    return label, reps
+
+
 def _congruence_certified(B, level):
     """Both congruence laws of a subgroup level at its generators u.
 
@@ -437,11 +452,7 @@ def _congruence_certified(B, level):
     generators suffice.
     """
     n, add = B.order, B.add
-    coset = [None] * n
-    for x in range(n):
-        if coset[x] is None:
-            for u in level:
-                coset[add[x][u]] = x
+    coset = _cosets(add, range(n), level)[0]
     rows = [[coset[v] for v in row] for row in B.star]
     for u in _generators(add, level):
         shift = add[u]
@@ -508,33 +519,27 @@ def check_filtration(B, filt: Filtration) -> Verdict:
     return Verdict(True, "filtration")
 
 
-class GradedProductError(ValueError):
-    def __init__(self, message, witnesses):
-        super().__init__(message)
-        self.witnesses = witnesses
-
-
 @dataclass
 class GradedStructure:
     """Homogeneous components Bi/Bi+1 with the induced product.
 
-    Classes are numbered within each degree with 0 the zero class;
-    products landing past the top degree are zero and stored as None.
-    reps holds one representative per class for computations back in
-    the underlying structure.
+    Classes are numbered within each degree with 0 the zero class, in
+    the order of their least members; class_of[i - 1] maps each member
+    of Bi to its class and reps[i - 1] lists the least member of each
+    class. Products landing past the top degree are zero and stored as
+    None.
     """
     brace: object
     filtration: Filtration
-    components: list
     class_of: list
     reps: list
 
     @property
     def top(self):
-        return len(self.components)
+        return len(self.reps)
 
     def component_orders(self):
-        return tuple(len(c) for c in self.components)
+        return tuple(len(r) for r in self.reps)
 
     def cls(self, degree, element):
         return self.class_of[degree - 1][element]
@@ -552,85 +557,76 @@ class GradedStructure:
 
     def to_json(self):
         products = {}
+        orders = self.component_orders()
         for i in range(1, self.top + 1):
             for j in range(1, self.top + 1):
-                for c1 in range(len(self.components[i - 1])):
-                    for c2 in range(len(self.components[j - 1])):
+                for c1 in range(orders[i - 1]):
+                    for c2 in range(orders[j - 1]):
                         out = self.product(i, c1, j, c2)
                         if out:
                             products["%d.%d,%d.%d" % (i, c1, j, c2)] = \
                                 "%d.%d" % (i + j, out)
-        return {"component_orders": list(self.component_orders()),
+        return {"component_orders": list(orders),
                 "nonzero_products": products}
 
 
-def associated_graded(B, filt: Filtration) -> GradedStructure:
-    """Quotient components with the product checked for well-definedness.
+def associated_graded(B, filt: Filtration = None) -> GradedStructure:
+    """The graded structure of B along filt, by default its star series.
 
-    Requires a valid filtration; every representative pair is compared,
-    so a clean return certifies the graded product exists, and both
-    distributive laws are verified on classes.
+    B must pass its own axioms (check_axioms) and filt check_filtration;
+    otherwise ValueError names the failed law. _graded then checks that
+    the product exists and is additive on classes.
     """
+    ok = check_axioms(B)
+    if not ok:
+        raise ValueError("not a %s: %s" % (B.kind, ok.reason))
+    if filt is None:
+        filt = gamma_filtration(B)
     ok = check_filtration(B, filt)
     if not ok:
         raise ValueError("invalid filtration: %s" % ok.reason)
-    chain = filt.chain
-    top = filt.length - 1
-    components, class_of, reps = [], [], []
-    for i in range(top):
-        # 0 comes first: class 0 is the subgroup, reps are least members
-        level, nxt = sorted(chain[i]), chain[i + 1]
-        cosets, labels = [], {}
-        for a in level:
-            hit = next((ci for ci, coset in enumerate(cosets)
-                        if B.minus(a, coset[0]) in nxt), None)
-            if hit is None:
-                cosets.append([a])
-                hit = len(cosets) - 1
-            else:
-                cosets[hit].append(a)
-            labels[a] = hit
-        components.append([frozenset(coset) for coset in cosets])
-        class_of.append(labels)
-        reps.append([coset[0] for coset in cosets])
-    G = GradedStructure(B, filt, components, class_of, reps)
-    witnesses = []
+    return _graded(B, filt)
+
+
+def _graded(B, filt):
+    """Quotient components with the product checked for well-definedness.
+
+    Every pair of members is compared with its classes' representatives,
+    so a clean return certifies that the graded product exists; both
+    distributive laws are then verified on classes. A failure raises
+    ValueError, which on checked input would refute the paper's lemmas.
+    """
+    chain, star = filt.chain, B.star
+    class_of, reps = [], []
+    for level, nxt in zip(chain, chain[1:]):
+        label, rep = _cosets(B.add, level, nxt)
+        class_of.append(label)
+        reps.append(rep)
+    G = GradedStructure(B, filt, class_of, reps)
+    top = G.top
     for i in range(1, top + 1):
-        for j in range(1, top + 1):
-            if i + j > top:
-                continue
-            seen = {}
+        for j in range(1, top + 1 - i):
+            ci, cj, ck = class_of[i - 1], class_of[j - 1], class_of[i + j - 1]
+            ri, rj = reps[i - 1], reps[j - 1]
             for a in chain[i - 1]:
+                row, rep_row = star[a], star[ri[ci[a]]]
                 for b in chain[j - 1]:
-                    key = (G.cls(i, a), G.cls(j, b))
-                    out = G.cls(i + j, B.times(a, b))
-                    if key in seen and seen[key] != out:
-                        witnesses.append((i, a, j, b))
-                    seen.setdefault(key, out)
-    if witnesses:
-        raise GradedProductError("graded product depends on "
-                                 "representatives", witnesses)
+                    if ck[row[b]] != ck[rep_row[rj[cj[b]]]]:
+                        raise ValueError("graded product depends on "
+                                         "representatives")
+    orders = G.component_orders()
     for i in range(1, top + 1):
-        for j in range(1, top + 1):
-            if i + j > top:
-                continue
-            for c1 in range(len(components[i - 1])):
-                for c2 in range(len(components[i - 1])):
-                    for d in range(len(components[j - 1])):
-                        lhs = G.product(i, G.add(i, c1, c2), j, d)
-                        rhs = G.add(i + j, G.product(i, c1, j, d),
-                                    G.product(i, c2, j, d))
-                        if lhs != rhs:
-                            raise GradedProductError(
-                                "graded product is not right additive",
-                                [(i, c1, c2, j, d)])
-                        lhs = G.product(j, d, i, G.add(i, c1, c2))
-                        rhs = G.add(i + j, G.product(j, d, i, c1),
-                                    G.product(j, d, i, c2))
-                        if lhs != rhs:
-                            raise GradedProductError(
-                                "graded product is not left additive",
-                                [(j, d, i, c1, c2)])
+        for j in range(1, top + 1 - i):
+            for c1, c2, d in iproduct(range(orders[i - 1]),
+                                      range(orders[i - 1]),
+                                      range(orders[j - 1])):
+                s = G.add(i, c1, c2)
+                if G.product(i, s, j, d) != G.add(
+                        i + j, G.product(i, c1, j, d), G.product(i, c2, j, d)):
+                    raise ValueError("graded product is not right additive")
+                if G.product(j, d, i, s) != G.add(
+                        i + j, G.product(j, d, i, c1), G.product(j, d, i, c2)):
+                    raise ValueError("graded product is not left additive")
     return G
 
 
@@ -642,15 +638,14 @@ def pre_lie_defect(G: GradedStructure):
     well-definedness of the product makes legitimate.
     """
     B, chain, top = G.brace, G.filtration.chain, G.top
+    orders = G.component_orders()
     for i in range(1, top + 1):
-        for j in range(1, top + 1):
-            for k in range(1, top + 1):
-                if i + j + k > top:
-                    continue
+        for j in range(1, top + 1 - i):
+            for k in range(1, top + 1 - i - j):
                 target = chain[i + j + k]
-                for c1 in range(len(G.components[i - 1])):
-                    for c2 in range(len(G.components[j - 1])):
-                        for c3 in range(len(G.components[k - 1])):
+                for c1 in range(orders[i - 1]):
+                    for c2 in range(orders[j - 1]):
+                        for c3 in range(orders[k - 1]):
                             a = G.reps[i - 1][c1]
                             b = G.reps[j - 1][c2]
                             c = G.reps[k - 1][c3]
@@ -752,7 +747,6 @@ def _lambda_maps(n, units):
 
 
 def _klein_braces():
-    from itertools import permutations, product as iproduct
     xor_add = [[a ^ b for b in range(4)] for a in range(4)]
     perms = [(0,) + p for p in permutations((1, 2, 3))]
     ident = (0, 1, 2, 3)

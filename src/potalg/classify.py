@@ -593,7 +593,7 @@ class ClassificationReport(Cleanup):
 
 
 def _verdict(body, cap, report):
-    rels = [g for g in relations_of(body) if not g.is_zero()]
+    rels = relations_of(body)
     if not rels:
         report.inconclusive = "zero relations"
         return None

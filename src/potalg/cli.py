@@ -100,7 +100,7 @@ def _cmd_gb(args):
     order = _monomial_order(args)
     if args.potential is not None:
         F = _parse_potential(args.potential, args.cap)
-        rels = [g for g in relations_of(F, order) if not g.is_zero()]
+        rels = relations_of(F, order)
     else:
         rels = [_parse_potential(t.strip(), args.cap)
                 for t in args.relations.split(",") if t.strip()]
@@ -116,7 +116,7 @@ def _cmd_dim(args):
 
     def build(cap):
         F = _parse_potential(args.potential, cap)
-        rels = [g for g in relations_of(F, order) if not g.is_zero()]
+        rels = relations_of(F, order)
         return F, rels, hilbert(complete(rels, order, cap))
 
     cap = args.cap
@@ -189,12 +189,9 @@ def _cmd_brace(args):
         filt = braces.filtration_from_json(doc, structure)
 
     if args.action == "check":
-        is_truss = isinstance(structure, braces.FiniteTruss)
-        verdict = (braces.check_truss(structure) if is_truss
-                   else braces.check_brace(structure))
         out = {"command": "brace", "action": "check",
-               "structure": "truss" if is_truss else "brace",
-               "order": structure.order, "axioms": verdict.to_json()}
+               "structure": structure.kind, "order": structure.order,
+               "axioms": braces.check_axioms(structure).to_json()}
         if filt is not None:
             out["filtration"] = braces.check_filtration(
                 structure, filt).to_json()
@@ -212,9 +209,7 @@ def _cmd_brace(args):
                     "triple": [a, b, c], "terms": n})
         return out
 
-    # graded and prelie need a chain; fall back to the star powers
-    if filt is None:
-        filt = braces.gamma_filtration(structure)
+    # without a chain, graded and prelie fall back to the star powers
     G = braces.associated_graded(structure, filt)
     if args.action == "graded":
         out = G.to_json()

@@ -10,7 +10,8 @@ are two functions:
 
 For any word w, ginzburg(w) = simple(cyclicize(w)); the two conventions
 give the same relations on cyclically invariant inputs up to per-degree
-scaling. relations_of takes the simple derivatives.
+scaling. relations_of takes the simple derivatives and leaves out the
+zero ones, so every relation it returns can go to completion as is.
 """
 
 from __future__ import annotations
@@ -104,18 +105,16 @@ def _require_potential(f: FreePoly) -> None:
 
 
 def relations_of(f: FreePoly, order: MonomialOrder = _DEFAULT_ORDER):
-    """The pair of simple derivatives (d/dx f, d/dy f) of a potential.
+    """The nonzero simple derivatives of a potential, d/dx f then d/dy f.
 
-    Each nonzero relation is scaled so that its leading coefficient under
-    the order is 1. A zero potential yields the zero pair with a warning;
-    a nonzero constant term raises ValueError.
+    Each is scaled so that its leading coefficient under the order is 1.
+    A zero derivative is left out, as it relates nothing, so a zero
+    potential has no relations: the tuple is empty. A nonzero constant
+    term raises ValueError.
     """
     _require_potential(f)
-    rx = derive_simple(f, "x")
-    ry = derive_simple(f, "y")
-    if rx.is_zero() and ry.is_zero():
-        warnings.warn("zero potential: relations are trivially zero")
-    return rx.monic(order), ry.monic(order)
+    derivatives = (derive_simple(f, "x"), derive_simple(f, "y"))
+    return tuple(r.monic(order) for r in derivatives if not r.is_zero())
 
 
 def syzygy_residual(f: FreePoly):

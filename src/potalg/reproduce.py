@@ -13,9 +13,8 @@ import random
 from fractions import Fraction
 
 from .brace import (FiniteBrace, Filtration, associated_graded,
-                    brace_from_nilpotent_ring, check_brace, check_filtration,
-                    distributivity_series, enumerate_braces, gamma_filtration,
-                    pre_lie_defect)
+                    brace_from_nilpotent_ring, distributivity_series,
+                    enumerate_braces, gamma_filtration, pre_lie_defect)
 from .classify import classify_potential, dim_formula
 from .fields import QQ
 from .freepoly import FreePoly
@@ -234,8 +233,11 @@ def prelie():
     checks = []
     triples = 0
     for name, B, filt in _brace_fixtures():
-        valid = bool(check_brace(B)) and bool(check_filtration(B, filt))
-        defect = pre_lie_defect(associated_graded(B, filt))
+        # associated_graded checks the axioms and the filtration first
+        try:
+            defect = pre_lie_defect(associated_graded(B, filt))
+        except ValueError:
+            defect = None
         exact = all(
             distributivity_series(B, a, b, c, filt.length)["exact"]
             for a in range(B.order)
@@ -244,7 +246,7 @@ def prelie():
         triples += B.order ** 3
         checks.append(_check(
             name,
-            valid and defect == 0 and exact and _degree_bound_holds(B, filt),
+            defect == 0 and exact and _degree_bound_holds(B, filt),
             order=B.order, chain_length=filt.length))
     return _report("prelie", checks, series_triples=triples)
 

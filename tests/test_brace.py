@@ -7,10 +7,10 @@ from itertools import permutations, product as iproduct
 import pytest
 
 from potalg.brace import (FiniteBrace, FiniteTruss, Filtration,
-                          GradedProductError, _additive_span, _klein_braces,
+                          _additive_span, _graded, _klein_braces,
                           associated_graded,
-                          brace_from_nilpotent_ring, check_brace,
-                          check_filtration, check_truss,
+                          brace_from_nilpotent_ring, check_axioms,
+                          check_brace, check_filtration, check_truss,
                           distributivity_series, enumerate_braces,
                           filtration_from_json, from_json, gamma_filtration,
                           pre_lie_defect)
@@ -138,6 +138,69 @@ def test_graded_of_trivial_brace():
     assert G.component_orders() == (4,)
     assert all(G.product(1, c1, 1, c2) is None
                for c1 in range(4) for c2 in range(4))
+
+
+def test_graded_defaults_to_the_star_series():
+    G = associated_graded(brace_z9())
+    assert G.filtration.chain == chain_z9().chain
+    assert G.component_orders() == (3, 3)
+
+
+def test_axioms_follow_the_kind_of_structure():
+    add, star = cyclic_tables(6, lambda a, b: 2 * a)
+    T = FiniteTruss(add, star, [(-2 * a) % 6 for a in range(6)])
+    B = FiniteBrace(add, star)
+    assert (T.kind, B.kind) == ("truss", "brace")
+    assert as_tuple(check_axioms(T)) == as_tuple(check_truss(T))
+    assert as_tuple(check_axioms(B)) == as_tuple(check_brace(B))
+    with pytest.raises(ValueError, match="^not a brace: star is not left "
+                                         "distributive$"):
+        associated_graded(B)
+    T.alpha[1] = 0
+    with pytest.raises(ValueError, match="^not a truss: truss axiom "
+                                         "fails$"):
+        associated_graded(T)
+
+
+# Each table below has a valid filtration and fails its brace axioms, so
+# associated_graded refuses it first; _graded, which builds the structure
+# without checking the axioms, reaches each check of the graded product.
+# On a verified brace or truss none of them can fail.
+GRADED_REFUSALS = [
+    (4, lambda a, b: 2 * b * (a == 3), [{0, 2}],
+     "brace compatibility fails",
+     "graded product depends on representatives"),
+    (9, lambda a, b: 3 * (0, 1, 1)[a % 3] * b, [{0, 3, 6}],
+     "brace compatibility fails", "graded product is not right additive"),
+    (9, lambda a, b: 3 * (a % 3) * (0, 1, 1)[b % 3], [{0, 3, 6}],
+     "star is not left distributive", "graded product is not left additive"),
+]
+
+
+@pytest.mark.parametrize("n,star_fn,levels,axiom,product", GRADED_REFUSALS)
+def test_graded_refuses_a_table_that_is_not_a_brace(n, star_fn, levels,
+                                                    axiom, product):
+    B = FiniteBrace(*cyclic_tables(n, star_fn))
+    filt = Filtration([set(range(n))] + levels + [{0}])
+    assert check_filtration(B, filt)
+    with pytest.raises(ValueError, match="^not a brace: %s$" % axiom):
+        associated_graded(B, filt)
+    with pytest.raises(ValueError, match="^%s$" % product):
+        _graded(B, filt)
+
+
+def test_pre_lie_defect_names_a_witness():
+    # a * b = k[a mod 2][b mod 2] a b on Z/16 with its 2-power filtration:
+    # not a brace, but its graded product is defined and biadditive. The
+    # witness lists (degree, class) for the three associator entries
+    k = [[2, 4], [0, 10]]
+    B = FiniteBrace(*cyclic_tables(16, lambda a, b: k[a % 2][b % 2] * a * b))
+    filt = Filtration([set(range(0, 16, 2 ** e)) for e in range(4)] + [{0}])
+    assert check_filtration(B, filt)
+    with pytest.raises(ValueError, match="^not a brace: star is not left "
+                                         "distributive$"):
+        associated_graded(B, filt)
+    assert pre_lie_defect(_graded(B, filt)) == ((1, 1), (2, 1), (1, 1))
 
 
 def test_ring_brace_2z8_matches_ring_graded():

@@ -363,9 +363,8 @@ def test_canon_bytes_are_pinned(text, cap, digest):
 def test_canon_on_a_body_that_symmetrizes_away_is_inconclusive():
     # x y y and y x y are rotations of one word, so the symmetrized
     # potential is zero and has no relations to count
-    with pytest.warns(UserWarning, match="zero potential"):
-        code, doc, _ = run_cli("canon", "--potential", "x y y - y x y",
-                               "--cap", "6")
+    code, doc, _ = run_cli("canon", "--potential", "x y y - y x y",
+                           "--cap", "6")
     assert code == 0 and doc["inconclusive"] == "zero relations"
     assert doc["canonical"] == "0" and doc["finite"] is None
     assert doc["cubic"] == {"label": "Zero"}
@@ -687,27 +686,30 @@ def test_brace_graded_falls_back_to_star_powers(tmp_path):
     assert code == 0 and doc["component_orders"] == [3, 3]
 
 
-def test_brace_prelie_reports_a_witness(tmp_path):
-    # a * b = k[a mod 2][b mod 2] a b on Z/16 with its 2-power filtration;
-    # the witness lists (degree, class) for the three associator entries.
-    # The table is not left distributive, and prelie does not check that
+def test_brace_prelie_refuses_the_witness_table_that_is_not_a_brace(
+        tmp_path):
+    # a * b = k[a mod 2][b mod 2] a b on Z/16 with its 2-power filtration
+    # has a left-symmetry witness (test_pre_lie_defect_names_a_witness),
+    # but it is not left distributive, so prelie refuses it
     k = [[2, 4], [0, 10]]
     doc = cyclic_doc(16, lambda a, b: k[a % 2][b % 2] * a * b)
     doc["filtration"] = [list(range(0, 16, 2)), list(range(0, 16, 4)),
                          [0, 8]]
     code, doc = run_brace_doc(tmp_path, doc, "prelie")
-    assert code == 0 and doc["left_symmetric"] is False
-    assert doc["witness"] == [[1, 1], [2, 1], [1, 1]]
+    assert code == 2 and doc["error"] == "config"
+    assert doc["message"] == "not a brace: star is not left distributive"
 
 
 def test_brace_graded_refuses_a_product_that_depends_on_representatives(
         tmp_path):
+    # the graded product of this table depends on representatives, but
+    # the table fails compatibility first, and graded says so
     doc = cyclic_doc(4, lambda a, b: 0)
     doc["star"][3] = [0, 2, 0, 2]
     doc["filtration"] = [[0, 2]]
     code, doc = run_brace_doc(tmp_path, doc, "graded")
     assert code == 2 and doc["error"] == "config"
-    assert doc["message"] == "graded product depends on representatives"
+    assert doc["message"] == "not a brace: brace compatibility fails"
 
 
 def test_brace_series(tmp_path):
@@ -836,6 +838,20 @@ def test_brace_bytes_are_pinned(tmp_path, name, argv, digest):
     code, _, raw = run_cli(*argv)
     assert code == 0
     assert hashlib.sha256(raw.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("action", ["graded", "prelie"])
+@pytest.mark.parametrize("name", sorted(FAILING_DIGESTS))
+def test_brace_graded_and_prelie_refuse_what_check_fails(tmp_path, name,
+                                                        action):
+    path = tmp_path / "brace.json"
+    path.write_text(json.dumps(PINNED_BRACES[name]))
+    _, check, _ = run_cli("brace", "check", "--input", str(path))
+    assert not check["axioms"]["ok"]
+    code, out, _ = run_cli("brace", action, "--input", str(path))
+    assert code == 2 and out["error"] == "config"
+    assert out["message"] == "not a %s: %s" % (check["structure"],
+                                               check["axioms"]["reason"])
 
 
 def test_brace_invalid_axioms_is_a_computed_verdict(tmp_path):
