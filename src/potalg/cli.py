@@ -135,7 +135,9 @@ def _cmd_dim(args):
            "total": Q.dimension if Q.finite else None,
            "nilpotency_index": Q.nilpotency_index, "growth": Q.growth}
     if Q.finite:
-        doc["algebra"] = isotest.from_quotient(Q, name=args.potential).to_json()
+        doc["algebra"] = dict(isotest.from_quotient(Q).to_json(),
+                              name=args.potential, relations=list(
+                                  map(render, Q.system.elements)))
     if args.oracle:
         oracle_cap = min(cap, 8)
         counts = oracle_dimension(rels, oracle_cap, order)

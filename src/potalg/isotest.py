@@ -3,13 +3,14 @@
 These algebras are local: the radical is the span of the positive-degree
 basis words and any homomorphism is pinned by where it sends the two
 degree-one generators, so the search over a prime field (the lift
-search) chooses generator images only. A candidate pair is a
-homomorphism exactly when the defining relations evaluate to zero
-through the structure constants; bijectivity then makes it an
-isomorphism. Verdicts over a prime field are explicit proxies for
-the rational question: only a rational invariant mismatch certifies
-non-isomorphism over the rationals, and every positive witness is
-re-verified (unital, bijective, multiplicative on all basis pairs).
+search) chooses generator images only. The table is the algebra: the
+defining relations are read off it (table_relations), and a candidate
+pair is a homomorphism exactly when they evaluate to zero through the
+structure constants; bijectivity then makes it an isomorphism. Verdicts
+over a prime field are explicit proxies for the rational question: only
+a rational invariant mismatch certifies non-isomorphism over the
+rationals, and every positive witness is re-verified (unital,
+bijective, multiplicative on all basis pairs).
 
 Every vector is a sparse row {basis index: nonzero coefficient}, the
 row format of linalg.
@@ -61,15 +62,13 @@ class FiniteAlgebra:
 
     A word's degree is its length. table maps an index pair to the
     sparse row of the product; pairs whose product is zero are absent.
-    relations, when carried, are the defining relations rewritten over
-    the same field and are what candidate homomorphisms are tested
-    against.
+    The basis is closed under factors and each word of length two or
+    more is the product of its first letter and the rest (check_shape),
+    which is what lets table_relations read the relations off the table.
     """
     field: object
     words: list
     table: dict
-    relations: list = None
-    name: str = ""
 
     def __post_init__(self):
         self.index = {w: i for i, w in enumerate(self.words)}
@@ -98,7 +97,8 @@ class FiniteAlgebra:
         return {k: c for k, c in out.items() if c}
 
     def check_shape(self):
-        """Unit word first, suffix closure, unit rows, degree filtration.
+        """Unit word first, unit rows, closure under factors, each word
+        its first letter times the rest, degree filtration.
 
         Cheap enough to run on every table read from outside, unlike an
         associativity check over all basis triples.
@@ -108,14 +108,16 @@ class FiniteAlgebra:
         deg = self.degrees
         if deg != sorted(deg):
             raise ValueError("basis must be grouped by ascending degree")
-        for w in self.words[1:]:
-            if w[1:] not in self.index:
-                raise ValueError("basis is not suffix closed at %r" % w)
-        for i in range(self.dim):
-            if self.table.get((0, i)) != self.basis_vec(i):
+        idx, vec = self.index, self.basis_vec
+        for i, w in enumerate(self.words):
+            if self.table.get((0, i)) != vec(i):
                 raise ValueError("unit fails on the left of index %d" % i)
-            if self.table.get((i, 0)) != self.basis_vec(i):
+            if self.table.get((i, 0)) != vec(i):
                 raise ValueError("unit fails on the right of index %d" % i)
+            if w and (w[:-1] not in idx or w[1:] not in idx):
+                raise ValueError("basis is not factor closed at %r" % w)
+            if w and self.table.get((idx[w[0]], idx[w[1:]])) != vec(i):
+                raise ValueError("%r is not the product of its letters" % w)
         for (i, j), row in self.table.items():
             if any(deg[k] < deg[i] + deg[j] for k in row):
                 raise ValueError("product (%d,%d) drops below its "
@@ -133,17 +135,24 @@ class FiniteAlgebra:
             table["%s,%s" % (labels[i], labels[j])] = dense = zeros.copy()
             for k, c in row.items():
                 dense[k] = f.to_str(c)
-        doc = {"field": f.name, "basis": labels,
-               "degrees": list(self.degrees), "table": table}
-        if self.relations is not None:
-            from .parsing import render
-            doc["relations"] = [render(r) for r in self.relations]
-        if self.name:
-            doc["name"] = self.name
-        return doc
+        return {"field": f.name, "basis": labels,
+                "degrees": list(self.degrees), "table": table}
 
 
-def from_quotient(Q: QuotientAlgebra, name="") -> FiniteAlgebra:
+def table_relations(F: FiniteAlgebra):
+    """The defining relations a w - a * w, as rows {word: coefficient},
+    for each letter a and basis word w where a w is not a basis word but
+    a w[:-1] is. On a basis that passes check_shape these are the leads
+    of the reduced rewriting system with their normal forms (Bergman's
+    diamond lemma, Adv. Math. 1978)."""
+    f, idx, words = F.field, F.index, F.words
+    return [{a + w: f.one, **{words[k]: f.neg(c) for k, c in
+                              F.table.get((idx[a], j), {}).items()}}
+            for j, w in enumerate(words) for a in "xy"
+            if a + w not in idx and a + w[:-1] in idx]
+
+
+def from_quotient(Q: QuotientAlgebra) -> FiniteAlgebra:
     """Structure constants of a finite quotient from 2n normal forms.
 
     Left multiplication by a letter a has the columns NF(a w), one per
@@ -179,15 +188,15 @@ def from_quotient(Q: QuotientAlgebra, name="") -> FiniteAlgebra:
                 row = {j: f.one}
             if row:
                 rows[(i, j)] = row
-    return FiniteAlgebra(f, list(words), rows, list(system.elements), name)
+    return FiniteAlgebra(f, list(words), rows)
 
 
 def algebra_mod_p(F: FiniteAlgebra, p: int) -> FiniteAlgebra:
     """Entry-wise reduction of a rational table to the p-element field.
 
     Entries and rows that vanish mod p are dropped. Fails when any
-    structure constant or relation coefficient has a denominator
-    divisible by p.
+    structure constant has a denominator divisible by p; the relations
+    read off the reduced table are the rational ones reduced mod p.
     """
     if F.field.characteristic == p:
         return F
@@ -199,9 +208,7 @@ def algebra_mod_p(F: FiniteAlgebra, p: int) -> FiniteAlgebra:
         row = {k: r for k, c in row.items() if (r := gf.coerce(c))}
         if row:
             table[pair] = row
-    rels = None if F.relations is None else \
-        [r.map_coeffs(gf.coerce, gf) for r in F.relations]
-    return FiniteAlgebra(gf, list(F.words), table, rels, F.name)
+    return FiniteAlgebra(gf, list(F.words), table)
 
 
 def _scalar(field, c):
@@ -218,8 +225,8 @@ def algebra_from_json(doc) -> FiniteAlgebra:
     otherwise); full associativity is not, being cubic in the dimension.
     Rows are dense there and sparse here: only nonzero entries are kept.
     The basis is empty only for the zero algebra, whose table is {}.
+    Other keys, such as dim's relations and name, are ignored.
     """
-    from .parsing import parse_poly
     for key in ("basis", "degrees", "table"):
         if key not in doc:
             raise ValueError("an algebra document needs the key %r" % key)
@@ -255,16 +262,7 @@ def algebra_from_json(doc) -> FiniteAlgebra:
                              % (key, n))
         table[pair] = {k: v for k, c in enumerate(row)
                        if c != "0" and (v := _scalar(field, c))}
-    rels = None
-    if "relations" in doc:
-        texts = doc["relations"]
-        if not (isinstance(texts, list)
-                and all(isinstance(t, str) for t in texts)):
-            raise ValueError("relations must be a list of strings")
-        rels = [parse_poly(t, field) for t in texts]
-    alg = FiniteAlgebra(field, words,
-                        {pair: row for pair, row in table.items() if row},
-                        rels, doc.get("name", ""))
+    alg = FiniteAlgebra(field, words, {p: r for p, r in table.items() if r})
     alg.check_shape()
     return alg
 
@@ -300,16 +298,16 @@ def _word_images(B, vx, vy):
     return image
 
 
-def _residuals(A, B, vx, vy, degree):
-    """A's relations at the generator images in B, in the coordinates of
-    the given degree, labelled (relation, basis index).
+def _residuals(rels, B, vx, vy, degree):
+    """The relations rels at the generator images in B, in the
+    coordinates of the given degree, labelled (relation, basis index).
 
     The images have no unit part and products never fall below their
     filtration degree (check_shape), so longer words are skipped.
     """
     image = _word_images(B, vx, vy)
-    values = (_combine(B.field, ((c, image(w)) for w, c in rel.terms.items()
-                                 if len(w) <= degree)) for rel in A.relations)
+    values = (_combine(B.field, ((c, image(w)) for w, c in rel.items()
+                                 if len(w) <= degree)) for rel in rels)
     return {(r, k): c for r, value in enumerate(values)
             for k, c in value.items() if B.degrees[k] == degree}
 
@@ -416,20 +414,20 @@ def algebra_profile(F: FiniteAlgebra):
     }
 
 
-def _linearized(A, B, deg1):
+def _linearized(rels, B, deg1):
     """The degree-2 filter and the stage columns, from words of length 2.
 
     With u = (a, b, c, d) for x -> a e1 + b e2, y -> c e1 + d e2, let
-    q(l, m) be the residuals of A's words st with l put for s and m for
-    t. Products never fall below their filtration degree (check_shape),
-    so the degree-2 residuals are sum_lm u_l u_m q(l, m): forms kept by
-    their coefficients on u_l u_m, l <= m. And an unknown e of degree d
-    moves the degree d+1 residuals by sum_m u_m (q(e, m) + q(m, e)) at
-    every node; effects[e] holds those four rows.
+    q(l, m) be the residuals of the words st of rels with l put for s
+    and m for t. Products never fall below their filtration degree
+    (check_shape), so the degree-2 residuals are sum_lm u_l u_m q(l, m):
+    forms kept by their coefficients on u_l u_m, l <= m. And an unknown
+    e of degree d moves the degree d+1 residuals by sum_m u_m (q(e, m) +
+    q(m, e)) at every node; effects[e] holds those four rows.
     """
     f = B.field
-    two = [{(w[0], w[1]): c for w, c in r.terms.items() if len(w) == 2}
-           for r in A.relations]
+    two = [{(w[0], w[1]): c for w, c in r.items() if len(w) == 2}
+           for r in rels]
     lin = [(s, i) for s in "xy" for i in deg1]
 
     def q(degree, *pairs):
@@ -453,15 +451,16 @@ def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
     """Linear part first, then degree-by-degree coefficient lifting.
 
     Both algebras live over one p-element field and pass check_shape,
-    which _linearized rests on. The (p^2 - 1)(p^2 - p) invertible linear
-    parts are tried in lexicographic order, unless there are more than
-    _LIFT_BUDGET (ResourceCapError); one goes on where the degree-2
-    forms vanish. The degree d unknowns then solve an affine system on
-    the degree d+1 residuals, with columns built once per linear part
-    and stage and the node's residual as right-hand side, explored
-    zeros-first (particular solution, then kernel combinations). A
-    verdict of not_isomorphic certifies that no linear part admits any
-    lift over this field.
+    which table_relations and _linearized rest on; candidates are tested
+    against A's relations as read off its table. The (p^2 - 1)(p^2 - p)
+    invertible linear parts are tried in lexicographic order, unless
+    there are more than _LIFT_BUDGET (ResourceCapError); one goes on
+    where the degree-2 forms vanish. The degree d unknowns then solve an
+    affine system on the degree d+1 residuals, with columns built once
+    per linear part and stage and the node's residual as right-hand
+    side, explored zeros-first (particular solution, then kernel
+    combinations). A verdict of not_isomorphic certifies that no linear
+    part admits any lift over this field.
     """
     p = A.field.characteristic
     if not p:
@@ -474,8 +473,6 @@ def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
     verdict = _basis_verdict(A, B)
     if verdict:
         return verdict
-    if A.relations is None:
-        raise ValueError("lifted search needs the defining relations")
     f = B.field
     deg1 = [i for i in range(B.dim) if B.degrees[i] == 1]
     if len(deg1) != 2:
@@ -485,14 +482,15 @@ def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
         raise ResourceCapError("%d invertible linear parts over %s exceed "
                                "the lift budget %d"
                                % (parts, f.name, _LIFT_BUDGET))
+    rels = table_relations(A)
     stages = range(2, max(B.degrees) + 1)
     slots_by_stage = {d: [(letter, i) for letter in "xy"
                           for i in range(B.dim) if B.degrees[i] == d]
                       for d in stages}
-    labels_by_stage = {d: [(r, k) for r in range(len(A.relations))
+    labels_by_stage = {d: [(r, k) for r in range(len(rels))
                            for k in range(B.dim) if B.degrees[k] == d + 1]
                        for d in stages}
-    forms, effects = _linearized(A, B, deg1)
+    forms, effects = _linearized(rels, B, deg1)
     scalars = range(p)
     visited = 0
     cols_at = {}                     # stage columns of the linear part u
@@ -511,7 +509,7 @@ def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
         if d not in cols_at:
             cols_at[d] = [_combine(f, zip(u, effects[s])) for s in slots]
         rhs = {label: f.neg(c) for label, c in
-               _residuals(A, B, vx, vy, d + 1).items()}
+               _residuals(rels, B, vx, vy, d + 1).items()}
         part, stalled, reduced = solve(cols_at[d], labels_by_stage[d],
                                        rhs, f)
         if stalled:

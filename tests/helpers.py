@@ -62,10 +62,11 @@ def validate(F):
     return True
 
 
-def residuals(A, B, vx, vy, degree):
-    """A's relations evaluated in full at the generator images vx, vy in
-    B, every word at every length, in the coordinates of the given
-    degree and labelled (relation, basis index)."""
+def residuals(rels, B, vx, vy, degree):
+    """The relations rels, rows {word: coefficient}, evaluated in full at
+    the generator images vx, vy in B, every word at every length, in the
+    coordinates of the given degree and labelled (relation, basis
+    index)."""
     f = B.field
     memo = {"": B.basis_vec(0)}
 
@@ -75,9 +76,9 @@ def residuals(A, B, vx, vy, degree):
         return memo[w]
 
     out = {}
-    for r, rel in enumerate(A.relations):
+    for r, rel in enumerate(rels):
         value = {}
-        for w, c in rel.terms.items():
+        for w, c in rel.items():
             for k, v in image(w).items():
                 value[k] = f.add(value.get(k, f.zero), f.mul(c, v))
         out.update(((r, k), v) for k, v in value.items()
@@ -92,28 +93,29 @@ def linear_images(B, a, b, c, d):
             {k: v for k, v in ((e1, c), (e2, d)) if v})
 
 
-def stage_system(A, B, vx, vy, slots, degree):
+def stage_system(rels, B, vx, vy, slots, degree):
     """The stage system by finite differences: the column of an unknown
     is the residual with that unknown set to one, less the residual at
     the node, and the right-hand side is the negated residual. The
     unknowns are zero in vx and vy."""
     f = B.field
-    base = residuals(A, B, vx, vy, degree)
+    base = residuals(rels, B, vx, vy, degree)
     cols = []
     for letter, slot in slots:
         wx, wy = dict(vx), dict(vy)
         (wx if letter == "x" else wy)[slot] = f.one
-        moved = residuals(A, B, wx, wy, degree)
+        moved = residuals(rels, B, wx, wy, degree)
         col = {k: f.sub(moved.get(k, f.zero), base.get(k, f.zero))
                for k in moved.keys() | base.keys()}
         cols.append({k: v for k, v in col.items() if v})
     return cols, {k: f.neg(v) for k, v in base.items()}
 
 
-def reference_lift(A, B):
-    """The lift search with the degree-2 filter evaluated directly and
-    every stage system built by stage_system, without budgets: the
-    reference lifted_iso_search is compared with. Returns
+def reference_lift(A, B, rels):
+    """The lift search against A's relations rels, with the degree-2
+    filter evaluated directly and every stage system built by
+    stage_system, without budgets: the reference lifted_iso_search is
+    compared with. Returns
     ("isomorphic", (vx, vy)) or ("not_isomorphic", linear parts tried).
     """
     f, p = B.field, B.field.characteristic
@@ -124,9 +126,9 @@ def reference_lift(A, B):
             return (vx, vy) if is_isomorphism(A, B, vx, vy)[0] else None
         slots = [(letter, i) for letter in "xy"
                  for i in range(B.dim) if B.degrees[i] == d]
-        labels = [(r, k) for r in range(len(A.relations))
+        labels = [(r, k) for r in range(len(rels))
                   for k in range(B.dim) if B.degrees[k] == d + 1]
-        cols, rhs = stage_system(A, B, vx, vy, slots, d + 1)
+        cols, rhs = stage_system(rels, B, vx, vy, slots, d + 1)
         part, stalled, reduced = solve(cols, labels, rhs, f)
         if stalled:
             return None
@@ -150,7 +152,7 @@ def reference_lift(A, B):
             continue
         tried += 1
         vx, vy = linear_images(B, a, b, c, d)
-        if residuals(A, B, vx, vy, 2):
+        if residuals(rels, B, vx, vy, 2):
             continue
         hit = dfs(vx, vy, 2)
         if hit:

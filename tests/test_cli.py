@@ -302,14 +302,6 @@ def test_iso_answers_the_zero_algebra_by_dimension(tmp_path, strategy):
     code, doc, _ = run_cli("iso", "--a", zero, "--b", str(zero5),
                            "--strategy", strategy, "--field", "5")
     assert code == 0 and doc["status"] == "isomorphic"
-    # a relation with a denominator 7 cannot be read mod 7
-    doc = json.loads(Path(zero).read_text())
-    doc["algebra"]["relations"] = ["1/7 x + 1"]
-    sevenths = tmp_path / "sevenths.json"
-    sevenths.write_text(json.dumps(doc))
-    code, _, _ = run_cli("iso", "--a", str(sevenths), "--b", zero,
-                         "--strategy", strategy, "--field", "7")
-    assert code == 2
 
 
 def test_iso_lift_answers_rational_zero_algebras_without_a_field(tmp_path):
@@ -539,6 +531,27 @@ def test_iso_missing_file_exits_2(tmp_path):
     assert code == 2 and doc["error"] == "config"
 
 
+SUFFIX_CLOSED_ONLY = {
+    "field": "QQ", "basis": ["1", "y", "xy"], "degrees": [0, 1, 2],
+    "table": {"1,1": ["1", "0", "0"], "1,y": ["0", "1", "0"],
+              "y,1": ["0", "1", "0"], "1,xy": ["0", "0", "1"],
+              "xy,1": ["0", "0", "1"]}}
+
+
+def swap_labels(alg, u, v):
+    """Exchange the basis labels u and v in the table keys and the row
+    positions of an algebra document: the same algebra under other
+    names, whose labels are no longer the products of their letters."""
+    i, j = alg["basis"].index(u), alg["basis"].index(v)
+    rename = {u: v, v: u}
+    table = {}
+    for key, row in alg["table"].items():
+        row = list(row)
+        row[i], row[j] = row[j], row[i]
+        table[",".join(rename.get(w, w) for w in key.split(","))] = row
+    alg["table"] = table
+
+
 @pytest.mark.parametrize("damage", [
     lambda alg: alg["table"]["x,x"].append("0"),      # row too long
     lambda alg: alg.update(table=[]),                 # table not an object
@@ -564,8 +577,8 @@ def test_iso_missing_file_exits_2(tmp_path):
     # KeyError in the lift search
     lambda alg: alg.update(json.loads(json.dumps(
         {"basis": alg["basis"], "table": alg["table"]}).replace("y", "z"))),
-    lambda alg: alg.update(relations="x^2"),          # relations a string
-    lambda alg: alg.update(relations=[1]),            # relation not a string
+    # closed under suffixes but not under prefixes: x is missing
+    lambda alg: alg.clear() or alg.update(SUFFIX_CLOSED_ONLY),
     lambda alg: alg["degrees"].__setitem__(0, -1),    # not the word length
     # an empty basis is the zero algebra only with an empty table
     lambda alg: alg.update(basis=[], degrees=[]),
@@ -575,7 +588,7 @@ def test_iso_missing_file_exits_2(tmp_path):
         "field-underscore",
         "entry-null", "entry-list", "entry-zero-denominator",
         "entry-exponent", "entry-float", "entry-bool", "entry-float-gf7",
-        "basis-number", "basis-letter", "relations-string", "relations-number",
+        "basis-number", "basis-letter", "basis-not-prefix-closed",
         "degree-negative", "basis-empty-table-full",
         "basis-empty-degrees-full"])
 def test_iso_rejects_malformed_algebra_tables(tmp_path, damage):
@@ -591,6 +604,56 @@ def test_iso_rejects_malformed_algebra_tables(tmp_path, damage):
     assert time.perf_counter() - start < 1
     # run_cli parses the whole of stdout, so out is its one JSON document
     assert code == 2 and out["error"] == "config"
+
+
+@pytest.mark.parametrize("flags", [[], ["--field", "7"]],
+                         ids=["auto", "gf7"])
+def test_iso_refuses_a_relabelled_basis(tmp_path, flags):
+    # 9A with yx and yy relabelled is 9A again, but its labels no longer
+    # say which word each basis vector is. As the first algebra it used
+    # to be not_isomorphic to 9A from GF(3) under auto, and to exit 3
+    # after 262,144 search nodes under --field 7
+    a = dim_file(tmp_path, DIM9A, "a.json")
+    doc = json.loads(Path(a).read_text())
+    swap_labels(doc["algebra"], "yx", "yy")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, _ = run_cli("iso", "--a", str(bad), "--b", a, *flags)
+    assert code == 2 and out["error"] == "config"
+    assert "'yx'" in out["message"]
+
+
+def test_iso_reads_the_relations_off_the_table(tmp_path):
+    # 9A's table carrying 9B's relations is still 9A: iso ignores the
+    # relations that dim writes. Searching against the carried relations,
+    # lift used to answer not_isomorphic by exhausting 2,016 linear parts
+    a = dim_file(tmp_path, DIM9A, "a.json")
+    b = dim_file(tmp_path, DIM9B, "b.json")
+    doc = json.loads(Path(a).read_text())
+    doc["algebra"]["relations"] = json.loads(
+        Path(b).read_text())["algebra"]["relations"]
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps(doc))
+    code, out, _ = run_cli("iso", "--a", str(mixed), "--b", a,
+                           "--field", "7", "--strategy", "lift")
+    assert code == 0 and out["status"] == "isomorphic"
+
+
+def test_iso_needs_no_relations(tmp_path):
+    # the 9A-9B-lift-gf7 pin of test_iso_bytes_are_pinned, on documents
+    # without the relations and name that dim adds; the lift search used
+    # to refuse them for want of the defining relations
+    paths = []
+    for text, name in ((DIM9A, "a.json"), (DIM9B, "b.json")):
+        doc = json.loads(Path(dim_file(tmp_path, text, name)).read_text())
+        del doc["algebra"]["relations"], doc["algebra"]["name"]
+        (tmp_path / name).write_text(json.dumps(doc))
+        paths.append(str(tmp_path / name))
+    code, _, raw = run_cli("iso", "--a", paths[0], "--b", paths[1],
+                           "--field", "7", "--strategy", "lift")
+    assert code == 0
+    assert hashlib.sha256(raw.encode()).hexdigest() == \
+        "9808ca3abd9039261ffa860cfc4b73a7219f3966e61c2ac6ef8f50b2079be975"
 
 
 @pytest.mark.parametrize("content", [[1, 2], "str"])

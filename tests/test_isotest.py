@@ -12,7 +12,8 @@ from potalg.fields import GF, QQ, FieldError, ResourceCapError
 from potalg.freepoly import FreePoly, Substitution, substitute
 from potalg.isotest import (FiniteAlgebra, algebra_from_json, algebra_mod_p,
                             algebra_profile, distinguish_algebras,
-                            from_quotient, is_isomorphism, lifted_iso_search)
+                            from_quotient, is_isomorphism, lifted_iso_search,
+                            table_relations)
 from potalg.linalg import rank
 from potalg.parsing import parse_poly
 from potalg.potential import relations_of
@@ -20,8 +21,8 @@ from potalg.quotient import hilbert
 from potalg.rewrite import complete, normal_form
 from potalg.words import MonomialOrder
 
-from helpers import (dense, dense_mul, linear_images, reference_lift,
-                     residuals, stage_system, validate)
+from helpers import (dense, dense_mul, linear_images, random_poly,
+                     reference_lift, residuals, stage_system, validate)
 
 XY = MonomialOrder()
 
@@ -96,6 +97,49 @@ def test_from_quotient_matches_pairwise_normal_forms(text, cap, dim, order):
     assert dense_table(from_quotient(Q)) == pairwise_table(Q)
 
 
+def assert_relations_read_off(Q, mo):
+    """table_relations of Q's table are the monic elements of its
+    completed system, one each."""
+    got = [frozenset(r.items()) for r in table_relations(from_quotient(Q))]
+    want = {frozenset(g.monic(mo).terms.items()) for g in Q.system.elements}
+    assert set(got) == want and len(got) == len(Q.system.elements)
+
+
+# the shear images in yx precedence are left out: dim 32's alone takes
+# 5 s to complete
+@pytest.mark.parametrize("order, image", [("xy", False), ("yx", False),
+                                          ("xy", True)],
+                         ids=["xy", "yx", "xy-shear"])
+@pytest.mark.parametrize("text, cap, dim", GOLDENS)
+def test_relations_read_off_the_table_are_the_completed_system(
+        text, cap, dim, order, image):
+    mo = MonomialOrder(order)
+    f = parse_poly(text, cap=cap)
+    if image:
+        f = substitute(f, Substitution.linear(-1, 2, 0, 1, cap=cap))
+    Q = hilbert(complete(list(relations_of(f, mo)), mo, cap))
+    assert Q.dimension == dim
+    assert_relations_read_off(Q, mo)
+
+
+def test_relations_read_off_random_finite_quotients():
+    # over QQ, GF(5) and GF(7), both precedences and both modes, where
+    # both letters are basis words (else the table cannot say what a
+    # letter equals)
+    rng = random.Random(20261019)
+    kept = 0
+    while kept < 120:
+        field = rng.choice([QQ, GF(5), GF(7)])
+        mo = MonomialOrder(rng.choice(["xy", "yx"]),
+                           rng.choice(["local", "global"]))
+        rels = [random_poly(rng, field, degrees=(1, 2, 3), cap=6)
+                for _ in range(rng.choice((2, 3)))]
+        Q = hilbert(complete(rels, mo, 6))
+        if Q.finite and {"x", "y"} <= set(Q.basis_words):
+            assert_relations_read_off(Q, mo)
+            kept += 1
+
+
 def test_from_quotient_matches_pairwise_normal_forms_over_gf3():
     rels = [parse_poly(t, GF(3), 9) for t in ("x^2 + 2 y x y", "y^2 + 2 x y x")]
     Q = hilbert(complete(rels, XY, 9))
@@ -163,7 +207,7 @@ def test_reduce_rejects_bad_denominators():
 
 def test_validate_catches_filtration_breaks():
     A = from_quotient(quotient(R1))
-    bad = FiniteAlgebra(A.field, A.words, dict(A.table), A.relations)
+    bad = FiniteAlgebra(A.field, A.words, dict(A.table))
     row = dict(bad.table[(bad.index["x"], bad.index["y"])])
     row[bad.index["x"]] = 1
     bad.table[(bad.index["x"], bad.index["y"])] = row
@@ -243,7 +287,7 @@ def permuted_within_degree(F, w1, w2):
     for (a, b), row in F.table.items():
         table[(pi.index(a), pi.index(b))] = {pi.index(k): c
                                              for k, c in row.items()}
-    return FiniteAlgebra(F.field, words, table, F.relations)
+    return FiniteAlgebra(F.field, words, table)
 
 
 def test_lifted_finds_map_onto_permuted_copy():
@@ -289,8 +333,8 @@ def brute_reference(A, B):
                                       image(w[1:]))
             return images[w]
 
-        for r in A.relations:
-            if any(combination(r.terms.values(), map(image, r.terms))):
+        for r in table_relations(A):
+            if any(combination(r.values(), map(image, r))):
                 return False
         imgs = [image(w) for w in A.words]
         rows = [{k: c for k, c in enumerate(v) if c} for v in imgs]
@@ -388,15 +432,15 @@ def test_lift_matches_finite_difference_reference(p, monkeypatch):
     nodes, checked = [], []
     real_residuals, real_solve = isotest._residuals, isotest.solve
 
-    def residuals_spy(A, B, vx, vy, degree):
+    def residuals_spy(rels, B, vx, vy, degree):
         nodes.append((vx, vy, degree))
-        return real_residuals(A, B, vx, vy, degree)
+        return real_residuals(rels, B, vx, vy, degree)
 
     def solve_spy(cols, labels, rhs, f):
         vx, vy, degree = nodes[-1]
         slots = [(letter, i) for letter in "xy" for i in range(B.dim)
                  if B.degrees[i] == degree - 1]
-        assert (cols, rhs) == stage_system(A, B, vx, vy, slots, degree)
+        assert (cols, rhs) == stage_system(rels, B, vx, vy, slots, degree)
         checked.append(degree)
         return real_solve(cols, labels, rhs, f)
 
@@ -408,19 +452,20 @@ def test_lift_matches_finite_difference_reference(p, monkeypatch):
             A, B = (algebra_mod_p(lift_algebras()[k], p) for k in (a, b))
         except FieldError:
             continue             # a denominator divisible by p, as for 32
+        rels = table_relations(A)
         deg1 = [i for i in range(B.dim) if B.degrees[i] == 1]
-        forms, _ = isotest._linearized(A, B, deg1)
+        forms, _ = isotest._linearized(rels, B, deg1)
         passing = []
         for u in invertible_linear_parts(p):
             mono = [u[m] * u[n] for m in range(4) for n in range(m, 4)]
-            direct = residuals(A, B, *linear_images(B, *u), 2)
+            direct = residuals(rels, B, *linear_images(B, *u), 2)
             assert any(sum(q * v for q, v in zip(form, mono)) % p
                        for form in forms) == bool(direct), (a, b, u)
             if not direct:
                 passing.append(linear_images(B, *u))
         nodes.clear()
         verdict = lifted_iso_search(A, B)
-        status, found = reference_lift(A, B)
+        status, found = reference_lift(A, B, rels)
         assert verdict.status == status, (a, b)
         # the linear parts the search went on with, in the order tried
         entered = [[vx, vy] for vx, vy, degree in nodes if degree == 3]
@@ -577,20 +622,16 @@ def test_profile_and_lift_answer_the_zero_algebra(field):
                                        "b": dims[1]}
 
 
-def test_lifted_needs_relations():
-    A = reduce_mod_p(quotient(R1), 3)
-    bare = FiniteAlgebra(A.field, A.words, A.table, None)
-    with pytest.raises(ValueError):
-        lifted_iso_search(bare, bare)
-
-
 def test_serialization_round_trip_fields():
+    # the table is the whole algebra: the relations and name of a dim
+    # document are annotations that cli adds
     A = reduce_mod_p(quotient(R1), 5)
     doc = A.to_json()
+    assert sorted(doc) == ["basis", "degrees", "field", "table"]
     assert doc["field"] == "GF(5)"
     assert doc["basis"][0] == "1"
     assert len(doc["table"]) == len(A.table)
-    assert "relations" in doc
+    assert algebra_from_json(doc).table == A.table
 
 
 @pytest.mark.parametrize("key", ["basis", "degrees", "table"])
