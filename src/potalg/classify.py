@@ -7,8 +7,9 @@ move it to a normal form by an exact linear change of variables, then
 strip unwanted higher-degree terms with substitutions x -> x + u,
 y -> y + v whose coefficients are solved, degree by degree, from exact
 linear systems. Since x -> x + u sends a word a x b to a u b to first
-order, a stage splits every body word at every letter once and reads
-each move's column from the splits that land in its degree window.
+order, a stage splits each body word of a length its moves read at
+every letter once, and reads each move's column from the splits that
+land in its degree window.
 
 Every cleanup stage first tries the system on full word coordinates; a
 solution there keeps the trail a literal change of variables, so composing
@@ -244,33 +245,45 @@ def _effect_columns(body, moves, window, label):
 
     To first order, letter -> letter + u sends a body word w = a letter b
     to a u b with w's coefficient, once per occurrence of the letter (the
-    cyclic-derivative identity of Derksen, Weyman and Zelevinsky). Each
-    split (a, b) of a body word is listed once, keyed by (letter, length
-    of w); a move of degree r reads only the splits of words of length
-    d - r + 1 for d in the window. label maps each window word to its row.
+    cyclic-derivative identity of Derksen, Weyman and Zelevinsky). A move
+    of degree r reads only the splits (a, b) of words of length d - r + 1
+    for d in the window, so only body words of those lengths are split,
+    each once, keyed by (letter, length of w); integral coefficients are
+    summed as ints. label maps each window word to its row.
     """
+    lengths = {d - len(u) + 1 for d in window for _, u in moves}
     splits = {}
     for w, c in body.terms.items():
-        for i, ch in enumerate(w):
-            splits.setdefault((ch, len(w)), []).append((w[:i], w[i + 1:], c))
+        if len(w) in lengths:
+            if c.denominator == 1:
+                c = c.numerator
+            for i, ch in enumerate(w):
+                splits.setdefault((ch, len(w)), []).append(
+                    (w[:i], w[i + 1:], c))
     columns = []
     for letter, u in moves:
         col = {}
         for d in window:
             for a, b, c in splits.get((letter, d - len(u) + 1), ()):
                 row = label[a + u + b]
-                col[row] = col.get(row, _ZERO) + c
+                col[row] = col.get(row, 0) + c
         columns.append({row: v for row, v in col.items() if v})
     return columns
 
 
-def _gaps(body, words, targets, label):
-    """Nonzero target-minus-coefficient sums of the words, per row."""
+def _gaps(body, targets, label, free):
+    """Nonzero target-minus-coefficient sums per row, over the window
+    words label maps to a row outside free. Only the body's support and
+    the targets can make a sum nonzero, so only they are walked."""
     gaps = {}
-    for w in words:
-        row = label[w]
-        gaps[row] = (gaps.get(row, _ZERO) + (targets.get(w) or _ZERO)
-                     - body.coeff(w))
+    for w, c in body.terms.items():
+        row = label.get(w)
+        if row is not None and row not in free:
+            gaps[row] = gaps.get(row, _ZERO) - c
+    for w, t in targets.items():
+        row = label.get(w)
+        if t and row is not None and row not in free:
+            gaps[row] = gaps.get(row, _ZERO) + t
     return {row: g for row, g in gaps.items() if g}
 
 
@@ -315,7 +328,7 @@ def _window_stage(body, cap, window, move_degrees, targets, trail, stage_log):
     words = [w for d in window for w in all_words(d)]
     rows = [w for w in words if w not in free_words]
     word_of = {w: w for w in words}
-    rhs = _gaps(body, rows, targets, word_of)
+    rhs = _gaps(body, targets, word_of, free_words)
     if not rhs:
         stage_log.append({"window": list(window), "skipped": True})
         return body, {w: body.coeff(w) for w in free_words}
@@ -325,7 +338,7 @@ def _window_stage(body, cap, window, move_degrees, targets, trail, stage_log):
     sol, stalled, _ = solve(columns, rows, rhs, QQ)
     if not stalled:
         body, s, used = _apply_moves(body, moves, sol, cap)
-        left = _gaps(body, rows, targets, word_of)
+        left = _gaps(body, targets, word_of, free_words)
         if left:
             raise AssertionError("stage left %s off target" % sorted(left))
         if s is not None:
@@ -343,15 +356,15 @@ def _window_stage(body, cap, window, move_degrees, targets, trail, stage_log):
             class_of.update(dict.fromkeys(cls, cls))
             if not free_words.intersection(cls):
                 crows.append(cls)
-    members = [w for cls in crows for w in cls]
+    free_classes = {class_of[w] for w in free_words if w in class_of}
     body = cyclic_symmetrize(body)
     ccols = _effect_columns(body, moves, window, class_of)
-    crhs = _gaps(body, members, targets, class_of)
+    crhs = _gaps(body, targets, class_of, free_classes)
     csol, stalled, _ = solve(ccols, crows, crhs, QQ)
     stalled = set(stalled)
     body, s, used = _apply_moves(body, moves, csol, cap)
     body = cyclic_symmetrize(body)
-    off = _gaps(body, members, targets, class_of)
+    off = _gaps(body, targets, class_of, free_classes)
     leftover = {}
     for cls in crows:
         if cls in stalled:

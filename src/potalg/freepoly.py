@@ -6,11 +6,20 @@ and in every operation. cap=None means no truncation. Mixed-cap arithmetic
 truncates at the minimum of the operand caps. Values are treated as
 immutable; all operations return fresh objects. A FreePoly carries no
 rewriting state: rewrite reads it into its own integer rule format.
+
+A Substitution caches the image of each word it meets as integer
+numerators over one denominator, the format of linalg.integral (over
+GF(p) residues over 1, so both fields take one path); substitute sums
+them over one common denominator and forms one fraction per output word.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from .fields import QQ, FieldError
+from .linalg import integral
 from .words import EMPTY, MonomialOrder
 
 _DEFAULT_ORDER = MonomialOrder()
@@ -213,10 +222,12 @@ def poly_mul(f: FreePoly, g: FreePoly, cap=None) -> FreePoly:
 class Substitution:
     """Images of x and y with zero constant term, applied cap-truncated.
 
-    then(t) composes: applying s.then(t) equals applying s, then t.
+    Word images are cached as the module docstring says, each built from
+    the image of its longest cached prefix. then(t) composes: applying
+    s.then(t) equals applying s, then t.
     """
 
-    __slots__ = ("field", "image_x", "image_y", "cap", "_cache")
+    __slots__ = ("field", "image_x", "image_y", "cap", "_images")
 
     def __init__(self, image_x: FreePoly, image_y: FreePoly, cap=None):
         image_x._require_same_field(image_y)
@@ -226,8 +237,12 @@ class Substitution:
         self.cap = _min_cap(_min_cap(image_x.cap, image_y.cap), cap)
         self.image_x = image_x.truncated(self.cap)
         self.image_y = image_y.truncated(self.cap)
-        self._cache = {EMPTY: FreePoly.one(self.field, self.cap),
-                       "x": self.image_x, "y": self.image_y}
+        # a letter's terms by length, so a product can stop at the cap
+        self._images = {EMPTY: ({EMPTY: 1}, 1)}
+        for ch, image in (("x", self.image_x), ("y", self.image_y)):
+            num, D = integral(image.terms, self.field.characteristic)
+            self._images[ch] = dict(sorted(num.items(),
+                                           key=lambda t: len(t[0]))), D
 
     @classmethod
     def identity(cls, field=QQ, cap=None):
@@ -245,18 +260,31 @@ class Substitution:
         return ((self.image_x.coeff("x"), self.image_x.coeff("y")),
                 (self.image_y.coeff("x"), self.image_y.coeff("y")))
 
-    def apply_word(self, w: str) -> FreePoly:
-        cache = self._cache
-        got = cache.get(w)
-        if got is not None:
-            return got
-        # build by longest cached prefix to reuse products
-        half = cache.get(w[:-1])
-        if half is None:
-            half = self.apply_word(w[:-1])
-        out = poly_mul(half, cache[w[-1]], self.cap)
-        cache[w] = out
-        return out
+    def _image(self, w):
+        """The image of w as (numerators, D); every prefix built on the
+        way is cached."""
+        images, p = self._images, self.field.characteristic
+        top = math.inf if self.cap is None else self.cap
+        k = len(w)
+        while w[:k] not in images:
+            k -= 1
+        num, D = images[w[:k]]
+        for ch in w[k:]:
+            letter, d = images[ch]
+            out = {}
+            for u, a in num.items():
+                budget = top - len(u)
+                for v, b in letter.items():
+                    if len(v) > budget:
+                        break
+                    out[u + v] = out.get(u + v, 0) + a * b
+            if p:
+                out = {v: a % p for v, a in out.items()}
+            num = {v: a for v, a in out.items() if a}
+            D *= d
+            k += 1
+            images[w[:k]] = num, D
+        return num, D
 
     def then(self, t: "Substitution") -> "Substitution":
         """Composite: apply self first, then t."""
@@ -287,11 +315,19 @@ def substitute(f: FreePoly, s: Substitution) -> FreePoly:
     """
     if f.field != s.field:
         raise FieldError("substitution field does not match polynomial field")
-    mul = f.field.mul
-    return sum_terms(f.field, ((v, mul(d, c))
-                               for w, c in sorted(f.terms.items())
-                               for v, d in s.apply_word(w).terms.items()),
-                     _min_cap(f.cap, s.cap))
+    p = f.field.characteristic
+    fnum, fD = integral(f.terms, p)
+    images = [(c, s._image(w)) for w, c in sorted(fnum.items())]
+    L = math.lcm(*(D for _, (_, D) in images))
+    acc = {}
+    for c, (num, D) in images:
+        c *= L // D
+        for v, d in num.items():
+            acc[v] = acc.get(v, 0) + c * d
+    den = fD * L
+    return FreePoly(f.field, {v: a % p if p else Fraction(a, den)
+                              for v, a in acc.items()},
+                    _min_cap(f.cap, s.cap))
 
 
 def invert_2x2(m, field):

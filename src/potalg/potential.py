@@ -10,8 +10,10 @@ are two functions:
 
 For any word w, ginzburg(w) = simple(cyclicize(w)); the two conventions
 give the same relations on cyclically invariant inputs up to per-degree
-scaling. relations_of takes the simple derivatives and leaves out the
-zero ones, so every relation it returns can go to completion as is.
+scaling. derive_ginzburg and cyclic_symmetrize sum each rotation class
+once, then derive or divide once per class. relations_of takes the
+simple derivatives and leaves out the zero ones, so every relation it
+returns can go to completion as is.
 """
 
 from __future__ import annotations
@@ -37,28 +39,31 @@ def cyclicize(f: FreePoly) -> FreePoly:
 
 def cyclic_symmetrize(f: FreePoly) -> FreePoly:
     """Projection onto cyclically invariant polynomials: each word is
-    replaced by the average of its rotations.
+    replaced by the average of all its rotations, duplicates included.
 
-    In characteristic p the division by word lengths can fail; a warning
-    is emitted for p < 7 and FieldError raised when a length vanishes.
-    Constant terms vanish, as under cyclicize.
+    That gives each distinct rotation of a class the class sum over the
+    number of distinct rotations, which is what is computed. In
+    characteristic p a warning is emitted for p < 7, and FieldError is
+    raised when p divides a word's length, even where the number of
+    distinct rotations is a unit. Constant terms vanish, as under
+    cyclicize.
     """
     F = f.field
     p = F.characteristic
     if 0 < p < 7:
         warnings.warn("characteristic %d < 7: cyclic averaging may divide "
                       "by vanishing word lengths" % p)
-
-    def shares(w, c):
-        n = len(w)
-        if p and n % p == 0:
-            raise FieldError("cannot average a degree-%d word in "
-                             "characteristic %d" % (n, p))
-        share = F.div(c, F.coerce(n))
-        return ((r, share) for r in rotations(w))
-
-    return sum_terms(F, (rc for w, c in f.terms.items() if w
-                         for rc in shares(w, c)), f.cap)
+    if p:
+        for w in f.terms:
+            if w and len(w) % p == 0:
+                raise FieldError("cannot average a degree-%d word in "
+                                 "characteristic %d" % (len(w), p))
+    terms = {}
+    for w, c in _class_sums(f).items():
+        k = (w + w).find(w, 1)   # the number of distinct rotations
+        share = F.div(c, F.coerce(k))
+        terms.update((w[i:] + w[:i], share) for i in range(k))
+    return FreePoly(F, terms, f.cap)
 
 
 def is_cyclically_invariant(f: FreePoly) -> bool:
@@ -78,6 +83,18 @@ def derive_simple(f: FreePoly, letter: str) -> FreePoly:
                                if w.startswith(letter)), f.cap)
 
 
+def _class_sums(f: FreePoly) -> dict:
+    """The coefficient sum of each rotation class of f's words of
+    positive degree, keyed by the first word of the class met, in the
+    order met; classes that sum to zero are left out."""
+    first = {}
+    for w in f.terms:
+        if w not in first:
+            first.update(dict.fromkeys(rotations(w), w))
+    return sum_terms(f.field, ((first[w], c) for w, c in f.terms.items()
+                               if w)).terms
+
+
 def derive_ginzburg(f: FreePoly, letter: str) -> FreePoly:
     """Cyclic derivative: sum over occurrences of the rotation starting
     just after the occurrence.
@@ -87,14 +104,8 @@ def derive_ginzburg(f: FreePoly, letter: str) -> FreePoly:
     word of the class met is derived once: O(|w|^2) letters per class,
     where deriving every word of cyc(w) takes O(|w|^3).
     """
-    first = {}
-    for w in f.terms:
-        if w not in first:
-            first.update(dict.fromkeys(rotations(w), w))
-    classes = sum_terms(f.field, ((first[w], c) for w, c in f.terms.items()
-                                  if w))
     return sum_terms(f.field, ((w[i + 1:] + w[:i], c)
-                               for w, c in classes.terms.items()
+                               for w, c in _class_sums(f).items()
                                for i, ch in enumerate(w) if ch == letter),
                      f.cap)
 

@@ -339,6 +339,11 @@ DIRTY_TAIL = " + ".join("%d %s" % (i + 1, t) for i, t in enumerate(
      "45a35a10886709c85cd91784e8f40b75a2331bc5993efb0f8509468c1bb937d6"),
     ("cyc(x^2 y) + y^4 + y^5 + y^6 + cyc(x y^2 x y)", "9",
      "9503ea6d04db63dab5a5504658d8b5a9f491c7987a07c6a3ea67eba3bd3d6463"),
+    # the same two at cap 12, where the cleanup stages dominate
+    ("x^3 + y^3 + 2 cyc(x y x y) + cyc(x^2 y^3)", "12",
+     "370244b860942a55cb7dc1ebf20513c66c5795932298e75c2e80be8d82831ce0"),
+    ("cyc(x^2 y) + y^4 + y^5 + y^6 + cyc(x y^2 x y)", "12",
+     "0c36ff352a1a0ee6a2f9b8cdd7b0a9136138c4a76faf26ca6c56db69414f839b"),
     # its dirty-tail support with coefficients 1..4
     ("cyc(x^2 y) + " + DIRTY_TAIL, "8",
      "d15d49aa8d7f5f9f8bea20de6496ed2be3d435f44ff4392cec6e2a72cf40115a"),

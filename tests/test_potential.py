@@ -1,12 +1,14 @@
 """Cyclicization, the two derivative conventions, and relation extraction."""
 
+import gc
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from potalg.fields import GF, QQ, FieldError
-from potalg.freepoly import FreePoly
+from potalg.freepoly import FreePoly, Substitution, substitute
 from potalg.parsing import parse_poly
 from potalg.potential import (cyclic_symmetrize, cyclicize,
                               derive_ginzburg, derive_simple,
@@ -55,6 +57,9 @@ def test_symmetrize_characteristic_guard():
         cyclic_symmetrize(parse_poly("x y x", GF(3)))
     with pytest.warns(UserWarning), pytest.raises(FieldError):
         cyclic_symmetrize(parse_poly("x y x y x", GF(5)))
+    # two words in the rotation class, but the length 6 is 0 in GF(3)
+    with pytest.warns(UserWarning), pytest.raises(FieldError):
+        cyclic_symmetrize(parse_poly("x y x y x y", GF(3)))
     with pytest.warns(UserWarning):
         g = cyclic_symmetrize(parse_poly("x y", GF(5)))
     assert is_cyclically_invariant(g)
@@ -203,43 +208,81 @@ def _rotate_each_word(f, k):
                               for w, c in f.terms.items()}, f.cap)
 
 
+# integer coefficients, and rational ones whose denominators are units
+# in GF(7) apart from -3/7, which is kept to the rationals
+INTEGER_POOL = (-2, -1, 1, 2, 3)
+RATIONAL_POOLS = {QQ: (Fraction(1, 2), Fraction(-3, 7), Fraction(5, 3), -2, 1),
+                  GF(7): (Fraction(1, 2), Fraction(-3, 5), Fraction(5, 3),
+                          -2, 1)}
+PERIODIC = ("xxx", "xyxy", "yxyx", "xyxyxy", "yxyxyx")
+
+
 def test_calculus_matches_word_by_word_reference():
-    from potalg.freepoly import Substitution, substitute
     rng = random.Random(71)
     seen_cancel = 0
     # no word of length 7: averaging over GF(7) would divide by zero
     for field, degrees in ((QQ, (0, 1, 2, 3, 4, 5, 6, 9)),
                            (GF(7), (0, 1, 2, 3, 4, 5, 6, 8))):
-        for cap in (None, 8):
-            for _ in range(20):
-                f = random_poly(rng, field, degrees=degrees, terms=6,
-                                cap=cap)
-                # same words, rotated and negated: cyclic sums cancel
-                g = f - _rotate_each_word(f, rng.randrange(1, 4))
-                for h in (f, g, f + g.scale(field.coerce(2))):
-                    _same(cyclicize(h), ref_cyclicize(h))
-                    _same(cyclic_symmetrize(h), ref_cyclic_symmetrize(h))
-                    for letter in "xy":
-                        _same(derive_simple(h, letter),
-                              ref_derive_simple(h, letter))
-                        _same(derive_ginzburg(h, letter),
-                              ref_derive_ginzburg(h, letter))
-                seen_cancel += cyclicize(g).is_zero() and not g.is_zero()
-                ix = random_poly(rng, field, degrees=(1, 2, 3), terms=2,
-                                 cap=cap)
-                iy = random_poly(rng, field, degrees=(1, 2), terms=2,
-                                 cap=cap)
-                s = Substitution(ix, iy, cap)
-                for h in (f, g):
-                    h = FreePoly(field, {w: c for w, c in h.terms.items()
-                                         if len(w) <= 4}, cap)
-                    _same(substitute(h, s), ref_substitute(h, ix, iy, cap))
-                # the images of x y and y x agree when x and y map alike
-                t = Substitution(ix, ix, cap)
-                h = P("x y - y x", cap, field)
-                _same(substitute(h, t), ref_substitute(h, ix, ix, cap))
-                assert substitute(h, t).terms == {}
-    assert seen_cancel > 20
+        for pool in (INTEGER_POOL, RATIONAL_POOLS[field]):
+            for cap in (None, 8):
+                # one substitution kept warm across every call below
+                wx = random_poly(rng, field, degrees=(1, 2, 3), terms=3,
+                                 cap=cap, coeff_pool=pool)
+                wy = random_poly(rng, field, degrees=(1, 2), terms=2,
+                                 cap=cap, coeff_pool=pool)
+                warm = Substitution(wx, wy, cap)
+                for _ in range(20):
+                    f = random_poly(rng, field, degrees=degrees, terms=6,
+                                    cap=cap, coeff_pool=pool)
+                    # same words, rotated and negated: cyclic sums cancel
+                    g = f - _rotate_each_word(f, rng.randrange(1, 4))
+                    periodic = FreePoly(field, {
+                        w: field.coerce(rng.choice(pool))
+                        for w in rng.sample(PERIODIC, 3)}, cap)
+                    for h in (f, g, f + g.scale(field.coerce(2)),
+                              f + periodic):
+                        _same(cyclicize(h), ref_cyclicize(h))
+                        _same(cyclic_symmetrize(h), ref_cyclic_symmetrize(h))
+                        for letter in "xy":
+                            _same(derive_simple(h, letter),
+                                  ref_derive_simple(h, letter))
+                            _same(derive_ginzburg(h, letter),
+                                  ref_derive_ginzburg(h, letter))
+                    seen_cancel += cyclicize(g).is_zero() and not g.is_zero()
+                    ix = random_poly(rng, field, degrees=(1, 2, 3), terms=2,
+                                     cap=cap, coeff_pool=pool)
+                    iy = random_poly(rng, field, degrees=(1, 2), terms=2,
+                                     cap=cap, coeff_pool=pool)
+                    s = Substitution(ix, iy, cap)
+                    for h in (f, g, periodic):
+                        h = FreePoly(field, {w: c for w, c in h.terms.items()
+                                             if len(w) <= 4}, cap)
+                        _same(substitute(h, s), ref_substitute(h, ix, iy, cap))
+                        _same(substitute(h, warm),
+                              substitute(h, Substitution(wx, wy, cap)))
+                        _same(substitute(h, warm),
+                              ref_substitute(h, wx, wy, cap))
+                    # the images of x y and y x agree when x and y map alike
+                    t = Substitution(ix, ix, cap)
+                    h = P("x y - y x", cap, field)
+                    _same(substitute(h, t), ref_substitute(h, ix, ix, cap))
+                    assert substitute(h, t).terms == {}
+    assert seen_cancel > 40
+
+
+def test_substitute_and_symmetrize_leave_no_reference_cycles():
+    # a word-image cache that refers to itself lives until the cyclic
+    # collector runs, which raises peak memory on long cleanups
+    f = P("x^3 + 1/2 cyc(x y x y) - 3/7 x^2 y^3 + 2 x y x y x y", 10)
+    ix, iy = P("x + 1/3 y^2 - x y x", 10), P("y - 2/5 x y", 10)
+    gc.collect()
+    gc.disable()
+    try:
+        substitute(f, Substitution(ix, iy, 10))
+        cyclic_symmetrize(f)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_ginzburg_matches_the_word_by_word_formula_on_rotation_classes():

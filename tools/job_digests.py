@@ -9,7 +9,14 @@ byte-identical output on these runs when the output of
 
     python3 tools/job_digests.py
 
-is the same in both, so comparing them is one diff.
+is the same in both, so comparing them is one diff. The expected
+output is committed as tools/job_digests.expected, and CI fails on any
+difference:
+
+    python3 tools/job_digests.py | diff tools/job_digests.expected -
+
+A change that means to alter output bytes rewrites that file and says
+which lines moved and why.
 """
 
 import hashlib
