@@ -20,36 +20,43 @@ when (a∘b)∘c = a∘(b∘c) does: the circle certificate decides it and its
 triple scan names the witness (Rump 2007; Guarnieri-Vendramin 2017). As
 a*0 = 0, an identity e = e∘0 can only be 0; a is invertible exactly
 when its circle row is a permutation, a right inverse in a finite monoid
-being two-sided. The congruence laws of a filtration level telescope
-from a generating set of that level. When a certificate fails, the plain
-triple scan runs to name the first failing triple, so verdicts and
-witnesses are those of the exhaustive check. The graded structure is
-built only on a structure and a filtration that pass their checks. The
-distributivity correction series follows the
-recursion d0 = a, d0' = b, d_{i+1} = d_i + d_i', d_{i+1}' = d_i * d_i';
-unrolling the brace axiom gives the signs (-1)^(i+1) with the sum
-starting at i = 0.
+being two-sided. A filtration level L holding 0 is a subgroup exactly
+when the closure of {0} under adding its generators S_L is L, and its
+congruence laws telescope from S_L. Given left distributivity, b -> a*b
+is additive, so B_i * B_j lies in a subgroup once a * S_j does, and
+c -> (partial sum) - (direct defect) of the distributivity series is
+additive, so the series is exact at every c once it is at c in
+{0} ∪ S. When a certificate fails, the plain scan runs to name the first
+failing pair or triple, so verdicts and witnesses are those of the
+exhaustive check. The graded structure is built only on a structure and
+a filtration that pass their checks. The distributivity correction
+series follows the recursion d0 = a, d0' = b, d_{i+1} = d_i + d_i',
+d_{i+1}' = d_i * d_i'; unrolling the brace axiom gives the signs
+(-1)^(i+1) with the sum starting at i = 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations, product as iproduct
+from itertools import chain as ichain, permutations, product as iproduct
 
 from .fields import ResourceCapError
 
 MAX_ORDER = 256
-"""Largest carrier from_json accepts: naming a witness scans O(n^3) triples."""
+"""Largest carrier from_json accepts. A verdict on a group carrier costs
+O(n^2 log n) when its certificates pass, but naming a witness scans
+O(n^3) triples."""
 
 MAX_SERIES_TERMS = 4096
 """Longest correction series: it is exact once N reaches the chain length,
 which is at most the order."""
 
 MAX_LEVELS = 32
-"""Most levels a filtration block may list: checking a chain of m levels
-costs O(m^2 n^2), and a strictly descending chain of subgroups on at most
-MAX_ORDER elements has at most 9 distinct levels."""
+"""Most levels a filtration block may list: on generators the product
+law of a chain of m levels costs O(m^2 n log n), its scan O(m^2 n^2),
+and a strictly descending chain of subgroups on at most MAX_ORDER
+elements has at most 9 distinct levels."""
 
 
 @dataclass
@@ -75,6 +82,8 @@ def _is_index(v, order):
 
 
 def _check_tables(add, star, order):
+    """Shape and entries of both tables. Plain ints in range pass on a
+    set of types, a min and a max; else a loop names the first bad entry."""
     if order < 1:
         raise ValueError("a carrier must contain the element 0")
     for name, table in (("add", add), ("star", star)):
@@ -83,6 +92,9 @@ def _check_tables(add, star, order):
                     for row in table):
             raise ValueError("%s table must be %d x %d" % (name, order,
                                                            order))
+        if set(map(type, ichain.from_iterable(table))) == {int} and \
+                min(map(min, table)) >= 0 and max(map(max, table)) < order:
+            continue
         for row in table:
             for v in row:
                 if not _is_index(v, order):
@@ -91,11 +103,14 @@ def _check_tables(add, star, order):
 
 
 def _generators(add, members):
-    """Greedy additive generating set of members, in sorted order.
+    """Greedy additive generating set of a set of members, in sorted
+    order, or None when their span is not the members.
 
-    A member not yet reached becomes a generator. The span grows by
-    right addition, so every member is a sum 0+s1+...+sk bracketed from
-    the left; 0 must be the additive identity.
+    A member not yet reached becomes a generator. The span, the closure
+    of {0} under adding generators, grows by right addition, so every
+    member is a sum 0+s1+...+sk bracketed from the left; 0 must be the
+    additive identity. In a finite group, members holding 0 form a
+    subgroup exactly when they are this span.
     """
     gens, span = [], {0}
     for x in sorted(members):
@@ -108,7 +123,7 @@ def _generators(add, members):
             if v not in span:
                 span.add(v)
                 todo.extend(add[v][s] for s in gens)
-    return gens
+    return gens if span == members else None
 
 
 class _Carrier:
@@ -118,15 +133,15 @@ class _Carrier:
         _check_tables(add, star, len(add))
         self.add = [list(r) for r in add]
         self.star = [list(r) for r in star]
-        self.neg = [None] * self.order
-        for a in range(self.order):
-            for b in range(self.order):
-                if self.add[a][b] == 0:
-                    self.neg[a] = b
+        # the last zero of each row, read from the reversed row
+        last = self.order - 1
+        self.neg = [last - row[::-1].index(0) if 0 in row else None
+                    for row in self.add]
         if None in self.neg:
             raise ValueError("additive inverses missing")
         self.gens = None
         self._group = None
+        self._distributive = None
 
     @property
     def order(self):
@@ -157,12 +172,19 @@ class _Carrier:
                            else self._scan_additive_group())
         return self._group
 
+    def _left_distributive(self):
+        """a*(b+c) = a*b + a*c, certified once; asks for the group verdict
+        to have passed."""
+        if self._distributive is None:
+            self._distributive = _affine_certified(self, [0] * self.order)
+        return self._distributive
+
     def _group_certified(self):
         add, n = self.add, self.order
         if any(add[0][a] != a or add[a][0] != a for a in range(n)) or \
                 add != [list(col) for col in zip(*add)]:
             return False
-        gens = _generators(add, range(n))
+        gens = _generators(add, set(range(n)))
         if not all(add[row[s]] == [row[t] for t in add[s]]
                    for s in gens for row in add):
             return False
@@ -388,10 +410,9 @@ def check_brace(B: FiniteBrace) -> Verdict:
     base = B._additive_group_verdict()
     if not base:
         return base
-    zero = [0] * n
-    if not _affine_certified(B, zero):
+    if not B._left_distributive():
         return Verdict(False, "star is not left distributive",
-                       _affine_failure(B, zero))
+                       _affine_failure(B, [0] * n))
     circ = _circle_table(B)
     if not _circle_certified(B, circ):
         return Verdict(False, "brace compatibility fails", _circle_failure(B))
@@ -444,7 +465,7 @@ def _cosets(add, members, sub):
     return label, reps
 
 
-def _congruence_certified(B, level):
+def _congruence_certified(B, level, gens):
     """Both congruence laws of a subgroup level at its generators u.
 
     In a group, x - y lies in the level exactly when x and y share a
@@ -454,7 +475,7 @@ def _congruence_certified(B, level):
     n, add = B.order, B.add
     coset = _cosets(add, range(n), level)[0]
     rows = [[coset[v] for v in row] for row in B.star]
-    for u in _generators(add, level):
+    for u in gens:
         shift = add[u]
         if any(row != [row[t] for t in shift] for row in rows) or \
                 any(rows[add[a][u]] != rows[a] for a in range(n)):
@@ -462,13 +483,31 @@ def _congruence_certified(B, level):
     return True
 
 
+def _products_certified(B, chain, gens):
+    """a * s inside B_min(i+j,m) for a in B_i and s generating B_j."""
+    m, star = len(chain), B.star
+    for i, level in enumerate(chain, start=1):
+        for j, sj in enumerate(gens, start=1):
+            target = chain[min(i + j, m) - 1]
+            if not all(star[a][s] in target for a in level for s in sj):
+                return False
+    return True
+
+
 def check_filtration(B, filt: Filtration) -> Verdict:
     """Subgroups, congruence ideals, and degree multiplicativity.
 
     For trusses the correction must sink to the third level, the uniform
-    reading of the degree condition on alpha. The congruence laws are
-    certified on generators when (B, +) is a group; a level that fails,
-    or any level of a carrier that is not a group, gets the triple scan.
+    reading of the degree condition on alpha. When (B, +) is a group,
+    three laws are certified on generators and their scans run only
+    where a certificate fails, to name the witness: a level is a
+    subgroup when the closure of {0} under its generators is the level
+    (O(|L| |S_L|) against O(|L|^2)); the congruence laws are checked at
+    a level's generators (O(n^2 |S_L|) against O(n^2 |L|)); and, when
+    star is left distributive, b -> a*b is additive and B_i * B_j is
+    checked on the generators S_j of B_j (sum |B_i| * sum |S_j| against
+    (sum |B_i|)^2). A truss whose star is only affine keeps the product
+    scan, since its constant a*0 = -alpha(a) need not lie in the target.
     """
     chain = filt.chain
     m = filt.length
@@ -480,7 +519,11 @@ def check_filtration(B, filt: Filtration) -> Verdict:
     for i in range(m - 1):
         if not chain[i + 1] <= chain[i]:
             return Verdict(False, "chain is not descending", (i + 1,))
-    for i, level in enumerate(chain, start=1):
+    group = bool(B._additive_group_verdict())
+    gens = [_generators(B.add, level) if group else None for level in chain]
+    for i, (level, sl) in enumerate(zip(chain, gens), start=1):
+        if sl is not None:
+            continue
         for a in level:
             if B.neg[a] not in level:
                 return Verdict(False, "level %d not closed under negation"
@@ -489,9 +532,9 @@ def check_filtration(B, filt: Filtration) -> Verdict:
                 if B.plus(a, b) not in level:
                     return Verdict(False, "level %d not additively closed"
                                    % i, (a, b))
-    group = bool(B._additive_group_verdict())
-    for i, level in enumerate(chain, start=1):
-        if group and _congruence_certified(B, level):
+    # past this point every level of a group is a subgroup, so sl is set
+    for i, (level, sl) in enumerate(zip(chain, gens), start=1):
+        if group and _congruence_certified(B, level, sl):
             continue
         for a in range(B.order):
             for b in range(B.order):
@@ -503,14 +546,16 @@ def check_filtration(B, filt: Filtration) -> Verdict:
                     if B.minus(B.times(B.plus(a, u), b), ab) not in level:
                         return Verdict(False, "level %d is not a left "
                                        "congruence ideal" % i, (a, b, u))
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            target = chain[min(i + j, m) - 1]
-            for a in chain[i - 1]:
-                for b in chain[j - 1]:
-                    if B.times(a, b) not in target:
-                        return Verdict(False, "B_%d * B_%d escapes B_%d" %
-                                       (i, j, min(i + j, m)), (a, b))
+    if not (group and B._left_distributive() and
+            _products_certified(B, chain, gens)):
+        for i in range(1, m + 1):
+            for j in range(1, m + 1):
+                target = chain[min(i + j, m) - 1]
+                for a in chain[i - 1]:
+                    for b in chain[j - 1]:
+                        if B.times(a, b) not in target:
+                            return Verdict(False, "B_%d * B_%d escapes B_%d"
+                                           % (i, j, min(i + j, m)), (a, b))
     if isinstance(B, FiniteTruss):
         target = chain[min(3, m) - 1]
         for a in range(B.order):
@@ -660,6 +705,27 @@ def pre_lie_defect(G: GradedStructure):
     return 0
 
 
+def _series(B, a, b, N, cs):
+    """Direct defect (a+b)*c - (a*c + b*c) and partial sums at each c in
+    cs, with the pairs (d_i, d_i') computed once for all of them."""
+    if not 0 <= N <= MAX_SERIES_TERMS:
+        raise ValueError("series length N must be in 0..%d, got %d"
+                         % (MAX_SERIES_TERMS, N))
+    add, star, neg = B.add, B.star, B.neg
+    rows, d, dp = [], a, b
+    for _ in range(N):
+        # term i at c is (d_i*d_i')*c - d_i*(d_i'*c)
+        rows.append((star[star[d][dp]], star[d], star[dp]))
+        d, dp = add[d][dp], star[d][dp]
+    for c in cs:
+        partial, sums = 0, []
+        for i, (prod, left, right) in enumerate(rows):
+            term = add[prod[c]][neg[left[right[c]]]]
+            partial = add[partial][neg[term] if i % 2 == 0 else term]
+            sums.append(partial)
+        yield add[star[add[a][b]][c]][neg[add[star[a][c]][star[b][c]]]], sums
+
+
 def distributivity_series(B, a, b, c, N):
     """Partial sums of the correction series against the direct defect.
 
@@ -670,25 +736,27 @@ def distributivity_series(B, a, b, c, N):
     if not all(0 <= t < B.order for t in (a, b, c)):
         raise ValueError("series triple %r is outside the carrier 0..%d"
                          % ([a, b, c], B.order - 1))
-    if not 0 <= N <= MAX_SERIES_TERMS:
-        raise ValueError("series length N must be in 0..%d, got %d"
-                         % (MAX_SERIES_TERMS, N))
-    direct = B.minus(B.times(B.plus(a, b), c),
-                     B.plus(B.times(a, c), B.times(b, c)))
-    d, dp = a, b
-    partial = 0
-    sums = []
-    for i in range(N):
-        term = B.minus(B.times(B.times(d, dp), c),
-                       B.times(d, B.times(dp, c)))
-        if i % 2 == 0:
-            partial = B.minus(partial, term)
-        else:
-            partial = B.plus(partial, term)
-        sums.append(partial)
-        d, dp = B.plus(d, dp), B.times(d, dp)
+    direct, sums = next(_series(B, a, b, N, [c]))
     return {"direct": direct, "partial_sums": sums,
             "exact": bool(sums) and sums[-1] == direct}
+
+
+def series_exact(B, N):
+    """Whether distributivity_series(B, a, b, c, N) is exact at every
+    triple, with the (d_i, d_i') recursion run once per (a, b).
+
+    When (B, +) is a group and star is left distributive, every map
+    c -> x*c is additive, so c -> (partial sum) - (direct defect) is
+    additive too; it vanishes everywhere once it vanishes at c in
+    {0} ∪ S, which costs O(n^2 (|S| + 1) N) against O(n^3 N). Otherwise
+    every c is tried.
+    """
+    n = B.order
+    certified = B._additive_group_verdict() and B._left_distributive()
+    cs = [0] + B.gens if certified else range(n)
+    return all(sums and sums[-1] == direct
+               for a in range(n) for b in range(n)
+               for direct, sums in _series(B, a, b, N, cs))
 
 
 def enumerate_braces(max_order):

@@ -13,8 +13,8 @@ import random
 from fractions import Fraction
 
 from .brace import (FiniteBrace, Filtration, associated_graded,
-                    brace_from_nilpotent_ring, distributivity_series,
-                    enumerate_braces, gamma_filtration, pre_lie_defect)
+                    brace_from_nilpotent_ring, enumerate_braces,
+                    gamma_filtration, pre_lie_defect, series_exact)
 from .classify import classify_potential, dim_formula
 from .fields import QQ
 from .freepoly import FreePoly
@@ -229,7 +229,13 @@ def _degree_bound_holds(B, filt):
 
 
 def prelie():
-    """Graded left symmetry, exact series, and the degree bound."""
+    """Graded left symmetry, exact series, and the degree bound.
+
+    series_exact proves the series exact at all n^3 triples of each
+    fixture, on c in {0} ∪ S once star is left distributive; the
+    reported series_triples still counts those n^3 triples. The degree
+    bound is a plain triple scan.
+    """
     checks = []
     triples = 0
     for name, B, filt in _brace_fixtures():
@@ -238,15 +244,11 @@ def prelie():
             defect = pre_lie_defect(associated_graded(B, filt))
         except ValueError:
             defect = None
-        exact = all(
-            distributivity_series(B, a, b, c, filt.length)["exact"]
-            for a in range(B.order)
-            for b in range(B.order)
-            for c in range(B.order))
         triples += B.order ** 3
         checks.append(_check(
             name,
-            defect == 0 and exact and _degree_bound_holds(B, filt),
+            defect == 0 and series_exact(B, filt.length)
+            and _degree_bound_holds(B, filt),
             order=B.order, chain_length=filt.length))
     return _report("prelie", checks, series_triples=triples)
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from itertools import permutations, product as iproduct
 
 import pytest
@@ -13,7 +14,7 @@ from potalg.brace import (FiniteBrace, FiniteTruss, Filtration,
                           check_brace, check_filtration, check_truss,
                           distributivity_series, enumerate_braces,
                           filtration_from_json, from_json, gamma_filtration,
-                          pre_lie_defect)
+                          pre_lie_defect, series_exact)
 
 
 def cyclic_tables(n, star_fn):
@@ -509,6 +510,33 @@ def ref_filtration(B, filt):
     return (True, "filtration", None)
 
 
+def ref_left_distributive(B):
+    n = B.order
+    return ref_group(B) is None and all(
+        B.times(a, B.plus(b, c)) == B.plus(B.times(a, b), B.times(a, c))
+        for a in range(n) for b in range(n) for c in range(n))
+
+
+def ref_series_exact(B, N):
+    """The correction series against the direct defect at every triple."""
+    n = B.order
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                direct = B.minus(B.times(B.plus(a, b), c),
+                                 B.plus(B.times(a, c), B.times(b, c)))
+                d, dp, partial = a, b, 0
+                for i in range(N):
+                    term = B.minus(B.times(B.times(d, dp), c),
+                                   B.times(d, B.times(dp, c)))
+                    partial = (B.plus(partial, term) if i % 2
+                               else B.minus(partial, term))
+                    d, dp = B.plus(d, dp), B.times(d, dp)
+                if N == 0 or partial != direct:
+                    return False
+    return True
+
+
 def as_tuple(verdict):
     return (verdict.ok, verdict.reason, verdict.witness)
 
@@ -601,7 +629,7 @@ def differential_cases(rng):
 
 def test_certificates_match_exhaustive_loops():
     rng = random.Random(20261018)
-    reasons, mismatches = set(), []
+    reasons, mismatches, products, series = set(), [], set(), set()
     for add, star in differential_cases(rng):
         n = len(add)
         try:
@@ -629,7 +657,18 @@ def test_certificates_match_exhaustive_loops():
                       for f in chains]
             mismatches += [(n, got, want) for got, want in pairs
                            if got != want]
-            reasons.update(want[1].split(" B_")[0] for _, want in pairs)
+            reasons.update(want[1] for _, want in pairs)
+            if any("escapes B_" in want[1] for _, want in pairs):
+                # the product certificate runs when star is left
+                # distributive, and the scan otherwise
+                products.add(ref_left_distributive(S))
+            if n <= 16:
+                distributive = ref_left_distributive(S)
+                for N in {0, 1, 3, max(f.length for f in chains)}:
+                    got, want = series_exact(S, N), ref_series_exact(S, N)
+                    if got != want:
+                        mismatches.append((n, N, "series", got, want))
+                    series.add((distributive, want))
     assert not mismatches, mismatches[:3]
     # every certificate is seen both passing and failing
     assert {"brace", "truss", "filtration", "addition is not associative",
@@ -639,6 +678,13 @@ def test_certificates_match_exhaustive_loops():
             "addition is not commutative",
             "level 2 is not a right congruence ideal",
             "level 2 is not a left congruence ideal"} <= reasons, reasons
+    shapes = {re.sub(r"\d+", "i", reason) for reason in reasons}
+    assert {"level i not closed under negation",
+            "level i not additively closed",
+            "B_i * B_i escapes B_i"} <= shapes, shapes
+    assert products == {True, False}
+    assert series == {(True, True), (True, False), (False, True),
+                      (False, False)}, series
 
 
 def test_truss_circle_certificate_needs_c_zero():
@@ -648,6 +694,48 @@ def test_truss_circle_certificate_needs_c_zero():
     T = FiniteTruss(add, [[1, 1], [0, 1]], [1, 0])
     assert as_tuple(check_truss(T)) == ref_truss(T) == \
         (False, "circle is not associative", (0, 0, 0))
+
+
+def test_truss_products_are_scanned():
+    # c -> a*c = c + 1 on Z/2 is affine, not additive: a*1 = 0 lies in
+    # B_2 = {0} but a*0 = -alpha(a) = 1 does not, so only the scan sees it
+    add, _ = cyclic_tables(2, lambda a, b: 0)
+    T = FiniteTruss(add, [[1, 0], [1, 0]], [1, 1])
+    filt = Filtration([{0, 1}, {0}])
+    assert as_tuple(check_filtration(T, filt)) == ref_filtration(T, filt) == \
+        (False, "B_1 * B_1 escapes B_2", (0, 0))
+
+
+def test_series_exact_needs_c_zero():
+    # the order-1 brace has no generators; with N = 0 no sum is exact
+    B = FiniteBrace([[0]], [[0]])
+    assert series_exact(B, 0) is ref_series_exact(B, 0) is False
+    assert series_exact(B, 1) is ref_series_exact(B, 1) is True
+
+
+@pytest.mark.parametrize("add, star, message", [
+    ([[0, 1], [1, True]], [[0, 0], [0, 0]], "add entry True outside carrier"),
+    ([[0, 1], [1, 0.0]], [[0, 0], [0, 0]], "add entry 0.0 outside carrier"),
+    ([[0, 1], [1, 0]], [[0, 1.0], [0, 0]], "star entry 1.0 outside carrier"),
+    ([[0, 1], [1, 0]], [[0, 0], [-1, 0]], "star entry -1 outside carrier"),
+    ([[0, 1], [1, 0]], [[0, 0], [0, 2]], "star entry 2 outside carrier"),
+    ([[0, 2], [-1, 0]], [[0, 0], [0, True]], "add entry 2 outside carrier"),
+    ([[0, 1], [1, 0]], [[0, "1"], [3, 0]], "star entry '1' outside carrier"),
+    ([[0, 1], [1, 0]], [[0, 0], [0]], "star table must be 2 x 2"),
+])
+def test_table_messages_name_the_first_bad_entry(add, star, message):
+    with pytest.raises(ValueError) as info:
+        FiniteBrace(add, star)
+    assert str(info.value) == message
+
+
+def test_negation_keeps_the_last_zero_of_a_row():
+    add = [[0, 1, 2], [0, 2, 0], [2, 0, 1]]
+    B = FiniteBrace(add, [[0] * 3 for _ in range(3)])
+    assert B.neg == [max(b for b, v in enumerate(row) if v == 0)
+                     for row in add] == [0, 2, 1]
+    with pytest.raises(ValueError, match="additive inverses missing"):
+        FiniteBrace([[0, 1], [1, 1]], [[0, 0], [0, 0]])
 
 
 def test_pruned_lambda_search_matches_unpruned_enumeration():
