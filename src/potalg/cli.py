@@ -6,9 +6,15 @@ Exit codes: 0 for a completed computation (including negative verdicts),
 2 for parse or configuration errors, 3 when a resource cap is hit, 4 when
 an internal check fails (a bug: one document on stdout, the traceback on
 stderr).
+
+main reuses one parser per process, built on its first call: parsing
+keeps no state between calls, and usage errors and --help look up
+sys.stderr and sys.stdout when they print. build_parser still returns a
+new parser on every call.
 """
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -308,10 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser():
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except UsageError as exc:
         _emit({"error": "usage", "message": str(exc)})
         return 2

@@ -216,14 +216,16 @@ def _brace_fixtures():
 
 
 def _degree_bound_holds(B, filt):
+    # each degree walks the chain, so it is read once per element
+    deg = [filt.degree(a) for a in range(B.order)]
     for a in range(1, B.order):
         for b in range(1, B.order):
-            if not filt.degree(a) < filt.degree(b):
+            if not deg[a] < deg[b]:
                 continue
             for c in range(1, B.order):
                 gap = B.minus(B.times(B.plus(a, b), c),
                               B.plus(B.times(a, c), B.times(b, c)))
-                if not filt.degree(gap) > filt.degree(b) + filt.degree(c):
+                if not deg[gap] > deg[b] + deg[c]:
                     return False
     return True
 

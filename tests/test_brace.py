@@ -537,6 +537,42 @@ def ref_series_exact(B, N):
     return True
 
 
+def ref_graded_defined(B, filt):
+    """Whether a*b and ra*rb share a class of B_{i+j} / B_{i+j+1} for all
+    a in B_i and b in B_j, with ra and rb the least members of the
+    classes of a and b. An element off B_{i+j} has no class. Asks for
+    (B, +) to be a group and every level to be a subgroup."""
+    chain = filt.chain
+    top = len(chain) - 1
+
+    def coset(x, k):
+        return (frozenset(B.plus(x, u) for u in chain[k])
+                if x in chain[k - 1] else None)
+
+    for i in range(1, top + 1):
+        for j in range(1, top + 1 - i):
+            for a in chain[i - 1]:
+                ra = min(coset(a, i))
+                for b in chain[j - 1]:
+                    rb = min(coset(b, j))
+                    if coset(B.times(a, b), i + j) != \
+                            coset(B.times(ra, rb), i + j):
+                        return False
+    return True
+
+
+def graded_defined(S, filt, checked):
+    """False when _graded refuses its product as depending on
+    representatives. Past that check, on a filtration that fails its
+    product law, a product off its level has no class and the additivity
+    checks stop on it with a TypeError."""
+    try:
+        _graded(S, filt, checked)
+    except (ValueError, TypeError) as exc:
+        return str(exc) != "graded product depends on representatives"
+    return True
+
+
 def as_tuple(verdict):
     return (verdict.ok, verdict.reason, verdict.witness)
 
@@ -624,12 +660,26 @@ def differential_cases(rng):
     # lambda_a = 1 + k[a] with lambda_2 = lambda_3 = 0 on Z/4: no inverse
     cases.append(cyclic_tables(5, lambda a, b: -b))
     cases.append(cyclic_tables(4, lambda a, b: (0, 2, 3, 3)[a] * b))
+    # a*b = p h(a mod p, b mod q) on Z/n, zero when p divides a or b:
+    # B ⊇ pB ⊇ 0 passes check_filtration, the star is left distributive
+    # only for some h, and the graded product is defined for q = p and
+    # rarely for q = n
+    for n, p in ((4, 2), (8, 2), (9, 3)):
+        add, _ = cyclic_tables(n, lambda a, b: 0)
+        for q in (p, n):
+            for _ in range(3):
+                h = [[rng.randrange(n // p) for _ in range(q)]
+                     for _ in range(p)]
+                cases.append((add, [[p * h[a % p][b % q] % n
+                                     if a % p and b % p else 0
+                                     for b in range(n)] for a in range(n)]))
     return cases
 
 
 def test_certificates_match_exhaustive_loops():
     rng = random.Random(20261018)
     reasons, mismatches, products, series = set(), [], set(), set()
+    graded = set()
     for add, star in differential_cases(rng):
         n = len(add)
         try:
@@ -662,6 +712,17 @@ def test_certificates_match_exhaustive_loops():
                 # the product certificate runs when star is left
                 # distributive, and the scan otherwise
                 products.add(ref_left_distributive(S))
+            if ref_group(S) is None:
+                # _graded certifies on generators only after the filtration
+                # check passed; an unchecked call on subgroup levels scans
+                for f, (_, want) in zip(chains, pairs[1:]):
+                    if want[0] or not re.search(
+                            "chain|negation|additively", want[1]):
+                        defined = ref_graded_defined(S, f)
+                        if graded_defined(S, f, want[0]) != defined:
+                            mismatches.append((n, "graded", want, defined))
+                        if want[0]:
+                            graded.add((ref_left_distributive(S), defined))
             if n <= 16:
                 distributive = ref_left_distributive(S)
                 for N in {0, 1, 3, max(f.length for f in chains)}:
@@ -685,6 +746,8 @@ def test_certificates_match_exhaustive_loops():
     assert products == {True, False}
     assert series == {(True, True), (True, False), (False, True),
                       (False, False)}, series
+    assert graded == {(True, True), (True, False), (False, True),
+                      (False, False)}, graded
 
 
 def test_truss_circle_certificate_needs_c_zero():

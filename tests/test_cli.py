@@ -1,5 +1,6 @@
 """Command surface: one JSON document per run, meaningful exit codes."""
 
+import functools
 import hashlib
 import io
 import json
@@ -730,6 +731,38 @@ def test_runtime_and_key_errors_are_internal(monkeypatch, capsys, error):
     assert doc["message"].startswith(type(error).__name__ + ": ")
     assert text.count("{") == 1
     assert type(error).__name__ in capsys.readouterr().err
+
+
+def test_one_parser_serves_a_process(tmp_path, monkeypatch, capsys):
+    # errors and help mixed with valid runs print what a parser built
+    # for each call prints, and main builds its parser once
+    brace = z9_brace_file(tmp_path)
+    gb = ["gb", "--potential", DIM8, "--cap", "8"]
+    argvs = [["dim", "--cap", "x"], ["brace", "series", "--input", brace],
+             gb, ["dim", "--potential", DIM8, "--cap", "8"],
+             ["brace", "check", "--input", brace], ["gb", "--help"], gb]
+
+    def outcomes():
+        runs = [run_cli(*argv) for argv in argvs]
+        return [(code, text) for code, _, text in runs], \
+            capsys.readouterr().err
+
+    with monkeypatch.context() as fresh:
+        fresh.setattr(cli, "_parser", cli.build_parser)
+        expected = outcomes()
+    build, built = cli.build_parser, []
+
+    def counted():
+        built.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_parser",
+                        functools.cache(cli._parser.__wrapped__))
+    assert outcomes() == expected and len(built) == 1
+    runs, err = expected
+    assert [code for code, _ in runs] == [2, 2, 0, 0, 0, 0, 0]
+    assert runs[-1] == runs[2] and err.startswith("usage: potalg dim")
 
 
 # -- brace ----------------------------------------------------------------

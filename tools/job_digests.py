@@ -2,10 +2,12 @@
 its stdout and its exit code.
 
 The runs are every job of the four benchmark workloads (perfbench/) at
-seeds 1 and 9, then the five reproduce reports. The jobs run in-process
-through the benchmark's own pass loop, once each, in a temporary
-directory that also holds their input files. Two checkouts give
-byte-identical output on these runs when the output of
+seeds 1 and 9, then the five reproduce reports, then a cli-errors group
+that mixes usage and configuration errors (exit 2) with valid runs, so
+that the parser main keeps between calls is pinned after each error.
+The jobs run in-process through the benchmark's own pass loop, once
+each, in a temporary directory that also holds their input files. Two
+checkouts give byte-identical output on these runs when the output of
 
     python3 tools/job_digests.py
 
@@ -46,6 +48,23 @@ def main():
     runs.append(("reproduce", "-", [
         workloads.Job(t, ["reproduce", "--theorem", t], None)
         for t in REPORTS]))
+    gb = ["gb", "--potential", workloads.D8, "--cap", "8"]
+    ring16 = os.path.join("brace-1", "ring16.json")
+    runs.append(("cli-errors", "-", [
+        workloads.Job(name, argv, None) for name, argv in (
+            ("dim-cap-not-an-int",
+             ["dim", "--potential", workloads.D8, "--cap", "x"]),
+            ("gb-d8", gb),
+            ("gb-without-a-source", ["gb", "--cap", "8"]),
+            ("series-without-args", ["brace", "series", "--input", ring16]),
+            ("dim-d8", ["dim", "--potential", workloads.D8, "--cap", "8"]),
+            ("unknown-command", ["frobnicate"]),
+            ("brace-check-ring16", ["brace", "check", "--input", ring16]),
+            ("iso-unknown-strategy",
+             ["iso", "--a", "a", "--b", "b", "--strategy", "nope"]),
+            ("dim-cap-below-degree",
+             ["dim", "--potential", workloads.D8, "--cap", "3"]),
+            ("gb-d8-again", gb))]))
     for workload, seed, jobs in runs:
         outputs = run_pass(cli, jobs)[3]
         for job, (code, text, error) in zip(jobs, outputs):
