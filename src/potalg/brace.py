@@ -29,8 +29,11 @@ additive, so the series is exact at every c once it is at c in
 {0} ∪ S. When a certificate fails, the plain scan runs to name the first
 failing pair or triple, so verdicts and witnesses are those of the
 exhaustive check. The graded structure is built only on a structure and
-a filtration that pass their checks; with b -> a*b additive, its
-product is well defined once a*s and ra*s share a class for ra the
+a filtration that pass their checks, and there star is left
+distributive: a brace's by its axioms, and a truss's because the
+product law at B_m = {0} asks a*0 = 0, so the truss axiom at b = c = 0
+gives alpha(a) = -a*0 = 0. With b -> a*b additive, the graded product
+is well defined once a*s and ra*s share a class for ra the
 representative of a and s generating B_j. The distributivity correction
 series follows the recursion d0 = a, d0' = b, d_{i+1} = d_i + d_i',
 d_{i+1}' = d_i * d_i'; unrolling the brace axiom gives the signs
@@ -104,18 +107,19 @@ def _check_tables(add, star, order):
                                      (name, v))
 
 
-def _generators(add, members):
-    """Greedy additive generating set of a set of members, in sorted
-    order, or None when their span is not the members.
+def _closure(add, seed):
+    """Greedy additive generating set of seed, in sorted order, and its
+    span.
 
-    A member not yet reached becomes a generator. The span, the closure
+    An element not yet reached becomes a generator. The span, the closure
     of {0} under adding generators, grows by right addition, so every
     member is a sum 0+s1+...+sk bracketed from the left; 0 must be the
-    additive identity. In a finite group, members holding 0 form a
-    subgroup exactly when they are this span.
+    additive identity. In a finite group the span is the subgroup seed
+    generates, so members holding 0 form a subgroup exactly when they
+    are their own span.
     """
     gens, span = [], {0}
-    for x in sorted(members):
+    for x in sorted(seed):
         if x in span:
             continue
         gens.append(x)
@@ -125,6 +129,12 @@ def _generators(add, members):
             if v not in span:
                 span.add(v)
                 todo.extend(add[v][s] for s in gens)
+    return gens, frozenset(span)
+
+
+def _generators(add, members):
+    """Greedy generators of members, or None when they are not their span."""
+    gens, span = _closure(add, members)
     return gens if span == members else None
 
 
@@ -308,27 +318,13 @@ class Filtration:
         return d
 
 
-def _additive_span(B, seed):
-    span = {0}
-    frontier = set(seed) | {0}
-    while frontier:
-        nxt = set()
-        for a in frontier:
-            for b in list(span) + list(frontier):
-                for v in (B.plus(a, b), B.neg[a]):
-                    if v not in span and v not in frontier:
-                        nxt.add(v)
-        span |= frontier
-        frontier = nxt
-    return frozenset(span)
-
-
 def gamma_filtration(B) -> Filtration:
     """Chain generated by star products, the brace lower series.
 
     Gamma_{k+1} spans all products of accumulated levels whose degrees
     sum past k. Raises when the series stalls above zero, which is the
-    non-nilpotent case.
+    non-nilpotent case, or runs longer than the order, which a greedy
+    span allows only when (B, +) is not a group.
     """
     levels = [frozenset(range(B.order))]
     while levels[-1] != frozenset((0,)):
@@ -339,7 +335,7 @@ def gamma_filtration(B) -> Filtration:
             for a in levels[i - 1]:
                 for b in levels[j - 1]:
                     seed.add(B.times(a, b))
-        nxt = _additive_span(B, seed)
+        nxt = _closure(B.add, seed)[1]
         if nxt == levels[-1]:
             raise ValueError("star series stalls at %s; no nilpotent "
                              "filtration" % sorted(nxt))
@@ -512,7 +508,9 @@ def check_filtration(B, filt: Filtration) -> Verdict:
     star is left distributive, b -> a*b is additive and B_i * B_j is
     checked on the generators S_j of B_j (sum |B_i| * sum |S_j| against
     (sum |B_i|)^2). A truss whose star is only affine keeps the product
-    scan, since its constant a*0 = -alpha(a) need not lie in the target.
+    scan, since its constant a*0 = -alpha(a) need not lie in the target;
+    a*0 must lie in B_m = {0}, so a truss passes only with alpha zero and
+    star left distributive, the premise of _graded.
     """
     chain = filt.chain
     m = filt.length
@@ -594,11 +592,6 @@ class GradedStructure:
     def cls(self, degree, element):
         return self.class_of[degree - 1][element]
 
-    def add(self, degree, c1, c2):
-        r = self.brace.plus(self.reps[degree - 1][c1],
-                            self.reps[degree - 1][c2])
-        return self.cls(degree, r)
-
     def product(self, i, c1, j, c2):
         if i + j > self.top:
             return None
@@ -625,7 +618,7 @@ def associated_graded(B, filt: Filtration = None) -> GradedStructure:
 
     B must pass its own axioms (check_axioms) and filt check_filtration;
     otherwise ValueError names the failed law. _graded then checks that
-    the product exists and is additive on classes.
+    the product is well defined and right additive on classes.
     """
     ok = check_axioms(B)
     if not ok:
@@ -635,70 +628,49 @@ def associated_graded(B, filt: Filtration = None) -> GradedStructure:
     ok = check_filtration(B, filt)
     if not ok:
         raise ValueError("invalid filtration: %s" % ok.reason)
-    return _graded(B, filt, checked=True)
+    return _graded(B, filt)
 
 
-def _graded(B, filt, checked=False):
+def _graded(B, filt):
     """Quotient components with the product checked for well-definedness.
 
-    The product of classes is well defined when a*b - ra*rb lies in
+    Asks for (B, +) a group, star left distributive and filt passing
+    check_filtration, as on every input of associated_graded (module
+    docstring), and raises ValueError when the first two fail. The
+    product of classes is well defined when a*b - ra*rb lies in
     B_{i+j+1} for all a in B_i and b in B_j, ra and rb the least members
-    of their classes. A clean return certifies that the graded product
-    exists; both distributive laws are then verified on classes. A
+    of their classes. As a*b - ra*rb = (a*b - ra*b) + ra*(b - rb), the
+    second term lies in B_{i+j+1} by the product law, and the first is
+    additive in b, the law is certified on the generators S_j of B_j
+    (sum |B_i| |S_j| against sum |B_i| |B_j| lookups). The product is
+    then left additive on classes by left distributivity, and right
+    additivity, the paper's lemma, is checked on representatives. A
     failure raises ValueError, which on checked input would refute the
     paper's lemmas.
-
-    When checked says that filt passed check_filtration on B, (B, +) is
-    a group and star is left distributive, the law is certified on the
-    generators S_j of B_j: a*b - ra*rb = (a*b - ra*b) + ra*(b - rb),
-    the second term lies in B_{i+j+1} by the product law as b - rb is in
-    B_{j+1}, and the first is additive in b, so it lies in the subgroup
-    B_{i+j+1} for every b once it does for b in S_j (sum |B_i| |S_j|
-    against sum |B_i| |B_j| lookups). Elsewhere, trusses with an affine
-    star and unchecked tables included, every pair is compared.
     """
-    chain, star = filt.chain, B.star
+    if not (B._additive_group_verdict() and B._left_distributive()):
+        raise ValueError("graded product needs (B, +) a group and star "
+                         "left distributive")
+    chain, add, star = filt.chain, B.add, B.star
     class_of, reps = [], []
     for level, nxt in zip(chain, chain[1:]):
-        label, rep = _cosets(B.add, level, nxt)
+        label, rep = _cosets(add, level, nxt)
         class_of.append(label)
         reps.append(rep)
-    G = GradedStructure(B, filt, class_of, reps)
-    top = G.top
-    gens = None
-    if checked and B._additive_group_verdict() and B._left_distributive():
-        gens = [_generators(B.add, level) for level in chain]
+    gens = [_generators(add, level) for level in chain]
+    top = len(reps)
     for i in range(1, top + 1):
         for j in range(1, top + 1 - i):
-            ci, cj, ck = class_of[i - 1], class_of[j - 1], class_of[i + j - 1]
+            ci, ck = class_of[i - 1], class_of[i + j - 1]
             ri, rj = reps[i - 1], reps[j - 1]
-            if gens is not None:
-                # s - rs lies in B_{j+1}, so a failure is a failing pair
-                if any(ck[star[a][s]] != ck[star[ri[ci[a]]][s]]
-                       for a in chain[i - 1] for s in gens[j - 1]):
-                    raise ValueError("graded product depends on "
-                                     "representatives")
-                continue
-            for a in chain[i - 1]:
-                row, rep_row = star[a], star[ri[ci[a]]]
-                for b in chain[j - 1]:
-                    if ck[row[b]] != ck[rep_row[rj[cj[b]]]]:
-                        raise ValueError("graded product depends on "
-                                         "representatives")
-    orders = G.component_orders()
-    for i in range(1, top + 1):
-        for j in range(1, top + 1 - i):
-            for c1, c2, d in iproduct(range(orders[i - 1]),
-                                      range(orders[i - 1]),
-                                      range(orders[j - 1])):
-                s = G.add(i, c1, c2)
-                if G.product(i, s, j, d) != G.add(
-                        i + j, G.product(i, c1, j, d), G.product(i, c2, j, d)):
-                    raise ValueError("graded product is not right additive")
-                if G.product(j, d, i, s) != G.add(
-                        i + j, G.product(j, d, i, c1), G.product(j, d, i, c2)):
-                    raise ValueError("graded product is not left additive")
-    return G
+            # s - rs lies in B_{j+1}, so a failure is a failing pair
+            if any(ck[star[a][s]] != ck[star[ri[ci[a]]][s]]
+                   for a in chain[i - 1] for s in gens[j - 1]):
+                raise ValueError("graded product depends on representatives")
+            if any(ck[star[add[a][b]][d]] != ck[add[star[a][d]][star[b][d]]]
+                   for a in ri for b in ri for d in rj):
+                raise ValueError("graded product is not right additive")
+    return GradedStructure(B, filt, class_of, reps)
 
 
 def pre_lie_defect(G: GradedStructure):
@@ -861,13 +833,18 @@ def brace_from_nilpotent_ring(add, mul) -> FiniteBrace:
     """Adjoint brace of a nilpotent ring: star is the ring product.
 
     Nilpotency is what makes 1+a formally invertible, hence the circle
-    a group; the axioms are verified anyway rather than trusted.
+    a group; the axioms are verified anyway rather than trusted. The
+    powers are greedy spans, so (B, +) must be a group first.
     """
     B = FiniteBrace(add, mul)
+    verdict = B._additive_group_verdict()
+    if not verdict:
+        raise ValueError("ring addition is not an abelian group: %s"
+                         % verdict.reason)
     level = frozenset(range(B.order))
     while level != frozenset((0,)):
-        nxt = _additive_span(B, {B.times(a, b) for a in level
-                                 for b in range(B.order)})
+        nxt = _closure(B.add, {B.times(a, b) for a in level
+                               for b in range(B.order)})[1]
         if nxt == level:
             raise ValueError("ring is not nilpotent; powers stall at %s"
                              % sorted(level))

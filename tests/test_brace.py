@@ -8,7 +8,7 @@ from itertools import permutations, product as iproduct
 import pytest
 
 from potalg.brace import (FiniteBrace, FiniteTruss, Filtration,
-                          _additive_span, _graded, _klein_braces,
+                          _closure, _graded, _klein_braces,
                           associated_graded,
                           brace_from_nilpotent_ring, check_axioms,
                           check_brace, check_filtration, check_truss,
@@ -165,8 +165,8 @@ def test_axioms_follow_the_kind_of_structure():
 
 # Each table below has a valid filtration and fails its brace axioms, so
 # associated_graded refuses it first; _graded, which builds the structure
-# without checking the axioms, reaches each check of the graded product.
-# On a verified brace or truss none of them can fail.
+# without checking the axioms, reaches each of its own checks. On a
+# verified brace or truss none of them can fail.
 GRADED_REFUSALS = [
     (4, lambda a, b: 2 * b * (a == 3), [{0, 2}],
      "brace compatibility fails",
@@ -174,7 +174,8 @@ GRADED_REFUSALS = [
     (9, lambda a, b: 3 * (0, 1, 1)[a % 3] * b, [{0, 3, 6}],
      "brace compatibility fails", "graded product is not right additive"),
     (9, lambda a, b: 3 * (a % 3) * (0, 1, 1)[b % 3], [{0, 3, 6}],
-     "star is not left distributive", "graded product is not left additive"),
+     "star is not left distributive",
+     "graded product needs (B, +) a group and star left distributive"),
 ]
 
 
@@ -186,20 +187,21 @@ def test_graded_refuses_a_table_that_is_not_a_brace(n, star_fn, levels,
     assert check_filtration(B, filt)
     with pytest.raises(ValueError, match="^not a brace: %s$" % axiom):
         associated_graded(B, filt)
-    with pytest.raises(ValueError, match="^%s$" % product):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(product)):
         _graded(B, filt)
 
 
 def test_pre_lie_defect_names_a_witness():
-    # a * b = k[a mod 2][b mod 2] a b on Z/16 with its 2-power filtration:
-    # not a brace, but its graded product is defined and biadditive. The
-    # witness lists (degree, class) for the three associator entries
-    k = [[2, 4], [0, 10]]
-    B = FiniteBrace(*cyclic_tables(16, lambda a, b: k[a % 2][b % 2] * a * b))
+    # a * b = k[a mod 2] a b on Z/16 with its 2-power filtration: left
+    # distributive but not a brace, yet its graded product is defined and
+    # biadditive. The witness lists (degree, class) for the three
+    # associator entries
+    k = (2, 0)
+    B = FiniteBrace(*cyclic_tables(16, lambda a, b: k[a % 2] * a * b))
     filt = Filtration([set(range(0, 16, 2 ** e)) for e in range(4)] + [{0}])
     assert check_filtration(B, filt)
-    with pytest.raises(ValueError, match="^not a brace: star is not left "
-                                         "distributive$"):
+    with pytest.raises(ValueError, match="^not a brace: brace compatibility "
+                                         "fails$"):
         associated_graded(B, filt)
     assert pre_lie_defect(_graded(B, filt)) == ((1, 1), (2, 1), (1, 1))
 
@@ -238,6 +240,14 @@ def test_unit_ring_is_rejected():
     mul = [[(a * b) % n for b in range(n)] for a in range(n)]
     with pytest.raises(ValueError):
         brace_from_nilpotent_ring(add, mul)
+
+
+def test_ring_addition_must_be_a_group():
+    # the powers are greedy spans, subgroups only in a group
+    with pytest.raises(ValueError, match="^ring addition is not an abelian "
+                                         "group: 0 is not the additive "
+                                         "identity$"):
+        brace_from_nilpotent_ring([[1, 0], [0, 1]], [[0, 0], [0, 0]])
 
 
 def upper_unitriangular_f2():
@@ -561,14 +571,12 @@ def ref_graded_defined(B, filt):
     return True
 
 
-def graded_defined(S, filt, checked):
+def graded_defined(S, filt):
     """False when _graded refuses its product as depending on
-    representatives. Past that check, on a filtration that fails its
-    product law, a product off its level has no class and the additivity
-    checks stop on it with a TypeError."""
+    representatives."""
     try:
-        _graded(S, filt, checked)
-    except (ValueError, TypeError) as exc:
+        _graded(S, filt)
+    except ValueError as exc:
         return str(exc) != "graded product depends on representatives"
     return True
 
@@ -624,7 +632,7 @@ def random_chain(rng, B):
             level |= {0}
         else:
             seed = rng.sample(members, min(len(members), rng.randrange(3)))
-            level = levels[-1] & _additive_span(B, seed)
+            level = levels[-1] & _closure(B.add, seed)[1]
         levels.append(level)
     return Filtration(levels + [frozenset((0,))])
 
@@ -712,17 +720,14 @@ def test_certificates_match_exhaustive_loops():
                 # the product certificate runs when star is left
                 # distributive, and the scan otherwise
                 products.add(ref_left_distributive(S))
-            if ref_group(S) is None:
-                # _graded certifies on generators only after the filtration
-                # check passed; an unchecked call on subgroup levels scans
+            if ref_left_distributive(S):
+                # the premise of _graded's certificate on generators
                 for f, (_, want) in zip(chains, pairs[1:]):
-                    if want[0] or not re.search(
-                            "chain|negation|additively", want[1]):
+                    if want[0]:
                         defined = ref_graded_defined(S, f)
-                        if graded_defined(S, f, want[0]) != defined:
+                        if graded_defined(S, f) != defined:
                             mismatches.append((n, "graded", want, defined))
-                        if want[0]:
-                            graded.add((ref_left_distributive(S), defined))
+                        graded.add(defined)
             if n <= 16:
                 distributive = ref_left_distributive(S)
                 for N in {0, 1, 3, max(f.length for f in chains)}:
@@ -746,8 +751,47 @@ def test_certificates_match_exhaustive_loops():
     assert products == {True, False}
     assert series == {(True, True), (True, False), (False, True),
                       (False, False)}, series
-    assert graded == {(True, True), (True, False), (False, True),
-                      (False, False)}, graded
+    assert graded == {True, False}, graded
+
+
+def test_passing_checks_give_the_graded_premise():
+    # the product law at B_m = {0} asks a*0 = 0, and the truss axiom at
+    # b = c = 0 then gives alpha(a) = -a*0 = 0: whatever passes its axioms
+    # and a filtration has a left distributive star, as _graded asks
+    rng = random.Random(20261020)
+    kinds, affine = set(), 0
+    for add, star in differential_cases(rng):
+        n = len(add)
+        try:
+            structures = [FiniteBrace(add, star)]
+            if n < 64:
+                structures += [
+                    FiniteTruss(add, star, [0] * n),
+                    FiniteTruss(add, star, [rng.randrange(n)
+                                            for _ in range(n)]),
+                    shifted_truss(rng, add, star)]
+        except ValueError:
+            continue
+        for S in structures:
+            if not check_axioms(S):
+                continue
+            affine += any(row[0] for row in S.star)
+            chains = [random_chain(rng, S) for _ in range(2)]
+            try:
+                chains.append(gamma_filtration(S))
+            except ValueError:
+                pass
+            if any(check_filtration(S, f) for f in chains):
+                assert not any(row[0] for row in S.star)
+                assert S._left_distributive()
+                kinds.add(S.kind)
+    assert kinds == {"brace", "truss"} and affine
+    add, star = cyclic_tables(6, lambda a, b: 2 * a)
+    T = FiniteTruss(add, star, [(-2 * a) % 6 for a in range(6)])
+    assert check_truss(T)
+    filt = Filtration([set(range(6)), {0, 2, 4}, {0}])
+    assert as_tuple(check_filtration(T, filt)) == \
+        (False, "B_1 * B_2 escapes B_3", (1, 0))
 
 
 def test_truss_circle_certificate_needs_c_zero():

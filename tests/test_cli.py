@@ -790,8 +790,8 @@ def test_brace_graded_falls_back_to_star_powers(tmp_path):
 def test_brace_prelie_refuses_the_witness_table_that_is_not_a_brace(
         tmp_path):
     # a * b = k[a mod 2][b mod 2] a b on Z/16 with its 2-power filtration
-    # has a left-symmetry witness (test_pre_lie_defect_names_a_witness),
-    # but it is not left distributive, so prelie refuses it
+    # passes the filtration check, but it is not left distributive, so
+    # prelie refuses it
     k = [[2, 4], [0, 10]]
     doc = cyclic_doc(16, lambda a, b: k[a % 2][b % 2] * a * b)
     doc["filtration"] = [list(range(0, 16, 2)), list(range(0, 16, 4)),
@@ -1054,6 +1054,63 @@ def test_brace_order_above_the_limit_is_a_resource_cap(tmp_path):
     code, out = run_brace_doc(tmp_path, {"order": order, "add": 5, "star": 5})
     assert code == 3 and out["error"] == "resource"
     assert str(order) in out["message"] and str(MAX_ORDER) in out["message"]
+
+
+def random_brace_doc(rng):
+    """A brace file of order 1-6: cyclic or random addition, a random or
+    linear star, alpha on some, and a filtration block on some, its one
+    level the multiples of a divisor or its levels drawn at random,
+    rarely more of them than MAX_LEVELS."""
+    n = rng.randint(1, 6)
+
+    def table():
+        return [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+
+    k = [rng.randrange(n) for _ in range(n)]
+    doc = {"order": n,
+           "add": [[(a + b) % n for b in range(n)] for a in range(n)],
+           "star": [[k[a] * b % n for b in range(n)] for a in range(n)]}
+    if rng.random() < 0.4:
+        doc["add"] = table()
+    if rng.random() < 0.5:
+        doc["star"] = table()
+    if rng.random() < 0.3:
+        doc["alpha"] = [rng.randrange(n) if rng.random() < 0.5 else 0
+                        for _ in range(n)]
+    draw = rng.random()
+    if draw < 0.3:
+        d = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+        doc["filtration"] = [list(range(0, n, d))]
+    elif draw < 0.6:
+        levels = rng.randrange(4 if rng.random() < 0.95 else 40)
+        doc["filtration"] = [sorted(rng.sample(range(n), rng.randint(1, n)))
+                             for _ in range(levels)]
+    return doc
+
+
+def test_brace_fuzz_writes_one_document(tmp_path, capsys):
+    rng = random.Random(20261020)
+    path = tmp_path / "doc.json"
+    codes = set()
+    for _ in range(1000):
+        doc = random_brace_doc(rng)
+        path.write_text(json.dumps(doc))
+        argv = ["brace", rng.choice(("check", "graded", "prelie", "series")),
+                "--input", str(path)]
+        if rng.random() < 0.8:
+            args = [rng.randrange(-1, doc["order"] + 1) for _ in range(3)]
+            args.append(rng.randrange(-1, 6))
+            argv += ["--series-args", ",".join(
+                map(str, args[:rng.choice((3, 4, 4, 4, 5))]))]
+        code, out, text = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (argv, doc, text, err)
+        assert isinstance(json.loads(text), dict), (argv, doc, text)
+        assert "Traceback" not in err, (argv, doc, err)
+        codes.add((argv[1], code))
+    assert codes >= {(action, code) for code in (0, 2) for action in
+                     ("check", "graded", "prelie", "series")}, codes
+    assert {code for _, code in codes} == {0, 2, 3}
 
 
 # -- reproduce -------------------------------------------------------------

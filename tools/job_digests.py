@@ -4,7 +4,10 @@ its stdout and its exit code.
 The runs are every job of the four benchmark workloads (perfbench/) at
 seeds 1 and 9, then the five reproduce reports, then a cli-errors group
 that mixes usage and configuration errors (exit 2) with valid runs, so
-that the parser main keeps between calls is pinned after each error.
+that the parser main keeps between calls is pinned after each error,
+then a truss group: the order-16 ring tables read as a truss with alpha
+zero, and the truss a*b = 2a, alpha(a) = -2a on Z/6, whose chain
+Z/6 > {0, 2, 4} > 0 fails the product law at a*0.
 The jobs run in-process through the benchmark's own pass loop, once
 each, in a temporary directory that also holds their input files. Two
 checkouts give byte-identical output on these runs when the output of
@@ -22,6 +25,7 @@ which lines moved and why.
 """
 
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -35,6 +39,7 @@ def main():
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
     import potalg.cli as cli
     import workloads
+    from checks import subring_brace
     from run import run_pass
 
     runs = []
@@ -65,6 +70,24 @@ def main():
             ("dim-cap-below-degree",
              ["dim", "--potential", workloads.D8, "--cap", "3"]),
             ("gb-d8-again", gb))]))
+    os.mkdir("truss")
+    docs = {"ring16": dict(subring_brace(16), alpha=[0] * 16),
+            "shift6": {"order": 6,
+                       "add": [[(a + b) % 6 for b in range(6)]
+                               for a in range(6)],
+                       "star": [[2 * a % 6] * 6 for a in range(6)],
+                       "alpha": [-2 * a % 6 for a in range(6)],
+                       "filtration": [[0, 2, 4]]}}
+    for key, doc in docs.items():
+        with open(os.path.join("truss", key + ".json"), "w") as fh:
+            json.dump(doc, fh, sort_keys=True)
+    runs.append(("truss", "-", [
+        workloads.Job("%s-%s" % (action, key),
+                      ["brace", action, "--input",
+                       os.path.join("truss", key + ".json")], None)
+        for key, actions in (("ring16", ("check", "graded", "prelie")),
+                             ("shift6", ("check", "graded")))
+        for action in actions]))
     for workload, seed, jobs in runs:
         outputs = run_pass(cli, jobs)[3]
         for job, (code, text, error) in zip(jobs, outputs):
