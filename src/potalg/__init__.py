@@ -7,12 +7,12 @@ isomorphism testing, and finite brace/truss structure checks.
 """
 
 from .fields import QQ, GF, FieldError, PrimeField, Rationals, ResourceCapError
-from .freepoly import (FreePoly, Substitution, abelianize_cubic,
-                       invert_substitution, poly_mul, substitute)
+from .freepoly import (FreePoly, Substitution, abelianize_cubic, poly_mul,
+                       substitute)
 from .parsing import ParseError, parse_poly, render
 from .potential import (cyclic_symmetrize, cyclicize, derive_ginzburg,
                         derive_simple, is_cyclically_invariant,
-                        relations_of, syzygy_residual)
+                        relations_of)
 from .rewrite import (Ambiguity, RewriteSystem, complete, normal_form,
                       oracle_dimension, verify_complete)
 from .quotient import QuotientAlgebra, hilbert

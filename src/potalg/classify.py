@@ -567,12 +567,6 @@ class ClassificationReport(Cleanup):
     symmetrized_input: bool = False
     truncated_above: object = None
 
-    def composed_trail(self, cap) -> Substitution:
-        s = Substitution.identity(QQ, cap)
-        for step in self.trail:
-            s = s.then(step)
-        return s
-
     def to_json(self):
         from .parsing import render
         doc = {"cubic": self.cubic.to_json(),

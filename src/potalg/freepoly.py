@@ -55,16 +55,6 @@ class FreePoly:
         return cls(field, {}, cap)
 
     @classmethod
-    def one(cls, field=QQ, cap=None):
-        return cls(field, {EMPTY: field.one}, cap)
-
-    @classmethod
-    def var(cls, letter, field=QQ, cap=None):
-        if letter not in ("x", "y"):
-            raise ValueError("unknown variable %r" % (letter,))
-        return cls(field, {letter: field.one}, cap)
-
-    @classmethod
     def term(cls, word, coeff=1, field=QQ, cap=None):
         return cls(field, {word: field.coerce(coeff)}, cap)
 
@@ -163,10 +153,6 @@ class FreePoly:
             return self
         return self.scale(self.field.inv(lc))
 
-    def map_coeffs(self, fn, field=None):
-        return FreePoly(field or self.field,
-                        {w: fn(c) for w, c in self.terms.items()}, self.cap)
-
     # -- comparison / display -------------------------------------------
 
     def __eq__(self, other):
@@ -223,8 +209,7 @@ class Substitution:
     """Images of x and y with zero constant term, applied cap-truncated.
 
     Word images are cached as the module docstring says, each built from
-    the image of its longest cached prefix. then(t) composes: applying
-    s.then(t) equals applying s, then t.
+    the image of its longest cached prefix.
     """
 
     __slots__ = ("field", "image_x", "image_y", "cap", "_images")
@@ -245,20 +230,11 @@ class Substitution:
                                            key=lambda t: len(t[0]))), D
 
     @classmethod
-    def identity(cls, field=QQ, cap=None):
-        return cls(FreePoly.var("x", field, cap), FreePoly.var("y", field, cap))
-
-    @classmethod
     def linear(cls, a, b, c, d, field=QQ, cap=None):
         """x -> a x + b y, y -> c x + d y."""
         fx = FreePoly.from_terms({"x": a, "y": b}, field, cap)
         fy = FreePoly.from_terms({"x": c, "y": d}, field, cap)
         return cls(fx, fy, cap)
-
-    def linear_part(self):
-        """Matrix ((a, b), (c, d)) of the degree-1 coefficients."""
-        return ((self.image_x.coeff("x"), self.image_x.coeff("y")),
-                (self.image_y.coeff("x"), self.image_y.coeff("y")))
 
     def _image(self, w):
         """The image of w as (numerators, D); every prefix built on the
@@ -285,12 +261,6 @@ class Substitution:
             k += 1
             images[w[:k]] = num, D
         return num, D
-
-    def then(self, t: "Substitution") -> "Substitution":
-        """Composite: apply self first, then t."""
-        return Substitution(substitute(self.image_x, t),
-                            substitute(self.image_y, t),
-                            _min_cap(self.cap, t.cap))
 
     def __eq__(self, other):
         return (isinstance(other, Substitution)
@@ -341,37 +311,6 @@ def invert_2x2(m, field):
     inv = F.inv(det)
     return ((F.mul(d, inv), F.neg(F.mul(b, inv))),
             (F.neg(F.mul(c, inv)), F.mul(a, inv)))
-
-
-def invert_substitution(s: Substitution, cap=None) -> Substitution:
-    """Inverse substitution through the cap by fixed-point iteration.
-
-    Requires an invertible linear part; raises FieldError otherwise. The
-    result t satisfies substitute(substitute(v, s), t) = v for v in {x, y}
-    up to the cap, and the same in the other composition order.
-    """
-    cap = _min_cap(cap, s.cap)
-    if cap is None:
-        raise ValueError("an explicit cap is required to invert")
-    F = s.field
-    (ia, ib), (ic, id_) = invert_2x2(s.linear_part(), F)
-
-    def linv(px, py):
-        return (px.scale(ia) + py.scale(ib), px.scale(ic) + py.scale(id_))
-
-    hx = FreePoly(F, {w: cc for w, cc in s.image_x.terms.items() if len(w) > 1},
-                  cap)
-    hy = FreePoly(F, {w: cc for w, cc in s.image_y.terms.items() if len(w) > 1},
-                  cap)
-    vx, vy = FreePoly.var("x", F, cap), FreePoly.var("y", F, cap)
-    tx, ty = linv(vx, vy)
-    for _ in range(cap):
-        t = Substitution(tx, ty, cap)
-        nx, ny = linv(vx - substitute(hx, t), vy - substitute(hy, t))
-        if nx == tx and ny == ty:
-            break
-        tx, ty = nx, ny
-    return Substitution(tx, ty, cap)
 
 
 def abelianize_cubic(f3: FreePoly):

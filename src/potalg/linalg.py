@@ -12,8 +12,8 @@ positive. Clearing a column whose entry is a, against a pivot row whose
 pivot entry is P, multiplies the row and D by P / gcd(a, P) and
 subtracts a / gcd(a, P) times the pivot row, so no step divides. Over
 GF(p) rows are residues, pivot rows are one at the pivot and D stays 1.
-Field elements are formed only where rows leave the kernel, in reduce
-and reduced_rows; only reduced_rows scales rows to one at the pivot.
+Field elements are formed only where rows leave the kernel, in
+reduced_rows, which scales rows to one at the pivot.
 The two integer steps are module functions, shared with rewrite, whose
 rules are primitive rows too: integral takes a row of field elements to
 integers over one denominator, and primitive divides out the content
@@ -103,13 +103,6 @@ class Echelon:
                     else:
                         del row[col]
         return row, D
-
-    def reduce(self, row):
-        """A copy of row with every pivot column cleared."""
-        row, D = self._clear(*integral(row, self.p), self.pivots)
-        if self.p:
-            return row
-        return {c: Fraction(v, D) for c, v in row.items()}
 
     def add(self, row):
         """Reduce row and store what is left, if anything."""

@@ -127,19 +127,3 @@ def relations_of(f: FreePoly, order: MonomialOrder = _DEFAULT_ORDER):
     derivatives = (derive_simple(f, "x"), derive_simple(f, "y"))
     return tuple(r.monic(order) for r in derivatives if not r.is_zero())
 
-
-def syzygy_residual(f: FreePoly):
-    """The two universal syzygy candidates of a potential, simple mode.
-
-    r1 = F - x dF/dx - y dF/dy vanishes identically.
-    r2 = [x, dF/dx] + [y, dF/dy] vanishes exactly when F is cyclically
-    invariant.
-    """
-    _require_potential(f)
-    dx = derive_simple(f, "x")
-    dy = derive_simple(f, "y")
-    vx = FreePoly.var("x", f.field, f.cap)
-    vy = FreePoly.var("y", f.field, f.cap)
-    r1 = f - vx * dx - vy * dy
-    r2 = (vx * dx - dx * vx) + (vy * dy - dy * vy)
-    return r1, r2

@@ -233,7 +233,10 @@ def _degree_bound_holds(B, filt):
 def prelie():
     """Graded left symmetry, exact series, and the degree bound.
 
-    series_exact proves the series exact at all n^3 triples of each
+    A truss that passes its axioms and a filtration is a brace on the
+    same tables, and no law on alpha is checked beyond the truss axiom
+    (brace module docstring), so this reproduces the paper's graded
+    theorem in its brace case. series_exact proves the series exact at all n^3 triples of each
     fixture, on c in {0} ∪ S once star is left distributive; the
     reported series_triples still counts those n^3 triples. The degree
     bound is a plain triple scan.

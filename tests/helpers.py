@@ -5,7 +5,7 @@ import itertools
 from heapq import heapify, heappop, heappush
 
 from potalg.fields import QQ
-from potalg.freepoly import FreePoly, sum_terms
+from potalg.freepoly import FreePoly, Substitution, substitute, sum_terms
 from potalg.isotest import is_isomorphism
 from potalg.linalg import kernel, solve
 from potalg.rewrite import RewriteSystem, _lead_finder, ambiguities
@@ -21,6 +21,15 @@ def random_poly(rng, field=QQ, degrees=(1, 2, 3), terms=3, cap=None,
         w = "".join(rng.choice("xy") for _ in range(d))
         out[w] = field.coerce(rng.choice(coeff_pool))
     return FreePoly(field, out, cap)
+
+
+def compose_trail(trail, cap):
+    """The substitution that applies the steps of trail in order: f goes
+    to its image under the first step, then under the second, and so on."""
+    x, y = FreePoly.term("x", 1, QQ, cap), FreePoly.term("y", 1, QQ, cap)
+    for step in trail:
+        x, y = substitute(x, step), substitute(y, step)
+    return Substitution(x, y, cap)
 
 
 def dense(F, row):
@@ -347,6 +356,14 @@ class FieldEchelon:
             p = min(row, key=self.key)
             inv = f.inv(row[p])
             self.pivots[p] = {c: f.mul(v, inv) for c, v in row.items()}
+
+    def reduced_rows(self):
+        """Each pivot row with every other pivot column cleared; a row
+        holds no column before its pivot, so clearing never brings the
+        pivot back."""
+        return {c: {c: self.field.one,
+                    **self.reduce({k: v for k, v in row.items() if k != c})}
+                for c, row in self.pivots.items()}
 
 
 def reference_oracle_dimension(relations, cap, order):

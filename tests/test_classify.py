@@ -10,10 +10,13 @@ from potalg.classify import (Cleanup, CleanupError, classify_potential,
                              cleanup_x2y, cleanup_x3y3, cubic_class,
                              dim_formula)
 from potalg.fields import GF, FieldError, QQ
-from potalg.freepoly import FreePoly, invert_substitution, substitute
+from potalg.freepoly import FreePoly, Substitution, substitute
 from potalg.parsing import parse_poly, render
 from potalg.potential import cyclic_symmetrize, relations_of
-from potalg.rewrite import oracle_dimension
+from potalg.quotient import hilbert
+from potalg.rewrite import complete, oracle_dimension
+
+from helpers import compose_trail
 
 CAP = 8
 
@@ -258,10 +261,12 @@ def test_cleanup_rejects_wrong_cubic():
 def test_trail_substitutions_invert():
     rec = Cleanup(poly("cyc(x^2 y) + cyc(x^2 y^2)"))
     cleanup_x2y(rec)
-    x, y = FreePoly.var("x", QQ, CAP), FreePoly.var("y", QQ, CAP)
+    # by the formal inverse function theorem a substitution is
+    # invertible through any cap exactly when its linear part is
+    assert rec.trail
     for s in rec.trail:
-        back = s.then(invert_substitution(s, CAP))
-        assert back.image_x == x and back.image_y == y
+        x, y = s.image_x, s.image_y
+        assert x.coeff("x") * y.coeff("y") != x.coeff("y") * y.coeff("x")
 
 
 # -- cleanup_x3y3 --------------------------------------------------------
@@ -310,6 +315,41 @@ def test_formula_k_not_2n():
     assert rep.dimension == rep.formula["predicted"] == 14
 
 
+def test_formula_is_an_oracle_for_completion():
+    # every pure-tail cell with n <= 10 (k odd below 2n, or k = 2n), at
+    # cap dim_formula(n, k), then the six cells with n <= 2 under a
+    # seeded invertible linear map, each at the smallest cap from the
+    # potential's degree up that certifies finiteness
+    def total(f, cap):
+        Q = hilbert(complete(list(relations_of(f)), cap=cap))
+        return Q.dimension if Q.finite else None
+
+    def cells(top):
+        for n in range(top + 1):
+            for k in range(1, 2 * n, 2) if n else ():
+                yield n, k, "y^%d + y^%d" % (4 + k, 4 + 2 * n)
+            yield n, 2 * n, "y^%d" % (4 + 2 * n)
+
+    assert len(list(cells(10))) == 66
+    for n, k, tail in cells(10):
+        predicted = dim_formula(n, k)
+        assert total(poly("cyc(x^2 y) + " + tail, predicted),
+                     predicted) == predicted, (n, k)
+    rng = random.Random(20261020)
+    for n, k, tail in cells(2):
+        while True:
+            a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+            if a * d - b * c:
+                break
+        for cap in range(4 + 2 * n, 15):
+            phi = Substitution.linear(a, b, c, d, QQ, cap)
+            dim = total(substitute(poly("cyc(x^2 y) + " + tail, cap), phi),
+                        cap)
+            if dim is not None:
+                break
+        assert dim == dim_formula(n, k), (n, k, (a, b, c, d), cap)
+
+
 # -- classify_potential --------------------------------------------------
 
 def test_classify_dim8():
@@ -318,9 +358,9 @@ def test_classify_dim8():
     assert rep.dimension == 8 and rep.representative == "dim8"
     assert rep.hilbert[:5] == (1, 2, 2, 2, 1)
     assert rep.canonical == f
-    composed = rep.composed_trail(CAP)
-    assert composed.image_x == FreePoly.var("x", QQ, CAP)
-    assert composed.image_y == FreePoly.var("y", QQ, CAP)
+    composed = compose_trail(rep.trail, CAP)
+    assert composed.image_x == poly("x")
+    assert composed.image_y == poly("y")
     assert rep.projected_stages == 0
 
 
@@ -411,7 +451,7 @@ def test_literal_transport_when_not_projected():
         f = poly(text)
         rep = classify_potential(f, CAP)
         assert rep.projected_stages == 0
-        carried = substitute(f, rep.composed_trail(CAP))
+        carried = substitute(f, compose_trail(rep.trail, CAP))
         carried = carried.scale(1 / rep.global_scale)
         bound = rep.truncated_above or CAP
         assert carried.with_cap(bound) == rep.canonical.with_cap(bound)
@@ -421,7 +461,7 @@ def test_projected_transport_on_classes():
     f = poly("cyc(x^2 y) + y^4 + y^5 + y^6")
     rep = classify_potential(f, CAP)
     assert rep.projected_stages == 1
-    carried = cyclic_symmetrize(substitute(f, rep.composed_trail(CAP)))
+    carried = cyclic_symmetrize(substitute(f, compose_trail(rep.trail, CAP)))
     carried = carried.scale(1 / rep.global_scale)
     assert carried.with_cap(6) == rep.canonical.with_cap(6)
 

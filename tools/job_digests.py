@@ -7,7 +7,9 @@ that mixes usage and configuration errors (exit 2) with valid runs, so
 that the parser main keeps between calls is pinned after each error,
 then a truss group: the order-16 ring tables read as a truss with alpha
 zero, and the truss a*b = 2a, alpha(a) = -2a on Z/6, whose chain
-Z/6 > {0, 2, 4} > 0 fails the product law at a*0.
+Z/6 > {0, 2, 4} > 0 fails the product law at a*0, then a derive group:
+both derivative conventions on 9B and on the non-cyclic potential
+x^2 y + 2 x y^2 + y^4, where they differ.
 The jobs run in-process through the benchmark's own pass loop, once
 each, in a temporary directory that also holds their input files. Two
 checkouts give byte-identical output on these runs when the output of
@@ -88,6 +90,12 @@ def main():
         for key, actions in (("ring16", ("check", "graded", "prelie")),
                              ("shift6", ("check", "graded")))
         for action in actions]))
+    runs.append(("derive", "-", [
+        workloads.Job("%s-%s" % (mode, key),
+                      ["derive", "--potential", text, "--mode", mode], None)
+        for key, text in (("9B", workloads.B9),
+                          ("noncyclic", "x^2 y + 2 x y^2 + y^4"))
+        for mode in ("simple", "ginzburg")]))
     for workload, seed, jobs in runs:
         outputs = run_pass(cli, jobs)[3]
         for job, (code, text, error) in zip(jobs, outputs):
