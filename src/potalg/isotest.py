@@ -6,11 +6,11 @@ degree-one generators, so the search over a prime field (the lift
 search) chooses generator images only. The table is the algebra: the
 defining relations are read off it (table_relations), and a candidate
 pair is a homomorphism exactly when they evaluate to zero through the
-structure constants; bijectivity then makes it an isomorphism. Verdicts
-over a prime field are explicit proxies for the rational question: only
-a rational invariant mismatch certifies non-isomorphism over the
-rationals, and every positive witness is re-verified (unital,
-bijective, multiplicative on all basis pairs).
+structure constants; bijectivity then makes it an isomorphism. Every
+verdict is over the algebras' own field, so over QQ none comes from a
+finite field: a rational invariant that differs, such as derivation_dim,
+certifies non-isomorphism, and agreeing profiles leave it open. Every
+positive witness is re-verified (unital, bijective, multiplicative).
 
 Every vector is a sparse row {basis index: nonzero coefficient}, the
 row format of linalg.
@@ -19,8 +19,10 @@ row format of linalg.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
+from math import lcm
 from operator import mul
 
 from .fields import GF, QQ, FieldError, ResourceCapError
@@ -31,8 +33,6 @@ from .rewrite import normal_form
 
 _LIFT_BUDGET = 1 << 18
 """Most invertible linear parts, and most search nodes, a lift search tries."""
-
-_PROXY_PRIMES = (3, 5, 7)
 
 _SCALAR = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
 """A table entry as to_str writes it: n or n/d with d nonzero."""
@@ -364,26 +364,63 @@ def _first_difference(field, pa, pb):
 def _basis_verdict(A: FiniteAlgebra, B: FiniteAlgebra):
     """The verdict the bases alone give, or None: not_isomorphic on the
     dimension or the Hilbert data, and the zero map between two zero
-    algebras, which have no unit word to search from."""
+    algebras, which have no unit word to search from. Otherwise the
+    algebras must have the two degree-one generators x and y that the
+    lift search and derivation_dim read (ValueError)."""
     verdict = _first_difference(A.field, _basis_entries(A), _basis_entries(B))
     if verdict is None and not A.dim:
         verdict = IsoVerdict("isomorphic", witness={"x": {}, "y": {}})
+    if verdict is None and A.hilbert()[1:2] != (2,):
+        raise ValueError("expected exactly two degree-one generators")
     return verdict
+
+
+def derivation_dim(F: FiniteAlgebra):
+    """The dimension of Der(F) over F's own field.
+
+    x and y generate F, so a derivation D is fixed by the 2n coordinates
+    of D(x) and D(y); it is well defined exactly when D(r) = 0 for each
+    relation r of table_relations. D(w) sums e_{w[:i]} D(w_i) e_{w[i+1:]}
+    over the positions i of w, and each factor is a basis word, so a
+    coefficient is two table lookups; degrees above top - len(w) + 1 in
+    D(w_i) vanish there. Constants times their common denominator are
+    multiplied as ints. Der(F) is the kernel of a linear system over
+    F's field, so its dimension is unchanged under field extension (de
+    Graaf, Lie Algebras: Theory and Algorithms, 2000).
+    """
+    n, f, idx, deg = F.dim, F.field, F.index, F.degrees
+    p = f.characteristic
+    D = lcm(*(c.denominator for row in F.table.values() for c in row.values()))
+    table = {pair: [(k, c.numerator * (D // c.denominator)) for k, c in
+                    row.items()] for pair, row in F.table.items()}
+    rows = {}                        # (relation, basis index) -> equation
+    for r, rel in enumerate(table_relations(F)):
+        for w, c in rel.items():
+            c = c.numerator * (D // c.denominator)
+            reach = bisect_right(deg, deg[-1] + 1 - len(w))
+            for i, a in enumerate(w):
+                u, v, base = idx[w[:i]], idx[w[i + 1:]], n * (a == "y")
+                for k in range(reach):
+                    for j, c1 in table.get((u, k), ()):
+                        for t, c2 in table.get((j, v), ()):
+                            row = rows.setdefault((r, t), {})
+                            row[base + k] = row.get(base + k, 0) + c * c1 * c2
+    eqs = [{k: e for k, v in row.items() if (e := v % p if p else v)}
+           for row in rows.values()]
+    return 2 * n - rank(eqs, f)
 
 
 def algebra_profile(F: FiniteAlgebra):
     """Field-independent fingerprint used before any isomorphism search.
 
-    Radical powers are spanned by basis words of degree >= k, so their
-    dimensions come straight from the Hilbert data. Annihilators and the
-    center are exact kernel dimensions against the table; the center
-    only needs commuting with the degree-one words, which generate.
+    Annihilators and the center are exact kernel dimensions against the
+    table; the center only needs commuting with the degree-one words,
+    which generate. With derivation_dim, each entry is a dimension of
+    the kernel of a linear system over F's field, unchanged under field
+    extension.
     """
     f = F.field
     n = F.dim
-    basis = _basis_entries(F)
-    h = basis["hilbert"]
-    rad_dims = [sum(h[k:]) for k in range(1, len(h))]
     minus_one = f.neg(f.one)
 
     def row(w, side, gs):
@@ -405,8 +442,8 @@ def algebra_profile(F: FiniteAlgebra):
     right = [row(w, 1, gens) for w in range(n)]
     both = [{**a, **b} for a, b in zip(left, right)]
     return {
-        **basis,
-        "radical_power_dims": rad_dims,
+        **_basis_entries(F),
+        "derivation_dim": derivation_dim(F),
         "left_annihilator_dim": n - rank(left, f),
         "right_annihilator_dim": n - rank(right, f),
         "two_sided_annihilator_dim": n - rank(both, f),
@@ -475,8 +512,6 @@ def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
         return verdict
     f = B.field
     deg1 = [i for i in range(B.dim) if B.degrees[i] == 1]
-    if len(deg1) != 2:
-        raise ValueError("expected exactly two degree-one generators")
     parts = (p * p - 1) * (p * p - p)
     if parts > _LIFT_BUDGET:
         raise ResourceCapError("%d invertible linear parts over %s exceed "
@@ -560,26 +595,25 @@ def distinguish_algebras(A: FiniteAlgebra, B: FiniteAlgebra,
                          strategy="auto") -> IsoVerdict:
     """The iso verdict for two algebras over one field, by strategy.
 
-    lift is lifted_iso_search alone; invariants compares the profiles,
+    Every strategy first answers from the bases (_basis_verdict). lift
+    is then lifted_iso_search alone; invariants compares the profiles,
     whose mismatch settles non-isomorphism over the algebras' own field.
-    auto tries the identity on equal tables, then the profiles, then a
-    lift search: over a finite field on the algebras themselves, for
-    rational tables over GF(3), GF(5), GF(7) in turn. Non-isomorphism
-    over a proxy prime is reported with the field disclosed; agreement
-    over every proxy leaves the rational question open (inconclusive).
-    Every strategy answers a zero algebra from the bases alone.
+    auto tries the identity on equal tables, then the profiles, then,
+    over a finite field only, a lift search. Over QQ no verdict comes
+    from a finite field: agreeing profiles leave the rational question
+    open (inconclusive), as they do for invariants.
     """
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy %r" % (strategy,))
     if A.field != B.field:
         raise ValueError("the algebras live over different fields; "
                          "pass --field to align them")
-    if not (A.dim and B.dim):
-        return _basis_verdict(A, B)
+    verdict = _basis_verdict(A, B)
+    if verdict:
+        return verdict
     if strategy == "lift":
         return lifted_iso_search(A, B)
-    if (strategy == "auto" and A.words == B.words and A.table == B.table
-            and "x" in A.index and "y" in A.index):
+    if strategy == "auto" and A.words == B.words and A.table == B.table:
         vx = A.basis_vec(A.index["x"])
         vy = A.basis_vec(A.index["y"])
         ok, _ = is_isomorphism(A, B, vx, vy)
@@ -589,26 +623,7 @@ def distinguish_algebras(A: FiniteAlgebra, B: FiniteAlgebra,
                                 algebra_profile(B))
     if verdict:
         return verdict
-    if strategy == "invariants":
-        return IsoVerdict("inconclusive",
-                          certificate={"profiles": "agree",
-                                       "field": A.field.name})
-    if A.field.characteristic != 0:
+    if strategy == "auto" and A.field.characteristic:
         return lifted_iso_search(A, B)
-    report = {}
-    for p in _PROXY_PRIMES:
-        try:
-            Ap = algebra_mod_p(A, p)
-            Bp = algebra_mod_p(B, p)
-        except FieldError as exc:
-            report["GF(%d)" % p] = "skipped: %s" % exc
-            continue
-        verdict = lifted_iso_search(Ap, Bp)
-        report["GF(%d)" % p] = verdict.status
-        if verdict.status == "not_isomorphic":
-            verdict.certificate["note"] = ("finite-field proxy; rational "
-                                           "profiles agree")
-            return verdict
-    return IsoVerdict("inconclusive",
-                      certificate={"rational_profiles": "agree",
-                                   "proxies": report})
+    return IsoVerdict("inconclusive", certificate={"profiles": "agree",
+                                                   "field": A.field.name})

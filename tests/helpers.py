@@ -71,6 +71,29 @@ def validate(F):
     return True
 
 
+def reference_derivation_dim(F):
+    """dim Der(F) from n^2 unknowns, the entries (i, j) of the matrix
+    with D(e_j) = sum_i D[i][j] e_i, and the Leibniz rule D(e_a e_b) =
+    D(e_a) e_b + e_a D(e_b) on every basis pair, coordinate by
+    coordinate, reduced in field arithmetic."""
+    f, n = F.field, F.dim
+    table = lambda a, b: F.table.get((a, b), {}).items()  # noqa: E731
+    ech = FieldEchelon(f)
+    for a, b in itertools.product(range(n), repeat=2):
+        terms = [(t, (t, m), c) for m, c in table(a, b) for t in range(n)]
+        terms += [(t, (i, a), f.neg(c)) for i in range(n)
+                  for t, c in table(i, b)]
+        terms += [(t, (i, b), f.neg(c)) for i in range(n)
+                  for t, c in table(a, i)]
+        eqs = {}                 # coordinate t -> {unknown: coefficient}
+        for t, unknown, c in terms:
+            row = eqs.setdefault(t, {})
+            row[unknown] = f.add(row.get(unknown, f.zero), c)
+        for row in eqs.values():
+            ech.add({k: v for k, v in row.items() if v})
+    return n * n - len(ech.pivots)
+
+
 def residuals(rels, B, vx, vy, degree):
     """The relations rels, rows {word: coefficient}, evaluated in full at
     the generator images vx, vy in B, every word at every length, in the

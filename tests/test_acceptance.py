@@ -135,15 +135,13 @@ def test_criterion_07_nine_dimensional_pair_split():
     profiles_differ = (algebra_profile(from_quotient(QA))
                        != algebra_profile(from_quotient(QB)))
     verdict = distinguish_algebras(from_quotient(QA), from_quotient(QB))
-    ok = verdict.status == "not_isomorphic" and (
-        profiles_differ
-        or verdict.certificate.get("method") == "lift-exhaustion")
-    which = ("rational profiles differ" if profiles_differ
-             else "lift exhaustion over %s, %d linear parts"
-             % (verdict.certificate.get("field"),
-                verdict.certificate.get("linear_parts", 0)))
+    cert = verdict.certificate or {}
+    ok = (verdict.status == "not_isomorphic" and profiles_differ
+          and cert.get("field") == "QQ")
     note(7, "the two nine-dimensional algebras are not isomorphic",
-         ok, "certificate: " + which)
+         ok, "certificate: %s differs over %s, %s against %s"
+         % (cert.get("invariant"), cert.get("field"), cert.get("a"),
+            cert.get("b")))
 
 
 def test_criterion_08_isomorphism_control():

@@ -380,8 +380,8 @@ def test_iso_auto_separates_the_nine_dimensional_pair(tmp_path):
     b = dim_file(tmp_path, DIM9B, "b.json")
     code, doc, _ = run_cli("iso", "--a", a, "--b", b)
     assert code == 0 and doc["status"] == "not_isomorphic"
-    assert doc["certificate"]["method"] == "lift-exhaustion"
-    assert doc["certificate"]["field"] == "GF(3)"
+    assert doc["certificate"] == {"invariant": "derivation_dim",
+                                  "field": "QQ", "a": 8, "b": 7}
 
 
 def test_iso_self_is_identity(tmp_path):
@@ -392,7 +392,7 @@ def test_iso_self_is_identity(tmp_path):
 
 @pytest.mark.parametrize("a,b,flags,digest", [
     (DIM9A, DIM9B, [],
-     "4857eb79402ef64253a071bc1960f944c6537658513ca970cb9520592c6b803d"),
+     "8e851694a30d0121f5654d4a925358e59096dc32f12273c6f6ddcf5496bfb4d7"),
     (DIM9A, DIM9B, ["--field", "7", "--strategy", "lift"],
      "9808ca3abd9039261ffa860cfc4b73a7219f3966e61c2ac6ef8f50b2079be975"),
     (DIM9A, DIM9B, ["--field", "13", "--strategy", "lift"],
@@ -429,21 +429,19 @@ def test_iso_lift_names_dimension_with_the_field(tmp_path):
                                   "field": "GF(7)", "a": 8, "b": 9}
 
 
-def test_iso_auto_reports_every_proxy_prime(tmp_path):
-    # x -> 3x carries dim 8 to this image; its tables have a denominator
-    # 3, so GF(3) is skipped and GF(5), GF(7) find a map: no verdict
+def test_iso_auto_leaves_agreeing_rational_profiles_open(tmp_path):
+    # x -> 3x carries dim 8 to this image, whose tables have a
+    # denominator 3; over QQ auto runs no finite-field search, and its
+    # answer is the one invariants gives
     a = dim_file(tmp_path, DIM8, "a.json")
     b = dim_file(tmp_path, "27 x^3 + y^3 + 9 cyc(x y x y)", "b.json")
-    code, doc, _ = run_cli("iso", "--a", a, "--b", b)
-    assert code == 0 and doc["status"] == "inconclusive"
-    assert doc["certificate"] == {
-        "rational_profiles": "agree",
-        "proxies": {"GF(3)": "skipped: denominator of -2/3 vanishes mod 3",
-                    "GF(5)": "isomorphic", "GF(7)": "isomorphic"}}
+    for strategy in ("auto", "invariants"):
+        code, doc, _ = run_cli("iso", "--a", a, "--b", b,
+                               "--strategy", strategy)
+        assert code == 0 and doc["status"] == "inconclusive"
+        assert doc["certificate"] == {"profiles": "agree", "field": "QQ"}
 
 
-@pytest.mark.xfail(strict=True, reason="not_isomorphic rests on the GF(3) "
-                   "lift proxy alone; rational verdicts are open work")
 def test_iso_auto_does_not_separate_9a_from_its_rescaled_image(tmp_path):
     # y -> 3y carries cyc(x^2 y) + y^4 to this image, so the two algebras
     # are isomorphic over QQ; over GF(3) the image degenerates
@@ -464,13 +462,17 @@ def test_iso_lift_mod_2_self(tmp_path):
 
 def test_iso_lift_over_budget_exits_3(tmp_path):
     # GF(101) has 103020000 invertible linear parts; the search used to
-    # try them all, for hours, under a budget that counted only nodes
+    # try them all, for hours, under a budget that counted only nodes.
+    # auto reaches the search only where the profiles agree, as for 9B
+    # and its image under x -> x + y; derivation_dim separates 9A and 9B
     a = dim_file(tmp_path, DIM9A, "a.json")
     b = dim_file(tmp_path, DIM9B, "b.json")
-    for strategy in ("lift", "auto"):
+    sheared = dim_file(tmp_path, "x x y + x y x + 2 x y y + y x x + "
+                       "2 y x y + 2 y y x + 3 y^3 + y^4 + y^5", "c.json")
+    for strategy, first, second in (("lift", a, b), ("auto", b, sheared)):
         start = time.perf_counter()
-        code, doc, _ = run_cli("iso", "--a", a, "--b", b, "--field", "101",
-                               "--strategy", strategy)
+        code, doc, _ = run_cli("iso", "--a", first, "--b", second,
+                               "--field", "101", "--strategy", strategy)
         assert time.perf_counter() - start < 1.0
         assert code == 3 and doc["error"] == "resource"
         assert "103020000" in doc["message"] and "262144" in doc["message"]
@@ -1127,7 +1129,7 @@ def test_reproduce_reports_pass(theorem):
     ("dim8",
      "a9f80cb9e4e853f270eb08aea8cb0ede02d56b1a1c15463e7aef111005c1458c"),
     ("dim9",
-     "2a7fac1d620bb52351c1c72ef4721d0a0380697bd3b5bed9dbfed8ff16b1dba5"),
+     "86085b4d322afe4bfd0cf9ae64f40bc305d5a9d747604fd6c105d965c13ba33b"),
     ("cor1-grid",
      "3c8cb38cb265125186a7c18b824d80b79438b5e1ba3034988bc83c7512d23c68"),
     ("x3-bound",

@@ -11,8 +11,9 @@ from potalg import isotest
 from potalg.fields import GF, QQ, FieldError, ResourceCapError
 from potalg.freepoly import FreePoly, Substitution, substitute
 from potalg.isotest import (FiniteAlgebra, algebra_from_json, algebra_mod_p,
-                            algebra_profile, distinguish_algebras,
-                            from_quotient, is_isomorphism, lifted_iso_search,
+                            algebra_profile, derivation_dim,
+                            distinguish_algebras, from_quotient,
+                            is_isomorphism, lifted_iso_search,
                             table_relations)
 from potalg.linalg import rank
 from potalg.parsing import parse_poly
@@ -22,7 +23,8 @@ from potalg.rewrite import complete, normal_form
 from potalg.words import MonomialOrder
 
 from helpers import (dense, dense_mul, linear_images, random_poly,
-                     reference_lift, residuals, stage_system, validate)
+                     reference_derivation_dim, reference_lift, residuals,
+                     stage_system, validate)
 
 XY = MonomialOrder()
 
@@ -392,7 +394,7 @@ def test_lift_matches_brute_force_reference():
 @functools.lru_cache(maxsize=None)
 def lift_algebras():
     """Rational tables of dim 8, 9A, 9B and 32, each also under a seeded
-    shear x -> +-x + b y, y -> +-y, and of 9B under y -> 3y."""
+    shear x -> +-x + b y, y -> +-y, and of 9A and 9B under y -> 3y."""
     rng = random.Random(1)
 
     def table(f, cap):
@@ -408,8 +410,10 @@ def lift_algebras():
             0, rng.choice((1, -1)), cap=cap)
         out[name] = table(f, cap)
         out[name + "-img"] = table(substitute(f, shear), cap)
-    out["9B-y3"] = table(substitute(parse_poly(GOLDENS[2][0], cap=8),
-                                    Substitution.linear(1, 0, 0, 3, cap=8)), 8)
+    for name, (text, _, _) in (("9A", GOLDENS[1]), ("9B", GOLDENS[2])):
+        out[name + "-y3"] = table(substitute(parse_poly(text, cap=8),
+                                             Substitution.linear(1, 0, 0, 3,
+                                                                 cap=8)), 8)
     return out
 
 
@@ -499,8 +503,37 @@ def test_profile_matches_quotient_fingerprint():
     prof = algebra_profile(from_quotient(Q))
     h = list(Q.hilbert[:Q.first_empty_degree + 1])
     assert prof["hilbert"] == h and prof["dimension"] == Q.dimension
-    assert prof["radical_power_dims"] == [sum(h[k:])
-                                          for k in range(1, len(h))]
+
+
+DERIVATION_DIMS = {"8": 6, "9A": 8, "9B": 7, "32": 28}
+
+
+@pytest.mark.parametrize("name", ["8", "8-img", "9A", "9A-img", "9A-y3",
+                                  "9B", "9B-img", "9B-y3"])
+def test_derivation_dim_matches_the_full_leibniz_system(name):
+    # the 2n unknowns D(x), D(y) against all n^2 matrix entries of D; an
+    # isomorphic image reads its source's value
+    F = lift_algebras()[name]
+    assert derivation_dim(F) == reference_derivation_dim(F)
+    assert derivation_dim(F) == DERIVATION_DIMS[name.split("-")[0]]
+
+
+def test_derivation_dim_pins_the_large_goldens():
+    algebras = lift_algebras()
+    assert derivation_dim(algebras["32"]) == 28
+    assert derivation_dim(algebras["32-img"]) == 28
+    text, cap, _ = GOLDENS[3]
+    dim33 = from_quotient(hilbert(complete(
+        list(relations_of(parse_poly(text, cap=cap))), XY, cap)))
+    assert dim33.dim == 33 and derivation_dim(dim33) == 32
+
+
+def test_derivation_dim_is_taken_over_the_algebras_own_field():
+    # mod 3, y -> 3y is singular: the reduced image is another algebra,
+    # whose derivations the full system counts as 11 against 9B's 8
+    for name, want in (("9B", 8), ("9B-y3", 11)):
+        F = algebra_mod_p(lift_algebras()[name], 3)
+        assert derivation_dim(F) == reference_derivation_dim(F) == want
 
 
 def test_brute_and_lifted_agree_on_self():
@@ -565,10 +598,8 @@ def test_distinguish_r1_r2():
     verdict = distinguish_algebras(from_quotient(quotient(R1)),
                                    from_quotient(quotient(R2)))
     assert verdict.status == "not_isomorphic"
-    cert = verdict.certificate
-    # either a rational invariant separates them or a proxy prime does;
-    # the certificate always names which
-    assert cert["field"] == "QQ" or cert["field"].startswith("GF(")
+    assert verdict.certificate == {"invariant": "derivation_dim",
+                                   "field": "QQ", "a": 8, "b": 7}
 
 
 def test_distinguish_self():
@@ -605,7 +636,7 @@ def test_profile_and_lift_answer_the_zero_algebra(field):
     Z = FiniteAlgebra(field, [], {})
     assert Z.hilbert() == ()
     assert algebra_profile(Z) == {
-        "hilbert": [0], "dimension": 0, "radical_power_dims": [],
+        "hilbert": [0], "dimension": 0, "derivation_dim": 0,
         "left_annihilator_dim": 0, "right_annihilator_dim": 0,
         "two_sided_annihilator_dim": 0, "center_dim": 0}
     if not field.characteristic:

@@ -110,7 +110,7 @@ def test_profile_r1_golden():
     assert prof == {
         "hilbert": [1, 2, 2, 2, 1, 1, 0],
         "dimension": 9,
-        "radical_power_dims": [8, 6, 4, 2, 1, 0],
+        "derivation_dim": 8,
         "left_annihilator_dim": 1,
         "right_annihilator_dim": 1,
         "two_sided_annihilator_dim": 1,
@@ -122,7 +122,7 @@ def test_profile_dim8_golden():
     rels = relations_of(parse_poly("x^3 + y^3 + cyc(x y x y)", cap=9))
     Q = hilbert(complete(list(rels), XY, 9))
     prof = algebra_profile(from_quotient(Q))
-    assert prof["radical_power_dims"] == [7, 5, 3, 1, 0]
+    assert prof["derivation_dim"] == 6
     assert prof["center_dim"] == 5
     assert prof["two_sided_annihilator_dim"] == 1
 
