@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain as ichain, permutations, product as iproduct
+from itertools import chain as ichain, permutations
 
 from .fields import ResourceCapError
 
@@ -759,95 +759,81 @@ def series_exact(B, N):
 def enumerate_braces(max_order):
     """Braces on small cyclic groups and the Klein group, by lambda maps.
 
-    On a cyclic carrier every brace has lambda_a acting as a unit, so
-    unit-valued maps m with m[0] = 1 and m[a∘b] = m[a]m[b] enumerate
-    them all; on the Klein group lambda ranges over the six linear
-    permutations. Yields verified braces in a deterministic order.
+    A brace is fixed by its map a -> lambda_a into Aut(B, +), with
+    a*b = lambda_a(b) - b. On Z/n the automorphisms are the unit
+    multiplications, and on the Klein group the six permutations fixing
+    0; _lambda_maps searches both lists alike. Yields verified braces in
+    a deterministic order: by order, then Z/n before the Klein group,
+    then lambda in lexicographic order of indices.
     """
     for n in range(1, max_order + 1):
-        units = [u for u in range(1, n) if math.gcd(u, n) == 1] or [0]
-        if n == 1:
-            yield FiniteBrace([[0]], [[0]])
-            continue
-        add = [[(a + b) % n for b in range(n)] for a in range(n)]
-        for m in _lambda_maps(n, units):
-            star = [[(m[a] * b - b) % n for b in range(n)]
-                    for a in range(n)]
-            B = FiniteBrace(add, star)
-            if not check_brace(B):
-                raise RuntimeError("lambda parametrization produced a "
-                                   "non-brace of order %d" % n)
-            yield B
+        groups = [([[(a + b) % n for b in range(n)] for a in range(n)],
+                   [[u * b % n for b in range(n)]
+                    for u in range(n) if math.gcd(u, n) == 1])]
         if n == 4:
-            yield from _klein_braces()
+            groups.append(([[a ^ b for b in range(4)] for a in range(4)],
+                           [[0, *p] for p in permutations((1, 2, 3))]))
+        for add, auts in groups:
+            neg = [row.index(0) for row in add]
+            for lam in _lambda_maps(add, auts):
+                star = [[add[auts[i][b]][neg[b]] for b in range(n)]
+                        for i in lam]
+                B = FiniteBrace(add, star)
+                if not check_brace(B):
+                    raise RuntimeError("lambda map produced a non-brace "
+                                       "of order %d" % n)
+                yield B
 
 
-def _lambda_maps(n, units):
-    """Unit maps m, m[0] = 1, with m[(a + m[a] b) % n] = m[a] m[b] % n.
+def _lambda_maps(add, auts):
+    """Maps a -> lambda_a as tuples of indices into auts, with lambda_0 =
+    auts[0], the identity, and lambda_{a + lambda_a(b)} = lambda_a lambda_b.
 
-    Depth-first over m[1], m[2], ... in lexicographic order. A branch
-    stops at the first broken constraint whose three indices are all
-    assigned; each constraint is tested once, when its largest index is.
+    Depth-first over lambda_1, lambda_2, ... in lexicographic order. A
+    branch stops at the first broken constraint whose three elements are
+    all assigned; each constraint is tested once, when its largest
+    element is. Compositions are read off a table of indices into auts.
     """
-    m = [1] * n
+    n = len(add)
+    comp = [[auts.index([f[v] for v in g]) for g in auts] for f in auts]
+    lam = [0] * n
 
     def holds_at(k):
         for a in range(k + 1):
+            f, row = auts[lam[a]], comp[lam[a]]
             for b in range(k + 1):
-                c = (a + m[a] * b) % n
-                if c <= k and k in (a, b, c) and m[c] != m[a] * m[b] % n:
+                c = add[a][f[b]]
+                if c <= k and k in (a, b, c) and lam[c] != row[lam[b]]:
                     return False
         return True
 
     def extend(k):
         if k == n:
-            yield tuple(m)
+            yield tuple(lam)
             return
-        for u in units:
-            m[k] = u
+        for i in range(len(auts)):
+            lam[k] = i
             if holds_at(k):
                 yield from extend(k + 1)
 
     return extend(1)
 
 
-def _klein_braces():
-    xor_add = [[a ^ b for b in range(4)] for a in range(4)]
-    perms = [(0,) + p for p in permutations((1, 2, 3))]
-    ident = (0, 1, 2, 3)
-    for lam in iproduct(perms, repeat=3):
-        lam = (ident,) + lam
-        if any(lam[a ^ lam[a][b]] != tuple(lam[a][lam[b][v]]
-                                           for v in range(4))
-               for a in range(4) for b in range(4)):
-            continue
-        star = [[lam[a][b] ^ b for b in range(4)] for a in range(4)]
-        B = FiniteBrace(xor_add, star)
-        if not check_brace(B):
-            raise RuntimeError("Klein lambda map produced a non-brace")
-        yield B
-
-
 def brace_from_nilpotent_ring(add, mul) -> FiniteBrace:
     """Adjoint brace of a nilpotent ring: star is the ring product.
 
     Nilpotency is what makes 1+a formally invertible, hence the circle
-    a group; the axioms are verified anyway rather than trusted. The
-    powers are greedy spans, so (B, +) must be a group first.
+    a group; the axioms are verified anyway rather than trusted. For a
+    ring the star series of gamma_filtration is the power series, so
+    nilpotency is read off it; its levels are greedy spans, so (B, +)
+    must be a group first.
     """
     B = FiniteBrace(add, mul)
     verdict = B._additive_group_verdict()
     if not verdict:
         raise ValueError("ring addition is not an abelian group: %s"
                          % verdict.reason)
-    level = frozenset(range(B.order))
-    while level != frozenset((0,)):
-        nxt = _closure(B.add, {B.times(a, b) for a in level
-                               for b in range(B.order)})[1]
-        if nxt == level:
-            raise ValueError("ring is not nilpotent; powers stall at %s"
-                             % sorted(level))
-        level = nxt
+    gamma_filtration(B)
     verdict = check_brace(B)
     if not verdict:
         raise ValueError("ring tables do not satisfy the brace axioms: "

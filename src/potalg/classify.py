@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .fields import QQ, FieldError
+from .fields import QQ, FieldError, ResourceCapError
 from .freepoly import (FreePoly, Substitution, abelianize_cubic,
                        invert_2x2, substitute)
 from .linalg import integral, primitive, solve
@@ -177,7 +177,7 @@ class CubicClass:
         return doc
 
 
-def cubic_class(body, cap=None) -> CubicClass:
+def cubic_class(body) -> CubicClass:
     """Classify the degree-3 part by the lines of its abelianization f.
 
     The hessian covariant H of f tells them apart: H vanishes exactly
@@ -191,8 +191,7 @@ def cubic_class(body, cap=None) -> CubicClass:
     """
     if body.field != QQ:
         raise FieldError("cubic classification is implemented over QQ")
-    if cap is None:
-        cap = body.cap
+    cap = body.cap
     f3 = body.homogeneous_part(3)
     if f3.is_zero():
         return CubicClass("Zero")
@@ -617,6 +616,12 @@ def _verdict(body, cap, report):
     return Q
 
 
+_MAX_CAP = 20
+"""Largest cap classify_potential accepts: each cleanup stage lists every
+word and every move of its window, so its cost grows about 4.5x per two
+cap steps."""
+
+
 def classify_potential(F, cap=12) -> ClassificationReport:
     """Full pipeline: cubic normal form, cleanup, completion, dimension.
 
@@ -630,6 +635,9 @@ def classify_potential(F, cap=12) -> ClassificationReport:
     completed rewrite system of the cleaned body, cross-checked against
     the closed formula for pure tails.
     """
+    if cap > _MAX_CAP:
+        raise ResourceCapError("classification cap %d exceeds %d" %
+                               (cap, _MAX_CAP))
     body = F.with_cap(cap)
     if body.field != QQ:
         raise FieldError("classification is implemented over QQ")
@@ -644,7 +652,7 @@ def classify_potential(F, cap=12) -> ClassificationReport:
         body = cyclic_symmetrize(body)
         symmetrized = True
 
-    cls = cubic_class(body, cap)
+    cls = cubic_class(body)
     report = ClassificationReport(body, cubic=cls,
                                   symmetrized_input=symmetrized)
 

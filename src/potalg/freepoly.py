@@ -140,11 +140,8 @@ class FreePoly:
             return NotImplemented
         return poly_mul(self, other)
 
-    def truncated(self, cap):
-        return FreePoly(self.field, self.terms, _min_cap(self.cap, cap))
-
     def with_cap(self, cap):
-        """Reinterpret under a new cap (may drop or re-admit nothing)."""
+        """Reinterpret under a new cap, dropping the words above it."""
         return FreePoly(self.field, self.terms, cap)
 
     def monic(self, order=_DEFAULT_ORDER):
@@ -183,10 +180,10 @@ def sum_terms(field, pairs, cap=None) -> FreePoly:
     return FreePoly(field, terms, cap)
 
 
-def poly_mul(f: FreePoly, g: FreePoly, cap=None) -> FreePoly:
-    """Product truncated at min(f.cap, g.cap, cap)."""
+def poly_mul(f: FreePoly, g: FreePoly) -> FreePoly:
+    """Product truncated at min(f.cap, g.cap)."""
     f._require_same_field(g)
-    cap = _min_cap(_min_cap(f.cap, g.cap), cap)
+    cap = _min_cap(f.cap, g.cap)
     field = f.field
     mul, add = field.mul, field.add
     terms = {}
@@ -220,8 +217,8 @@ class Substitution:
             raise ValueError("substitution images must have zero constant term")
         self.field = image_x.field
         self.cap = _min_cap(_min_cap(image_x.cap, image_y.cap), cap)
-        self.image_x = image_x.truncated(self.cap)
-        self.image_y = image_y.truncated(self.cap)
+        self.image_x = image_x.with_cap(self.cap)
+        self.image_y = image_y.with_cap(self.cap)
         # a letter's terms by length, so a product can stop at the cap
         self._images = {EMPTY: ({EMPTY: 1}, 1)}
         for ch, image in (("x", self.image_x), ("y", self.image_y)):

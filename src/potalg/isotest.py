@@ -198,11 +198,11 @@ def algebra_mod_p(F: FiniteAlgebra, p: int) -> FiniteAlgebra:
     structure constant has a denominator divisible by p; the relations
     read off the reduced table are the rational ones reduced mod p.
     """
+    gf = GF(p)
     if F.field.characteristic == p:
         return F
     if F.field.characteristic != 0:
         raise FieldError("cannot move between prime fields")
-    gf = GF(p)
     table = {}
     for pair, row in F.table.items():
         row = {k: r for k, c in row.items() if (r := gf.coerce(c))}

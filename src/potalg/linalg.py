@@ -110,11 +110,13 @@ class Echelon:
 
     def add_integral(self, row):
         """add for a row of integer numerators over any common
-        denominator (over GF(p): residues), reduced in place."""
+        denominator (over GF(p): residues), reduced in place. Returns
+        the new pivot column, or None when the row reduces to zero."""
         row = self._clear(row, 1, self.pivots)[0]
         if row:
             c = min(row)
             self.pivots[c] = primitive(row, c, self.p)
+            return c
 
     def reduced_rows(self):
         """The reduced echelon form as {pivot: row}, one at each pivot.
@@ -168,14 +170,9 @@ def solve(columns, rows, rhs, field):
         eq = eqs[r]
         if rhs.get(r):
             eq[n] = rhs[r]
-        eq = ech._clear(*integral(eq, ech.p), ech.pivots)[0]
-        if not eq:
-            continue
-        c = min(eq)
-        if c == n:
+        if ech.add_integral(integral(eq, ech.p)[0]) == n:
+            del ech.pivots[n]
             stalled.append(r)
-        else:
-            ech.pivots[c] = primitive(eq, c, ech.p)
     reduced = ech.reduced_rows()
     sol = [field.zero] * n
     for p, row in reduced.items():

@@ -328,7 +328,7 @@ def complete(relations, order=_DEFAULT_ORDER, cap=12) -> RewriteSystem:
     for r in relations:
         if r.is_zero():
             raise ValueError("zero relation given to complete()")
-        r = r.truncated(cap)
+        r = r.with_cap(cap)
         if r.is_zero():
             raise ValueError("cap %d drops a relation entirely" % cap)
         if not r.leading_coeff(order):
@@ -449,7 +449,7 @@ def oracle_dimension(relations, cap, order=_DEFAULT_ORDER):
     if cap > _ORACLE_MAX_CAP:
         raise ResourceCapError("oracle cap %d exceeds %d" %
                                (cap, _ORACLE_MAX_CAP))
-    rels = [r.truncated(cap) for r in relations if not r.is_zero()]
+    rels = [r.with_cap(cap) for r in relations if not r.is_zero()]
     rels = [r for r in rels if not r.is_zero()]
     ech = Echelon(rels[0].field if rels else QQ)
     # column i is the i-th word in the local order, so pivots are ints

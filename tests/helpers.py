@@ -307,7 +307,7 @@ def reference_complete(relations, order, cap):
     reference complete() is compared against. Every unresolved
     ambiguity adds its monic normal form and interreduces; the basis
     returned is the same unique reduced basis."""
-    rels = [r.truncated(cap).monic(order) for r in relations]
+    rels = [r.with_cap(cap).monic(order) for r in relations]
     if not rels:
         return RewriteSystem([], order, cap, field=QQ)
     basis = _reference_interreduce(rels, order, cap)
@@ -392,7 +392,7 @@ class FieldEchelon:
 def reference_oracle_dimension(relations, cap, order):
     """oracle_dimension on FieldEchelon, with the words themselves as
     columns ordered by order.leading_key."""
-    rels = [r.truncated(cap) for r in relations if not r.is_zero()]
+    rels = [r.with_cap(cap) for r in relations if not r.is_zero()]
     rels = [r for r in rels if not r.is_zero()]
     ech = FieldEchelon(rels[0].field if rels else QQ, order.leading_key)
     for r in rels:

@@ -202,7 +202,7 @@ def test_criterion_09_euler_and_commutator_syzygies():
         if f.is_zero():
             continue
         dx, dy = derive_simple(f, "x"), derive_simple(f, "y")
-        euler = f - poly_mul(x, dx, None) - poly_mul(y, dy, None)
+        euler = f - poly_mul(x, dx) - poly_mul(y, dy)
         commutator = (x * dx - dx * x) + (y * dy - dy * y)
         euler_ok += euler.is_zero()
         commutator_ok += commutator.is_zero() == is_cyclically_invariant(f)

@@ -1,5 +1,6 @@
 """Braces, trusses, filtrations, graded products, and the series check."""
 
+import hashlib
 import math
 import random
 import re
@@ -8,7 +9,7 @@ from itertools import permutations, product as iproduct
 import pytest
 
 from potalg.brace import (FiniteBrace, FiniteTruss, Filtration,
-                          _closure, _graded, _klein_braces,
+                          _closure, _graded,
                           associated_graded,
                           brace_from_nilpotent_ring, check_axioms,
                           check_brace, check_filtration, check_truss,
@@ -241,7 +242,9 @@ def test_unit_ring_is_rejected():
     n = 4
     add = [[(a + b) % n for b in range(n)] for a in range(n)]
     mul = [[(a * b) % n for b in range(n)] for a in range(n)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^star series stalls at "
+                                         r"\[0, 1, 2, 3\]; no nilpotent "
+                                         "filtration$"):
         brace_from_nilpotent_ring(add, mul)
 
 
@@ -864,7 +867,24 @@ def test_pruned_lambda_search_matches_unpruned_enumeration():
                     yield [[(m[a] * b - b) % n for b in range(n)]
                            for a in range(n)]
             if n == 4:
-                yield from (B.star for B in _klein_braces())
+                # lambda_a over all 6^3 triples of permutations fixing 0
+                perms = [(0,) + p for p in permutations((1, 2, 3))]
+                for tail in iproduct(perms, repeat=3):
+                    lam = ((0, 1, 2, 3),) + tail
+                    if all(lam[a ^ lam[a][b]] ==
+                           tuple(lam[a][v] for v in lam[b])
+                           for a in range(4) for b in range(4)):
+                        yield [[lam[a][b] ^ b for b in range(4)]
+                               for a in range(4)]
 
     assert [B.star for B in enumerate_braces(10)] == \
         list(unpruned_stars(10))
+
+
+def test_enumerated_stars_are_pinned():
+    # the star tables of every enumerated brace through order 12, in
+    # order; the unpruned enumeration above is too slow past order 10
+    stars = [B.star for B in enumerate_braces(12)]
+    assert len(stars) == 31
+    assert hashlib.sha256(repr(stars).encode()).hexdigest() == \
+        "79dc0b9f21af32d703b63e73d51b01c799c7d02d5bd3de698bf2cf130cef4e3b"

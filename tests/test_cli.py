@@ -373,6 +373,18 @@ def test_canon_rejects_quadratic_input():
     assert code == 2 and doc["error"] == "config"
 
 
+def test_canon_over_the_cap_limit_exits_3():
+    # every cleanup stage lists all words and moves of its window: at
+    # cap 100 those lists grew for over a minute
+    start = time.perf_counter()
+    code, doc, text = run_cli("canon", "--potential", "x^3 + y^3",
+                              "--cap", "100")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and doc["error"] == "resource"
+    assert doc["message"] == "classification cap 100 exceeds 20"
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 # -- iso ----------------------------------------------------------------
 
 def test_iso_auto_separates_the_nine_dimensional_pair(tmp_path):
@@ -525,6 +537,17 @@ def test_iso_on_two_fields_is_refused_alike(tmp_path, strategy):
         assert code == 2 and doc["error"] == "config"
         assert doc["message"] == ("the algebras live over different "
                                   "fields; pass --field to align them")
+
+
+def test_iso_field_must_be_a_prime(tmp_path):
+    # --field 0 is the characteristic of QQ, yet no prime field: it used
+    # to leave rational algebras as they were and answer over QQ
+    a = dim_file(tmp_path, DIM9A, "a.json")
+    b = dim_file(tmp_path, DIM9B, "b.json")
+    for field in ("0", "1", "9"):
+        code, doc, _ = run_cli("iso", "--a", a, "--b", b, "--field", field)
+        assert code == 2 and doc["error"] == "config"
+        assert doc["message"] == "modulus %s is not prime" % field
 
 
 def test_iso_lift_needs_a_finite_field(tmp_path):

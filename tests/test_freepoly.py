@@ -109,7 +109,7 @@ def test_substitution_is_a_ring_map():
         g = random_poly(rng, cap=5)
         assert substitute(f + g, s) == substitute(f, s) + substitute(g, s)
         assert substitute(f * g, s) == \
-            (substitute(f, s) * substitute(g, s)).truncated(5)
+            (substitute(f, s) * substitute(g, s)).with_cap(5)
 
 
 def test_then_applies_left_argument_first():
