@@ -6,12 +6,12 @@ column. A stored pivot row holds no column before its pivot, so a row is
 reduced by clearing pivot columns in ascending order, each exactly once.
 
 The elimination runs on integers. Over QQ a row being reduced is kept
-as integer numerators over one common denominator D, and a stored pivot
-row is primitive: its content is divided out and its pivot entry is
-positive. Clearing a column whose entry is a, against a pivot row whose
-pivot entry is P, multiplies the row and D by P / gcd(a, P) and
-subtracts a / gcd(a, P) times the pivot row, so no step divides. Over
-GF(p) rows are residues, pivot rows are one at the pivot and D stays 1.
+as integer numerators, up to a nonzero factor that no caller needs,
+and a stored pivot row is primitive: its content is divided out and its
+pivot entry is positive. Clearing a column whose entry is a, against a
+pivot row whose pivot entry is P, multiplies the row by P / gcd(a, P)
+and subtracts a / gcd(a, P) times the pivot row, so no step divides.
+Over GF(p) rows are residues and pivot rows are one at the pivot.
 Field elements are formed only where rows leave the kernel, in
 reduced_rows, which scales rows to one at the pivot.
 The two integer steps are module functions, shared with rewrite, whose
@@ -65,9 +65,9 @@ class Echelon:
         self.p = field.characteristic
         self.pivots = {}
 
-    def _clear(self, row, D, pivots):
-        """Clear the columns of pivots in the integer row over D, in
-        place; returns the row and its new denominator."""
+    def _clear(self, row, pivots):
+        """Clear the columns of pivots in the integer row, in place, up
+        to a nonzero factor; returns the row."""
         p = self.p
         heap = [c for c in row if c in pivots]
         heapify(heap)
@@ -83,7 +83,6 @@ class Echelon:
                 m = lead // g
                 a //= g
                 if m != 1:
-                    D *= m
                     for col in row:
                         row[col] *= m
             for col, v in piv.items():
@@ -102,7 +101,7 @@ class Echelon:
                         row[col] = s
                     else:
                         del row[col]
-        return row, D
+        return row
 
     def add(self, row):
         """Reduce row and store what is left, if anything."""
@@ -112,7 +111,7 @@ class Echelon:
         """add for a row of integer numerators over any common
         denominator (over GF(p): residues), reduced in place. Returns
         the new pivot column, or None when the row reduces to zero."""
-        row = self._clear(row, 1, self.pivots)[0]
+        row = self._clear(row, self.pivots)
         if row:
             c = min(row)
             self.pivots[c] = primitive(row, c, self.p)
@@ -130,7 +129,7 @@ class Echelon:
         for c in sorted(self.pivots, reverse=True):
             row = self.pivots[c]
             if any(k in done for k in row):
-                row = primitive(self._clear(dict(row), 1, done)[0], c, self.p)
+                row = primitive(self._clear(dict(row), done), c, self.p)
             done[c] = row
         if self.p:
             return {c: dict(row) for c, row in done.items()}

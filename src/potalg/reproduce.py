@@ -25,6 +25,7 @@ from .quotient import hilbert
 from .rewrite import complete
 
 DEFAULT_SEED = 20240815
+X3_TRIALS = 20
 
 DIM8_TEXT = "x^3 + y^3 + cyc(x y x y)"
 DIM9A_TEXT = "cyc(x^2 y) + y^4"
@@ -111,7 +112,8 @@ def _grid_cells():
 
 
 def cor1_grid():
-    """Even tails match 3(2n+3); the mixed grid is measured, not asserted."""
+    """Even tails match 3(2n+3), and every cell of the mixed grid matches
+    dim_formula."""
     checks = []
     for n in range(4):
         d = 4 + 2 * n
@@ -135,22 +137,21 @@ def cor1_grid():
         grid.append({"n": n, "k": k, "tail": tail,
                      "predicted": predicted, "measured": measured,
                      "matches": measured == predicted})
-    # the mixed-valuation column is documentary: record mismatches, do
-    # not fail on them
+    # every cell must match; discrepancies lists the cells that do not
     checks.append(_check(
         "full (n, k) grid measured for k <= 6",
-        len(grid) == 10 and all(g["measured"] is not None for g in grid),
+        len(grid) == 10 and all(g["matches"] for g in grid),
         entries=grid,
         discrepancies=[g for g in grid if not g["matches"]]))
     return _report("cor1-grid", checks)
 
 
-def x3_bound(seed=DEFAULT_SEED, trials=20):
+def x3_bound(seed=DEFAULT_SEED):
     """Random tails over the x^3 class never drop below dimension 10."""
     rng = random.Random(seed)
     cap = 8
     checks = []
-    for trial in range(trials):
+    for trial in range(X3_TRIALS):
         tail = FreePoly.zero(QQ, cap)
         for _ in range(4):
             w = "".join(rng.choice("xy") for _ in range(rng.randint(4, 6)))
@@ -166,7 +167,7 @@ def x3_bound(seed=DEFAULT_SEED, trials=20):
             rep.cubic.label == "X3" and dominates
             and total is not None and total >= 10,
             hilbert_prefix=list(h[:4]), total=total))
-    return _report("x3-bound", checks, seed=seed, trials=trials)
+    return _report("x3-bound", checks, seed=seed, trials=X3_TRIALS)
 
 
 def _cyclic(n, star_fn):

@@ -88,7 +88,7 @@ def test_criterion_03_even_tail_grid():
 
 
 def test_criterion_04_cubic_lower_bound():
-    doc = reproduce.x3_bound(trials=20)
+    doc = reproduce.x3_bound()
     note(4, "20 random x^3-class tails dominate (1,2,3,4), total >= 10",
          doc["pass"] and len(doc["checks"]) == 20)
 

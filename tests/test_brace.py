@@ -9,7 +9,8 @@ from itertools import permutations, product as iproduct
 import pytest
 
 from potalg.brace import (FiniteBrace, FiniteTruss, Filtration,
-                          _closure, _graded,
+                          _closure, _filtration_laws, _graded,
+                          _lambda_maps,
                           associated_graded,
                           brace_from_nilpotent_ring, check_axioms,
                           check_brace, check_filtration, check_truss,
@@ -112,13 +113,14 @@ def test_filtration_must_cover_carrier_and_reach_zero():
 
 def test_alpha_must_sink_to_the_third_level():
     # alpha escapes B_3 = {0} here, and the truss axiom refuses it at
-    # b = c = 0 (alpha(a) = -a*0 = 0); no filtration law reads alpha, so
-    # the chain passes
+    # b = c = 0 (alpha(a) = -a*0 = 0); no filtration law reads alpha, and
+    # a structure that fails its axioms gets the refusal as its verdict
     add, star = cyclic_tables(9, lambda a, b: 0)
     T = FiniteTruss(add, star, [0, 3, 6, 0, 3, 6, 0, 3, 6])
     assert as_tuple(check_truss(T)) == (False, "truss axiom fails",
                                         (1, 0, 0))
-    assert check_filtration(T, chain_z9())
+    assert as_tuple(check_filtration(T, chain_z9())) == \
+        (False, "not a truss: truss axiom fails", None)
 
 
 def test_degree_convention():
@@ -167,10 +169,10 @@ def test_axioms_follow_the_kind_of_structure():
         associated_graded(T)
 
 
-# Each table below has a valid filtration and fails its brace axioms, so
-# associated_graded refuses it first; _graded, which builds the structure
-# without checking the axioms, reaches each of its own checks. On a
-# verified brace or truss none of them can fail.
+# Each table below fails its brace axioms and meets the filtration laws,
+# so check_filtration and associated_graded refuse it; _graded, which
+# builds the structure without checking the axioms, reaches each of its
+# own checks. On a verified brace or truss none of them can fail.
 GRADED_REFUSALS = [
     (4, lambda a, b: 2 * b * (a == 3), [{0, 2}],
      "brace compatibility fails",
@@ -188,7 +190,9 @@ def test_graded_refuses_a_table_that_is_not_a_brace(n, star_fn, levels,
                                                     axiom, product):
     B = FiniteBrace(*cyclic_tables(n, star_fn))
     filt = Filtration([set(range(n))] + levels + [{0}])
-    assert check_filtration(B, filt)
+    assert as_tuple(check_filtration(B, filt)) == \
+        (False, "not a brace: " + axiom, None)
+    assert _filtration_laws(B, filt)
     with pytest.raises(ValueError, match="^not a brace: %s$" % axiom):
         associated_graded(B, filt)
     with pytest.raises(ValueError, match="^%s$" % re.escape(product)):
@@ -203,7 +207,9 @@ def test_pre_lie_defect_names_a_witness():
     k = (2, 0)
     B = FiniteBrace(*cyclic_tables(16, lambda a, b: k[a % 2] * a * b))
     filt = Filtration([set(range(0, 16, 2 ** e)) for e in range(4)] + [{0}])
-    assert check_filtration(B, filt)
+    assert as_tuple(check_filtration(B, filt)) == \
+        (False, "not a brace: brace compatibility fails", None)
+    assert _filtration_laws(B, filt)
     with pytest.raises(ValueError, match="^not a brace: brace compatibility "
                                          "fails$"):
         associated_graded(B, filt)
@@ -402,7 +408,9 @@ def test_malformed_tables_are_rejected():
 # The ref_* functions are the plain triple loops that check_brace,
 # check_truss and check_filtration ran before their laws were certified on
 # additive generators. They are the reference: verdict, reason and witness
-# must agree on every input, valid or corrupted.
+# must agree on every input, valid or corrupted. ref_congruence holds the
+# congruence laws that check_filtration no longer checks, since they
+# follow from its two laws on a structure that passes its axioms.
 
 def ref_group(B):
     n = B.order
@@ -499,17 +507,6 @@ def ref_filtration(B, filt):
                 if B.plus(a, b) not in level:
                     return (False, "level %d not additively closed" % i,
                             (a, b))
-    for i, level in enumerate(chain, start=1):
-        for a in range(B.order):
-            for b in range(B.order):
-                ab = B.times(a, b)
-                for u in level:
-                    if B.minus(B.times(a, B.plus(b, u)), ab) not in level:
-                        return (False, "level %d is not a right congruence "
-                                "ideal" % i, (a, b, u))
-                    if B.minus(B.times(B.plus(a, u), b), ab) not in level:
-                        return (False, "level %d is not a left congruence "
-                                "ideal" % i, (a, b, u))
     for i in range(1, m + 1):
         for j in range(1, m + 1):
             target = chain[min(i + j, m) - 1]
@@ -519,6 +516,20 @@ def ref_filtration(B, filt):
                         return (False, "B_%d * B_%d escapes B_%d" %
                                 (i, j, min(i + j, m)), (a, b))
     return (True, "filtration", None)
+
+
+def ref_congruence(B, filt):
+    """The first level L, with a triple (a, b, u), where a*(b+u) - a*b or
+    (a+u)*b - a*b leaves L for u in L, or None."""
+    for i, level in enumerate(filt.chain, start=1):
+        for a in range(B.order):
+            for b in range(B.order):
+                ab = B.times(a, b)
+                for u in level:
+                    if B.minus(B.times(a, B.plus(b, u)), ab) not in level or \
+                            B.minus(B.times(B.plus(a, u), b), ab) not in level:
+                        return i, (a, b, u)
+    return None
 
 
 def ref_left_distributive(B):
@@ -711,19 +722,26 @@ def test_certificates_match_exhaustive_loops():
                 chains.append(gamma_filtration(S))
             except ValueError:
                 pass
-            pairs = [(as_tuple(check(S)), ref(S))]
-            pairs += [(as_tuple(check_filtration(S, f)), ref_filtration(S, f))
-                      for f in chains]
+            axioms = ref(S)
+            laws = [ref_filtration(S, f) for f in chains]
+            pairs = [(as_tuple(check(S)), axioms)]
+            # a structure that fails its axioms gets the refusal
+            pairs += [(as_tuple(check_filtration(S, f)), want if axioms[0]
+                       else (False, "not a %s: %s" % (S.kind, axioms[1]),
+                             None))
+                      for f, want in zip(chains, laws)]
             mismatches += [(n, got, want) for got, want in pairs
                            if got != want]
             reasons.update(want[1] for _, want in pairs)
             if any("escapes B_" in want[1] for _, want in pairs):
-                # the product certificate runs when star is left
-                # distributive, and the scan otherwise
+                # failures on affine trusses too: the certificate on
+                # generators is complete there only because one that
+                # passes forces alpha = 0
                 products.add(ref_left_distributive(S))
             if ref_left_distributive(S):
-                # the premise of _graded's certificate on generators
-                for f, (_, want) in zip(chains, pairs[1:]):
+                # the premise of _graded's certificate on generators,
+                # met here by some structures that fail their axioms
+                for f, want in zip(chains, laws):
                     if want[0]:
                         defined = ref_graded_defined(S, f)
                         if graded_defined(S, f) != defined:
@@ -742,9 +760,9 @@ def test_certificates_match_exhaustive_loops():
             "star is not left distributive", "brace compatibility fails",
             "circle is not associative", "truss axiom fails",
             "circle has no identity", "circle inverse missing",
-            "addition is not commutative",
-            "level 2 is not a right congruence ideal",
-            "level 2 is not a left congruence ideal"} <= reasons, reasons
+            "addition is not commutative"} <= reasons, reasons
+    assert {reason.split(":")[0] for reason in reasons
+            if reason.startswith("not a ")} == {"not a brace", "not a truss"}
     shapes = {re.sub(r"\d+", "i", reason) for reason in reasons}
     assert {"level i not closed under negation",
             "level i not additively closed",
@@ -759,10 +777,11 @@ def test_passing_checks_give_the_graded_premise():
     # the product law at B_m = {0} asks a*0 = 0, and the truss axiom at
     # b = c = 0 then gives alpha(a) = -a*0 = 0: whatever passes its axioms
     # and a filtration has a left distributive star, as _graded asks.
-    # A truss that does is a brace on the same tables (brace module
-    # docstring)
+    # A truss that does is a brace on the same tables, and every level of
+    # its chain is an ideal: the congruence laws hold wherever
+    # check_filtration passes (brace module docstring)
     rng = random.Random(20261020)
-    kinds, affine = set(), 0
+    kinds, affine, congruence_fails = set(), 0, 0
     for add, star in differential_cases(rng):
         n = len(add)
         try:
@@ -784,18 +803,17 @@ def test_passing_checks_give_the_graded_premise():
                 chains.append(gamma_filtration(S))
             except ValueError:
                 pass
-            if any(check_filtration(S, f) for f in chains):
+            passed = [bool(check_filtration(S, f)) for f in chains]
+            for f, ok in zip(chains, passed):
+                if ref_congruence(S, f) is not None:
+                    assert not ok, (S.kind, f.chain)
+                    congruence_fails += 1
+            if any(passed):
                 assert not any(row[0] for row in S.star)
                 assert S._left_distributive()
                 assert check_brace(FiniteBrace(S.add, S.star))
                 kinds.add(S.kind)
-    assert kinds == {"brace", "truss"} and affine
-    add, star = cyclic_tables(6, lambda a, b: 2 * a)
-    T = FiniteTruss(add, star, [(-2 * a) % 6 for a in range(6)])
-    assert check_truss(T)
-    filt = Filtration([set(range(6)), {0, 2, 4}, {0}])
-    assert as_tuple(check_filtration(T, filt)) == \
-        (False, "B_1 * B_2 escapes B_3", (1, 0))
+    assert kinds == {"brace", "truss"} and affine and congruence_fails
 
 
 def test_truss_circle_certificate_needs_c_zero():
@@ -808,13 +826,15 @@ def test_truss_circle_certificate_needs_c_zero():
 
 
 def test_truss_products_are_scanned():
-    # c -> a*c = c + 1 on Z/2 is affine, not additive: a*1 = 0 lies in
-    # B_2 = {0} but a*0 = -alpha(a) = 1 does not, so only the scan sees it
-    add, _ = cyclic_tables(2, lambda a, b: 0)
-    T = FiniteTruss(add, [[1, 0], [1, 0]], [1, 1])
-    filt = Filtration([{0, 1}, {0}])
+    # c -> a*c = 2a on Z/6 is affine, not additive, and the truss passes
+    # its axioms with alpha(a) = -2a: a*0 = 2 escapes B_3 = {0}, and the
+    # product scan names the first such pair
+    add, star = cyclic_tables(6, lambda a, b: 2 * a)
+    T = FiniteTruss(add, star, [(-2 * a) % 6 for a in range(6)])
+    assert check_truss(T)
+    filt = Filtration([set(range(6)), {0, 2, 4}, {0}])
     assert as_tuple(check_filtration(T, filt)) == ref_filtration(T, filt) == \
-        (False, "B_1 * B_1 escapes B_2", (0, 0))
+        (False, "B_1 * B_2 escapes B_3", (1, 0))
 
 
 def test_series_exact_needs_c_zero():
@@ -879,6 +899,29 @@ def test_pruned_lambda_search_matches_unpruned_enumeration():
 
     assert [B.star for B in enumerate_braces(10)] == \
         list(unpruned_stars(10))
+
+
+def test_lambda_maps_compose_in_order():
+    # on Z/2 x Z/4, element 4i + j, Aut has 8 elements and is not abelian,
+    # so lambda_{a + lambda_a(b)} = lambda_a lambda_b and the reversed
+    # composition give different searches; through order 12 every lambda
+    # image is abelian and cannot tell them apart
+    add = [[4 * ((a // 4 + b // 4) % 2) + (a + b) % 4 for b in range(8)]
+           for a in range(8)]
+    auts = [f for f in ([0, *p] for p in permutations(range(1, 8)))
+            if all(f[add[a][b]] == add[f[a]][f[b]]
+                   for a in range(8) for b in range(8))]
+    assert len(auts) == 8 and auts[0] == list(range(8))
+    neg = [row.index(0) for row in add]
+    non_abelian, maps = 0, list(_lambda_maps(add, auts))
+    for lam in maps:
+        B = FiniteBrace(add, [[add[auts[i][b]][neg[b]] for b in range(8)]
+                              for i in lam])
+        assert check_brace(B)
+        image = [auts[i] for i in set(lam)]
+        non_abelian += any([f[v] for v in g] != [g[v] for v in f]
+                           for f in image for g in image)
+    assert (len(maps), non_abelian) == (28, 4)
 
 
 def test_enumerated_stars_are_pinned():

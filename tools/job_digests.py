@@ -6,8 +6,10 @@ seeds 1 and 9, then the five reproduce reports, then a cli-errors group
 that mixes usage and configuration errors (exit 2) with valid runs, so
 that the parser main keeps between calls is pinned after each error,
 then a truss group: the order-16 ring tables read as a truss with alpha
-zero, and the truss a*b = 2a, alpha(a) = -2a on Z/6, whose chain
-Z/6 > {0, 2, 4} > 0 fails the product law at a*0, then a derive group:
+zero, the truss a*b = 2a, alpha(a) = -2a on Z/6, whose chain
+Z/6 > {0, 2, 4} > 0 fails the product law at a*0, and the zero star on
+Z/9 with alpha (0, 3, 6, 0, 3, 6, 0, 3, 6), which fails the truss axiom,
+so that its chain Z/9 > 3Z/9 > 0 gets the refusal, then a derive group:
 both derivative conventions on 9B and on the non-cyclic potential
 x^2 y + 2 x y^2 + y^4, where they differ.
 The jobs run in-process through the benchmark's own pass loop, once
@@ -79,7 +81,13 @@ def main():
                                for a in range(6)],
                        "star": [[2 * a % 6] * 6 for a in range(6)],
                        "alpha": [-2 * a % 6 for a in range(6)],
-                       "filtration": [[0, 2, 4]]}}
+                       "filtration": [[0, 2, 4]]},
+            "alpha9": {"order": 9,
+                       "add": [[(a + b) % 9 for b in range(9)]
+                               for a in range(9)],
+                       "star": [[0] * 9 for _ in range(9)],
+                       "alpha": [0, 3, 6] * 3,
+                       "filtration": [[0, 3, 6]]}}
     for key, doc in docs.items():
         with open(os.path.join("truss", key + ".json"), "w") as fh:
             json.dump(doc, fh, sort_keys=True)
@@ -88,7 +96,8 @@ def main():
                       ["brace", action, "--input",
                        os.path.join("truss", key + ".json")], None)
         for key, actions in (("ring16", ("check", "graded", "prelie")),
-                             ("shift6", ("check", "graded")))
+                             ("shift6", ("check", "graded")),
+                             ("alpha9", ("check",)))
         for action in actions]))
     runs.append(("derive", "-", [
         workloads.Job("%s-%s" % (mode, key),
