@@ -506,9 +506,14 @@ def check_filtration(B, filt: Filtration) -> Verdict:
     that passes it has alpha = 0. Where a certificate fails, the plain
     scan names the witness.
     """
-    ok = check_axioms(B)
-    if not ok:
-        return Verdict(False, "not a %s: %s" % (B.kind, ok.reason))
+    return _filtration_verdict(B, filt, check_axioms(B))
+
+
+def _filtration_verdict(B, filt, axioms):
+    """check_filtration given axioms = check_axioms(B): the refusal
+    "not a <kind>: <reason>" where it failed, else the laws."""
+    if not axioms:
+        return Verdict(False, "not a %s: %s" % (B.kind, axioms.reason))
     return _filtration_laws(B, filt)
 
 
@@ -601,9 +606,9 @@ def associated_graded(B, filt: Filtration = None) -> GradedStructure:
     otherwise ValueError names the failed law. _graded then checks that
     the product is well defined and right additive on classes.
     """
-    ok = check_axioms(B)
-    if not ok:
-        raise ValueError("not a %s: %s" % (B.kind, ok.reason))
+    axioms = check_axioms(B)
+    if not axioms:
+        raise ValueError(_filtration_verdict(B, filt, axioms).reason)
     if filt is None:
         filt = gamma_filtration(B)
     ok = _filtration_laws(B, filt)

@@ -11,16 +11,16 @@ order, a stage splits each body word of a length its moves read at
 every letter once, and reads each move's column from the splits that
 land in its degree window.
 
-Every cleanup stage first tries the system on full word coordinates; a
-solution there keeps the trail a literal change of variables, so composing
-it carries the input body to the canonical body exactly through the cap.
-When that system is infeasible the stage re-solves on cyclic-class
-coordinates and replaces the body by its cyclic symmetrization, which is
-the classical computation on potentials taken up to rotation. Every
-stage appends its substitution and its mode to one Cleanup record, which
-the classification report extends; dimension claims are always
-re-derived from the completed rewrite system of the cleaned body, never
-from the trail.
+Every cleanup stage runs one solve, apply and re-check path on word
+coordinates, and again on rotation-class coordinates only when the word
+system stalls. A word solution keeps the trail a literal change of
+variables, so composing it carries the input body to the canonical body
+exactly through the cap. A class solution replaces the moved body by its
+cyclic symmetrization, which is the classical computation on potentials
+taken up to rotation. Every stage appends its substitution and its mode
+to one Cleanup record, which the classification report extends;
+dimension claims are always re-derived from the completed rewrite system
+of the cleaned body, never from the trail.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .potential import (cyclic_symmetrize, cyclicize,
                         is_cyclically_invariant, relations_of)
 from .quotient import hilbert
 from .rewrite import complete
-from .words import MonomialOrder, all_words
+from .words import MonomialOrder, all_words, rotations
 
 _XY = MonomialOrder()
 _ZERO = Fraction(0)
@@ -270,29 +270,15 @@ def _effect_columns(body, moves, window, label):
     return columns
 
 
-def _gaps(body, targets, label, free):
-    """Nonzero target-minus-coefficient sums per row, over the window
-    words label maps to a row outside free. Only the body's support and
-    the targets can make a sum nonzero, so only they are walked."""
+def _gaps(body, label, held):
+    """Nonzero negated coefficient sums per row outside held, over the
+    window words label maps to a row; only the body's support is walked."""
     gaps = {}
     for w, c in body.terms.items():
         row = label.get(w)
-        if row is not None and row not in free:
+        if row is not None and row not in held:
             gaps[row] = gaps.get(row, _ZERO) - c
-    for w, t in targets.items():
-        row = label.get(w)
-        if t and row is not None and row not in free:
-            gaps[row] = gaps.get(row, _ZERO) + t
     return {row: g for row, g in gaps.items() if g}
-
-
-def _move_list(move_degrees):
-    moves = []
-    for r in move_degrees:
-        for letter in "xy":
-            for u in all_words(r):
-                moves.append((letter, u))
-    return moves
 
 
 def _apply_moves(body, moves, coeffs, cap):
@@ -311,72 +297,65 @@ def _apply_moves(body, moves, coeffs, cap):
     return substitute(body, s), s, used
 
 
-def _window_stage(body, cap, window, move_degrees, targets, trail, stage_log):
-    """Solve move coefficients so the window degrees match the target.
+def _classes(words):
+    """Each word's rotation class, a sorted word tuple its class shares."""
+    label = {}
+    for w in words:
+        if w not in label:
+            cls = tuple(sorted(set(rotations(w))))
+            label.update(dict.fromkeys(cls, cls))
+    return label
 
-    targets maps words to wanted coefficients; words of a window degree
-    absent from targets must end at zero, and a None value marks a free
-    residual coordinate that is read back instead of constrained. The
-    substitutions act to first order only inside the window (their
+
+def _window_stage(body, cap, window, move_degrees, free, trail, stage_log):
+    """Solve move coefficients that empty the window but for free words.
+
+    Every window word outside the list free must end at zero; the free
+    words are residual coordinates, read back instead of constrained.
+    The substitutions act to first order only inside the window (their
     quadratic terms land above it), so one exact linear solve settles the
     stage; the outcome is re-checked on the actually substituted body.
-    Falls back to cyclic-class coordinates with re-symmetrization when
-    word coordinates are infeasible.
+    The solve runs on word coordinates first and, only when that stalls,
+    on rotation-class coordinates, where the moved body is replaced by
+    its cyclic symmetrization and the classes that still stall are
+    logged. The body is not symmetrized before that solve: class gaps
+    and columns read only its class sums, which symmetrization keeps, and
+    a substitution sends the rotations of a word to rotations of its
+    image, of the same lengths, so it commutes with taking class sums
+    under the cap.
     """
-    free_words = {w for w, v in targets.items() if v is None}
     words = [w for d in window for w in all_words(d)]
-    rows = [w for w in words if w not in free_words]
-    word_of = {w: w for w in words}
-    rhs = _gaps(body, targets, word_of, free_words)
-    if not rhs:
-        stage_log.append({"window": list(window), "skipped": True})
-        return body, {w: body.coeff(w) for w in free_words}
-
-    moves = _move_list(move_degrees)
-    columns = _effect_columns(body, moves, window, word_of)
-    sol, stalled, _ = solve(columns, rows, rhs, QQ)
-    if not stalled:
+    moves = [(letter, u) for r in move_degrees for letter in "xy"
+             for u in all_words(r)]
+    for projected in (False, True):
+        label = _classes(words) if projected else {w: w for w in words}
+        held = {label[w] for w in free if w in label}
+        rows = [r for r in dict.fromkeys(label.values()) if r not in held]
+        rhs = _gaps(body, label, held)
+        if not (rhs or projected):
+            stage_log.append({"window": list(window), "skipped": True})
+            break
+        columns = _effect_columns(body, moves, window, label)
+        sol, stalled, _ = solve(columns, rows, rhs, QQ)
+        if stalled and not projected:
+            continue
         body, s, used = _apply_moves(body, moves, sol, cap)
-        left = _gaps(body, targets, word_of, free_words)
+        if projected:
+            body = cyclic_symmetrize(body)
+        off = _gaps(body, label, held)
+        left = set(off).difference(stalled)
         if left:
             raise AssertionError("stage left %s off target" % sorted(left))
         if s is not None:
             trail.append(s)
-        stage_log.append({"window": list(window), "projected": False,
-                          "moves": used})
-        return body, {w: body.coeff(w) for w in free_words}
-
-    # word coordinates are infeasible: re-solve on rotation classes, each
-    # a sorted word tuple, listed in the order their first word is seen
-    class_of, crows = {}, []
-    for w in words:
-        if w not in class_of:
-            cls = tuple(sorted({w[i:] + w[:i] for i in range(len(w))}))
-            class_of.update(dict.fromkeys(cls, cls))
-            if not free_words.intersection(cls):
-                crows.append(cls)
-    free_classes = {class_of[w] for w in free_words if w in class_of}
-    body = cyclic_symmetrize(body)
-    ccols = _effect_columns(body, moves, window, class_of)
-    crhs = _gaps(body, targets, class_of, free_classes)
-    csol, stalled, _ = solve(ccols, crows, crhs, QQ)
-    stalled = set(stalled)
-    body, s, used = _apply_moves(body, moves, csol, cap)
-    body = cyclic_symmetrize(body)
-    off = _gaps(body, targets, class_of, free_classes)
-    leftover = {}
-    for cls in crows:
-        if cls in stalled:
-            leftover[cls[0]] = str(-off.get(cls, _ZERO))
-        elif cls in off:
-            raise AssertionError("stage left class %s off target" % (cls,))
-    if s is not None:
-        trail.append(s)
-    entry = {"window": list(window), "projected": True, "moves": used}
-    if leftover:
-        entry["stalled"] = leftover
-    stage_log.append(entry)
-    return body, {w: body.coeff(w) for w in free_words}
+        entry = {"window": list(window), "projected": projected,
+                 "moves": used}
+        if stalled:
+            entry["stalled"] = {r[0]: str(-off.get(r, _ZERO))
+                                for r in stalled}
+        stage_log.append(entry)
+        break
+    return body, {w: body.coeff(w) for w in free}
 
 
 @dataclass
@@ -403,12 +382,13 @@ class Cleanup:
         """Representatives of the rotation classes the stages left."""
         return [w for e in self.stage_log for w in e.get("stalled", {})]
 
-    def window_stage(self, window, move_degrees, targets):
-        """_window_stage on the body; returns the free coordinates."""
-        self.canonical, free = _window_stage(
+    def window_stage(self, window, move_degrees, free=()):
+        """_window_stage on the body, keeping the free words; returns
+        their coefficients."""
+        self.canonical, coeffs = _window_stage(
             self.canonical, self.canonical.cap, window, move_degrees,
-            targets, self.trail, self.stage_log)
-        return free
+            free, self.trail, self.stage_log)
+        return coeffs
 
     def rescale(self, t, powers):
         """x -> t^a x, y -> t^b y on the body, then division by t^e, for
@@ -424,8 +404,7 @@ class Cleanup:
     def require(self, expect, message):
         """Raise unless the body differs from expect on stalled classes
         only."""
-        covered = {w[i:] + w[:i] for w in self.stalled_classes
-                   for i in range(len(w))}
+        covered = {r for w in self.stalled_classes for r in rotations(w)}
         if any(w not in covered for w in (self.canonical - expect).terms):
             raise AssertionError(message)
 
@@ -450,7 +429,7 @@ def cleanup_x2y(rec: Cleanup):
     cap = rec.canonical.cap
     _require_cubic(rec.canonical, "X2Y")
     for d in range(4, cap + 1):
-        rec.window_stage((d,), (d - 2,), {"y" * d: None})
+        rec.window_stage((d,), (d - 2,), ["y" * d])
     tail = [rec.canonical.coeff("y" * d) for d in range(4, cap + 1)]
     expect = _CANONICAL_CUBICS["X2Y"](cap)
     for j, c in enumerate(tail):
@@ -478,7 +457,7 @@ def cleanup_x3y3(rec: Cleanup):
     """
     cap = rec.canonical.cap
     _require_cubic(rec.canonical, "X3Y3")
-    res = rec.window_stage((4,), (2,), {"xyxy": None, "yxyx": None})
+    res = rec.window_stage((4,), (2,), ["xyxy", "yxyx"])
     beta = res["xyxy"]
     if res["yxyx"] != beta:
         raise AssertionError("the xyxy rotation class lost its symmetry")
@@ -487,9 +466,9 @@ def cleanup_x3y3(rec: Cleanup):
         beta = _ONE
     for d in range(5, cap + 1):
         if d % 2:
-            rec.window_stage((d,), (d - 2,), {})
+            rec.window_stage((d,), (d - 2,))
         else:
-            rec.window_stage((d - 1, d), (d - 3, d - 2), {})
+            rec.window_stage((d - 1, d), (d - 3, d - 2))
     expect = _CANONICAL_CUBICS["X3Y3"](cap)
     if beta:
         expect = (expect + FreePoly.term("xyxy", beta, QQ, cap) +
@@ -519,7 +498,7 @@ def _normalize_dim9_tail(rec: Cleanup):
         raise ValueError("tail normalization needs a nonzero y^4 term")
     if t4 != 1:
         rec.rescale(t4, (2, 1, 5))
-    rec.window_stage((5, 6), (3,), {"yyyyy": None})
+    rec.window_stage((5, 6), (3,), ["yyyyy"])
     if rec.stage_log[-1].get("stalled"):
         raise CleanupError("the y^6 kill window stalled on %s"
                            % sorted(rec.stage_log[-1]["stalled"]))

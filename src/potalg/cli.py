@@ -197,12 +197,13 @@ def _cmd_brace(args):
         filt = braces.filtration_from_json(doc, structure)
 
     if args.action == "check":
+        axioms = braces.check_axioms(structure)
         out = {"command": "brace", "action": "check",
                "structure": structure.kind, "order": structure.order,
-               "axioms": braces.check_axioms(structure).to_json()}
+               "axioms": axioms.to_json()}
         if filt is not None:
-            out["filtration"] = braces.check_filtration(
-                structure, filt).to_json()
+            out["filtration"] = braces._filtration_verdict(
+                structure, filt, axioms).to_json()
         return out
 
     if args.action == "series":

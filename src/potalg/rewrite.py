@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .fields import QQ, FieldError, ResourceCapError
+from .fields import QQ, ResourceCapError
 from .freepoly import FreePoly
 from .linalg import Echelon, integral, primitive
 from .words import MonomialOrder, all_words
@@ -306,10 +306,8 @@ def complete(relations, order=_DEFAULT_ORDER, cap=12) -> RewriteSystem:
     """Truncated completion of the two-sided ideal the relations generate.
 
     Requires cap >= the largest relation degree (its minimal degree in
-    local mode). In finite characteristic an element whose every leading
-    candidate has zero coefficient cannot be made monic and is reported.
-    The basis is kept as primitive integer rules, which the returned
-    system holds beside their monic FreePolys.
+    local mode). The basis is kept as primitive integer rules, which the
+    returned system holds beside their monic FreePolys.
 
     The relations and every new element go in through _insert, which
     keeps the leads minimal and leaves tails alone. Ambiguities are
@@ -331,9 +329,6 @@ def complete(relations, order=_DEFAULT_ORDER, cap=12) -> RewriteSystem:
         r = r.with_cap(cap)
         if r.is_zero():
             raise ValueError("cap %d drops a relation entirely" % cap)
-        if not r.leading_coeff(order):
-            raise FieldError("relation with vanishing leading coefficient "
-                             "cannot be made monic")
         rels.append(_rule(r, order))
         field = r.field
     if not rels:

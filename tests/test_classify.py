@@ -12,7 +12,8 @@ from potalg.classify import (Cleanup, CleanupError, classify_potential,
 from potalg.fields import GF, FieldError, QQ
 from potalg.freepoly import FreePoly, Substitution, substitute
 from potalg.parsing import parse_poly, render
-from potalg.potential import cyclic_symmetrize, relations_of
+from potalg.potential import (cyclic_symmetrize, is_cyclically_invariant,
+                              relations_of)
 from potalg.quotient import hilbert
 from potalg.rewrite import complete, oracle_dimension
 
@@ -488,6 +489,49 @@ def test_window_stages_are_seen_by_the_tracer_hook(monkeypatch, text,
     rep = classify_potential(poly(text, 9), 9)
     assert counts == {"stages": stages, "projected": projected}
     assert rep.projected_stages == projected
+
+
+def test_projected_stage_symmetrizes_once(monkeypatch):
+    # word moves cannot reach x^2 y^2 alone, so the stage solves on
+    # classes, and only the moved body is symmetrized
+    calls = []
+    monkeypatch.setattr(classify, "cyclic_symmetrize",
+                        lambda f: calls.append(f) or cyclic_symmetrize(f))
+    log = []
+    classify._window_stage(poly("x^3 + y^3 + cyc(x y x y) + x^2 y^2"), CAP,
+                           (4,), (2,), ["xyxy", "yxyx"], [], log)
+    assert log[-1]["projected"] and len(calls) == 1
+
+
+def test_class_stages_read_only_class_sums():
+    # a stage that solves on classes gives a body and its cyclic
+    # symmetrization the same body, free coordinates, trail and log entry
+    rng = random.Random(20261020)
+    stages = [("cyc(x^2 y)", (d,), (d - 2,), ["y" * d]) for d in (4, 5, 6)]
+    stages += [("x^3 + y^3", (4,), (2,), ["xyxy", "yxyx"]),
+               ("x^3 + y^3", (5,), (3,), []),
+               ("x^3 + y^3", (5, 6), (3, 4), []),
+               ("cyc(x^2 y)", (5, 6), (3,), ["yyyyy"])]
+    projected = literal = 0
+    for trial in range(120):
+        cubic, window, moves, free = rng.choice(stages)
+        body = poly(cubic)
+        for _ in range(rng.randint(2, 5)):
+            w = "".join(rng.choice("xy") for _ in range(rng.randint(4, 7)))
+            c = Fraction(rng.choice((1, 2, 3, -1)), rng.choice((1, 2, 7)))
+            body = body + FreePoly.term(w, c, QQ, CAP)
+        runs = []
+        for B in (body, cyclic_symmetrize(body)):
+            trail, log = [], []
+            out = classify._window_stage(B, CAP, window, moves, free, trail,
+                                         log)
+            runs.append((out, trail, log))
+        if not all(log[-1].get("projected") for _, _, log in runs):
+            continue
+        projected += 1
+        literal += not is_cyclically_invariant(body)
+        assert runs[0] == runs[1], (render(body), window)
+    assert projected >= 40 and literal >= 40, (projected, literal)
 
 
 def test_report_serializes():

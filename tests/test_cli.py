@@ -806,6 +806,28 @@ def test_brace_check_graded_prelie(tmp_path):
     assert code == 0 and doc["left_symmetric"] and doc["witness"] is None
 
 
+def test_brace_check_runs_the_axioms_once(tmp_path, monkeypatch):
+    # the axioms field and the filtration verdict share one axiom check,
+    # on a brace and on a table that fails left distributivity
+    calls = []
+    check_axioms = cli.braces.check_axioms
+    monkeypatch.setattr(cli.braces, "check_axioms",
+                        lambda S: calls.append(S) or check_axioms(S))
+    code, doc, _ = run_cli("brace", "check", "--input",
+                           z9_brace_file(tmp_path))
+    assert code == 0 and doc["filtration"]["ok"] and len(calls) == 1
+    k = [[2, 4], [0, 10]]
+    bad = cyclic_doc(16, lambda a, b: k[a % 2][b % 2] * a * b)
+    bad["filtration"] = [list(range(0, 16, 2)), [0, 8]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    code, doc, _ = run_cli("brace", "check", "--input", str(path))
+    assert code == 0 and len(calls) == 2
+    assert doc["axioms"]["reason"] == "star is not left distributive"
+    assert doc["filtration"] == {
+        "ok": False, "reason": "not a brace: star is not left distributive"}
+
+
 def test_brace_graded_falls_back_to_star_powers(tmp_path):
     path = z9_brace_file(tmp_path, with_chain=False)
     code, doc, _ = run_cli("brace", "graded", "--input", path)

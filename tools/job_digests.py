@@ -11,7 +11,9 @@ Z/6 > {0, 2, 4} > 0 fails the product law at a*0, and the zero star on
 Z/9 with alpha (0, 3, 6, 0, 3, 6, 0, 3, 6), which fails the truss axiom,
 so that its chain Z/9 > 3Z/9 > 0 gets the refusal, then a derive group:
 both derivative conventions on 9B and on the non-cyclic potential
-x^2 y + 2 x y^2 + y^4, where they differ.
+x^2 y + 2 x y^2 + y^4, where they differ, then a canon-literal group:
+four canon runs, each with a cleanup stage that solves on rotation
+classes a body that is not cyclically invariant.
 The jobs run in-process through the benchmark's own pass loop, once
 each, in a temporary directory that also holds their input files. Two
 checkouts give byte-identical output on these runs when the output of
@@ -105,6 +107,14 @@ def main():
         for key, text in (("9B", workloads.B9),
                           ("noncyclic", "x^2 y + 2 x y^2 + y^4"))
         for mode in ("simple", "ginzburg")]))
+    runs.append(("canon-literal", "-", [
+        workloads.Job("%s-cap%s" % (key, cap),
+                      ["canon", "--potential", text, "--cap", cap], None)
+        for key, text, cap in (
+            ("x3y3-xxyy", "x^3 + y^3 + cyc(x y x y) + x^2 y^2", "8"),
+            ("x3y3-xyxyy", "x^3 + y^3 + 2 cyc(x y x y) + x y x y^2", "8"),
+            ("x2y-xyyxy", "cyc(x^2 y) + y^4 + y^5 + x y^2 x y", "8"),
+            ("x2y-xyxyy", "cyc(x^2 y) + y^4 + x y x y^2 + y^6", "9"))]))
     for workload, seed, jobs in runs:
         outputs = run_pass(cli, jobs)[3]
         for job, (code, text, error) in zip(jobs, outputs):
