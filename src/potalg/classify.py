@@ -448,9 +448,11 @@ def cleanup_x3y3(rec: Cleanup):
 
     Stage one empties degree 4 except the rotation class of xyxy, whose
     coefficient beta is forced: no substitution move reaches that class
-    at this degree. A nonzero beta is then rescaled to 1. Higher degrees
-    are emptied afterwards, odd ones in single stages and even ones
-    jointly with the odd degree below, which the even-degree kills
+    at this degree. The moves keep c(xyxy) - c(yxyx); if it is not zero,
+    the body is cyclically symmetrized, a projected step (the algebra
+    reads class sums only). A nonzero beta is then rescaled to 1. Higher
+    degrees are emptied afterwards, odd ones in single stages and even
+    ones jointly with the odd degree below, which the even-degree kills
     disturb. When beta is zero the alternating classes at even degrees
     sit outside every move image and stay behind, recorded per stage as
     stalled. Every stage appends to the record; returns beta.
@@ -458,9 +460,10 @@ def cleanup_x3y3(rec: Cleanup):
     cap = rec.canonical.cap
     _require_cubic(rec.canonical, "X3Y3")
     res = rec.window_stage((4,), (2,), ["xyxy", "yxyx"])
-    beta = res["xyxy"]
-    if res["yxyx"] != beta:
-        raise AssertionError("the xyxy rotation class lost its symmetry")
+    if res["yxyx"] != res["xyxy"]:
+        rec.canonical = cyclic_symmetrize(rec.canonical)
+        rec.stage_log.append({"symmetrized": True, "projected": True})
+    beta = rec.canonical.coeff("xyxy")
     if beta and beta != 1:
         rec.rescale(1 / beta, (1, 1, 3))
         beta = _ONE

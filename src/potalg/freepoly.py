@@ -209,7 +209,7 @@ class Substitution:
     the image of its longest cached prefix.
     """
 
-    __slots__ = ("field", "image_x", "image_y", "cap", "_images")
+    __slots__ = ("field", "image_x", "image_y", "cap", "_images", "_fixed")
 
     def __init__(self, image_x: FreePoly, image_y: FreePoly, cap=None):
         image_x._require_same_field(image_y)
@@ -225,6 +225,11 @@ class Substitution:
             num, D = integral(image.terms, self.field.characteristic)
             self._images[ch] = dict(sorted(num.items(),
                                            key=lambda t: len(t[0]))), D
+        # with diagonal linear parts and every other term of degree >= e,
+        # a word longer than cap + 1 - e maps to a multiple of itself
+        e = min((len(v) for ch in "xy" for v in self._images[ch][0]
+                 if v != ch), default=math.inf)
+        self._fixed = math.inf if self.cap is None else self.cap + 1 - e
 
     @classmethod
     def linear(cls, a, b, c, d, field=QQ, cap=None):
@@ -235,9 +240,16 @@ class Substitution:
 
     def _image(self, w):
         """The image of w as (numerators, D); every prefix built on the
-        way is cached."""
+        way is cached, unless w maps to a multiple of itself."""
         images, p = self._images, self.field.characteristic
         top = math.inf if self.cap is None else self.cap
+        if self._fixed < len(w) <= top:
+            (x, dx), (y, dy) = images["x"], images["y"]
+            i, j = w.count("x"), w.count("y")
+            c = x.get("x", 0) ** i * y.get("y", 0) ** j
+            if p:
+                c %= p
+            return {w: c} if c else {}, dx ** i * dy ** j
         k = len(w)
         while w[:k] not in images:
             k -= 1

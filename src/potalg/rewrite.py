@@ -4,14 +4,19 @@ The engine reduces with primitive integer rules (lead, scale, tail),
 each the polynomial scale * lead + tail: integer coefficients with the
 content divided out and scale > 0 (over GF(p): residues and scale 1),
 leading words selected by a MonomialOrder, tail terms in leading_key
-order. The rule format is private to this module; its two integer
-steps, integral and primitive, are linalg's. A RewriteSystem holds its
-rules beside the monic FreePolys it shows: complete hands over the rules
-it completed, and a system built from FreePolys reads each once.
-Reduction keeps the pending terms as integer numerators over one common
-denominator, on a heap keyed by the order's int leading_key, so a
-rewriting step multiplies and subtracts integers and never normalises a
-fraction.
+order. A word is an int in here, its code: the order's sort_key, binary
+digits behind a leading 1, so pre + t + post takes a few shifts, and
+heap keys are codes (less 3 << length in global mode: the leading_key).
+Strings are only in a RewriteSystem's elements, leads and to_json, in
+normal_form's FreePoly and in the public ambiguity search over the
+leads. The rule format is private to this module; its two integer steps,
+integral and primitive, are linalg's. A RewriteSystem holds its rules
+beside the monic FreePolys it shows: complete hands over the rules it
+completed, and a system built from FreePolys reads each once. Reduction
+keeps the pending terms as integer numerators over one common
+denominator, so a rewriting step multiplies and subtracts integers and
+never normalises a fraction. Its caches last for one basis of one
+completion, or for one normal_form call.
 
 All computations happen below a degree cap, that is in the free algebra
 modulo the words longer than the cap. Resolving every overlap and
@@ -45,10 +50,10 @@ it always runs under a cap as well.
 
 from __future__ import annotations
 
-import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .fields import QQ, ResourceCapError
@@ -104,17 +109,18 @@ class RewriteSystem:
     def _of_rules(cls, rules, field, order, cap):
         """The system of primitive rules, with their monic FreePolys."""
         system = cls((), order, cap, field)
-        p = field.characteristic
+        p, word = field.characteristic, order.word
         system.elements = tuple(
-            FreePoly(field, dict([(lead, field.one)] + [
-                (t, c if p else Fraction(c, scale)) for t, _, c in tail]), cap)
+            FreePoly(field, dict([(word(lead), field.one)] + [
+                (word(t | 1 << lt), c if p else Fraction(c, scale))
+                for t, lt, c in tail]), cap)
             for lead, scale, tail in rules)
         system.rules = tuple(rules)
         return system
 
     @property
     def leads(self):
-        return [lead for lead, _, _ in self.rules]
+        return [self.order.word(lead) for lead, _, _ in self.rules]
 
     @property
     def complete_through(self):
@@ -133,27 +139,26 @@ class RewriteSystem:
 
 
 def _lead_finder(leads):
-    """Function mapping a word to (position, element index) of its leftmost
-    lead occurrence, or None. At one position the lowest basis index wins:
-    the alternatives of a regular expression are tried in the order they
-    are listed, and the leads are listed in basis order."""
-    index = {}
-    for gi, lw in enumerate(leads):
-        index.setdefault(lw, gi)
-    search = re.compile("|".join(leads)).search
+    """Function mapping a word code to (position, element index) of its
+    leftmost lead occurrence, or None: one regular expression, a group per
+    lead (codes too), over the digits behind the leading 1. Alternatives
+    are tried in the order listed, so the lowest index wins at a position."""
+    search = re.compile("|".join("(%s)" % bin(lead)[3:]
+                                 for lead in leads)).search
 
-    def find(word):
-        m = search(word) if word and leads else None
-        return None if m is None else (m.start(), index[m.group()])
+    def find(code):
+        m = search(bin(code)[3:]) if leads else None
+        return None if m is None else (m.start(), m.lastindex - 1)
     return find
 
 
 def _primitive_rule(terms, p):
     """The rule (lead, scale, tail) of the polynomial whose integer terms
-    (over GF(p): residues) are listed in leading_key order; tail holds
-    (word, length, coefficient) triples."""
+    (over GF(p): residues) are keyed by code in leading_key order; tail
+    holds (code without its leading 1, length, coefficient) triples."""
     (lead, scale), *rest = primitive(terms, next(iter(terms)), p).items()
-    return lead, scale, tuple((w, len(w), c) for w, c in rest)
+    return lead, scale, tuple((w ^ 1 << w.bit_length() - 1,
+                               w.bit_length() - 1, c) for w, c in rest)
 
 
 def _rule(g, order):
@@ -161,58 +166,73 @@ def _rule(g, order):
     tail in leading_key order: shortest words first in local mode, and
     none longer than the lead in global mode."""
     p = g.field.characteristic
-    terms = dict(sorted(g.terms.items(),
-                        key=lambda t: order.leading_key(t[0])))
+    terms = {order.sort_key(w): c for w, c in
+             sorted(g.terms.items(), key=lambda t: order.leading_key(t[0]))}
     return _primitive_rule(integral(terms, p)[0], p)
 
 
-def _reduce(cur, D, rules, order, cap, p):
-    """Reduction of the terms cur by the rules, on integers over
-    the common denominator D; cur is consumed. Returns the normal terms
-    in leading_key order, over the final D, and that D. A finished term keeps
-    the D it was popped at and is brought to the final one at the end."""
+def _kernel(rules, order, cap, p):
+    """reduce(cur, D): the reduction by the rules of one basis, with its
+    caches (the lead finder; each word's leftmost hit, packed as position
+    << width | rule index, -1 if normal). It consumes the integer terms
+    cur (code -> numerator) over the common denominator D (over GF(p):
+    residues, D = 1) and returns the normal terms in leading_key order over
+    the final D, and that D. Rewriting c w by a rule of scale L multiplies
+    the pending terms and D by L / gcd(c, L) and subtracts c / gcd(c, L)
+    times pre tail post, so no step divides."""
     find = _lead_finder([lead for lead, _, _ in rules])
-    # the finder passes over the empty word, which a unit lead reduces
-    unit = next(((0, gi) for gi, r in enumerate(rules) if not r[0]), None)
-    key = order.leading_key
-    heap = [(key(w), w) for w in cur]
-    heapq.heapify(heap)
-    done = []
-    while heap:
-        _, w = heapq.heappop(heap)
-        c = cur.pop(w, 0)
-        if not c:
-            continue
-        hit = find(w) if w else unit
-        if hit is None:
-            done.append((w, c, D))
-            continue
-        i, gi = hit
-        lead, scale, tail = rules[gi]
-        if scale != 1:
-            g0 = gcd(c, scale)
-            c, m = c // g0, scale // g0
-            if m != 1:
-                D *= m
-                cur = {v: a * m for v, a in cur.items()}
-        pre, post = w[:i], w[i + len(lead):]
-        room = cap - len(pre) - len(post)
-        # every nw comes later in the order than w, so a word already in
-        # cur is still queued and only new words need a heap entry
-        for t, lt, ct in tail:
-            if lt > room:
-                break
-            nw = pre + t + post
-            s = cur.get(nw, 0) - c * ct
-            if p:
-                s %= p
-            if s:
-                if nw not in cur:
-                    heapq.heappush(heap, (key(nw), nw))
-                cur[nw] = s
-            else:
-                del cur[nw]
-    return {w: c * (D // d) for w, c, d in done}, D
+    width, memo = len(rules).bit_length(), {}
+    glob = order.mode == "global"
+
+    def reduce(cur, D):
+        heap = [w - (3 << w.bit_length() - 1) if glob else w for w in cur]
+        heapify(heap)
+        done = []
+        while heap:
+            w = heappop(heap)
+            if glob:
+                w += 3 << (~w).bit_length() - 1
+            c = cur.pop(w, 0)
+            if not c:
+                continue
+            hit = memo.get(w)
+            if hit is None:
+                hit = find(w)
+                hit = memo[w] = -1 if hit is None else hit[0] << width | hit[1]
+            if hit < 0:
+                done.append((w, c, D))
+                continue
+            lead, scale, tail = rules[hit & (1 << width) - 1]
+            if scale != 1:
+                g0 = gcd(c, scale)
+                c, m = c // g0, scale // g0
+                if m != 1:
+                    D *= m
+                    cur = {v: a * m for v, a in cur.items()}
+            # w is pre, lead, post: rest letters outside the lead, k in post
+            rest = w.bit_length() - lead.bit_length()
+            k, room = rest - (hit >> width), cap - rest
+            pre, post = w >> (lead.bit_length() - 1 + k), w & (1 << k) - 1
+            # every nw comes later in the order than w, so a word already in
+            # cur is still queued and only new words need a heap entry
+            for t, lt, ct in tail:
+                if lt > room:
+                    break
+                nw = (pre << lt | t) << k | post
+                s = cur.get(nw)
+                if s is None:
+                    heappush(heap, nw - (3 << rest + lt) if glob else nw)
+                    cur[nw] = -c * ct % p if p else -c * ct
+                    continue
+                s -= c * ct
+                if p:
+                    s %= p
+                if s:
+                    cur[nw] = s
+                else:
+                    del cur[nw]
+        return {w: c * (D // d) for w, c, d in done}, D
+    return reduce
 
 
 def normal_form(f, system):
@@ -221,19 +241,14 @@ def normal_form(f, system):
 
     Deterministic: at each step the earliest word in the order with a
     reducible occurrence is rewritten at its leftmost occurrence, trying
-    elements in basis order.
-
-    The pending terms are integers over one common denominator D (over
-    GF(p): residues, with D = 1). Rewriting c w by a rule with integer
-    tail h and scale L multiplies the pending terms and D by L / gcd(c, L)
-    and subtracts c / gcd(c, L) times pre h post, so no step divides. A
-    popped word that no lead divides is final, since every rewrite only
-    produces later words.
+    elements in basis order. A popped word that no lead divides is final,
+    since every rewrite only produces later words.
     """
-    p, cap = f.field.characteristic, system.cap
-    cur, D = integral({w: c for w, c in f.terms.items() if len(w) <= cap}, p)
-    out, D = _reduce(cur, D, system.rules, system.order, cap, p)
-    return FreePoly(f.field, {w: c if p else Fraction(c, D)
+    p, cap, order = f.field.characteristic, system.cap, system.order
+    cur, D = integral({order.sort_key(w): c for w, c in f.terms.items()
+                       if len(w) <= cap}, p)
+    out, D = _kernel(system.rules, order, cap, p)(cur, D)
+    return FreePoly(f.field, {order.word(w): c if p else Fraction(c, D)
                               for w, c in out.items()}, cap)
 
 
@@ -243,19 +258,20 @@ def _insert(basis, new, order, cap, p):
     dropped at zero), and then every rule whose lead holds its lead is
     taken out and inserted again the same way. Tails are left as they
     are. The result is sorted by lead key."""
-    basis, todo = list(basis), list(new)
+    basis, todo, word = list(basis), list(new), order.word
     while todo:
         r = todo.pop()
-        if any(lead in r[0] for lead, _, _ in basis):
-            lead, scale, tail = r
-            terms = dict([(lead, scale)] + [(t, c) for t, _, c in tail])
-            terms, _ = _reduce(terms, 1, basis, order, cap, p)
+        held = word(r[0])
+        if any(word(g[0]) in held for g in basis):
+            terms = {r[0]: r[1], **{t | 1 << lt: c for t, lt, c in r[2]}}
+            terms, _ = _kernel(basis, order, cap, p)(terms, 1)
             if not terms:
                 continue
             r = _primitive_rule(terms, p)
-        todo += [g for g in basis if r[0] in g[0]]
-        basis = [g for g in basis if r[0] not in g[0]] + [r]
-    basis.sort(key=lambda g: order.leading_key(g[0]))
+            held = word(r[0])
+        todo += [g for g in basis if held in word(g[0])]
+        basis = [g for g in basis if held not in word(g[0])] + [r]
+    basis.sort(key=lambda g: order.leading_key(word(g[0])))
     return basis
 
 
@@ -284,20 +300,24 @@ def ambiguities(leads, cap):
 
 def s_polynomial(amb: Ambiguity, rules, cap, p):
     """Difference of the two one-step reductions of the witness, as a dict
-    of integers: the difference times the lcm of the two scales; over
-    GF(p), residues."""
+    of integers keyed by word code: the difference times the lcm of the
+    two scales; over GF(p), residues."""
     gi, gj = rules[amb.left], rules[amb.right]
-    w = amb.witness
+    n = amb.degree
+    # the left lead starts the witness; the right one's last r letters end it
+    r = n + 1 - gi[0].bit_length()
+    w = gi[0] << r | gj[0] & (1 << r) - 1
     scale = lcm(gi[1], gj[1])
     out = {}
     for (lead, s, tail), at, m in ((gi, amb.left_at, -1),
                                    (gj, amb.right_at, 1)):
-        pre, post = w[:at], w[at + len(lead):]
+        k = n + 1 - at - lead.bit_length()
+        pre, post = w >> n - at, w & (1 << k) - 1
         m *= scale // s
         for t, lt, c in tail:
-            if len(pre) + lt + len(post) > cap:
+            if n + 1 - lead.bit_length() + lt > cap:
                 break
-            v = pre + t + post
+            v = (pre << lt | t) << k | post
             out[v] = out.get(v, 0) + m * c
     return {v: c % p for v, c in out.items()} if p else out
 
@@ -334,7 +354,7 @@ def complete(relations, order=_DEFAULT_ORDER, cap=12) -> RewriteSystem:
     if not rels:
         # free algebra: nothing to resolve, counts are exact through cap
         return RewriteSystem([], order, cap, field=QQ)
-    need = max(len(lead) for lead, _, _ in rels)
+    need = max(lead.bit_length() - 1 for lead, _, _ in rels)
     if cap < need:
         raise ValueError("cap %d below max relation degree %d" % (cap, need))
 
@@ -344,7 +364,8 @@ def complete(relations, order=_DEFAULT_ORDER, cap=12) -> RewriteSystem:
     progress = True
     while progress:
         progress = False
-        leads = [lead for lead, _, _ in basis]
+        reduce = _kernel(basis, order, cap, p)
+        leads = [order.word(lead) for lead, _, _ in basis]
         inner = re.compile("|".join(leads)).search
         for amb in ambiguities(leads, cap):
             # the chain criterion: a lead inside the witness, touching
@@ -356,8 +377,7 @@ def complete(relations, order=_DEFAULT_ORDER, cap=12) -> RewriteSystem:
                    amb.left_at, amb.right_at)
             if sig in done:
                 continue
-            s = s_polynomial(amb, basis, cap, p)
-            r, _ = _reduce(s, 1, basis, order, cap, p)
+            r, _ = reduce(s_polynomial(amb, basis, cap, p), 1)
             done.add(sig)
             if r:
                 basis = _insert(basis, [_primitive_rule(r, p)], order, cap, p)
@@ -367,18 +387,17 @@ def complete(relations, order=_DEFAULT_ORDER, cap=12) -> RewriteSystem:
     # reduced basis
     out = []
     for lead, scale, tail in basis:
-        r, D = _reduce({t: c for t, _, c in tail}, 1, basis, order, cap, p)
+        r, D = reduce({t | 1 << lt: c for t, lt, c in tail}, 1)
         out.append(_primitive_rule({lead: scale * D, **r}, p))
     return RewriteSystem._of_rules(out, field, order, cap)
 
 
 def verify_complete(system: RewriteSystem) -> bool:
     """Every ambiguity with witness degree <= cap reduces to zero."""
-    rules, order, cap = system.rules, system.order, system.cap
-    p = system.field.characteristic
-    return not any(
-        _reduce(s_polynomial(amb, rules, cap, p), 1, rules, order, cap, p)[0]
-        for amb in ambiguities(system.leads, cap))
+    rules, cap, p = system.rules, system.cap, system.field.characteristic
+    reduce = _kernel(rules, system.order, cap, p)
+    return not any(reduce(s_polynomial(amb, rules, cap, p), 1)[0]
+                   for amb in ambiguities(system.leads, cap))
 
 
 # the most letters the normal words of one enumeration may hold; the

@@ -33,7 +33,7 @@ def all_words(degree: int, precedence: str = "xy") -> list:
 class MonomialOrder:
     """Variable precedence plus a local/global leading-term convention."""
 
-    __slots__ = ("precedence", "mode", "_bits")
+    __slots__ = ("precedence", "mode", "_bits", "_letters")
 
     def __init__(self, precedence: str = "xy", mode: str = "local"):
         if sorted(precedence) != ["x", "y"]:
@@ -44,6 +44,7 @@ class MonomialOrder:
         self.mode = mode
         # the preceding letter as binary digit 0, the other as 1
         self._bits = str.maketrans(precedence, "01")
+        self._letters = str.maketrans("01", precedence)
 
     def sort_key(self, w: str) -> int:
         """Presentation order: degree ascending, lex-greatest first within
@@ -51,6 +52,10 @@ class MonomialOrder:
         the word's binary digits behind a leading 1, so shorter words come
         first and words of one length are read lex."""
         return int("1" + w.translate(self._bits), 2)
+
+    def word(self, key: int) -> str:
+        """The word whose sort_key is key."""
+        return bin(key)[3:].translate(self._letters)
 
     def leading_key(self, w: str) -> int:
         """Key whose minimum over the support picks the leading word: the

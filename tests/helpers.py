@@ -8,7 +8,7 @@ from potalg.fields import QQ
 from potalg.freepoly import FreePoly, Substitution, substitute, sum_terms
 from potalg.isotest import is_isomorphism
 from potalg.linalg import kernel, solve
-from potalg.rewrite import RewriteSystem, _lead_finder, ambiguities
+from potalg.rewrite import RewriteSystem, ambiguities
 from potalg.words import all_words
 
 
@@ -192,6 +192,17 @@ def reference_lift(A, B, rels):
     return "not_isomorphic", tried
 
 
+def leftmost_lead(word, leads):
+    """(position, index) of the leftmost lead occurrence in word, the
+    lowest index first at one position, by a plain scan; a unit lead
+    occurs at 0 in every word, the empty one included."""
+    for i in range(len(word) + 1):
+        for gi, lw in enumerate(leads):
+            if word.startswith(lw, i):
+                return i, gi
+    return None
+
+
 def reference_normal_form(f, system):
     """normal_form as a plain field-arithmetic loop: the reference the
     library's integer loop is compared against.
@@ -205,8 +216,6 @@ def reference_normal_form(f, system):
     else:
         elements, order, cap = system
     leads = [g.leading_word(order) for g in elements]
-    find = _lead_finder(leads)
-    unit = (0, leads.index("")) if "" in leads else None
     field = f.field
     add, mul, neg = field.add, field.mul, field.neg
     cur = dict(f.terms)
@@ -221,7 +230,7 @@ def reference_normal_form(f, system):
         c = cur.get(w)
         if not c or w in normal:
             continue
-        hit = find(w) if w else unit
+        hit = leftmost_lead(w, leads)
         if hit is None:
             normal.add(w)
             continue

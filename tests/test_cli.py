@@ -368,6 +368,39 @@ def test_canon_on_a_body_that_symmetrizes_away_is_inconclusive():
     assert doc["cubic"] == {"label": "Zero"}
 
 
+def test_canon_on_the_dim8_potential_written_literally():
+    # x y x y alone is not cyclically symmetric, and the degree-2 moves
+    # keep c(xyxy) - c(yxyx); cleanup used to assert the two were equal
+    code, doc, _ = run_cli("canon", "--potential", "x^3 + y^3 + x y x y",
+                           "--cap", "6")
+    assert code == 0 and doc["representative"] == "dim8"
+    assert doc["canonical"] == "x^3 + y^3 + x y x y + y x y x"
+    assert doc["projected_stages"] == 1
+
+
+def test_canon_on_unequal_xyxy_and_yxyx_writes_one_document(capsys):
+    rng = random.Random(20261020)
+    pool = ("1", "2", "-1", "3", "1/2", "-5/3")
+    codes = set()
+    for _ in range(150):
+        a, b = rng.sample(pool, 2)
+        terms = [(a, "x y x y"), (b, "y x y x")] + [
+            (rng.choice(pool), " ".join(rng.choice("xy") for _ in
+                                        range(rng.randint(4, 6))))
+            for _ in range(rng.randint(0, 3))]
+        text = "x^3 + y^3" + "".join(
+            (" - %s %s" % (c[1:], w)) if c[0] == "-" else " + %s %s" % (c, w)
+            for c, w in terms)
+        argv = ["canon", "--potential", text,
+                "--cap", str(rng.randint(6, 10))]
+        code, _, out = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (argv, out, err)
+        assert isinstance(json.loads(out), dict), (argv, out)
+        codes.add(code)
+    assert 0 in codes
+
+
 def test_canon_rejects_quadratic_input():
     code, doc, _ = run_cli("canon", "--potential", "x^2 + y^4")
     assert code == 2 and doc["error"] == "config"

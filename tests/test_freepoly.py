@@ -112,6 +112,34 @@ def test_substitution_is_a_ring_map():
             (substitute(f, s) * substitute(g, s)).with_cap(5)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_diagonal_substitution_matches_letter_products(field):
+    """x -> a x + (degree >= e), y -> d y + (degree >= e) sends a word
+    longer than cap + 1 - e to a multiple of itself without building its
+    prefixes; substitute agrees with the products of the letter images,
+    a zero diagonal entry and a pure diagonal part included."""
+    rng = random.Random("diagonal-%s" % field.name)
+    pool = (0, 1, -1, 2, Fraction(1, 2), Fraction(-5, 3))
+    for _ in range(40):
+        cap, e = rng.randint(3, 8), rng.randint(2, 4)
+        images = []
+        for ch in "xy":
+            high = random_poly(rng, field, degrees=range(e, e + 3),
+                               terms=rng.randint(0, 2), cap=cap)
+            images.append(FreePoly.term(ch, field.coerce(rng.choice(pool)),
+                                        field, cap) + high)
+        s = Substitution(*images, cap=cap)
+        f = random_poly(rng, field, degrees=range(1, cap + 2),
+                        terms=rng.randint(1, 6), cap=cap)
+        want = FreePoly.zero(field, cap)
+        for w, c in f.terms.items():
+            term = FreePoly.term("", c, field, cap)
+            for ch in w:
+                term = term * images["xy".index(ch)]
+            want = want + term
+        assert substitute(f, s) == want
+
+
 def test_then_applies_left_argument_first():
     s = Substitution(P("y", cap=4), P("x", cap=4))
     t = Substitution(P("x + x^2", cap=4), P("y", cap=4))

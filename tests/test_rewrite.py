@@ -23,8 +23,8 @@ from potalg.rewrite import (RewriteSystem, ambiguities, complete,
                             oracle_dimension, s_polynomial, verify_complete)
 from potalg.words import MonomialOrder
 
-from helpers import (random_poly, reference_complete, reference_normal_form,
-                     reference_oracle_dimension)
+from helpers import (leftmost_lead, random_poly, reference_complete,
+                     reference_normal_form, reference_oracle_dimension)
 
 XY = MonomialOrder()
 
@@ -50,10 +50,13 @@ def test_s_polynomials_of_r1():
     by_witness = {a.witness: a for a in ambiguities(R.leads, 8)}
 
     def poly(terms):
-        return FreePoly(QQ, {w: Fraction(c) for w, c in terms.items()}, 8)
-    # integer terms; both rules here are monic, so no scale enters
+        return FreePoly(QQ, {XY.word(w): Fraction(c)
+                             for w, c in terms.items()}, 8)
+    # integer terms keyed by word code; both rules here are monic, so no
+    # scale enters
     s_xxy = s_polynomial(by_witness["xxy"], R.rules, 8, 0)
-    assert s_xxy == {"xyx": 1, "yyyy": -1}      # x y x - y^4
+    assert s_xxy == {XY.sort_key("xyx"): 1,
+                     XY.sort_key("yyyy"): -1}   # x y x - y^4
     assert normal_form(poly(s_xxy), R).is_zero()
     # the unresolved ambiguity that forces y^3 x into the basis
     s_xxx = s_polynomial(by_witness["xxx"], R.rules, 8, 0)
@@ -131,7 +134,7 @@ def test_verify_complete_does_not_skip_chained_overlaps(monkeypatch):
                       XY, 7)
     amb, = [a for a in _chained(R.leads, 7) if a.witness == "xxyxx"]
     s = s_polynomial(amb, R.rules, 7, 0)
-    assert rewrite._reduce(s, 1, R.rules, XY, 7, 0)[0]
+    assert rewrite._kernel(R.rules, XY, 7, 0)(s, 1)[0]
     assert not verify_complete(R)
 
 
@@ -199,27 +202,22 @@ def test_normal_form_goldens():
 def test_lead_finder_matches_a_plain_scan():
     from potalg.rewrite import _lead_finder
 
-    def scan(word, leads):
-        for i in range(len(word)):
-            for gi, lw in enumerate(leads):
-                if word.startswith(lw, i):
-                    return i, gi
-        return None
-
     rng = random.Random(5)
 
     def word(lo, hi):
         return "".join(rng.choice("xy") for _ in range(rng.randint(lo, hi)))
 
-    for _ in range(500):
+    # the finder reads word codes, under either precedence
+    for trial in range(500):
+        code = MonomialOrder(("xy", "yx")[trial % 2]).sort_key
         leads = [word(0 if rng.random() < 0.05 else 1, 5)
                  for _ in range(rng.randint(0, 8))]
         if leads and rng.random() < 0.2:
             leads.append(rng.choice(leads))
-        find = _lead_finder(leads)
+        find = _lead_finder([code(lw) for lw in leads])
         for _ in range(10):
             w = word(0, 12)
-            assert find(w) == scan(w, leads)
+            assert find(code(w)) == leftmost_lead(w, leads)
 
 
 def test_normal_form_is_linear_and_idempotent():
@@ -251,19 +249,24 @@ def _assert_field_coefficients(f):
 
 @pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=str)
 def test_normal_form_matches_fraction_reference(field):
-    """The integer loop and the plain field loop give the same terms, on
-    bases from complete() and on monic systems that are not interreduced,
-    under both precedences and modes at caps 6-10."""
+    """The int-coded kernel and the plain field loop on strings give the
+    same terms, on bases from complete() and on monic systems that are
+    not interreduced, under both precedences and modes at caps 6-10:
+    with rules whose scale is not 1 (over QQ), with a unit lead, and on
+    inputs with a term exactly at the cap."""
     rng = random.Random("normal-form-%s" % field.name)
     p = field.characteristic
     pool = tuple(c for c in NF_POOL if not p or c.denominator % p)
-    modes = set()
-    for trial in range(48):
+    seen = set()
+    for trial in range(96):
         order = MonomialOrder(("xy", "yx")[trial % 2],
                               ("local", "global")[trial // 2 % 2])
         cap = 6 + trial % 5
         rels = [random_poly(rng, field, degrees=(1, 2, 3), terms=3, cap=cap,
                             coeff_pool=pool) for _ in range(rng.randint(1, 3))]
+        if trial % 4 == 3:
+            # a constant last: a unit lead in both modes
+            rels.append(FreePoly.term("", rng.choice(pool), field, cap))
         rels = [r.monic(order) for r in rels if not r.is_zero()]
         if not rels:
             continue
@@ -272,10 +275,15 @@ def test_normal_form_matches_fraction_reference(field):
         else:
             system = RewriteSystem(rels, order, cap)
         elements = list(system.elements)
-        modes.add(trial // 4 % 2)
+        seen.add((order.precedence, order.mode, trial // 4 % 2))
+        seen.update(("unit",) for lead in system.leads if not lead)
+        seen.update(("scale",) for _, scale, _ in system.rules if scale != 1)
         for _ in range(6):
             f = random_poly(rng, field, degrees=tuple(range(cap + 2)),
                             terms=rng.randint(1, 8), coeff_pool=pool)
+            f = f + FreePoly.term("".join(rng.choice("xy")
+                                          for _ in range(cap)),
+                                  rng.choice(pool), field)
             if elements and rng.random() < 0.5:
                 # an ideal member plus noise, so that sums cancel
                 g = rng.choice(elements)
@@ -287,7 +295,11 @@ def test_normal_form_matches_fraction_reference(field):
             assert got.terms == want.terms
             assert got.cap == want.cap
             _assert_field_coefficients(got)
-    assert modes == {0, 1}
+    want = {(prec, mode, built) for prec in ("xy", "yx")
+            for mode in ("local", "global") for built in (0, 1)}
+    want |= {("unit",)} if p else {("unit",), ("scale",)}
+    # over GF(p) every rule is monic
+    assert seen == want
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=str)

@@ -13,8 +13,17 @@ Two checkouts complete the same way when the output of
 
     python3 tools/completion_digests.py --cases 1000
 
-is the same in both outside the TIMEOUT lines. The exit code is 1 if a
-finished completion fails verify_complete, else 0.
+is the same in both outside the TIMEOUT lines. With --expect FILE each
+case is also compared with the line of the same case number in FILE,
+the output of an earlier run; a case that timed out on either side is
+not compared. CI runs
+
+    python3 tools/completion_digests.py --cases 300 \
+        --expect tools/completion_digests.expected
+
+The exit code is 1 if a finished completion fails verify_complete or
+its digest differs from the expected one (or FILE has no line for its
+case), else 0.
 """
 
 import argparse
@@ -70,7 +79,13 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--cases", type=int, default=1000)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--expect", metavar="FILE",
+                    help="compare each digest with this earlier output")
     args = ap.parse_args(argv)
+    expected = None
+    if args.expect:
+        with open(args.expect) as fh:
+            expected = {int(f[0]): f[5] for f in map(str.split, fh) if f}
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from potalg.parsing import render
     from potalg.rewrite import complete, verify_complete
@@ -92,6 +107,11 @@ def main(argv=None):
             ok = str(ok).lower()
         print(i, field.name, order.precedence, order.mode, cap, digest, ok,
               json.dumps([render(r, order) for r in rels]), flush=True)
+        want = digest if expected is None else expected.get(i)
+        if "TIMEOUT" not in (digest, want) and want != digest:
+            print("case %d: digest %s, expected %s" % (i, digest, want),
+                  file=sys.stderr)
+            failed += 1
     return 1 if failed else 0
 
 
