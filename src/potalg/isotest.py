@@ -563,11 +563,9 @@ def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
                 return hit
         return None
 
-    tried = 0
     for u in product(scalars, repeat=4):
         if not (u[0] * u[3] - u[1] * u[2]) % p:
             continue
-        tried += 1
         monomials = [u[m] * u[n] for m in range(4) for n in range(m, 4)]
         if any(sum(map(mul, q, monomials)) % p for q in forms):
             continue
@@ -585,7 +583,7 @@ def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
     return IsoVerdict("not_isomorphic",
                       certificate={"method": "lift-exhaustion",
                                    "field": f.name,
-                                   "linear_parts": tried})
+                                   "linear_parts": parts})
 
 
 STRATEGIES = ("auto", "lift", "invariants")

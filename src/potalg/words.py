@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 
-ALPHABET = "xy"
 EMPTY = ""
 
 

@@ -170,33 +170,39 @@ def test_axioms_follow_the_kind_of_structure():
 
 
 # Each table below fails its brace axioms and meets the filtration laws,
-# so check_filtration and associated_graded refuse it; _graded, which
-# builds the structure without checking the axioms, reaches each of its
-# own checks. On a verified brace or truss none of them can fail.
+# so check_filtration and associated_graded refuse it. The graded product
+# of the first is not well defined and that of the second not right
+# additive, which cannot happen on a verified brace or truss (brace module
+# docstring); _graded, which builds the structure without checking the
+# axioms, refuses only the third, whose star is not left distributive.
 GRADED_REFUSALS = [
     (4, lambda a, b: 2 * b * (a == 3), [{0, 2}],
-     "brace compatibility fails",
-     "graded product depends on representatives"),
+     "brace compatibility fails", None),
     (9, lambda a, b: 3 * (0, 1, 1)[a % 3] * b, [{0, 3, 6}],
-     "brace compatibility fails", "graded product is not right additive"),
+     "brace compatibility fails", None),
     (9, lambda a, b: 3 * (a % 3) * (0, 1, 1)[b % 3], [{0, 3, 6}],
      "star is not left distributive",
      "graded product needs (B, +) a group and star left distributive"),
 ]
 
 
+def refusal_case(n, star_fn, levels):
+    return (FiniteBrace(*cyclic_tables(n, star_fn)),
+            Filtration([set(range(n))] + levels + [{0}]))
+
+
 @pytest.mark.parametrize("n,star_fn,levels,axiom,product", GRADED_REFUSALS)
 def test_graded_refuses_a_table_that_is_not_a_brace(n, star_fn, levels,
                                                     axiom, product):
-    B = FiniteBrace(*cyclic_tables(n, star_fn))
-    filt = Filtration([set(range(n))] + levels + [{0}])
+    B, filt = refusal_case(n, star_fn, levels)
     assert as_tuple(check_filtration(B, filt)) == \
         (False, "not a brace: " + axiom, None)
     assert _filtration_laws(B, filt)
     with pytest.raises(ValueError, match="^not a brace: %s$" % axiom):
         associated_graded(B, filt)
-    with pytest.raises(ValueError, match="^%s$" % re.escape(product)):
-        _graded(B, filt)
+    if product:
+        with pytest.raises(ValueError, match="^%s$" % re.escape(product)):
+            _graded(B, filt)
 
 
 def test_pre_lie_defect_names_a_witness():
@@ -583,14 +589,17 @@ def ref_graded_defined(B, filt):
     return True
 
 
-def graded_defined(S, filt):
-    """False when _graded refuses its product as depending on
-    representatives."""
-    try:
-        _graded(S, filt)
-    except ValueError as exc:
-        return str(exc) != "graded product depends on representatives"
-    return True
+def ref_graded_right_additive(B, filt):
+    """Whether (a+b)*d and a*d + b*d share a class of B_{i+j} / B_{i+j+1}
+    for all a, b in B_i and d in B_j. Asks for every level to be a
+    subgroup."""
+    chain = filt.chain
+    top = len(chain) - 1
+    return all(B.minus(B.times(B.plus(a, b), d),
+                       B.plus(B.times(a, d), B.times(b, d))) in chain[i + j]
+               for i in range(1, top + 1) for j in range(1, top + 1 - i)
+               for a in chain[i - 1] for b in chain[i - 1]
+               for d in chain[j - 1])
 
 
 def as_tuple(verdict):
@@ -699,7 +708,6 @@ def differential_cases(rng):
 def test_certificates_match_exhaustive_loops():
     rng = random.Random(20261018)
     reasons, mismatches, products, series = set(), [], set(), set()
-    graded = set()
     for add, star in differential_cases(rng):
         n = len(add)
         try:
@@ -738,15 +746,6 @@ def test_certificates_match_exhaustive_loops():
                 # generators is complete there only because one that
                 # passes forces alpha = 0
                 products.add(ref_left_distributive(S))
-            if ref_left_distributive(S):
-                # the premise of _graded's certificate on generators,
-                # met here by some structures that fail their axioms
-                for f, want in zip(chains, laws):
-                    if want[0]:
-                        defined = ref_graded_defined(S, f)
-                        if graded_defined(S, f) != defined:
-                            mismatches.append((n, "graded", want, defined))
-                        graded.add(defined)
             if n <= 16:
                 distributive = ref_left_distributive(S)
                 for N in {0, 1, 3, max(f.length for f in chains)}:
@@ -770,7 +769,6 @@ def test_certificates_match_exhaustive_loops():
     assert products == {True, False}
     assert series == {(True, True), (True, False), (False, True),
                       (False, False)}, series
-    assert graded == {True, False}, graded
 
 
 def test_passing_checks_give_the_graded_premise():
@@ -779,9 +777,11 @@ def test_passing_checks_give_the_graded_premise():
     # and a filtration has a left distributive star, as _graded asks.
     # A truss that does is a brace on the same tables, and every level of
     # its chain is an ideal: the congruence laws hold wherever
-    # check_filtration passes (brace module docstring)
+    # check_filtration passes, and so do the graded product's two lemmas,
+    # well defined and right additive, which _graded does not check
+    # (brace module docstring)
     rng = random.Random(20261020)
-    kinds, affine, congruence_fails = set(), 0, 0
+    kinds, affine, congruence_fails, graded = set(), 0, 0, []
     for add, star in differential_cases(rng):
         n = len(add)
         try:
@@ -808,12 +808,23 @@ def test_passing_checks_give_the_graded_premise():
                 if ref_congruence(S, f) is not None:
                     assert not ok, (S.kind, f.chain)
                     congruence_fails += 1
+                if ok and n <= 16:
+                    assert ref_graded_defined(S, f), (S.kind, f.chain)
+                    assert ref_graded_right_additive(S, f), (S.kind, f.chain)
+                    graded.append(S.kind)
             if any(passed):
                 assert not any(row[0] for row in S.star)
                 assert S._left_distributive()
                 assert check_brace(FiniteBrace(S.add, S.star))
                 kinds.add(S.kind)
     assert kinds == {"brace", "truss"} and affine and congruence_fails
+    assert len(graded) >= 100 and set(graded) == kinds, len(graded)
+    # the references do fail where the axioms do
+    (B1, f1), (B2, f2) = [refusal_case(*row[:3])
+                          for row in GRADED_REFUSALS[:2]]
+    assert not ref_graded_defined(B1, f1)
+    assert not ref_graded_right_additive(B1, f1)
+    assert not ref_graded_right_additive(B2, f2)
 
 
 def test_truss_circle_certificate_needs_c_zero():

@@ -401,6 +401,40 @@ def test_canon_on_unequal_xyxy_and_yxyx_writes_one_document(capsys):
     assert 0 in codes
 
 
+CUBIC_HEADS = ("cyc(x^2 y)", "x^3", "x^3 + 2 y^3", "x^3 + x y^2",
+               "x^2 y + y x^2 + x y x + y^3", "2 x^3 + 3 cyc(x^2 y)",
+               "x^3 + 3 cyc(x y^2)", "")
+
+
+def test_canon_is_total_on_every_cubic_class(capsys):
+    # heads over the cubic classes, among them one that needs a cubic
+    # and one that needs a quadratic extension, and no cubic at all,
+    # with random tails of degree 4-6
+    rng = random.Random(20261021)
+    pool = ("1", "2", "-1", "3", "1/2", "-5/3")
+    heads = set()
+    for _ in range(150):
+        head = rng.choice(CUBIC_HEADS)
+        text = head
+        for _ in range(rng.randint(1, 4)):
+            c = rng.choice(pool)
+            w = " ".join(rng.choice("xy") for _ in range(rng.randint(4, 6)))
+            if rng.random() < 0.4:
+                w = "cyc(%s)" % w
+            text += (" - %s %s" % (c[1:], w)) if c[0] == "-" else \
+                " + %s %s" % (c, w)
+        text = text.lstrip(" +")
+        argv = ["canon", "--potential", text,
+                "--cap", str(rng.randint(6, 10))]
+        code, _, out = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (argv, out, err)
+        assert isinstance(json.loads(out), dict), (argv, out)
+        assert "Traceback" not in out + err, (argv, err)
+        heads.add(head)
+    assert heads == set(CUBIC_HEADS)
+
+
 def test_canon_rejects_quadratic_input():
     code, doc, _ = run_cli("canon", "--potential", "x^2 + y^4")
     assert code == 2 and doc["error"] == "config"

@@ -13,7 +13,11 @@ so that its chain Z/9 > 3Z/9 > 0 gets the refusal, then a derive group:
 both derivative conventions on 9B and on the non-cyclic potential
 x^2 y + 2 x y^2 + y^4, where they differ, then a canon-literal group:
 four canon runs, each with a cleanup stage that solves on rotation
-classes a body that is not cyclically invariant.
+classes a body that is not cyclically invariant, then an iso-witness
+group: two iso runs that answer isomorphic with a witness, the lift
+search over GF(7) on the finite workload's 9B table against its image
+at seed 1, and iso auto on that 9B table against itself, whose witness
+is the identity over QQ.
 The jobs run in-process through the benchmark's own pass loop, once
 each, in a temporary directory that also holds their input files. Two
 checkouts give byte-identical output on these runs when the output of
@@ -115,6 +119,13 @@ def main():
             ("x3y3-xyxyy", "x^3 + y^3 + 2 cyc(x y x y) + x y x y^2", "8"),
             ("x2y-xyyxy", "cyc(x^2 y) + y^4 + y^5 + x y^2 x y", "8"),
             ("x2y-xyxyy", "cyc(x^2 y) + y^4 + x y x y^2 + y^6", "9"))]))
+    b9, b9_img = (os.path.join("finite-1", key + ".json")
+                  for key in ("9B", "9B-img"))
+    runs.append(("iso-witness", "-", [
+        workloads.Job("lift-gf7-9B-img",
+                      ["iso", "--a", b9, "--b", b9_img, "--field", "7",
+                       "--strategy", "lift"], None),
+        workloads.Job("auto-9B-self", ["iso", "--a", b9, "--b", b9], None)]))
     for workload, seed, jobs in runs:
         outputs = run_pass(cli, jobs)[3]
         for job, (code, text, error) in zip(jobs, outputs):
