@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .fields import QQ, FieldError, ResourceCapError
+from .fields import QQ, CleanupError, FieldError, ResourceCapError
 from .freepoly import (FreePoly, Substitution, abelianize_cubic,
                        invert_2x2, substitute)
 from .linalg import integral, primitive, solve
@@ -42,10 +42,6 @@ from .words import MonomialOrder, all_words, rotations
 _XY = MonomialOrder()
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-class CleanupError(RuntimeError):
-    """A cleanup stage had no exact solution in either coordinate system."""
 
 
 # ---------------------------------------------------------------------------

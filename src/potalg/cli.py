@@ -11,6 +11,10 @@ main reuses one parser per process, built on its first call: parsing
 keeps no state between calls, and usage errors and --help look up
 sys.stderr and sys.stdout when they print. build_parser still returns a
 new parser on every call.
+
+Each command imports only what it runs; this module loads only fields.
+So the --strategy and --theorem choices are written out, pinned by a
+test to isotest.STRATEGIES and sorted(reproduce.REPORTS).
 """
 
 import argparse
@@ -20,18 +24,12 @@ import sys
 import traceback
 from json.encoder import encode_basestring_ascii
 
-from . import brace as braces
-from . import isotest, reproduce
-from .classify import CleanupError, classify_potential
-from .fields import QQ, FieldError, ResourceCapError
-from .parsing import ParseError, parse_poly, render
-from .potential import derive_ginzburg, derive_simple, relations_of
-from .quotient import hilbert
-from .rewrite import complete, oracle_dimension
-from .words import MonomialOrder
+from .fields import CleanupError, FieldError, ParseError, ResourceCapError
 
 DEFAULT_CAP = 12
 EXTENDED_CAP = 16
+STRATEGIES = ("auto", "lift", "invariants")
+THEOREMS = ("cor1-grid", "dim8", "dim9", "prelie", "x3-bound")
 
 
 def _parse_potential(text: str, cap=None):
@@ -39,7 +37,8 @@ def _parse_potential(text: str, cap=None):
 
     With a cap, a zero input and an input above the cap are ValueErrors.
     """
-    exact = parse_poly(text, QQ)
+    from .parsing import parse_poly
+    exact = parse_poly(text)
     if cap is None:
         return exact
     if exact.is_zero():
@@ -90,11 +89,14 @@ def _emit(doc) -> None:
     sys.stdout.write(_dumps(doc) + "\n")
 
 
-def _monomial_order(args) -> MonomialOrder:
+def _monomial_order(args):
+    from .words import MonomialOrder
     return MonomialOrder(args.order, args.mode)
 
 
 def _cmd_derive(args):
+    from .parsing import render
+    from .potential import derive_ginzburg, derive_simple
     F = _parse_potential(args.potential)
     dfn = derive_simple if args.mode == "simple" else derive_ginzburg
     return {"command": "derive", "mode": args.mode, "potential": render(F),
@@ -103,6 +105,8 @@ def _cmd_derive(args):
 
 
 def _cmd_gb(args):
+    from .potential import relations_of
+    from .rewrite import complete
     order = _monomial_order(args)
     if args.potential is not None:
         F = _parse_potential(args.potential, args.cap)
@@ -118,6 +122,11 @@ def _cmd_gb(args):
 
 
 def _cmd_dim(args):
+    from .isotest import from_quotient
+    from .parsing import render
+    from .potential import relations_of
+    from .quotient import hilbert
+    from .rewrite import complete, oracle_dimension
     order = _monomial_order(args)
 
     def build(cap):
@@ -141,7 +150,7 @@ def _cmd_dim(args):
            "total": Q.dimension if Q.finite else None,
            "nilpotency_index": Q.nilpotency_index, "growth": Q.growth}
     if Q.finite:
-        doc["algebra"] = dict(isotest.from_quotient(Q).to_json(),
+        doc["algebra"] = dict(from_quotient(Q).to_json(),
                               name=args.potential, relations=list(
                                   map(render, Q.system.elements)))
     if args.oracle:
@@ -154,6 +163,7 @@ def _cmd_dim(args):
 
 
 def _cmd_canon(args):
+    from .classify import classify_potential
     F = _parse_potential(args.potential, args.cap)
     doc = classify_potential(F, args.cap).to_json()
     doc["command"] = "canon"
@@ -169,14 +179,16 @@ def _read_json(path):
 
 
 def _load_algebra(path):
+    from .isotest import algebra_from_json
     doc = _read_json(path)
     inner = doc.get("algebra", doc) if isinstance(doc, dict) else doc
     if not isinstance(inner, dict) or "table" not in inner:
         raise ValueError("%s does not contain an algebra document" % path)
-    return isotest.algebra_from_json(inner)
+    return algebra_from_json(inner)
 
 
 def _cmd_iso(args):
+    from . import isotest
     A = _load_algebra(args.a)
     B = _load_algebra(args.b)
     if args.field is not None:
@@ -190,6 +202,7 @@ def _cmd_iso(args):
 
 
 def _cmd_brace(args):
+    from . import brace as braces
     doc = _read_json(args.input)
     structure = braces.from_json(doc)
     filt = None
@@ -231,6 +244,7 @@ def _cmd_brace(args):
 
 
 def _cmd_reproduce(args):
+    from . import reproduce
     doc = reproduce.run(args.theorem, seed=args.seed)
     doc["command"] = "reproduce"
     return doc
@@ -298,8 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, metavar="FILE")
     p.add_argument("--field", type=int,
                    help="reduce both algebras modulo this prime first")
-    p.add_argument("--strategy", choices=isotest.STRATEGIES,
-                   default="auto")
+    p.add_argument("--strategy", choices=STRATEGIES, default="auto")
 
     p = sub.add_parser("brace", help="brace and truss verdicts")
     p.add_argument("action", choices=("check", "graded", "prelie", "series"))
@@ -307,8 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series-args", metavar="a,b,c,N")
 
     p = sub.add_parser("reproduce", help="rerun a packaged computation")
-    p.add_argument("--theorem", required=True,
-                   choices=sorted(reproduce.REPORTS))
+    p.add_argument("--theorem", required=True, choices=THEOREMS)
     p.add_argument("--seed", type=int,
                    help="test-data seed (never affects core algorithms)")
 

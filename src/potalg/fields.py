@@ -1,4 +1,4 @@
-"""Coefficient fields: exact rationals and prime fields GF(p).
+"""Coefficient fields (exact rationals, GF(p)) and the errors the CLI reports.
 
 A field object carries zero/one constants and exact arithmetic on its
 element type: Fraction for the rationals, canonical ints 0..p-1 for GF(p).
@@ -17,6 +17,17 @@ class FieldError(ArithmeticError):
 
 class ResourceCapError(RuntimeError):
     """A computation exceeded its declared resource budget."""
+
+
+class ParseError(ValueError):
+    def __init__(self, message: str, position: int):
+        super().__init__("%s (at offset %d)" % (message, position))
+        self.message = message
+        self.position = position
+
+
+class CleanupError(RuntimeError):
+    """A cleanup stage had no exact solution in either coordinate system."""
 
 
 PRIME_BOUND = 3317044064679887385961981

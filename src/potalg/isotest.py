@@ -26,10 +26,7 @@ from math import lcm
 from operator import mul
 
 from .fields import GF, QQ, FieldError, ResourceCapError
-from .freepoly import FreePoly
 from .linalg import kernel, rank, solve
-from .quotient import QuotientAlgebra
-from .rewrite import normal_form
 
 _LIFT_BUDGET = 1 << 18
 """Most invertible linear parts, and most search nodes, a lift search tries."""
@@ -152,8 +149,10 @@ def table_relations(F: FiniteAlgebra):
             if a + w not in idx and a + w[:-1] in idx]
 
 
-def from_quotient(Q: QuotientAlgebra) -> FiniteAlgebra:
-    """Structure constants of a finite quotient from 2n normal forms.
+def from_quotient(Q) -> FiniteAlgebra:
+    """Structure constants of a finite quotient.QuotientAlgebra from 2n
+    normal forms. Only here does isotest use the polynomial engine, so
+    iso, which reads tables, never loads it.
 
     Left multiplication by a letter a has the columns NF(a w), one per
     basis word w. The basis is suffix closed, so every other product
@@ -161,6 +160,8 @@ def from_quotient(Q: QuotientAlgebra) -> FiniteAlgebra:
     word reduced is one letter longer than the longest basis word, which
     is within the cap, so no product is cut at the cap.
     """
+    from .freepoly import FreePoly
+    from .rewrite import normal_form
     if not Q.finite:
         raise ValueError("only finite-dimensional quotients have tables")
     system, f, words = Q.system, Q.system.field, Q.basis_words
@@ -251,7 +252,14 @@ def algebra_from_json(doc) -> FiniteAlgebra:
     if not isinstance(doc["table"], dict):
         raise ValueError("table must be an object keyed by basis pairs")
     idx = {w: i for i, w in enumerate(words)}
-    table = {}
+    table, strings = {}, {}
+
+    # a string entry is read once; 1, 1.0 and True are one dict key
+    def scalar(c):
+        if type(c) is str and c not in strings:
+            strings[c] = _scalar(field, c)
+        return strings[c] if type(c) is str else _scalar(field, c)
+
     for key, row in doc["table"].items():
         pair = tuple(idx.get(w if w != "1" else "") for w in key.split(","))
         if len(pair) != 2 or None in pair:
@@ -261,7 +269,7 @@ def algebra_from_json(doc) -> FiniteAlgebra:
             raise ValueError("table row %r does not have %d entries"
                              % (key, n))
         table[pair] = {k: v for k, c in enumerate(row)
-                       if c != "0" and (v := _scalar(field, c))}
+                       if c != "0" and (v := scalar(c))}
     alg = FiniteAlgebra(field, words, {p: r for p, r in table.items() if r})
     alg.check_shape()
     return alg
@@ -375,7 +383,15 @@ def _basis_verdict(A: FiniteAlgebra, B: FiniteAlgebra):
     return verdict
 
 
-def derivation_dim(F: FiniteAlgebra):
+def _int_table(F: FiniteAlgebra):
+    """D, the constants' common denominator, and the table times D, each
+    row a list of (index, int) pairs."""
+    D = lcm(*(c.denominator for row in F.table.values() for c in row.values()))
+    return D, {pair: [(k, c.numerator * (D // c.denominator)) for k, c in
+                      row.items()] for pair, row in F.table.items()}
+
+
+def derivation_dim(F: FiniteAlgebra, ints=None):
     """The dimension of Der(F) over F's own field.
 
     x and y generate F, so a derivation D is fixed by the 2n coordinates
@@ -384,15 +400,13 @@ def derivation_dim(F: FiniteAlgebra):
     over the positions i of w, and each factor is a basis word, so a
     coefficient is two table lookups; degrees above top - len(w) + 1 in
     D(w_i) vanish there. Constants times their common denominator are
-    multiplied as ints. Der(F) is the kernel of a linear system over
-    F's field, so its dimension is unchanged under field extension (de
-    Graaf, Lie Algebras: Theory and Algorithms, 2000).
+    multiplied as ints: ints, or _int_table(F). Der(F) is the kernel of a
+    linear system over F's field, so its dimension is unchanged under
+    field extension (de Graaf, Lie Algebras: Theory and Algorithms, 2000).
     """
     n, f, idx, deg = F.dim, F.field, F.index, F.degrees
     p = f.characteristic
-    D = lcm(*(c.denominator for row in F.table.values() for c in row.values()))
-    table = {pair: [(k, c.numerator * (D // c.denominator)) for k, c in
-                    row.items()] for pair, row in F.table.items()}
+    D, table = ints or _int_table(F)
     rows = {}                        # (relation, basis index) -> equation
     for r, rel in enumerate(table_relations(F)):
         for w, c in rel.items():
@@ -417,11 +431,12 @@ def algebra_profile(F: FiniteAlgebra):
     table; the center only needs commuting with the degree-one words,
     which generate. With derivation_dim, each entry is a dimension of
     the kernel of a linear system over F's field, unchanged under field
-    extension.
+    extension; all are read off _int_table(F), whose ranks are the table's.
     """
     f = F.field
     n = F.dim
-    minus_one = f.neg(f.one)
+    ints = _int_table(F)
+    table = ints[1]
 
     def row(w, side, gs):
         # coordinates of w g (side 0), g w (side 1) or w g - g w (side 2)
@@ -430,10 +445,10 @@ def algebra_profile(F: FiniteAlgebra):
         # dimension n minus their rank
         out = {}
         for g in gs:
-            a, b = F.table.get((w, g), {}), F.table.get((g, w), {})
+            a, b = table.get((w, g), ()), table.get((g, w), ())
             vec = a if side == 0 else b if side == 1 else \
-                _combine(f, ((f.one, a), (minus_one, b)))
-            out.update(((side, g, t), c) for t, c in vec.items())
+                _combine(f, ((1, dict(a)), (-1, dict(b)))).items()
+            out.update(((side, g, t), c) for t, c in vec)
         return out
 
     gens = range(1, n)
@@ -443,7 +458,7 @@ def algebra_profile(F: FiniteAlgebra):
     both = [{**a, **b} for a, b in zip(left, right)]
     return {
         **_basis_entries(F),
-        "derivation_dim": derivation_dim(F),
+        "derivation_dim": derivation_dim(F, ints),
         "left_annihilator_dim": n - rank(left, f),
         "right_annihilator_dim": n - rank(right, f),
         "two_sided_annihilator_dim": n - rank(both, f),

@@ -21,7 +21,7 @@ Syntax errors carry the 0-based offset of the offending character.
 
 from __future__ import annotations
 
-from .fields import QQ
+from .fields import QQ, ParseError
 from .freepoly import FreePoly
 from .words import MonomialOrder
 
@@ -29,13 +29,6 @@ _DEFAULT_ORDER = MonomialOrder()
 MAX_NESTING = 100
 MAX_DEGREE = 1000
 MAX_TERMS = 10_000
-
-
-class ParseError(ValueError):
-    def __init__(self, message: str, position: int):
-        super().__init__("%s (at offset %d)" % (message, position))
-        self.message = message
-        self.position = position
 
 
 class _Parser:

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from potalg import cli
+from potalg import brace as braces
+from potalg import classify, cli, isotest, reproduce
 from potalg.brace import MAX_LEVELS, MAX_ORDER, MAX_SERIES_TERMS, FiniteBrace
 from potalg.cli import main
 from potalg.fields import QQ
@@ -857,6 +859,54 @@ def test_one_parser_serves_a_process(tmp_path, monkeypatch, capsys):
     assert runs[-1] == runs[2] and err.startswith("usage: potalg dim")
 
 
+LOADED = """
+import contextlib, io, json, sys
+from potalg.cli import build_parser, main
+with contextlib.redirect_stdout(io.StringIO()):
+    {run}
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("potalg"))))
+"""
+
+
+def modules_after(run):
+    """The potalg modules loaded in a fresh interpreter after run."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", LOADED.format(run=run)],
+                          capture_output=True, text=True, env=env, check=True)
+    return set(json.loads(proc.stdout))
+
+
+def test_building_the_parser_loads_only_fields():
+    assert modules_after("build_parser()") == {
+        "potalg", "potalg.cli", "potalg.fields"}
+
+
+@pytest.mark.parametrize("argv, engine, absent", [
+    (["gb", "--potential", DIM8, "--cap", "8"], "rewrite",
+     {"brace", "isotest", "classify", "reproduce"}),
+    (["brace", "check", "--input", "Z9"], "brace",
+     {"rewrite", "freepoly", "isotest", "classify"}),
+    (["iso", "--a", "9A", "--b", "9B"], "isotest",
+     {"rewrite", "freepoly", "quotient", "brace", "classify"})],
+    ids=["gb", "brace", "iso"])
+def test_each_command_imports_only_what_it_runs(tmp_path, argv, engine,
+                                                absent):
+    files = {"Z9": lambda: z9_brace_file(tmp_path),
+             "9A": lambda: dim_file(tmp_path, DIM9A, "9A.json"),
+             "9B": lambda: dim_file(tmp_path, DIM9B, "9B.json")}
+    argv = [files[a]() if a in files else a for a in argv]
+    loaded = modules_after("assert main(%r) == 0" % argv)
+    assert "potalg." + engine in loaded
+    assert not loaded & {"potalg." + m for m in absent}
+
+
+def test_parser_choices_are_the_library_lists():
+    # cli writes them out so that building the parser loads neither module
+    assert cli.STRATEGIES == isotest.STRATEGIES
+    assert cli.THEOREMS == tuple(sorted(reproduce.REPORTS))
+
+
 # -- brace ----------------------------------------------------------------
 
 def test_brace_check_graded_prelie(tmp_path):
@@ -877,8 +927,8 @@ def test_brace_check_runs_the_axioms_once(tmp_path, monkeypatch):
     # the axioms field and the filtration verdict share one axiom check,
     # on a brace and on a table that fails left distributivity
     calls = []
-    check_axioms = cli.braces.check_axioms
-    monkeypatch.setattr(cli.braces, "check_axioms",
+    check_axioms = braces.check_axioms
+    monkeypatch.setattr(braces, "check_axioms",
                         lambda S: calls.append(S) or check_axioms(S))
     code, doc, _ = run_cli("brace", "check", "--input",
                            z9_brace_file(tmp_path))
@@ -1289,7 +1339,7 @@ def test_internal_check_failure_exits_4(monkeypatch, capsys):
     def broken(*args):
         raise AssertionError("stage left 'xyxy' at 1")
 
-    monkeypatch.setattr(cli, "classify_potential", broken)
+    monkeypatch.setattr(classify, "classify_potential", broken)
     code, doc, text = run_cli("canon", "--potential", DIM8, "--cap", "8")
     assert code == 4 and doc["error"] == "internal"
     assert doc["message"] == "AssertionError: stage left 'xyxy' at 1"
