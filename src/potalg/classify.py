@@ -5,8 +5,9 @@ covariant of its abelianization (a vanishing Hessian is a triple line, a
 square one a double line, otherwise the cubic has three distinct lines),
 move it to a normal form by an exact linear change of variables, then
 strip unwanted higher-degree terms with substitutions x -> x + u,
-y -> y + v whose coefficients are solved, degree by degree, from exact
-linear systems. Since x -> x + u sends a word a x b to a u b to first
+y -> y + v. Every linear quantity, the cubic's line weights, cofactor
+and change of variables as well as each degree's substitution, comes
+from linalg.solve. Since x -> x + u sends a word a x b to a u b to first
 order, a stage splits each body word of a length its moves read at
 every letter once, and reads each move's column from the splits that
 land in its degree window.
@@ -30,8 +31,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .fields import QQ, CleanupError, FieldError, ResourceCapError
-from .freepoly import (FreePoly, Substitution, abelianize_cubic,
-                       invert_2x2, substitute)
+from .freepoly import FreePoly, Substitution, abelianize_cubic, substitute
 from .linalg import integral, primitive, solve
 from .potential import (cyclic_symmetrize, cyclicize,
                         is_cyclically_invariant, relations_of)
@@ -89,15 +89,14 @@ def _cube_coeffs(l):
     return (p ** 3, 3 * p * p * q, 3 * p * q * q, q ** 3)
 
 
-def _cube_weights(cubic, lines):
-    """The weights a_i with cubic = sum a_i l_i^3, asserted exact: one
-    exact solve on the columns of the line cubes."""
-    columns = [{i: c for i, c in enumerate(_cube_coeffs(l)) if c}
-               for l in lines]
-    rhs = {i: c for i, c in enumerate(cubic) if c}
-    weights, stalled, reduced = solve(columns, range(4), rhs, QQ)
-    if stalled or len(reduced) < len(lines):
-        raise AssertionError("the line cubes do not span the cubic")
+def _weights(target, columns):
+    """The weights a_i with target = sum a_i columns[i], for coefficient
+    tuples of one length, asserted exact and unique: one exact solve."""
+    cols = [{i: c for i, c in enumerate(col) if c} for col in columns]
+    rhs = {i: c for i, c in enumerate(target) if c}
+    weights, stalled, reduced = solve(cols, range(len(target)), rhs, QQ)
+    if stalled or len(reduced) < len(columns):
+        raise AssertionError("the columns do not span the target exactly")
     return weights
 
 
@@ -108,22 +107,6 @@ def _primitive(p, q):
         raise ValueError("zero linear form")
     row = primitive(integral(row, 0)[0], min(row), 0)
     return (Fraction(row.get(0, 0)), Fraction(row.get(1, 0)))
-
-
-def _divide(form, l):
-    """Exact cofactor of a binary form (coefficients from the highest
-    power of x down) by the line l = p x + q y, by synthetic division."""
-    p, q = l
-    if p == 0:
-        if form[0] != 0:
-            raise ValueError("linear form does not divide the form")
-        return tuple(c / q for c in form[1:])
-    quot = [form[0] / p]
-    for c in form[1:-1]:
-        quot.append((c - quot[-1] * q) / p)
-    if quot[-1] * q != form[-1]:
-        raise ValueError("linear form does not divide the form")
-    return tuple(quot)
 
 
 def _hessian(cubic):
@@ -137,6 +120,13 @@ def _linear_sub(m, cap):
     (a, b), (c, d) = m
     return Substitution.linear(Fraction(a), Fraction(b),
                                Fraction(c), Fraction(d), QQ, cap)
+
+
+def _normalizing_sub(m, cap):
+    """The substitution T with m T = 1, for m's rows two independent
+    lines: one exact solve per column of T."""
+    t = [_weights(e, list(zip(*m))) for e in ((1, 0), (0, 1))]
+    return _linear_sub(zip(*t), cap)
 
 
 _CANONICAL_CUBICS = {
@@ -180,10 +170,12 @@ def cubic_class(body) -> CubicClass:
     when f is a cube of a line (X3); otherwise the discriminant of H is
     zero exactly when f is l1^2 l2 with l1 the double line of H (X2Y);
     otherwise f has three distinct lines (X3Y3) and the two lines of H
-    split it into a sum of two cubes. The scale is folded into the
-    transform for X2Y (sigma 1); for X3 and X3Y3 sigma carries the
-    leftover factor. An already-normal cubic part gets the identity
-    transform.
+    split it into a sum of two cubes. One exact solve, _weights, gives
+    the cube weights of the lines, the cofactor l2 (on l1^2 x, l1^2 y)
+    and the transform T from M T = 1, M's rows the normal form's lines.
+    The scale is folded into the transform for X2Y (sigma 1); for X3
+    and X3Y3 sigma carries the leftover factor. An already-normal cubic
+    part gets the identity transform.
     """
     if body.field != QQ:
         raise FieldError("cubic classification is implemented over QQ")
@@ -202,16 +194,17 @@ def cubic_class(body) -> CubicClass:
         # only a cube l^3 has a vanishing hessian; (a, b) is p^2 (p, 3q)
         a, b = cubic[:2]
         l = _primitive(a, b / 3) if a else _primitive(0, 1)
-        [sigma] = _cube_weights(cubic, [l])
+        [sigma] = _weights(cubic, [_cube_coeffs(l)])
         M = (l, (_ZERO, _ONE) if l[1] == 0 else (_ONE, _ZERO))
-        return CubicClass("X3", _linear_sub(invert_2x2(M, QQ), cap), sigma)
+        return CubicClass("X3", _normalizing_sub(M, cap), sigma)
 
     if disc == 0:
-        # the hessian of l1^2 l2 is a multiple of l1^2
+        # the hessian of l1^2 l2 is a multiple of l1^2, zero if l2 ~ l1
         l1 = _primitive(2 * A, B) if A else _primitive(0, 1)
-        l2 = _divide(_divide(cubic, l1), l1)
+        sq = (l1[0] ** 2, 2 * l1[0] * l1[1], l1[1] ** 2)
+        l2 = _weights(cubic, [sq + (0,), (0,) + sq])
         M = (l1, (l2[0] / 3, l2[1] / 3))
-        return CubicClass("X2Y", _linear_sub(invert_2x2(M, QQ), cap), _ONE)
+        return CubicClass("X2Y", _normalizing_sub(M, cap), _ONE)
 
     root = _rational_sqrt(disc)
     if root is None:
@@ -223,13 +216,13 @@ def cubic_class(body) -> CubicClass:
     else:
         l1, l2 = _primitive(0, 1), _primitive(B, C)
     l1, l2 = sorted((l1, l2), reverse=True)
-    alpha, beta = _cube_weights(cubic, [l1, l2])
+    alpha, beta = _weights(cubic, [_cube_coeffs(l1), _cube_coeffs(l2)])
     croot = _rational_cbrt(beta / alpha)
     if croot is None:
         return CubicClass("X3Y3", extension_required={
             "kind": "cubic", "cube_ratio": str(beta / alpha)})
     M = (l1, (croot * l2[0], croot * l2[1]))
-    return CubicClass("X3Y3", _linear_sub(invert_2x2(M, QQ), cap), alpha)
+    return CubicClass("X3Y3", _normalizing_sub(M, cap), alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -147,8 +147,8 @@ def _cmd_dim(args):
     doc = {"command": "dim", "potential": render(F), "cap": cap,
            "extended": extended, "order": order.to_json(),
            "finite": Q.finite, "hilbert": list(Q.hilbert),
-           "total": Q.dimension if Q.finite else None,
-           "nilpotency_index": Q.nilpotency_index, "growth": Q.growth}
+           "total": Q.dimension,
+           "nilpotency_index": Q.first_empty_degree, "growth": Q.growth}
     if Q.finite:
         doc["algebra"] = dict(from_quotient(Q).to_json(),
                               name=args.potential, relations=list(

@@ -309,19 +309,6 @@ def substitute(f: FreePoly, s: Substitution) -> FreePoly:
                     _min_cap(f.cap, s.cap))
 
 
-def invert_2x2(m, field):
-    """The inverse (1/det) ((d, -b), (-c, a)) of m = ((a, b), (c, d));
-    raises FieldError when det = a d - b c vanishes."""
-    F = field
-    (a, b), (c, d) = m
-    det = F.sub(F.mul(a, d), F.mul(b, c))
-    if not det:
-        raise FieldError("singular linear part")
-    inv = F.inv(det)
-    return ((F.mul(d, inv), F.neg(F.mul(b, inv))),
-            (F.neg(F.mul(c, inv)), F.mul(a, inv)))
-
-
 def abelianize_cubic(f3: FreePoly):
     """Coefficients (of x^3, x^2 y, x y^2, y^3) after letting x, y commute.
 

@@ -17,10 +17,13 @@ from .rewrite import RewriteSystem, normal_words_by_degree
 
 @dataclass
 class QuotientAlgebra:
+    """Hilbert data of a truncated quotient. finite is True when an empty
+    degree certifies it, else None, never False: a truncation cannot
+    prove that an algebra is infinite."""
     system: RewriteSystem
     normal_basis: list          # words grouped by degree
     hilbert: tuple              # h_0..h_cap
-    finite: bool
+    finite: object              # True or None
     first_empty_degree: object  # int or None
     growth: str                 # "finite" | "bounded-constant" | "growing"
 
@@ -33,10 +36,6 @@ class QuotientAlgebra:
         if not self.finite:
             return None
         return sum(self.hilbert)
-
-    @property
-    def nilpotency_index(self):
-        return self.first_empty_degree
 
 
 def hilbert(system: RewriteSystem) -> QuotientAlgebra:
@@ -63,7 +62,7 @@ def hilbert(system: RewriteSystem) -> QuotientAlgebra:
         growth = "finite"
         layers = layers[:first_empty]
     else:
-        finite = False
+        finite = None
         tail = h[-3:]
         growth = "bounded-constant" if len(set(tail)) == 1 else "growing"
     return QuotientAlgebra(system, layers, h, finite, first_empty, growth)

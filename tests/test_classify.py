@@ -11,6 +11,7 @@ from potalg.classify import (Cleanup, CleanupError, classify_potential,
                              dim_formula)
 from potalg.fields import GF, FieldError, QQ
 from potalg.freepoly import FreePoly, Substitution, substitute
+from potalg.isotest import algebra_profile, from_quotient
 from potalg.parsing import parse_poly, render
 from potalg.potential import (cyclic_symmetrize, is_cyclically_invariant,
                               relations_of)
@@ -40,8 +41,9 @@ def test_cubic_canonical_inputs_get_identity():
 
 
 def test_uncapped_cubic_class_needs_no_cap():
-    # the normalizing transform inverts its 2x2 linear part directly, so
-    # an uncapped body gets the identity, not "an explicit cap is required"
+    # the normalizing transform is solved from its linear part on the
+    # coefficients alone, so an uncapped body gets the identity, not
+    # "an explicit cap is required"
     cls = cubic_class(parse_poly("x^3"))
     assert cls.label == "X3" and cls.sigma == 1
     assert cls.transform.cap is None
@@ -52,11 +54,13 @@ def test_uncapped_cubic_class_needs_no_cap():
 def test_cube_weights_assert_exactness():
     # x^3 + y^3 is no multiple of one cube, nor a sum of two cubes of
     # one line; both are internal failures, not user errors
+    cubes = classify._cube_coeffs
     with pytest.raises(AssertionError):
-        classify._cube_weights((1, 0, 0, 1), [(1, 0)])
+        classify._weights((1, 0, 0, 1), [cubes((1, 0))])
     with pytest.raises(AssertionError):
-        classify._cube_weights((1, 0, 0, 0), [(1, 0), (2, 0)])
-    assert classify._cube_weights((9, 0, 0, 2), [(1, 0), (0, 1)]) == [9, 2]
+        classify._weights((1, 0, 0, 0), [cubes((1, 0)), cubes((2, 0))])
+    assert classify._weights((9, 0, 0, 2),
+                             [cubes((1, 0)), cubes((0, 1))]) == [9, 2]
 
 
 def test_cubic_triple_line_from_square():
@@ -540,6 +544,41 @@ def test_report_serializes():
     assert doc["dimension"] == 9 and doc["representative"] == "9B"
     assert doc["truncated_above"] == 6
     assert doc["trail"], "trail must serialize"
+
+
+# -- coordinate changes ---------------------------------------------------
+
+# right-equivalent potentials have isomorphic Jacobi algebras; each map
+# is invertible, and some have non-unit determinants or higher terms
+NINE_MAPS = (("3 x", "-1/2 y"), ("2 x + y", "x + 3 y"), ("x + y^2", "y"),
+             ("2 x + x y", "x + y + x^2"), ("x - 4 y", "5 y + y x y"))
+TAIL_MAPS = (("3 x", "-1/2 y"), ("x + 2 y", "y"), ("x + y^2", "y"),
+             ("-x - 4 y", "y"))
+
+
+@pytest.mark.parametrize("text,cap,dim,name,maps", [
+    ("x^3 + y^3 + cyc(x y x y)", 10, 8, "dim8", NINE_MAPS),
+    ("cyc(x^2 y) + y^4", 10, 9, "9A", NINE_MAPS),
+    ("cyc(x^2 y) + y^4 + y^5", 10, 9, "9B", NINE_MAPS),
+    ("x^3 + cyc(x y^3) + y^5", 16, 32, None, TAIL_MAPS),
+    ("cyc(x^2 y) + y^12", 28, 33, None, TAIL_MAPS),
+])
+def test_coordinate_changes_keep_the_algebra(text, cap, dim, name, maps):
+    W = poly(text, cap)
+
+    def algebra(f):
+        Q = hilbert(complete(list(relations_of(f)), cap=cap))
+        return Q.hilbert, algebra_profile(from_quotient(Q))
+
+    expected = algebra(W)
+    assert sum(expected[0]) == dim
+    for images in maps:
+        image = substitute(W, Substitution(*(poly(t, cap) for t in images),
+                                           cap))
+        assert algebra(image) == expected, images
+        if name:
+            rep = classify_potential(image, cap)
+            assert rep.representative == name, images
 
 
 # -- randomized properties ------------------------------------------------

@@ -223,6 +223,17 @@ def test_dim_infinite_case_has_no_algebra():
     assert doc["growth"] == "bounded-constant" and "algebra" not in doc
 
 
+@pytest.mark.parametrize("command", ["dim", "canon"])
+def test_a_truncation_never_reads_finite_false(command):
+    # cyc(x^2 y) + y^10 is 27-dimensional, but no degree through cap 12
+    # is empty yet; a truncation cannot prove infinity, so finite is null
+    code, doc, _ = run_cli(command, "--potential", "cyc(x^2 y) + y^10",
+                           "--cap", "12")
+    assert code == 0 and doc["finite"] is None
+    assert doc["hilbert"] == [1] + [2] * 9 + [1] * 3
+    assert doc["growth"] == "bounded-constant"
+
+
 def test_dim_cap_below_degree_exits_2():
     code, doc, _ = run_cli("dim", "--potential", "y^8", "--cap", "4")
     assert code == 2 and doc["error"] == "config"
@@ -349,9 +360,9 @@ DIRTY_TAIL = " + ".join("%d %s" % (i + 1, t) for i, t in enumerate(
      "0c36ff352a1a0ee6a2f9b8cdd7b0a9136138c4a76faf26ca6c56db69414f839b"),
     # its dirty-tail support with coefficients 1..4
     ("cyc(x^2 y) + " + DIRTY_TAIL, "8",
-     "d15d49aa8d7f5f9f8bea20de6496ed2be3d435f44ff4392cec6e2a72cf40115a"),
+     "69f21743438760a2fb4bf8a38bfbf67dec5416176e80637a7d4ed5850a184fe9"),
     ("x^3 + y^3 + " + DIRTY_TAIL, "8",
-     "90378239da6da8661298cac12c7e855272791245ac4a7bb0328ceb9462047278"),
+     "e74acbfb08e896f6b7ef039a792bfc252b3dcd063285365a2a362efe958aa9cf"),
 ])
 def test_canon_bytes_are_pinned(text, cap, digest):
     # the trail, the moves and projected_stages are all in these bytes
@@ -1275,6 +1286,113 @@ def test_brace_fuzz_writes_one_document(tmp_path, capsys):
     assert codes >= {(action, code) for code in (0, 2) for action in
                      ("check", "graded", "prelie", "series")}, codes
     assert {code for _, code in codes} == {0, 2, 3}
+
+
+FUZZ_TERMS = ("x^3", "y^3", "x^2 y", "x y x y", "y^4", "x y^3", "y^5",
+              "cyc(x^2 y)", "cyc(x y x y)", "cyc(x y^2)", "(x + y) x y",
+              "cyc((x - y) y^2)", "x y", "x", "x^0")
+FUZZ_BROKEN = ("cyc(", "x^", "1/0", "cyc(x^0)", "x^-1", "z", "(x",
+               "x + + y", "cyc()", "^2", "x^99999", "2 2", ")", "")
+FUZZ_COEFFS = ("", "", "", "2 ", "-1 ", "1/2 ", "-5/3 ", "0 ")
+
+
+def fuzz_expression(rng):
+    """A sum of one to four terms of a small grammar; about a third of
+    the sums carry one broken atom, and one in ten starts with a minus
+    sign, which argparse reads as an option."""
+    terms = [rng.choice(FUZZ_COEFFS) + rng.choice(FUZZ_TERMS)
+             for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.35:
+        terms[rng.randrange(len(terms))] = rng.choice(FUZZ_BROKEN)
+    return ("-" if rng.random() < 0.1 else "") + " + ".join(terms)
+
+
+def fuzz_argv(rng, command):
+    argv = [command]
+    if command == "gb" and rng.random() < 0.4:
+        argv += ["--relations", ", ".join(
+            fuzz_expression(rng) for _ in range(rng.randint(1, 3)))]
+    else:
+        argv += ["--potential", fuzz_expression(rng)]
+    if command == "derive":
+        argv += ["--mode", rng.choice(("simple", "ginzburg"))]
+        return argv
+    cap = rng.randint(0, 8)
+    if command == "canon" and rng.random() < 0.05:
+        cap = 21                       # above the classification limit
+    argv += ["--cap", str(cap)]
+    if command in ("gb", "dim"):
+        argv += ["--order", rng.choice(("xy", "yx")),
+                 "--mode", rng.choice(("local", "global"))]
+    if command == "dim" and rng.random() < 0.3:
+        argv.append("--oracle")
+    return argv
+
+
+def damage_algebra(rng, doc):
+    """One wrong type or value in a dim document's algebra: an entry, a
+    key, a basis word or a degree, or a dropped row."""
+    alg = doc["algebra"]
+    table, basis, degrees = alg["table"], alg["basis"], alg["degrees"]
+    key = rng.choice(sorted(table))
+    wrong = rng.choice((None, [1], "1/0", 0.1, True, 7, "x", "-3", "1/2",
+                        {}, -1, "9" * 30))
+    kind = rng.randrange(7)
+    if kind == 0:
+        table[key][rng.randrange(len(table[key]))] = wrong
+    elif kind == 1:
+        table[rng.choice(("x,q", "", "x,x,x", key.replace(",", "")))] = \
+            table.pop(key)
+    elif kind == 2:
+        basis[rng.randrange(len(basis))] = rng.choice((wrong, "yy", "q"))
+    elif kind == 3:
+        degrees[rng.randrange(len(degrees))] = wrong
+    elif kind == 4:
+        del table[key]
+    elif kind == 5:
+        table[key].pop()
+    else:
+        alg[rng.choice(("basis", "degrees", "table", "field"))] = wrong
+
+
+def test_cli_fuzz_writes_one_document(tmp_path, capsys, monkeypatch):
+    # a damaged table can still load, and a lift search on it may walk
+    # its whole node budget (28 s at the default); a small budget keeps
+    # the run short and reaches the exit-3 path of the search
+    monkeypatch.setattr(isotest, "_LIFT_BUDGET", 4096)
+    rng = random.Random(20261021)
+    docs = [json.loads(Path(dim_file(tmp_path, text, "%d.json" % i))
+                       .read_text())
+            for i, text in enumerate((DIM8, DIM9A, DIM9B))]
+    runs = [("expr", rng.choice(("derive", "gb", "dim", "canon")))
+            for _ in range(600)] + [("iso", "iso")] * 200
+    codes = set()
+    for kind, command in runs:
+        if kind == "iso":
+            paths = []
+            for side in "ab":
+                doc = json.loads(json.dumps(rng.choice(docs)))
+                if rng.random() < 0.5:
+                    damage_algebra(rng, doc)
+                path = tmp_path / ("%s.json" % side)
+                path.write_text(json.dumps(doc))
+                paths.append(str(path))
+            argv = ["iso", "--a", paths[0], "--b", paths[1],
+                    "--strategy", rng.choice(cli.STRATEGIES)]
+            field = rng.choice((None, 1, 2, 3, 4, 5, 7))
+            if field is not None:
+                argv += ["--field", str(field)]
+        else:
+            argv = fuzz_argv(rng, command)
+        code, _, text = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (argv, text, err)
+        assert isinstance(json.loads(text), dict), (argv, text)
+        assert "Traceback" not in err, (argv, err)
+        codes.add((command, code))
+    assert codes >= {(command, code) for code in (0, 2) for command in
+                     ("derive", "gb", "dim", "canon", "iso")}, codes
+    assert 3 in {code for _, code in codes}, codes
 
 
 # -- reproduce -------------------------------------------------------------

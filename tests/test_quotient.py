@@ -27,7 +27,6 @@ def test_hilbert_r1():
     assert Q.hilbert == (1, 2, 2, 2, 1, 1, 0, 0, 0)
     assert Q.finite and Q.dimension == 9
     assert Q.first_empty_degree == 6
-    assert Q.nilpotency_index == 6
     assert Q.growth == "finite"
     assert Q.basis_words == ["", "x", "y", "yx", "yy", "yyx", "yyy",
                              "yyyy", "yyyyy"]
