@@ -6,6 +6,8 @@ A brace here satisfies the compatibility law (a*b+a+b)*c = a*c+b*c+a*(b*c)
 together with left distributivity of *, which is the truss axiom with
 alpha identically zero; a truss replaces the latter by
 a*(b+c) = a*b+a*c+alpha(a) and only asks the circle to be a semigroup.
+The adjoint brace of a nilpotent ring is FiniteBrace(add, mul), star the
+ring product; it is checked like any other table.
 
 Every verdict is a complete proof, not a sample, yet most laws are
 checked on a greedy additive generating set S (|S| <= log2 n once (B, +)
@@ -198,6 +200,10 @@ class _Carrier:
     def circle(self, a, b):
         return self.add[self.add[a][b]][self.star[a][b]]
 
+    def to_json(self):
+        return {"order": self.order, "add": [list(r) for r in self.add],
+                "star": [list(r) for r in self.star]}
+
     def _additive_group_verdict(self):
         """Abelian group axioms of (B, +), decided once per carrier.
 
@@ -251,10 +257,6 @@ class _Carrier:
 class FiniteBrace(_Carrier):
     kind = "brace"
 
-    def to_json(self):
-        return {"order": self.order, "add": [list(r) for r in self.add],
-                "star": [list(r) for r in self.star]}
-
 
 class FiniteTruss(_Carrier):
     kind = "truss"
@@ -268,9 +270,7 @@ class FiniteTruss(_Carrier):
         self.alpha = list(alpha)
 
     def to_json(self):
-        return {"order": self.order, "add": [list(r) for r in self.add],
-                "star": [list(r) for r in self.star],
-                "alpha": list(self.alpha)}
+        return dict(super().to_json(), alpha=list(self.alpha))
 
 
 def from_json(doc):
@@ -612,8 +612,11 @@ def associated_graded(B, filt: Filtration = None) -> GradedStructure:
     """The graded structure of B along filt, by default its star series.
 
     B must pass its own axioms (check_axioms) and filt check_filtration;
-    otherwise ValueError names the failed law. The class product is then
-    well defined and biadditive (module docstring), so it is not checked.
+    otherwise ValueError names the failed law. On such input (B, +) is a
+    group and star left distributive, and the class product is well
+    defined and biadditive (module docstring), so none of it is checked
+    again: the components B_i / B_(i+1) are labelled by cosets. This is
+    the only builder of a GradedStructure.
     """
     axioms = check_axioms(B)
     if not axioms:
@@ -623,27 +626,10 @@ def associated_graded(B, filt: Filtration = None) -> GradedStructure:
     ok = _filtration_laws(B, filt)
     if not ok:
         raise ValueError("invalid filtration: %s" % ok.reason)
-    return _graded(B, filt)
-
-
-def _graded(B, filt):
-    """Quotient components B_i / B_(i+1), labelled by cosets.
-
-    Asks for (B, +) a group, star left distributive and filt passing
-    check_filtration, as on every input of associated_graded, and raises
-    ValueError when the first two fail. Nothing else is checked: on such
-    input the class product is well defined and biadditive (module
-    docstring).
-    """
-    if not (B._additive_group_verdict() and B._left_distributive()):
-        raise ValueError("graded product needs (B, +) a group and star "
-                         "left distributive")
-    class_of, reps = [], []
-    for level, nxt in zip(filt.chain, filt.chain[1:]):
-        label, rep = _cosets(B.add, level, nxt)
-        class_of.append(label)
-        reps.append(rep)
-    return GradedStructure(B, filt, class_of, reps)
+    labels = [_cosets(B.add, level, nxt)
+              for level, nxt in zip(filt.chain, filt.chain[1:])]
+    return GradedStructure(B, filt, [label for label, _ in labels],
+                           [rep for _, rep in labels])
 
 
 def pre_lie_defect(G: GradedStructure):
@@ -791,25 +777,3 @@ def _lambda_maps(add, auts):
                 yield from extend(k + 1)
 
     return extend(1)
-
-
-def brace_from_nilpotent_ring(add, mul) -> FiniteBrace:
-    """Adjoint brace of a nilpotent ring: star is the ring product.
-
-    Nilpotency is what makes 1+a formally invertible, hence the circle
-    a group; the axioms are verified anyway rather than trusted. For a
-    ring the star series of gamma_filtration is the power series, so
-    nilpotency is read off it; its levels are greedy spans, so (B, +)
-    must be a group first.
-    """
-    B = FiniteBrace(add, mul)
-    verdict = B._additive_group_verdict()
-    if not verdict:
-        raise ValueError("ring addition is not an abelian group: %s"
-                         % verdict.reason)
-    gamma_filtration(B)
-    verdict = check_brace(B)
-    if not verdict:
-        raise ValueError("ring tables do not satisfy the brace axioms: "
-                         "%s" % verdict.reason)
-    return B

@@ -19,9 +19,9 @@ variables, so composing it carries the input body to the canonical body
 exactly through the cap. A class solution replaces the moved body by its
 cyclic symmetrization, which is the classical computation on potentials
 taken up to rotation. Every stage appends its substitution and its mode
-to one Cleanup record, which the classification report extends;
-dimension claims are always re-derived from the completed rewrite system
-of the cleaned body, never from the trail.
+to one ClassificationReport, which then takes the verdict; dimension
+claims are always re-derived from the completed rewrite system of the
+cleaned body, never from the trail.
 """
 
 from __future__ import annotations
@@ -347,10 +347,16 @@ def _window_stage(body, cap, window, move_degrees, free, trail, stage_log):
     return body, {w: body.coeff(w) for w in free}
 
 
+_OPTIONAL_KEYS = ("dimension", "representative", "formula", "lower_bound",
+                  "inconclusive", "scaling_obstruction", "truncated_above")
+"""Report fields that to_json writes only when they are set."""
+
+
 @dataclass
-class Cleanup:
-    """One cleanup run: the body being cleaned, the trail of substitutions
-    applied to it, the stage log and the global scale.
+class ClassificationReport:
+    """One classification run: the body being cleaned, the trail of
+    substitutions applied to it, the stage log and the global scale, then
+    the verdict on the cleaned body.
 
     Every stage appends to the record: a window stage its substitution
     and log entry, a rescale its diagonal substitution, log entry and
@@ -361,6 +367,18 @@ class Cleanup:
     trail: list = dc_field(default_factory=list)
     stage_log: list = dc_field(default_factory=list)
     global_scale: Fraction = _ONE
+    cubic: CubicClass = None
+    hilbert: tuple = ()
+    finite: object = None
+    dimension: object = None
+    growth: str = ""
+    representative: object = None      # dim8 | 9A | 9B | None
+    formula: object = None             # {n, k, predicted} for pure tails
+    lower_bound: object = None
+    inconclusive: object = None
+    scaling_obstruction: object = None
+    symmetrized_input: bool = False
+    truncated_above: object = None
 
     @property
     def projected_stages(self):
@@ -397,13 +415,33 @@ class Cleanup:
         if any(w not in covered for w in (self.canonical - expect).terms):
             raise AssertionError(message)
 
+    def to_json(self):
+        from .parsing import render
+        doc = {"cubic": self.cubic.to_json(),
+               "hilbert": list(self.hilbert),
+               "finite": self.finite,
+               "growth": self.growth,
+               "projected_stages": self.projected_stages,
+               "symmetrized_input": self.symmetrized_input,
+               "global_scale": str(self.global_scale)}
+        if self.canonical is not None:
+            doc["canonical"] = render(self.canonical)
+        if self.trail:
+            doc["trail"] = [s.to_json() for s in self.trail]
+        for key in _OPTIONAL_KEYS:
+            if getattr(self, key) is not None:
+                doc[key] = getattr(self, key)
+        if self.stalled_classes:
+            doc["stalled_classes"] = list(self.stalled_classes)
+        return doc
+
 
 def _require_cubic(body, label):
     if body.homogeneous_part(3) != _CANONICAL_CUBICS[label](body.cap):
         raise ValueError("cleanup needs the %s cubic normal form" % label)
 
 
-def cleanup_x2y(rec: Cleanup):
+def cleanup_x2y(rec: ClassificationReport):
     """Reduce a potential with cubic part cyc(x^2 y) to a pure-y tail.
 
     Degree by degree every coefficient except the one on y^d is removed
@@ -432,7 +470,7 @@ def cleanup_x2y(rec: Cleanup):
     return tail, n_val // 2 if n_val is not None else None, k
 
 
-def cleanup_x3y3(rec: Cleanup):
+def cleanup_x3y3(rec: ClassificationReport):
     """Reduce a potential with cubic part x^3 + y^3 to the quartic form.
 
     Stage one empties degree 4 except the rotation class of xyxy, whose
@@ -469,7 +507,7 @@ def cleanup_x3y3(rec: Cleanup):
     return beta
 
 
-def _normalize_dim9_tail(rec: Cleanup):
+def _normalize_dim9_tail(rec: ClassificationReport):
     """Scale the y^4 coefficient to 1 and kill y^6, leaving y^5 alone.
 
     Only potential terms of degree <= 6 matter here: a nine dimensional
@@ -520,53 +558,6 @@ def dim_formula(n: int, k: int) -> int:
     if k == 2 * n:
         return 3 * (2 * n + 3)
     return 4 * n + k + 9
-
-
-@dataclass
-class ClassificationReport(Cleanup):
-    cubic: CubicClass = None
-    hilbert: tuple = ()
-    finite: object = None
-    dimension: object = None
-    growth: str = ""
-    representative: object = None      # dim8 | 9A | 9B | None
-    formula: object = None             # {n, k, predicted} for pure tails
-    lower_bound: object = None
-    inconclusive: object = None
-    scaling_obstruction: object = None
-    symmetrized_input: bool = False
-    truncated_above: object = None
-
-    def to_json(self):
-        from .parsing import render
-        doc = {"cubic": self.cubic.to_json(),
-               "hilbert": list(self.hilbert),
-               "finite": self.finite,
-               "growth": self.growth,
-               "projected_stages": self.projected_stages,
-               "symmetrized_input": self.symmetrized_input,
-               "global_scale": str(self.global_scale)}
-        if self.canonical is not None:
-            doc["canonical"] = render(self.canonical)
-        if self.trail:
-            doc["trail"] = [s.to_json() for s in self.trail]
-        if self.dimension is not None:
-            doc["dimension"] = self.dimension
-        if self.representative is not None:
-            doc["representative"] = self.representative
-        if self.formula is not None:
-            doc["formula"] = dict(self.formula)
-        if self.lower_bound is not None:
-            doc["lower_bound"] = self.lower_bound
-        if self.inconclusive is not None:
-            doc["inconclusive"] = self.inconclusive
-        if self.scaling_obstruction is not None:
-            doc["scaling_obstruction"] = self.scaling_obstruction
-        if self.truncated_above is not None:
-            doc["truncated_above"] = self.truncated_above
-        if self.stalled_classes:
-            doc["stalled_classes"] = list(self.stalled_classes)
-        return doc
 
 
 def _verdict(body, cap, report):

@@ -99,7 +99,7 @@ def _cmd_derive(args):
     from .potential import derive_ginzburg, derive_simple
     F = _parse_potential(args.potential)
     dfn = derive_simple if args.mode == "simple" else derive_ginzburg
-    return {"command": "derive", "mode": args.mode, "potential": render(F),
+    return {"mode": args.mode, "potential": render(F),
             "relations": {"x": render(dfn(F, "x")),
                           "y": render(dfn(F, "y"))}}
 
@@ -116,9 +116,7 @@ def _cmd_gb(args):
                 for t in args.relations.split(",") if t.strip()]
         if not rels:
             raise ValueError("no relations given")
-    doc = complete(rels, order, args.cap).to_json()
-    doc["command"] = "gb"
-    return doc
+    return complete(rels, order, args.cap).to_json()
 
 
 def _cmd_dim(args):
@@ -144,7 +142,7 @@ def _cmd_dim(args):
         F, rels, Q = build(cap)
         extended = True
 
-    doc = {"command": "dim", "potential": render(F), "cap": cap,
+    doc = {"potential": render(F), "cap": cap,
            "extended": extended, "order": order.to_json(),
            "finite": Q.finite, "hilbert": list(Q.hilbert),
            "total": Q.dimension,
@@ -165,9 +163,7 @@ def _cmd_dim(args):
 def _cmd_canon(args):
     from .classify import classify_potential
     F = _parse_potential(args.potential, args.cap)
-    doc = classify_potential(F, args.cap).to_json()
-    doc["command"] = "canon"
-    return doc
+    return classify_potential(F, args.cap).to_json()
 
 
 def _read_json(path):
@@ -195,10 +191,8 @@ def _cmd_iso(args):
         A = isotest.algebra_mod_p(A, args.field)
         B = isotest.algebra_mod_p(B, args.field)
 
-    doc = isotest.distinguish_algebras(A, B, args.strategy).to_json()
-    doc["command"] = "iso"
-    doc["strategy"] = args.strategy
-    return doc
+    return dict(isotest.distinguish_algebras(A, B, args.strategy).to_json(),
+                strategy=args.strategy)
 
 
 def _cmd_brace(args):
@@ -211,7 +205,7 @@ def _cmd_brace(args):
 
     if args.action == "check":
         axioms = braces.check_axioms(structure)
-        out = {"command": "brace", "action": "check",
+        out = {"action": "check",
                "structure": structure.kind, "order": structure.order,
                "axioms": axioms.to_json()}
         if filt is not None:
@@ -226,28 +220,22 @@ def _cmd_brace(args):
         if len(parts) != 4:
             raise ValueError("--series-args wants exactly a,b,c,N")
         a, b, c, n = parts
-        out = dict(braces.distributivity_series(structure, a, b, c, n))
-        out.update({"command": "brace", "action": "series",
-                    "triple": [a, b, c], "terms": n})
-        return out
+        return dict(braces.distributivity_series(structure, a, b, c, n),
+                    action="series", triple=[a, b, c], terms=n)
 
     # without a chain, graded and prelie fall back to the star powers
     G = braces.associated_graded(structure, filt)
     if args.action == "graded":
-        out = G.to_json()
-        out.update({"command": "brace", "action": "graded"})
-        return out
+        return dict(G.to_json(), action="graded")
     defect = braces.pre_lie_defect(G)
-    return {"command": "brace", "action": "prelie",
+    return {"action": "prelie",
             "left_symmetric": defect == 0,
             "witness": None if defect == 0 else [list(t) for t in defect]}
 
 
 def _cmd_reproduce(args):
     from . import reproduce
-    doc = reproduce.run(args.theorem, seed=args.seed)
-    doc["command"] = "reproduce"
-    return doc
+    return reproduce.run(args.theorem, seed=args.seed)
 
 
 HANDLERS = {"derive": _cmd_derive, "gb": _cmd_gb, "dim": _cmd_dim,
@@ -357,5 +345,6 @@ def main(argv=None) -> int:
         _emit({"error": "internal",
                "message": "%s: %s" % (type(exc).__name__, exc)})
         return 4
+    doc["command"] = args.command
     _emit(doc)
     return 0

@@ -383,6 +383,20 @@ def _basis_verdict(A: FiniteAlgebra, B: FiniteAlgebra):
     return verdict
 
 
+def _check_associative(F: FiniteAlgebra):
+    """ValueError at the first basis triple (g, b, c), g a generator, with
+    (g b) c != g (b c). On a table that passes check_shape and has the
+    generators x, y at 1, 2 (_basis_verdict), these 2 n^2 checks prove
+    associativity by induction on the length of a: a = g a' with a'
+    shorter, and (a b) c = (g (a' b)) c = g ((a' b) c) = g (a' (b c)) =
+    a (b c), the checks being linear in b and c."""
+    one, row = F.basis_vec, F.table.get
+    for g, b, c in product((1, 2), range(F.dim), range(F.dim)):
+        if F.mul(row((g, b), {}), one(c)) != F.mul(one(g), row((b, c), {})):
+            raise ValueError("table is not associative at basis triple %r"
+                             % ((g, b, c),))
+
+
 def _int_table(F: FiniteAlgebra):
     """D, the constants' common denominator, and the table times D, each
     row a list of (index, int) pairs."""
@@ -502,8 +516,9 @@ def _linearized(rels, B, deg1):
 def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
     """Linear part first, then degree-by-degree coefficient lifting.
 
-    Both algebras live over one p-element field and pass check_shape,
-    which table_relations and _linearized rest on; candidates are tested
+    Both algebras live over one p-element field and pass check_shape
+    and _check_associative, on which table_relations and _linearized
+    rest (a table that fails raises ValueError); candidates are tested
     against A's relations as read off its table. The (p^2 - 1)(p^2 - p)
     invertible linear parts are tried in lexicographic order, unless
     there are more than _LIFT_BUDGET (ResourceCapError); one goes on
@@ -525,6 +540,8 @@ def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
     verdict = _basis_verdict(A, B)
     if verdict:
         return verdict
+    _check_associative(A)
+    _check_associative(B)
     f = B.field
     deg1 = [i for i in range(B.dim) if B.degrees[i] == 1]
     parts = (p * p - 1) * (p * p - p)

@@ -30,6 +30,9 @@ MAX_NESTING = 100
 MAX_DEGREE = 1000
 MAX_TERMS = 10_000
 
+_DIGITS = frozenset("0123456789")
+"""Digits are ASCII: str.isdigit also takes '²', which int() refuses."""
+
 
 class _Parser:
     def __init__(self, text: str, field, cap):
@@ -89,7 +92,7 @@ class _Parser:
     def parse_term(self) -> FreePoly:
         coeff = self.field.one
         explicit = False
-        if self.peek().isdigit():
+        if self.peek() in _DIGITS:
             coeff = self.parse_rational()
             explicit = True
         poly = None
@@ -120,7 +123,7 @@ class _Parser:
         den = 1
         if self.peek() == "/":
             self.take()
-            if not self.peek().isdigit():
+            if self.peek() not in _DIGITS:
                 self.error("expected digits after '/'")
             den = self.parse_int()
             if den == 0:
@@ -131,7 +134,7 @@ class _Parser:
     def parse_int(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             self.error("expected digits")
@@ -177,7 +180,7 @@ class _Parser:
             exp = 1
             if self.peek() == "^":
                 self.take()
-                if not self.peek().isdigit():
+                if self.peek() not in _DIGITS:
                     self.error("expected exponent digits")
                 exp_at = self.pos
                 exp = self.parse_int()

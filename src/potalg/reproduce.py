@@ -13,8 +13,8 @@ import random
 from fractions import Fraction
 
 from .brace import (FiniteBrace, Filtration, associated_graded,
-                    brace_from_nilpotent_ring, enumerate_braces,
-                    gamma_filtration, pre_lie_defect, series_exact)
+                    enumerate_braces, gamma_filtration, pre_lie_defect,
+                    series_exact)
 from .classify import classify_potential, dim_formula
 from .fields import QQ
 from .freepoly import FreePoly
@@ -176,20 +176,12 @@ def _cyclic(n, star_fn):
     return add, star
 
 
-def _subring_brace(m, modulus):
-    # the ring m*Z/modulus, carrier index i standing for the value m*i
-    n = modulus // m
-    add = [[(i + j) % n for j in range(n)] for i in range(n)]
-    star = [[(m * i * j) % n for j in range(n)] for i in range(n)]
-    return brace_from_nilpotent_ring(add, star)
-
-
 def _unitriangular_brace():
     # strictly upper triangular 3x3 over GF(2), coded as bits (p, q, r)
     add = [[a ^ b for b in range(8)] for a in range(8)]
     mul = [[((a & 1) * ((b >> 1) & 1)) << 2 for b in range(8)]
            for a in range(8)]
-    return brace_from_nilpotent_ring(add, mul)
+    return FiniteBrace(add, mul)
 
 
 def _brace_fixtures():
@@ -203,7 +195,8 @@ def _brace_fixtures():
                 Filtration([set(range(9)), {0, 3, 6}, {0}])))
     for label, m, modulus in (("2Z/8", 2, 8), ("3Z/9", 3, 9),
                               ("2Z/16", 2, 16), ("2Z/32", 2, 32)):
-        B = _subring_brace(m, modulus)
+        # the ring m*Z/modulus, carrier index i standing for the value m*i
+        B = FiniteBrace(*_cyclic(modulus // m, lambda a, b: m * a * b))
         out.append(("ring %s" % label, B, gamma_filtration(B)))
     B = _unitriangular_brace()
     out.append(("ring U3(F2)", B, gamma_filtration(B)))

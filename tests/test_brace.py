@@ -9,10 +9,9 @@ from itertools import permutations, product as iproduct
 import pytest
 
 from potalg.brace import (FiniteBrace, FiniteTruss, Filtration,
-                          _closure, _filtration_laws, _graded,
-                          _lambda_maps,
-                          associated_graded,
-                          brace_from_nilpotent_ring, check_axioms,
+                          GradedStructure, _closure, _cosets,
+                          _filtration_laws, _lambda_maps,
+                          associated_graded, check_axioms,
                           check_brace, check_filtration, check_truss,
                           distributivity_series, enumerate_braces,
                           filtration_from_json, from_json, gamma_filtration,
@@ -63,7 +62,9 @@ def ring_brace_2z8():
     idx = {e: i for i, e in enumerate(elems)}
     add = [[idx[(a + b) % 8] for b in elems] for a in elems]
     mul = [[idx[(a * b) % 8] for b in elems] for a in elems]
-    return brace_from_nilpotent_ring(add, mul), idx
+    B = FiniteBrace(add, mul)
+    assert check_brace(B)
+    return B, idx
 
 
 def test_trivial_brace_is_valid():
@@ -171,10 +172,10 @@ def test_axioms_follow_the_kind_of_structure():
 
 # Each table below fails its brace axioms and meets the filtration laws,
 # so check_filtration and associated_graded refuse it. The graded product
-# of the first is not well defined and that of the second not right
-# additive, which cannot happen on a verified brace or truss (brace module
-# docstring); _graded, which builds the structure without checking the
-# axioms, refuses only the third, whose star is not left distributive.
+# of the first is not well defined, that of the second not right additive
+# and the third's star not left distributive, none of which can happen on
+# a verified brace or truss (brace module docstring). The last field is
+# not read; it only keeps each case's test id.
 GRADED_REFUSALS = [
     (4, lambda a, b: 2 * b * (a == 3), [{0, 2}],
      "brace compatibility fails", None),
@@ -200,9 +201,14 @@ def test_graded_refuses_a_table_that_is_not_a_brace(n, star_fn, levels,
     assert _filtration_laws(B, filt)
     with pytest.raises(ValueError, match="^not a brace: %s$" % axiom):
         associated_graded(B, filt)
-    if product:
-        with pytest.raises(ValueError, match="^%s$" % re.escape(product)):
-            _graded(B, filt)
+
+
+def unchecked_graded(B, filt):
+    """The coset labelling of associated_graded without its checks."""
+    labels = [_cosets(B.add, level, nxt)
+              for level, nxt in zip(filt.chain, filt.chain[1:])]
+    return GradedStructure(B, filt, [label for label, _ in labels],
+                           [rep for _, rep in labels])
 
 
 def test_pre_lie_defect_names_a_witness():
@@ -219,7 +225,8 @@ def test_pre_lie_defect_names_a_witness():
     with pytest.raises(ValueError, match="^not a brace: brace compatibility "
                                          "fails$"):
         associated_graded(B, filt)
-    assert pre_lie_defect(_graded(B, filt)) == ((1, 1), (2, 1), (1, 1))
+    assert pre_lie_defect(unchecked_graded(B, filt)) == \
+        ((1, 1), (2, 1), (1, 1))
 
 
 def test_ring_brace_2z8_matches_ring_graded():
@@ -240,13 +247,14 @@ def test_ring_brace_3z9_is_trivial():
     idx = {e: i for i, e in enumerate(elems)}
     add = [[idx[(a + b) % 9] for b in elems] for a in elems]
     mul = [[idx[(a * b) % 9] for b in elems] for a in elems]
-    B = brace_from_nilpotent_ring(add, mul)
+    B = FiniteBrace(add, mul)
+    assert check_brace(B)
     assert B.order == 3
     assert all(B.times(a, b) == 0 for a in range(3) for b in range(3))
 
 
 def test_zero_ring_gives_trivial_brace():
-    B = brace_from_nilpotent_ring([[0]], [[0]])
+    B = FiniteBrace([[0]], [[0]])
     assert B.order == 1 and check_brace(B)
 
 
@@ -257,15 +265,13 @@ def test_unit_ring_is_rejected():
     with pytest.raises(ValueError, match="^star series stalls at "
                                          r"\[0, 1, 2, 3\]; no nilpotent "
                                          "filtration$"):
-        brace_from_nilpotent_ring(add, mul)
+        gamma_filtration(FiniteBrace(add, mul))
 
 
 def test_ring_addition_must_be_a_group():
-    # the powers are greedy spans, subgroups only in a group
-    with pytest.raises(ValueError, match="^ring addition is not an abelian "
-                                         "group: 0 is not the additive "
-                                         "identity$"):
-        brace_from_nilpotent_ring([[1, 0], [0, 1]], [[0, 0], [0, 0]])
+    verdict = check_brace(FiniteBrace([[1, 0], [0, 1]], [[0, 0], [0, 0]]))
+    assert as_tuple(verdict) == (False, "0 is not the additive identity",
+                                 (0,))
 
 
 def upper_unitriangular_f2():
@@ -290,7 +296,8 @@ def upper_unitriangular_f2():
 
 def test_upper_unitriangular_matrices_form_a_brace():
     add, mul = upper_unitriangular_f2()
-    B = brace_from_nilpotent_ring(add, mul)
+    B = FiniteBrace(add, mul)
+    assert check_brace(B)
     filt = gamma_filtration(B)
     assert filt.length == 3
     G = associated_graded(B, filt)
@@ -774,12 +781,12 @@ def test_certificates_match_exhaustive_loops():
 def test_passing_checks_give_the_graded_premise():
     # the product law at B_m = {0} asks a*0 = 0, and the truss axiom at
     # b = c = 0 then gives alpha(a) = -a*0 = 0: whatever passes its axioms
-    # and a filtration has a left distributive star, as _graded asks.
-    # A truss that does is a brace on the same tables, and every level of
-    # its chain is an ideal: the congruence laws hold wherever
+    # and a filtration has a left distributive star, as associated_graded
+    # needs. A truss that does is a brace on the same tables, and every
+    # level of its chain is an ideal: the congruence laws hold wherever
     # check_filtration passes, and so do the graded product's two lemmas,
-    # well defined and right additive, which _graded does not check
-    # (brace module docstring)
+    # well defined and right additive, which associated_graded does not
+    # check (brace module docstring)
     rng = random.Random(20261020)
     kinds, affine, congruence_fails, graded = set(), 0, 0, []
     for add, star in differential_cases(rng):

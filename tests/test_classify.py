@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from potalg import classify
-from potalg.classify import (Cleanup, CleanupError, classify_potential,
-                             cleanup_x2y, cleanup_x3y3, cubic_class,
-                             dim_formula)
+from potalg.classify import (ClassificationReport, CleanupError,
+                             classify_potential, cleanup_x2y, cleanup_x3y3,
+                             cubic_class, dim_formula)
 from potalg.fields import GF, FieldError, QQ
 from potalg.freepoly import FreePoly, Substitution, substitute
 from potalg.isotest import algebra_profile, from_quotient
@@ -233,7 +233,7 @@ def test_cubic_class_reports_a_cube_ratio_from_construction():
 # -- cleanup_x2y ---------------------------------------------------------
 
 def test_cleanup_pure_quartic_tail():
-    rec = Cleanup(poly("cyc(x^2 y) + y^4"))
+    rec = ClassificationReport(poly("cyc(x^2 y) + y^4"))
     p, n, k = cleanup_x2y(rec)
     assert p[0] == 1 and not any(p[1:])
     assert (n, k) == (0, 0)
@@ -241,7 +241,7 @@ def test_cleanup_pure_quartic_tail():
 
 
 def test_cleanup_x4_tail_goes_infinite_regime():
-    rec = Cleanup(poly("cyc(x^2 y) + x^4"))
+    rec = ClassificationReport(poly("cyc(x^2 y) + x^4"))
     p, n, k = cleanup_x2y(rec)
     assert not any(p)
     assert n is None and k is None
@@ -250,7 +250,7 @@ def test_cleanup_x4_tail_goes_infinite_regime():
 
 def test_cleanup_mixed_quartic_preserves_dimension():
     f = poly("cyc(x^2 y) + cyc(x^2 y^2)")
-    rec = Cleanup(f)
+    rec = ClassificationReport(f)
     p, _, _ = cleanup_x2y(rec)
     assert rec.canonical.homogeneous_part(4) == poly("y^4").scale(p[0])
     before = oracle_dimension([r for r in relations_of(f)], CAP)
@@ -260,11 +260,11 @@ def test_cleanup_mixed_quartic_preserves_dimension():
 
 def test_cleanup_rejects_wrong_cubic():
     with pytest.raises(ValueError):
-        cleanup_x2y(Cleanup(poly("x^3 + y^3 + y^4")))
+        cleanup_x2y(ClassificationReport(poly("x^3 + y^3 + y^4")))
 
 
 def test_trail_substitutions_invert():
-    rec = Cleanup(poly("cyc(x^2 y) + cyc(x^2 y^2)"))
+    rec = ClassificationReport(poly("cyc(x^2 y) + cyc(x^2 y^2)"))
     cleanup_x2y(rec)
     # by the formal inverse function theorem a substitution is
     # invertible through any cap exactly when its linear part is
@@ -278,14 +278,14 @@ def test_trail_substitutions_invert():
 
 def test_dim8_potential_is_fixed_point():
     f = poly("x^3 + y^3 + x y x y + y x y x")
-    rec = Cleanup(f)
+    rec = ClassificationReport(f)
     assert cleanup_x3y3(rec) == 1
     assert rec.canonical == f and rec.trail == [] and rec.global_scale == 1
     assert all(e.get("skipped") for e in rec.stage_log)
 
 
 def test_cleanup_x4_term_removed():
-    rec = Cleanup(poly("x^3 + y^3 + cyc(x^4)"))
+    rec = ClassificationReport(poly("x^3 + y^3 + cyc(x^4)"))
     assert cleanup_x3y3(rec) == 0
     assert rec.canonical == poly("x^3 + y^3")
     assert rec.trail
@@ -293,7 +293,7 @@ def test_cleanup_x4_term_removed():
 
 def test_cleanup_y4_term_removed_keeps_xyxy():
     f = poly("x^3 + y^3 + cyc(x y x y) + cyc(y^4)")
-    rec = Cleanup(f)
+    rec = ClassificationReport(f)
     assert cleanup_x3y3(rec) == 1
     assert rec.canonical == poly("x^3 + y^3 + x y x y + y x y x")
 

@@ -68,6 +68,10 @@ def test_error_positions():
         ("", "expected a factor", 0),
         ("x y)", "trailing input", 3),
         ("3/", "digits after '/'", 2),
+        # digits are ASCII: neither a superscript nor an Arabic-Indic digit
+        ("x^\u00b2", "expected exponent digits", 2),
+        ("x^\u0663 y", "expected exponent digits", 2),
+        ("\u00b2x", "expected a factor", 0),
     ]
     for text, fragment, pos in cases:
         with pytest.raises(ParseError) as err:
