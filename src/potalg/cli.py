@@ -27,7 +27,6 @@ from json.encoder import encode_basestring_ascii
 from .fields import CleanupError, FieldError, ParseError, ResourceCapError
 
 DEFAULT_CAP = 12
-EXTENDED_CAP = 16
 STRATEGIES = ("auto", "lift", "invariants")
 THEOREMS = ("cor1-grid", "dim8", "dim9", "prelie", "x3-bound")
 
@@ -125,25 +124,11 @@ def _cmd_dim(args):
     from .potential import relations_of
     from .quotient import hilbert
     from .rewrite import complete, oracle_dimension
-    order = _monomial_order(args)
-
-    def build(cap):
-        F = _parse_potential(args.potential, cap)
-        rels = relations_of(F, order)
-        return F, rels, hilbert(complete(rels, order, cap))
-
-    cap = args.cap
-    F, rels, Q = build(cap)
-    extended = False
-    # one automatic retry at a higher cap when the zero tail is short
-    if (Q.finite and cap < EXTENDED_CAP
-            and Q.first_empty_degree >= cap - 2):
-        cap = EXTENDED_CAP
-        F, rels, Q = build(cap)
-        extended = True
-
-    doc = {"potential": render(F), "cap": cap,
-           "extended": extended, "order": order.to_json(),
+    order, cap = _monomial_order(args), args.cap
+    F = _parse_potential(args.potential, cap)
+    rels = relations_of(F, order)
+    Q = hilbert(complete(rels, order, cap))
+    doc = {"potential": render(F), "cap": cap, "order": order.to_json(),
            "finite": Q.finite, "hilbert": list(Q.hilbert),
            "total": Q.dimension,
            "nilpotency_index": Q.first_empty_degree, "growth": Q.growth}

@@ -356,17 +356,21 @@ def _basis_entries(F: FiniteAlgebra):
     return {"hilbert": list(F.hilbert()) + [0], "dimension": F.dim}
 
 
-def _first_difference(field, pa, pb):
-    """not_isomorphic on the first entry where the profiles pa and pb
-    differ, walking dimension, hilbert, then the rest by name; None when
-    they agree."""
+def _first_difference(A, B, pa, pb):
+    """not_isomorphic on the first entry where the profiles pa of A and
+    pb of B differ, walking dimension, hilbert, then the rest by name;
+    None when they agree. Every entry but the dimension is an invariant
+    of associative tables only, so a verdict on one first runs
+    _check_associative on both (ValueError)."""
     keys = ["dimension", "hilbert"]
     keys += sorted(k for k in pa if k not in keys)
     key = next((k for k in keys if pa[k] != pb[k]), None)
     if key is None:
         return None
+    if key != "dimension":
+        _check_associative(A, B)
     return IsoVerdict("not_isomorphic", certificate={
-        "invariant": key, "field": field.name, "a": pa[key], "b": pb[key]})
+        "invariant": key, "field": A.field.name, "a": pa[key], "b": pb[key]})
 
 
 def _basis_verdict(A: FiniteAlgebra, B: FiniteAlgebra):
@@ -375,7 +379,7 @@ def _basis_verdict(A: FiniteAlgebra, B: FiniteAlgebra):
     algebras, which have no unit word to search from. Otherwise the
     algebras must have the two degree-one generators x and y that the
     lift search and derivation_dim read (ValueError)."""
-    verdict = _first_difference(A.field, _basis_entries(A), _basis_entries(B))
+    verdict = _first_difference(A, B, _basis_entries(A), _basis_entries(B))
     if verdict is None and not A.dim:
         verdict = IsoVerdict("isomorphic", witness={"x": {}, "y": {}})
     if verdict is None and A.hilbert()[1:2] != (2,):
@@ -383,18 +387,19 @@ def _basis_verdict(A: FiniteAlgebra, B: FiniteAlgebra):
     return verdict
 
 
-def _check_associative(F: FiniteAlgebra):
+def _check_associative(*algebras):
     """ValueError at the first basis triple (g, b, c), g a generator, with
-    (g b) c != g (b c). On a table that passes check_shape and has the
-    generators x, y at 1, 2 (_basis_verdict), these 2 n^2 checks prove
+    (g b) c != g (b c). On a table that passes check_shape, where words
+    of degree one can only be at 1 and 2, these 2 n^2 checks prove
     associativity by induction on the length of a: a = g a' with a'
     shorter, and (a b) c = (g (a' b)) c = g ((a' b) c) = g (a' (b c)) =
     a (b c), the checks being linear in b and c."""
-    one, row = F.basis_vec, F.table.get
-    for g, b, c in product((1, 2), range(F.dim), range(F.dim)):
-        if F.mul(row((g, b), {}), one(c)) != F.mul(one(g), row((b, c), {})):
-            raise ValueError("table is not associative at basis triple %r"
-                             % ((g, b, c),))
+    for F in algebras:
+        one, row, mul = F.basis_vec, F.table.get, F.mul
+        for g, b, c in product((1, 2), range(F.dim), range(F.dim)):
+            if mul(row((g, b), {}), one(c)) != mul(one(g), row((b, c), {})):
+                raise ValueError("table is not associative at basis "
+                                 "triple %r" % ((g, b, c),))
 
 
 def _int_table(F: FiniteAlgebra):
@@ -540,8 +545,7 @@ def lifted_iso_search(A: FiniteAlgebra, B: FiniteAlgebra) -> IsoVerdict:
     verdict = _basis_verdict(A, B)
     if verdict:
         return verdict
-    _check_associative(A)
-    _check_associative(B)
+    _check_associative(A, B)
     f = B.field
     deg1 = [i for i in range(B.dim) if B.degrees[i] == 1]
     parts = (p * p - 1) * (p * p - p)
@@ -649,8 +653,7 @@ def distinguish_algebras(A: FiniteAlgebra, B: FiniteAlgebra,
         ok, _ = is_isomorphism(A, B, vx, vy)
         if ok:
             return IsoVerdict("isomorphic", witness=_witness_doc(A, vx, vy))
-    verdict = _first_difference(A.field, algebra_profile(A),
-                                algebra_profile(B))
+    verdict = _first_difference(A, B, algebra_profile(A), algebra_profile(B))
     if verdict:
         return verdict
     if strategy == "auto" and A.field.characteristic:

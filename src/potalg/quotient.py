@@ -41,25 +41,30 @@ class QuotientAlgebra:
 def hilbert(system: RewriteSystem) -> QuotientAlgebra:
     """Normal-word counts through the cap, with a finiteness verdict.
 
-    Counts are exact in every degree up to the cap once the completion has
-    resolved all ambiguities below it. Finiteness is claimed as soon as a
-    degree is empty: factor closure then empties all higher degrees, which
-    is asserted rather than assumed.
+    Finiteness is claimed at the first empty degree d: factor closure
+    empties every higher degree, which is asserted rather than assumed.
+    Let I be the ideal of the relations and m that of the words of
+    positive degree. In local mode the counts through the cap are exact
+    for F/(I + m^(cap+1)), and every word of degree d rewrites to later
+    words, so m^d lies in I + m^(d+1), hence in I + m^(d+k) for every k,
+    and in I by Nakayama's lemma, I being closed among power series
+    (finite determinacy; Greuel-Pfister, A Singular Introduction to
+    Commutative Algebra). Then I + m^(cap+1) = I: no higher cap can
+    change the counts. In global mode no term is cut, so every rule lies
+    in I, every word of degree d or more holds a lead, and the normal
+    words below d span F/I, which is therefore finite. The total is
+    exact once cap >= 2L - 1, L the longest lead: every overlap of two
+    leads then has its witness within the cap (an inclusion's is at
+    most L), so all were resolved (Bergman's diamond lemma).
     """
     layers = normal_words_by_degree(system)
     h = tuple(len(layer) for layer in layers)
-    first_empty = None
-    for d, hd in enumerate(h):
-        if hd == 0:
-            first_empty = d
-            break
+    first_empty = next((d for d, hd in enumerate(h) if hd == 0), None)
     if first_empty is not None:
-        for d in range(first_empty, len(h)):
-            if h[d] != 0:
-                raise AssertionError("normal word count rose after an empty "
-                                     "degree; monotone vanishing violated")
-        finite = True
-        growth = "finite"
+        if any(h[first_empty:]):
+            raise AssertionError("normal word count rose after an empty "
+                                 "degree; monotone vanishing violated")
+        finite, growth = True, "finite"
         layers = layers[:first_empty]
     else:
         finite = None

@@ -448,7 +448,10 @@ def oracle_dimension(relations, cap, order=_DEFAULT_ORDER):
 
     Spans all truncated products u * r * v inside the word space of degree
     <= cap and counts non-pivot columns per degree, with columns ordered by
-    the local order so pivots respect minimal degrees. Caps above 12 are
+    the local order so pivots respect minimal degrees. Rows go in latest
+    pivot first, then shortest first, so that a row meets few and short
+    pivot rows (the Macaulay-matrix order; Lazard, EUROCAL 1983); the
+    counts do not depend on the order (linalg). Caps above 12 are
     refused: the row space grows as 4^cap.
 
     Local orders only. The row space is the truncation of the closure of
@@ -463,8 +466,7 @@ def oracle_dimension(relations, cap, order=_DEFAULT_ORDER):
     if cap > _ORACLE_MAX_CAP:
         raise ResourceCapError("oracle cap %d exceeds %d" %
                                (cap, _ORACLE_MAX_CAP))
-    rels = [r.with_cap(cap) for r in relations if not r.is_zero()]
-    rels = [r for r in rels if not r.is_zero()]
+    rels = [r for r in (q.with_cap(cap) for q in relations) if not r.is_zero()]
     ech = Echelon(rels[0].field if rels else QQ)
     # column i is the i-th word in the local order, so pivots are ints
     words = sorted((w for d in range(cap + 1) for w in all_words(d)),
@@ -472,6 +474,7 @@ def oracle_dimension(relations, cap, order=_DEFAULT_ORDER):
     col = {w: i for i, w in enumerate(words)}
 
     prec = order.precedence
+    rows = []
     for r in rels:
         terms = integral(r.terms, ech.p)[0].items()
         for total in range(cap - r.min_degree() + 1):
@@ -482,7 +485,9 @@ def oracle_dimension(relations, cap, order=_DEFAULT_ORDER):
                         row = {col[u + w + v]: c for w, c in terms
                                if len(w) + total <= cap}
                         if row:
-                            ech.add_integral(row)
+                            rows.append(row)
+    for row in sorted(rows, key=lambda row: (-min(row), len(row))):
+        ech.add_integral(row)
 
     counts = [0] * (cap + 1)
     for i in ech.pivots:

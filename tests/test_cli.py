@@ -19,6 +19,7 @@ from potalg import classify, cli, isotest, reproduce
 from potalg.brace import MAX_LEVELS, MAX_ORDER, MAX_SERIES_TERMS, FiniteBrace
 from potalg.cli import main
 from potalg.fields import QQ
+from potalg.freepoly import Substitution, substitute
 from potalg.parsing import (MAX_DEGREE, MAX_NESTING, MAX_TERMS, parse_poly,
                              render)
 
@@ -185,15 +186,15 @@ def test_dim_golden_with_oracle():
 
 @pytest.mark.parametrize("text,cap,digest", [
     (DIM8, "8",
-     "f81b6bd34f033d79fd235ed4ad7e1a9b1dd2a6b73b980c3448639ea32197696b"),
+     "e66398468892b6b600d5a1baa2d4e0fb3d5b2f9263b73fa931f2506591bca655"),
     (DIM9A, "8",
-     "4d265b80378646ad1fadf3b54ee72c79440defeddbe72e7bc0bd9eba6557dd13"),
+     "3a4aea263e88fcef4856d77aa83618c31de1ceebc349772882fc8115bc23356e"),
     (DIM9B, "8",
-     "9f2619444e5dd4af256fba00bab35971e602ff38f19e3d5fdeeafa91ff9aa695"),
+     "82fa26dbb104da25e606cd1c047908a2a621bcc3336d9b84e9e3119d8375779e"),
     ("cyc(x^2 y) + y^12", "28",
-     "ab9c1c66de299f5dadae0a58d45cd49fb2fbe9ed3386321af5af30b8e58305c7"),
+     "c85a568079ce74394313329bff9583903d41769df1f0f64239d10d96e95201c6"),
     ("x^3 + cyc(x y^3) + y^5", "16",
-     "1f8fbb7dc321934a475695a48b43bee2284f6c188834443e2bfb8587f4cefac0"),
+     "cf8cec606fd2399e761e21dfea921bdb41a3d63ff2b9ad30f9b74f588edda9ef"),
 ], ids=["8", "9A", "9B", "33", "32"])
 def test_dim_oracle_bytes_are_pinned(text, cap, digest):
     # the table, the Hilbert data and the oracle counts are in these bytes
@@ -210,10 +211,62 @@ def test_dim_order_flag_round_trips():
     assert doc["order"]["precedence"] == "yx"
 
 
-def test_dim_auto_extends_once():
+def test_dim_answers_at_its_cap():
+    # the first empty degree, 10, is within two degrees of the default
+    # cap, and it certifies the total there (quotient.hilbert)
     code, doc, _ = run_cli("dim", "--potential", "cyc(x^2 y) + y^6")
-    assert code == 0 and doc["extended"] and doc["cap"] == 16
-    assert doc["total"] == 15
+    assert code == 0 and doc["cap"] == 12 and "extended" not in doc
+    assert doc["total"] == 15 and doc["nilpotency_index"] == 10
+
+
+# 9A under x -> 2x + y, y -> x + y
+GENERIC_9A = "cyc((2 x + y)(2 x + y)(x + y)) + (x + y)(x + y)(x + y)(x + y)"
+
+
+def test_dim_on_a_generic_image_stays_at_its_cap():
+    # one completion at cap 8; at cap 16 this input takes about 7 s
+    start = time.perf_counter()
+    code, doc, _ = run_cli("dim", "--potential", GENERIC_9A, "--cap", "8")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and doc["cap"] == 8 and doc["total"] == 9
+
+
+DIFFERENTIAL_HEADS = ("cyc(x^2 y) + y^4", "cyc(x^2 y) + y^4 + y^5",
+                      "cyc(x^2 y) + y^6", "cyc(x^2 y) + y^8",
+                      "x^3 + y^3 + cyc(x y x y)", "x^3 + cyc(x y^3) + y^5")
+
+
+def test_dim_near_its_cap_agrees_with_cap_16():
+    # in local mode an empty degree d <= cap certifies the total (the
+    # quotient.hilbert docstring): every cap at which the first empty
+    # degree is within two degrees of the cap answers as cap 16 does.
+    # Images are diagonal, or shears x -> a x + b y under precedence xy,
+    # so that cap 16 stays cheap
+    rng = random.Random(20261022)
+    pairs = {"xy": 0, "yx": 0}
+    for _ in range(30):
+        text = rng.choice(DIFFERENTIAL_HEADS)
+        if rng.random() < 0.5:
+            word = " ".join(rng.choice("xy") for _ in range(rng.randint(6, 7)))
+            text += " + %d cyc(%s)" % (rng.randint(1, 3), word)
+        order = rng.choice(("xy", "yx"))
+        a, d = rng.choice((1, -1, 2, 3)), rng.choice((1, -1, 2, -3))
+        b = rng.choice((0, 1, -2, 5)) \
+            if order == "xy" and text.startswith("cyc") else 0
+        image = render(substitute(parse_poly(text),
+                                  Substitution.linear(a, b, 0, d)))
+        flags = ("--potential", image, "--order", order)
+        code, ref, _ = run_cli("dim", "--cap", "16", *flags)
+        assert code == 0
+        for cap in range(4, 16):
+            code, doc, _ = run_cli("dim", "--cap", str(cap), *flags)
+            if code or not doc["finite"] or doc["nilpotency_index"] < cap - 2:
+                continue
+            pairs[order] += 1
+            keys = ("finite", "total", "nilpotency_index")
+            assert [doc[k] for k in keys] == [ref[k] for k in keys], \
+                (image, order, cap)
+    assert min(pairs.values()) >= 15
 
 
 def test_dim_infinite_case_has_no_algebra():
@@ -592,6 +645,24 @@ def test_iso_lift_refuses_a_table_that_is_not_associative(tmp_path, text,
     assert code == 2 and out["error"] == "config"
     assert out["message"] == "table is not associative at basis triple " \
         + triple
+
+
+@pytest.mark.parametrize("field", [None, "5"], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("strategy", ["invariants", "auto"])
+def test_iso_profiles_refuse_a_table_that_is_not_associative(tmp_path,
+                                                             strategy, field):
+    # the profile entries are invariants of associative tables only; the
+    # profiles of this pair differ on center_dim (5 against 6)
+    good = dim_file(tmp_path, DIM9A, "good.json")
+    doc = json.loads(Path(good).read_text())
+    del doc["algebra"]["table"]["x,yy"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = ["iso", "--a", str(bad), "--b", good, "--strategy", strategy]
+    code, out, _ = run_cli(*argv + (["--field", field] if field else []))
+    assert code == 2 and out["error"] == "config"
+    assert out["message"] == "table is not associative at basis triple " \
+        "(1, 1, 4)"
 
 
 def test_iso_brute_strategy_is_gone(tmp_path):
